@@ -63,8 +63,8 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -> Iterator[int]:
-    """Yield the primes in ``prime_range`` in ascending order.
+def _sieve_segments(prime_range: PrimeRange, max_bound: int) -> Iterator[np.ndarray]:
+    """The primes in ``prime_range`` as ascending int64 arrays, one per segment.
 
     Segmented, odd-only sieve: base primes up to sqrt(hi) strike odd
     composites out of fixed-size boolean segments, so memory stays flat
@@ -75,7 +75,7 @@ def sieve_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -
         raise ResourceLimitError(f"sieve bound {hi} exceeds configured maximum {max_bound}")
 
     if lo <= 2 <= hi:
-        yield 2
+        yield np.array([2], dtype=np.int64)
 
     base = _simple_sieve(isqrt(hi))
     odd_base = base[base > 2]
@@ -97,9 +97,19 @@ def sieve_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -
             if start > high:
                 continue
             mask[(start - low) // 2 :: p] = False
-        for off in np.flatnonzero(mask):
-            yield low + 2 * int(off)
+        yield low + 2 * np.flatnonzero(mask)
         low = high + 2
+
+
+def sieve_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -> Iterator[int]:
+    """Yield the primes in ``prime_range`` in ascending order."""
+    for segment in _sieve_segments(prime_range, max_bound):
+        yield from segment.tolist()
+
+
+def count_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -> int:
+    """How many primes ``prime_range`` holds, sieved without keeping them."""
+    return sum(len(segment) for segment in _sieve_segments(prime_range, max_bound))
 
 
 def is_prime(n: int) -> bool:

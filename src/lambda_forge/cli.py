@@ -11,6 +11,7 @@ or usage error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import io
 import json
@@ -30,6 +31,7 @@ from .residual import (
     classify_range,
     resolve_workers,
     screen_p,
+    tee_to_csv,
 )
 
 SCHEMA_VERSION = 1
@@ -162,16 +164,18 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers(cfg.threads)
     prime_range = PrimeRange(2, args.bound)
-    if args.csv_path:
-        with open(args.csv_path, "w", encoding="utf-8") as fh:
-            classification_to_csv(classify_range(ctx, prime_range, workers=workers), fh)
-    pi_report, omega_report = empirical_density(
-        ctx,
-        prime_range,
-        band=cfg.sigma_band,
-        min_expected=cfg.min_expected_hits,
-        workers=workers,
-    )
+    stream = classify_range(ctx, prime_range, workers=workers)
+    with contextlib.ExitStack() as stack:
+        if args.csv_path:
+            csv_file = stack.enter_context(open(args.csv_path, "w", encoding="utf-8"))
+            stream = tee_to_csv(stream, csv_file)
+        pi_report, omega_report = empirical_density(
+            ctx,
+            prime_range,
+            band=cfg.sigma_band,
+            min_expected=cfg.min_expected_hits,
+            stream=stream,
+        )
     _emit_report(
         {"bound": args.bound, "pi": pi_report.as_dict(), "omega": omega_report.as_dict()},
         cfg,
@@ -218,11 +222,7 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace) -> None:
     if args.ell:
         ells = sorted(set(args.ell))
     elif args.lo is not None and args.hi is not None:
-        ells = [
-            ell
-            for ell in PrimeRange(args.lo, args.hi)
-            if ctx.level % ell != 0 and ell != ctx.p
-        ]
+        ells = [ell for ell in PrimeRange(args.lo, args.hi) if not ctx.divides_ngp(ell)]
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")
     rows = [{"ell": ell, "a_ell": a_ell(ctx, ell)} for ell in ells]

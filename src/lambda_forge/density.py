@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import Iterable
 
 from .arith import PrimeRange, is_prime
 from .errors import HypothesisViolation, ResourceLimitError
 from .forms import FormContext
-from .residual import Verdict, classify_range
+from .residual import FrobeniusClass, Verdict, classify_range
 
 GL2_ENUMERATION_MAX_P = 13
 MIN_EXPECTED_HITS = 30
@@ -160,6 +161,7 @@ def empirical_density(
     band: float = DEFAULT_SIGMA_BAND,
     min_expected: int = MIN_EXPECTED_HITS,
     workers: int | None = None,
+    stream: Iterable[FrobeniusClass] | None = None,
 ) -> tuple[DensityReport, DensityReport]:
     """Observed Pi/Omega frequencies over a prime range, versus the exact densities.
 
@@ -169,6 +171,10 @@ def empirical_density(
     so a false assertion is a hard error.  A sample whose expected hit
     count falls below ``min_expected`` yields an Underpowered verdict
     instead of a Consistent/Inconsistent call.
+
+    ``stream`` is the classification of ``prime_range`` when the caller
+    already has one under way (the CLI writes it to CSV as it passes);
+    without it the range is classified here on ``workers`` processes.
     """
     if not ctx.surjective_mod_p:
         raise HypothesisViolation(
@@ -179,7 +185,9 @@ def empirical_density(
     n = 0
     pi_hits = 0
     omega_hits = 0
-    for klass in classify_range(ctx, prime_range, workers=workers):
+    if stream is None:
+        stream = classify_range(ctx, prime_range, workers=workers)
+    for klass in stream:
         if klass.verdict is Verdict.SKIPPED:
             continue
         n += 1

@@ -42,6 +42,9 @@ class CoverageError(ComputationError):
         self.ell = ell
         super().__init__(message or f"backend supplies no coefficient for prime {ell}")
 
+    def __reduce__(self):  # pickled on its way back from a pool worker
+        return type(self), (self.ell, str(self))
+
 
 class ScarcityError(ComputationError):
     """A scan found fewer usable primes than requested."""

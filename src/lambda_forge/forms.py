@@ -128,6 +128,10 @@ class FormContext:
             )
         object.__setattr__(self, "a_p", a_p)
 
+    def divides_ngp(self, ell: int) -> bool:
+        """Whether the prime ell divides N_g * p, where no Frobenius class is defined."""
+        return self.level % ell == 0 or ell == self.p
+
 
 def _backend_a_ell(backend: CurveModel | CoefficientTable, ell: int, naive_limit: int) -> int:
     if isinstance(backend, CurveModel):
@@ -146,7 +150,7 @@ def a_ell(ctx: FormContext, ell: int) -> int:
     """
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
-    if ctx.level % ell == 0 or ell == ctx.p:
+    if ctx.divides_ngp(ell):
         raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")
     return _backend_a_ell(ctx.backend, ell, ctx.naive_limit)
 

@@ -11,11 +11,12 @@ attached as an asserted certificate, never recomputed.
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .arith import PrimeRange, factorize
+from .density import exact_densities
 from .errors import CoverageError, ResourceLimitError, ScarcityError
 from .forms import FormContext, a_ell_mod_p
 from .iwasawa import (
@@ -187,17 +188,16 @@ def plan_target_lambda(
         )
     pi_found: list[FrobeniusClass] = []
     omega_found: list[FrobeniusClass] = []
-    for klass in classify_range(ctx, PrimeRange(2, scan_bound), workers=workers):
-        if klass.verdict is Verdict.PI and len(pi_found) < n:
-            pi_found.append(klass)
-        elif klass.verdict is Verdict.OMEGA and len(omega_found) < r:
-            omega_found.append(klass)
-        if len(pi_found) >= n and len(omega_found) >= r:
-            break
+    with closing(classify_range(ctx, PrimeRange(2, scan_bound), workers=workers)) as stream:
+        for klass in stream:
+            if klass.verdict is Verdict.PI and len(pi_found) < n:
+                pi_found.append(klass)
+            elif klass.verdict is Verdict.OMEGA and len(omega_found) < r:
+                omega_found.append(klass)
+            if len(pi_found) >= n and len(omega_found) >= r:
+                break
     if len(pi_found) < n or len(omega_found) < r:
-        p = ctx.p
-        pi_density = Fraction(p - 3, p * (p - 1))
-        omega_density = Fraction(p - 3, (p - 1) ** 2)
+        pi_density, omega_density = exact_densities(ctx.p)
         raise ScarcityError(
             f"scan to {scan_bound} found {len(pi_found)}/{n} Pi and "
             f"{len(omega_found)}/{r} Omega primes; expected supply rates are "
@@ -289,7 +289,7 @@ def carayol_check(
             continue
 
         trace: int | None
-        if ord_base == 0 and ell != p:
+        if not ctx.divides_ngp(ell):
             try:
                 trace = a_ell_mod_p(ctx, ell)
             except CoverageError:

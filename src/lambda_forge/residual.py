@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .arith import PrimeRange, is_prime, sieve_primes
+from .arith import PrimeRange, count_primes, is_prime, sieve_primes
 from .curves import CurveModel, trace_of_frobenius
+from .errors import LambdaForgeError
 from .forms import FormContext, a_ell
 
 
@@ -63,7 +66,7 @@ class FrobeniusClass:
 
 def classify_prime(ctx: FormContext, ell: int) -> FrobeniusClass:
     """Classify the Frobenius class at one prime ell coprime to N_g * p."""
-    if ctx.level % ell == 0 or ell == ctx.p:
+    if ctx.divides_ngp(ell):
         raise ValueError(
             f"ell = {ell} divides N_g * p; classification undefined at ramified primes"
         )
@@ -123,15 +126,56 @@ def _skipped(ell: int) -> FrobeniusClass:
     return FrobeniusClass(ell, None, None, Verdict.SKIPPED, ("divides-Ngp",))
 
 
-def _classify_chunk(args: tuple[FormContext, Sequence[int]]) -> list[FrobeniusClass]:
-    ctx, ells = args
-    out = []
-    for ell in ells:
-        if ctx.level % ell == 0 or ell == ctx.p:
-            out.append(_skipped(ell))
-        else:
-            out.append(classify_prime(ctx, ell))
-    return out
+# Primes in the first chunk of a sweep; later chunks double up to ``chunk_size``.
+_FIRST_CHUNK = 64
+
+# The context a pool worker classifies against, set once by the pool initializer.
+_worker_ctx: FormContext | None = None
+
+_ChunkResult = tuple[list[FrobeniusClass], LambdaForgeError | None]
+
+
+def _classify_chunk(ctx: FormContext, ells: Sequence[int]) -> _ChunkResult:
+    """Classify a chunk in order, stopping at the first error this package raises.
+
+    The error is returned along with the classes before it, so the consumer
+    sees exactly what a prime-by-prime loop would have yielded before raising
+    (a table gap, say, as a CoverageError at the first uncovered prime).
+    """
+    out: list[FrobeniusClass] = []
+    try:
+        for ell in ells:
+            out.append(_skipped(ell) if ctx.divides_ngp(ell) else classify_prime(ctx, ell))
+    except LambdaForgeError as exc:
+        return out, exc
+    return out, None
+
+
+def _set_worker_context(ctx: FormContext) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _classify_in_worker(ells: Sequence[int]) -> _ChunkResult:
+    return _classify_chunk(_worker_ctx, ells)
+
+
+def _chunk_sizes(total: int, chunk_size: int, workers: int) -> Iterator[int]:
+    """Chunk lengths covering ``total`` primes.
+
+    Chunks start at ``_FIRST_CHUNK`` primes and double up to ``chunk_size``,
+    so a consumer that stops early leaves only small chunks running.  Each
+    chunk also holds at most 1 / (2 * workers) of the primes still left
+    (guided self-scheduling, Polychronopoulos and Kuck 1987), so the last,
+    most expensive primes (point counting slows as ell grows) are spread
+    over all workers instead of landing on one.
+    """
+    size = min(_FIRST_CHUNK, chunk_size)
+    while total > 0:
+        n = min(size, -(-total // (2 * workers)))
+        yield n
+        total -= n
+        size = min(2 * size, chunk_size)
 
 
 def classify_range(
@@ -144,39 +188,71 @@ def classify_range(
     """Classify every prime in the range, in ascending order.
 
     Primes dividing N_g * p come through as Skipped markers so that density
-    denominators can count classifiable primes only.  With ``workers`` > 1 the
-    work is fanned out over a process pool in chunks; chunk results are merged
-    in order, so the stream is identical to a serial run.
+    denominators can count classifiable primes only.
+
+    The sieved primes are cut into chunks (see :func:`_chunk_sizes`) and
+    classified on ``workers`` processes, capped at the cores this process
+    may run on; a 1-worker sweep, or a range that fits in the first chunk,
+    runs the same chunks in this process.  At most 2 * workers chunks are in
+    flight and results are merged in ascending order, so the stream (an
+    error included) is identical at every worker count.  Closing the
+    generator, explicitly or by dropping it, cancels the chunks not yet
+    started and shuts the pool down, so a consumer that stops early stops
+    the work too.
     """
-    if workers is None or workers <= 1:
-        for ell in sieve_primes(prime_range):
-            if ctx.level % ell == 0 or ell == ctx.p:
-                yield _skipped(ell)
-            else:
-                yield classify_prime(ctx, ell)
-        return
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    total = count_primes(prime_range)
+    if total <= min(_FIRST_CHUNK, chunk_size):
+        workers = 1
+    else:
+        workers = max(1, min(workers or 1, len(os.sched_getaffinity(0))))
+    primes = sieve_primes(prime_range)
+    chunks = (list(islice(primes, n)) for n in _chunk_sizes(total, chunk_size, workers))
 
-    def chunks() -> Iterator[tuple[FormContext, list[int]]]:
-        buf: list[int] = []
-        for ell in sieve_primes(prime_range):
-            buf.append(ell)
-            if len(buf) >= chunk_size:
-                yield (ctx, buf)
-                buf = []
-        if buf:
-            yield (ctx, buf)
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
+        )
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for block in pool.map(_classify_chunk, chunks()):
-            yield from block
+    def submit(ells: list[int]) -> Callable[[], _ChunkResult]:
+        if pool is None:
+            return lambda: _classify_chunk(ctx, ells)
+        return pool.submit(_classify_in_worker, ells).result
+
+    in_flight: deque[Callable[[], _ChunkResult]] = deque()
+    try:
+        while True:
+            in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
+            if not in_flight:
+                return
+            classes, error = in_flight.popleft()()
+            yield from classes
+            if error is not None:
+                raise error
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
-def classification_to_csv(stream: Iterable[FrobeniusClass], out: IO[str]) -> None:
-    """Write the export format: header ``ell,trace_mod_p,verdict``."""
+def tee_to_csv(stream: Iterable[FrobeniusClass], out: IO[str]) -> Iterator[FrobeniusClass]:
+    """Pass the stream through, writing it to ``out`` in the export format.
+
+    The format has the header ``ell,trace_mod_p,verdict`` and one row per
+    class, written as the class goes by.
+    """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["ell", "trace_mod_p", "verdict"])
     for fc in stream:
         writer.writerow([fc.ell, "" if fc.trace_mod_p is None else fc.trace_mod_p, fc.verdict.value])
+        yield fc
+
+
+def classification_to_csv(stream: Iterable[FrobeniusClass], out: IO[str]) -> None:
+    """Write the whole stream to ``out`` in the export format of :func:`tee_to_csv`."""
+    for _ in tee_to_csv(stream, out):
+        pass
 
 
 @dataclass(frozen=True)
@@ -252,7 +328,11 @@ def screen_p(curve: CurveModel, p: int, *, naive_limit: int | None = None) -> Sc
 
 
 def resolve_workers(configured: int = 0) -> int:
-    """Worker count: LAMBDA_FORGE_THREADS env wins, then config, then cores."""
+    """Worker count: LAMBDA_FORGE_THREADS env wins, then config, then cores.
+
+    Never more than the cores this process may run on.
+    """
+    cores = len(os.sched_getaffinity(0))
     env = os.environ.get("LAMBDA_FORGE_THREADS")
     if env:
         try:
@@ -261,7 +341,7 @@ def resolve_workers(configured: int = 0) -> int:
             raise ValueError(f"LAMBDA_FORGE_THREADS must be an integer, got {env!r}")
         if n < 1:
             raise ValueError(f"LAMBDA_FORGE_THREADS must be >= 1, got {n}")
-        return n
+        return min(n, cores)
     if configured and configured > 0:
-        return configured
-    return os.cpu_count() or 1
+        return min(configured, cores)
+    return cores

@@ -1,9 +1,12 @@
+import io
 import json
+from collections import Counter
 
 import pytest
 
-from lambda_forge import load_coefficients
+from lambda_forge import PrimeRange, load_coefficients, residual
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from lambda_forge.config import build_context, load_config
 
 CURVE_CFG = """\
 backend = curve
@@ -151,14 +154,32 @@ class TestVerifyDensity:
         assert report["pi"]["exact_density"] == "2/21"
         assert report["omega"]["exact_density"] == "1/9"
 
-    def test_csv_dump(self, curve_config, tmp_path, capsys):
+    def test_csv_dump(self, curve_config, tmp_path, capsys, monkeypatch):
+        argv = ["verify-density", "--config", curve_config, "--bound", "200", "--workers", "1"]
+        assert main(argv) == EXIT_OK
+        plain_report = capsys.readouterr().out
+
+        classified = Counter()
+        classify_prime = residual.classify_prime
+
+        def counting(ctx, ell):
+            classified[ell] += 1
+            return classify_prime(ctx, ell)
+
+        monkeypatch.setattr(residual, "classify_prime", counting)
         dump = tmp_path / "per_prime.csv"
-        code = main(["verify-density", "--config", curve_config, "--bound", "200",
-                     "--workers", "1", "--csv", str(dump)])
-        assert code == EXIT_OK
+        assert main(argv + ["--csv", str(dump)]) == EXIT_OK
+        assert capsys.readouterr().out == plain_report
+        assert set(classified.values()) == {1}  # one sweep feeds both the CSV and the report
+        assert sorted(classified) == [ell for ell in PrimeRange(2, 200) if ell not in (7, 11)]
+
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "ell,trace_mod_p,verdict"
-        assert len(lines) == 1 + sum(1 for _ in __import__("lambda_forge").PrimeRange(2, 200))
+        assert len(lines) == 1 + sum(1 for _ in PrimeRange(2, 200))
+        ctx = build_context(load_config(curve_config))
+        expected = io.StringIO()
+        residual.classification_to_csv(residual.classify_range(ctx, PrimeRange(2, 200)), expected)
+        assert dump.read_text() == expected.getvalue()
 
     def test_surjectivity_required(self, table_config, capsys):
         code = main(["verify-density", "--config", table_config, "--bound", "100"])

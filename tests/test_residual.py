@@ -1,7 +1,13 @@
+import io
+import multiprocessing
+import os
 import random
+import time
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_forge import (
     CoefficientTable,
@@ -12,9 +18,9 @@ from lambda_forge import (
     classify_range,
     screen_p,
 )
-from lambda_forge.arith import PrimeRange
-from lambda_forge.residual import classification_to_csv
-import io
+from lambda_forge.arith import PrimeRange, sieve_primes
+from lambda_forge.errors import CoverageError
+from lambda_forge.residual import _skipped, classification_to_csv, resolve_workers
 
 
 def single_prime_ctx(p: int, ell: int, a: int, level: int, a_p: int) -> FormContext:
@@ -114,6 +120,15 @@ class TestMutualExclusivity:
                     assert sorted(roots) == sorted([p - 1, (-fc.ell) % p])
 
 
+@pytest.fixture(scope="module")
+def serial_to_20000(ctx_default):
+    """Prime-by-prime classification of 2..20000, built without classify_range."""
+    return [
+        _skipped(ell) if ctx_default.divides_ngp(ell) else classify_prime(ctx_default, ell)
+        for ell in sieve_primes(PrimeRange(2, 20000))
+    ]
+
+
 class TestClassifyRange:
     def test_deterministic(self, ctx_default):
         first = list(classify_range(ctx_default, PrimeRange(2, 500)))
@@ -126,10 +141,24 @@ class TestClassifyRange:
         assert all(fc.verdict is Verdict.SKIPPED for fc in out)
         assert all(fc.trace_mod_p is None for fc in out)
 
-    def test_parallel_equals_serial(self, ctx_default):
-        serial = list(classify_range(ctx_default, PrimeRange(2, 2000)))
-        parallel = list(classify_range(ctx_default, PrimeRange(2, 2000), workers=2, chunk_size=64))
-        assert serial == parallel
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bounds=st.lists(st.integers(2, 20000), min_size=2, max_size=2, unique=True).map(sorted),
+        chunk_size=st.integers(1, 512),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_parallel_equals_serial(
+        self, ctx_default, serial_to_20000, bounds, chunk_size, workers
+    ):
+        lo, hi = bounds
+        expected = [fc for fc in serial_to_20000 if lo <= fc.ell <= hi]
+        stream = classify_range(ctx_default, PrimeRange(lo, hi), workers=workers,
+                                chunk_size=chunk_size)
+        assert list(stream) == expected
+
+    def test_chunk_size_must_be_positive(self, ctx_default):
+        with pytest.raises(ValueError):
+            next(classify_range(ctx_default, PrimeRange(2, 500), chunk_size=0))
 
     def test_counts_match_independent_rerun(self, ctx_default):
         stream = list(classify_range(ctx_default, PrimeRange(2, 5000)))
@@ -151,6 +180,62 @@ class TestClassifyRange:
         assert lines[0] == "ell,trace_mod_p,verdict"
         assert lines[1] == "2,5,Neither"
         assert "7,,Skipped" in lines
+
+
+class TestSweepPipeline:
+    def test_early_stop_in_parallel(self, ctx_default):
+        t0 = time.perf_counter()
+        stream = classify_range(ctx_default, PrimeRange(2, 10**6), workers=2)
+        assert next(stream).ell == 2
+        stream.close()
+        assert time.perf_counter() - t0 < 5.0  # the whole sweep takes about 25 s
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("gaps", [(3001,), (1999, 3001)])
+    def test_error_order(self, gaps):
+        rng = random.Random(7)
+        coeffs = {}
+        for ell in sieve_primes(PrimeRange(2, 4000)):
+            if ell not in gaps:
+                bound = isqrt(4 * ell)
+                coeffs[ell] = 3 if ell == 7 else rng.randint(-bound, bound)
+        ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                          backend=CoefficientTable(coefficients=coeffs, level=11))
+
+        def run(workers):
+            seen = []
+            with pytest.raises(CoverageError) as info:
+                for fc in classify_range(ctx, PrimeRange(2, 4000), workers=workers,
+                                         chunk_size=64):
+                    seen.append(fc)
+            return info.value.ell, seen
+
+        serial = run(1)
+        assert serial[0] == gaps[0]
+        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, gaps[0] - 1)))
+        assert run(2) == serial
+
+
+class TestResolveWorkers:
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.delenv("LAMBDA_FORGE_THREADS", raising=False)
+
+    def test_env_capped(self, monkeypatch):
+        monkeypatch.setenv("LAMBDA_FORGE_THREADS", "10000")
+        assert resolve_workers(8) == 3
+
+    def test_env_below_cap(self, monkeypatch):
+        monkeypatch.setenv("LAMBDA_FORGE_THREADS", "2")
+        assert resolve_workers(8) == 2
+
+    def test_config_capped(self):
+        assert resolve_workers(8) == 3
+        assert resolve_workers(2) == 2
+
+    def test_fallback_is_affinity(self):
+        assert resolve_workers(0) == 3
 
 
 class TestScreenP:
