@@ -9,7 +9,7 @@ verifies the exact Chebotarev densities of the admissible prime families
 both by exhaustive GL2(F_p) enumeration and by empirical sampling.
 """
 
-from .arith import PrimeRange, multiplicative_order, pow_mod, sieve_primes
+from .arith import PrimeRange, sieve_primes
 from .curves import (
     CurveModel,
     ReductionType,
@@ -26,10 +26,9 @@ from .density import (
     enumerate_gl2_classes,
     exact_densities,
 )
-from .forms import CoefficientTable, FormContext, a_ell, a_ell_mod_p, load_coefficients
+from .forms import CoefficientTable, FormContext, a_ell, load_coefficients
 from .iwasawa import (
     EulerFactor,
-    FactorProvenance,
     RankBound,
     SigmaDatum,
     TransferResult,
@@ -40,7 +39,6 @@ from .iwasawa import (
     lambda_transfer,
     ramified_euler_factor,
     sigma_ell,
-    user_supplied_factor,
 )
 from .levels import (
     CarayolReport,
@@ -68,7 +66,6 @@ __all__ = [
     "CurveModel",
     "DensityReport",
     "EulerFactor",
-    "FactorProvenance",
     "FormContext",
     "FrobeniusClass",
     "LevelSet",
@@ -80,7 +77,6 @@ __all__ = [
     "TransferResult",
     "Verdict",
     "a_ell",
-    "a_ell_mod_p",
     "bk_rank_bounds",
     "build_level_set",
     "carayol_check",
@@ -98,14 +94,11 @@ __all__ = [
     "is_ordinary",
     "lambda_transfer",
     "load_coefficients",
-    "multiplicative_order",
     "plan_target_lambda",
-    "pow_mod",
     "ramified_euler_factor",
     "reduction_type",
     "screen_p",
     "sieve_primes",
     "sigma_ell",
     "trace_of_frobenius",
-    "user_supplied_factor",
 ]

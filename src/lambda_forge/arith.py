@@ -8,7 +8,7 @@ never become a bottleneck and no external bignum support is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
@@ -42,15 +42,6 @@ class PrimeRange:
         return sieve_primes(self)
 
 
-def pow_mod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for exp >= 0 and modulus >= 2."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def _simple_sieve(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (plain sieve, used for base primes)."""
     if limit < 2:
@@ -63,7 +54,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sieve_segments(prime_range: PrimeRange, max_bound: int) -> Iterator[np.ndarray]:
+def _sieve_segments(prime_range: PrimeRange) -> Iterator[np.ndarray]:
     """The primes in ``prime_range`` as ascending int64 arrays, one per segment.
 
     Segmented, odd-only sieve: base primes up to sqrt(hi) strike odd
@@ -71,8 +62,8 @@ def _sieve_segments(prime_range: PrimeRange, max_bound: int) -> Iterator[np.ndar
     no matter how wide the range is.
     """
     lo, hi = prime_range.lo, prime_range.hi
-    if hi > max_bound:
-        raise ResourceLimitError(f"sieve bound {hi} exceeds configured maximum {max_bound}")
+    if hi > MAX_SIEVE_BOUND:
+        raise ResourceLimitError(f"sieve bound {hi} exceeds the maximum {MAX_SIEVE_BOUND}")
 
     if lo <= 2 <= hi:
         yield np.array([2], dtype=np.int64)
@@ -101,15 +92,15 @@ def _sieve_segments(prime_range: PrimeRange, max_bound: int) -> Iterator[np.ndar
         low = high + 2
 
 
-def sieve_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -> Iterator[int]:
+def sieve_primes(prime_range: PrimeRange) -> Iterator[int]:
     """Yield the primes in ``prime_range`` in ascending order."""
-    for segment in _sieve_segments(prime_range, max_bound):
+    for segment in _sieve_segments(prime_range):
         yield from segment.tolist()
 
 
-def count_primes(prime_range: PrimeRange, *, max_bound: int = MAX_SIEVE_BOUND) -> int:
+def count_primes(prime_range: PrimeRange) -> int:
     """How many primes ``prime_range`` holds, sieved without keeping them."""
-    return sum(len(segment) for segment in _sieve_segments(prime_range, max_bound))
+    return sum(len(segment) for segment in _sieve_segments(prime_range))
 
 
 def is_prime(n: int) -> bool:
@@ -165,35 +156,3 @@ def factorize(n: int, *, trial_bound: int | None = None) -> list[tuple[int, int]
             )
         out.append((rem, 1))
     return out
-
-
-def _prime_power_base(q: int) -> tuple[int, int]:
-    """Return (r, k) with q = r**k for a prime power q, else raise ValueError."""
-    if q < 2:
-        raise ValueError(f"modulus must be >= 2, got {q}")
-    r = q
-    for d in range(2, isqrt(q) + 1):
-        if q % d == 0:
-            r = d
-            break
-    k = 0
-    rem = q
-    while rem % r == 0:
-        rem //= r
-        k += 1
-    if rem != 1:
-        raise ValueError(f"modulus {q} is not a prime power")
-    return r, k
-
-
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Smallest k >= 1 with a**k = 1 mod modulus (modulus a prime power)."""
-    r, k = _prime_power_base(modulus)
-    if gcd(a, modulus) != 1:
-        raise ValueError(f"gcd({a}, {modulus}) != 1; order undefined")
-    phi = (r - 1) * r ** (k - 1)
-    order = phi
-    for q, _ in factorize(phi):
-        while order % q == 0 and pow(a, order // q, modulus) == 1:
-            order //= q
-    return order

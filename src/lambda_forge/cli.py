@@ -57,6 +57,14 @@ def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace) -> Non
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for a count that may be 0 but not negative."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", help="write the report here instead of stdout")
@@ -78,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--from", dest="lo", type=int, required=True)
     p_classify.add_argument("--to", dest="hi", type=int, required=True)
     p_classify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_classify.add_argument("--workers", type=int, default=0, help="0 = config/env/cores")
+    p_classify.add_argument(
+        "--workers", type=nonnegative_int, default=0, help="0 = config/env/cores"
+    )
 
     p_plan = sub.add_parser("plan", help="plan a level set hitting a target lambda")
     _add_common(p_plan)
@@ -97,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exhaustive class census for small p instead of the empirical sweep",
     )
     p_density.add_argument("--csv", dest="csv_path", help="also dump per-prime classification")
-    p_density.add_argument("--workers", type=int, default=0)
+    p_density.add_argument(
+        "--workers", type=nonnegative_int, default=0, help="0 = config/env/cores"
+    )
 
     p_carayol = sub.add_parser("carayol", help="check a proposed level for admissibility")
     _add_common(p_carayol)

@@ -13,20 +13,40 @@ Example (curve backend)::
 
 Table backend replaces the curve keys with ``table_path`` (relative paths
 resolve against the config file) and a ``level`` key.  Threshold keys are
-optional and default sensibly.  ``#`` starts a comment.
+optional, default to the constants of the modules that use them, and are
+range-checked on load.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .curves import NAIVE_COUNT_LIMIT, CurveModel
+from .density import DEFAULT_SIGMA_BAND, MIN_EXPECTED_HITS
 from .errors import ConfigError
 from .forms import CoefficientTable, FormContext, load_coefficients
 from .iwasawa import S_ELL_EXPONENT_CAP
+from .levels import CARAYOL_TRIAL_BOUND
 
 _REQUIRED_COMMON = ("backend", "p", "lambda_g", "mu_zero", "surjective_mod_p")
+_FORM_KEYS = (
+    "level", "curve_a_invariants", "conductor", "discriminant", "table_path",
+    "optimal_level_asserted",
+)
+# Optional threshold keys: key -> (parser, minimum).  An int must be >= its
+# minimum; a float must be finite and > its minimum.  Defaults are the
+# RunConfig field defaults.
+_THRESHOLDS: dict[str, tuple[type, int]] = {
+    "naive_count_limit": (int, 3),  # ell = 2 and 3 can only be counted naively
+    "s_ell_cap": (int, 0),
+    "sigma_band": (float, 0),
+    "min_expected_hits": (int, 0),
+    "carayol_trial_bound": (int, 2),
+    "threads": (int, 0),
+}
+_KNOWN_KEYS = frozenset(_REQUIRED_COMMON + _FORM_KEYS) | _THRESHOLDS.keys()
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -43,10 +63,9 @@ class RunConfig:
     table_path: Path | None = None
     naive_count_limit: int = NAIVE_COUNT_LIMIT
     s_ell_cap: int = S_ELL_EXPONENT_CAP
-    sigma_band: float = 3.0
-    min_expected_hits: int = 30
-    sieve_max: int = 10**8
-    carayol_trial_bound: int = 10**6
+    sigma_band: float = DEFAULT_SIGMA_BAND
+    min_expected_hits: int = MIN_EXPECTED_HITS
+    carayol_trial_bound: int = CARAYOL_TRIAL_BOUND
     threads: int = 0
     source: Path | None = field(default=None, compare=False)
 
@@ -85,6 +104,22 @@ def _get_int(entries: dict[str, str], key: str, path: Path) -> int:
         raise ConfigError(f"{path}: key `{key}` must be an integer, got {entries[key]!r}")
 
 
+def _get_threshold(entries: dict[str, str], key: str, path: Path) -> int | float:
+    parser, minimum = _THRESHOLDS[key]
+    if parser is int:
+        value = _get_int(entries, key, path)
+        if value < minimum:
+            raise ConfigError(f"{path}: key `{key}` must be >= {minimum}, got {value}")
+        return value
+    try:
+        value = parser(entries[key])
+    except ValueError:
+        raise ConfigError(f"{path}: key `{key}` must be a number")
+    if not (math.isfinite(value) and value > minimum):
+        raise ConfigError(f"{path}: key `{key}` must be finite and > {minimum}, got {value}")
+    return value
+
+
 def _get_bool(entries: dict[str, str], key: str, path: Path) -> bool:
     value = entries[key].lower()
     if value not in _BOOL_VALUES:
@@ -97,6 +132,9 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     entries = _parse_entries(path)
+    unknown = entries.keys() - _KNOWN_KEYS
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
 
     for key in _REQUIRED_COMMON:
         if key not in entries:
@@ -141,7 +179,10 @@ def load_config(path: str | Path) -> RunConfig:
             table_path = path.parent / table_path
         level = _get_int(entries, "level", path)
 
-    cfg = RunConfig(
+    optional = {key: _get_threshold(entries, key, path) for key in _THRESHOLDS if key in entries}
+    if "optimal_level_asserted" in entries:
+        optional["optimal_level_asserted"] = _get_bool(entries, "optimal_level_asserted", path)
+    return RunConfig(
         backend=backend,
         p=_get_int(entries, "p", path),
         lambda_g=_get_int(entries, "lambda_g", path),
@@ -151,35 +192,8 @@ def load_config(path: str | Path) -> RunConfig:
         curve=curve,
         table_path=table_path,
         source=path,
+        **optional,
     )
-    if "optimal_level_asserted" in entries:
-        cfg.optimal_level_asserted = _get_bool(entries, "optimal_level_asserted", path)
-    for key in (
-        "naive_count_limit",
-        "s_ell_cap",
-        "min_expected_hits",
-        "sieve_max",
-        "carayol_trial_bound",
-        "threads",
-    ):
-        if key in entries:
-            setattr(cfg, key, _get_int(entries, key, path))
-    if "sigma_band" in entries:
-        try:
-            cfg.sigma_band = float(entries["sigma_band"])
-        except ValueError:
-            raise ConfigError(f"{path}: key `sigma_band` must be a number")
-
-    known = {
-        "backend", "p", "lambda_g", "mu_zero", "surjective_mod_p", "level",
-        "curve_a_invariants", "conductor", "discriminant", "table_path",
-        "optimal_level_asserted", "naive_count_limit", "s_ell_cap", "sigma_band",
-        "min_expected_hits", "sieve_max", "carayol_trial_bound", "threads",
-    }
-    unknown = set(entries) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return cfg
 
 
 def build_context(cfg: RunConfig) -> FormContext:

@@ -26,9 +26,6 @@ from .errors import NonMinimalModelWarning, PointCountError
 NAIVE_COUNT_LIMIT = 10**5
 BSGS_MAX_POINTS = 40
 
-# Affine points are (x, y) tuples; None is the point at infinity.
-_Point = "tuple[int, int] | None"
-
 
 class ReductionType(Enum):
     GOOD = "Good"
@@ -198,6 +195,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
+# Affine points are (x, y) tuples; None is the point at infinity.
 def _ec_add(P, Q, a, p):
     if P is None:
         return Q

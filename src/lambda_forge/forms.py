@@ -23,34 +23,25 @@ from .errors import CoverageError, HypothesisViolation, TableFormatError
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Finite map ell -> a_ell with the declared level's ramified primes flagged."""
+    """Finite map ell -> a_ell; the Hasse bound holds at primes not dividing the level."""
 
     coefficients: Mapping[int, int]
     level: int
-    max_ell: int = 0
-    ramified: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        ramified = frozenset(ell for ell in self.coefficients if self.level % ell == 0)
-        object.__setattr__(self, "ramified", ramified)
-        top = max(self.coefficients, default=0)
-        object.__setattr__(self, "max_ell", max(self.max_ell, top))
         for ell, a in self.coefficients.items():
-            if ell not in ramified and a * a > 4 * ell:
+            if self.level % ell != 0 and a * a > 4 * ell:
                 raise TableFormatError(
                     f"a_{ell} = {a} violates the Hasse bound |a| <= 2*sqrt({ell})"
                 )
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
 
 def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
     """Parse a CSV coefficient file (header ``ell,a_ell``) and validate it.
 
     Rows must be integer pairs with strictly increasing prime ell.  Rows at
-    primes dividing ``level`` are kept but flagged ramified; all other rows
-    must satisfy the weight-2 Hasse bound.  Violations raise
+    primes dividing ``level`` are kept as given; all other rows must
+    satisfy the weight-2 Hasse bound.  Violations raise
     :class:`TableFormatError` naming the offending line.
     """
     path = Path(path)
@@ -153,7 +144,3 @@ def a_ell(ctx: FormContext, ell: int) -> int:
     if ctx.divides_ngp(ell):
         raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")
     return _backend_a_ell(ctx.backend, ell, ctx.naive_limit)
-
-
-def a_ell_mod_p(ctx: FormContext, ell: int) -> int:
-    return a_ell(ctx, ell) % ctx.p

@@ -11,19 +11,12 @@ level, which is what ``lambda_transfer`` evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import HypothesisViolation, MissingDataError, ResourceLimitError
 from .forms import FormContext
 from .residual import FrobeniusClass, Verdict
 
 S_ELL_EXPONENT_CAP = 20
-
-
-class FactorProvenance(Enum):
-    FROM_FROBENIUS = "FromFrobenius"
-    RAMIFIED_TRIVIAL_QUOTIENT = "RamifiedTrivialQuotient"
-    USER_SUPPLIED = "UserSupplied"
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,6 @@ class EulerFactor:
     p: int
     c1: int
     c2: int
-    provenance: FactorProvenance
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c1", self.c1 % self.p)
@@ -42,9 +34,6 @@ class EulerFactor:
     @property
     def coefficients(self) -> tuple[int, int, int]:
         return (1, self.c1, self.c2)
-
-    def evaluate(self, x: int) -> int:
-        return (1 + self.c1 * x + self.c2 * x * x) % self.p
 
 
 @dataclass(frozen=True)
@@ -92,12 +81,7 @@ def euler_factor_from_frobenius(klass: FrobeniusClass, p: int) -> EulerFactor:
         raise MissingDataError(
             f"prime {klass.ell} was skipped (ramified); no Frobenius data for its factor"
         )
-    return EulerFactor(
-        p=p,
-        c1=-klass.trace_mod_p,
-        c2=klass.det_mod_p,
-        provenance=FactorProvenance.FROM_FROBENIUS,
-    )
+    return EulerFactor(p=p, c1=-klass.trace_mod_p, c2=klass.det_mod_p)
 
 
 def ramified_euler_factor(verdict: Verdict, p: int) -> EulerFactor:
@@ -108,17 +92,10 @@ def ramified_euler_factor(verdict: Verdict, p: int) -> EulerFactor:
     quadratic factor degenerates to 1 - X resp. 1 + X.
     """
     if verdict is Verdict.PI:
-        return EulerFactor(p=p, c1=-1, c2=0, provenance=FactorProvenance.RAMIFIED_TRIVIAL_QUOTIENT)
+        return EulerFactor(p=p, c1=-1, c2=0)
     if verdict is Verdict.OMEGA:
-        return EulerFactor(p=p, c1=1, c2=0, provenance=FactorProvenance.RAMIFIED_TRIVIAL_QUOTIENT)
+        return EulerFactor(p=p, c1=1, c2=0)
     raise ValueError(f"ramified trivial-quotient factor needs a Pi/Omega verdict, got {verdict}")
-
-
-def user_supplied_factor(p: int, coefficients: tuple[int, int, int]) -> EulerFactor:
-    c0, c1, c2 = coefficients
-    if c0 % p != 1:
-        raise ValueError(f"constant term of a local factor must be 1 mod p, got {c0}")
-    return EulerFactor(p=p, c1=c1, c2=c2, provenance=FactorProvenance.USER_SUPPLIED)
 
 
 def compute_d_ell(factor: EulerFactor, ell: int, p: int) -> int:
@@ -147,13 +124,6 @@ class TransferResult:
     lambda_f: int
     mu_f: int
     contributions: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "predicted_lambda": self.lambda_f,
-            "predicted_mu": self.mu_f,
-            "contributions": [{"ell": e, "delta": d} for e, d in self.contributions],
-        }
 
 
 def lambda_transfer(

@@ -18,7 +18,7 @@ from typing import Iterable
 from .arith import PrimeRange, factorize
 from .density import exact_densities
 from .errors import CoverageError, ResourceLimitError, ScarcityError
-from .forms import FormContext, a_ell_mod_p
+from .forms import FormContext, a_ell
 from .iwasawa import (
     SigmaDatum,
     compute_d_ell,
@@ -30,6 +30,7 @@ from .iwasawa import (
 from .residual import FrobeniusClass, Verdict, classify_range
 
 MAX_LEVEL = 2**63
+CARAYOL_TRIAL_BOUND = 10**6
 EXISTENCE_ASSERTED = "DiamondTaylorAsserted"
 EXISTENCE_IDENTITY = "IdentityOfBaseForm"
 
@@ -67,11 +68,9 @@ def _checked_product(factors: Iterable[int], start: int = 1) -> int:
     return out
 
 
-def _case1_identity_holds(klass: FrobeniusClass, p: int) -> bool:
-    # ell * t^2 = (1 + ell)^2 * det mod p, with det pinned to ell mod p
-    t, d = klass.trace_mod_p, klass.det_mod_p
-    ell = klass.ell
-    return (ell * t * t - (1 + ell) * (1 + ell) * d) % p == 0
+def _case1_identity_holds(ell: int, trace: int, p: int) -> bool:
+    """Carayol case 1: ell * t^2 = (1 + ell)^2 * det mod p, with det = ell mod p."""
+    return (ell * trace * trace - (1 + ell) ** 2 * ell) % p == 0
 
 
 def build_level_set(
@@ -90,7 +89,7 @@ def build_level_set(
     ]:
         if klass.verdict is not want:
             raise ValueError(f"prime {klass.ell} has verdict {klass.verdict}, expected {want}")
-        if not _case1_identity_holds(klass, ctx.p):
+        if not _case1_identity_holds(klass.ell, klass.trace_mod_p, ctx.p):
             raise AssertionError(
                 f"level-raising prime {klass.ell} fails the Carayol case-1 identity; bug"
             )
@@ -254,7 +253,7 @@ class CarayolReport:
 
 
 def carayol_check(
-    ctx: FormContext, proposed_level: int, *, trial_bound: int = 10**6
+    ctx: FormContext, proposed_level: int, *, trial_bound: int = CARAYOL_TRIAL_BOUND
 ) -> CarayolReport:
     """Check a proposed level against the per-prime admissibility conditions.
 
@@ -291,7 +290,7 @@ def carayol_check(
         trace: int | None
         if not ctx.divides_ngp(ell):
             try:
-                trace = a_ell_mod_p(ctx, ell)
+                trace = a_ell(ctx, ell) % p
             except CoverageError:
                 trace = None
         else:
@@ -300,12 +299,11 @@ def carayol_check(
         satisfied: list[str] = []
         undecided: list[str] = []
         residue = ell % p
-        det = ell % p
 
         if ord_base == 0 and alpha == 1:
             if trace is None:
                 undecided.append("1")
-            elif (ell * trace * trace - (1 + ell) ** 2 * det) % p == 0:
+            elif _case1_identity_holds(ell, trace, p):
                 satisfied.append("1")
         if residue == p - 1:
             if ord_base == 0 and alpha == 2:

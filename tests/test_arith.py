@@ -2,14 +2,7 @@ import random
 
 import pytest
 
-from lambda_forge.arith import (
-    PrimeRange,
-    factorize,
-    is_prime,
-    multiplicative_order,
-    pow_mod,
-    sieve_primes,
-)
+from lambda_forge.arith import PrimeRange, factorize, is_prime, sieve_primes
 from lambda_forge.errors import ResourceLimitError
 
 
@@ -20,35 +13,6 @@ def trial_division_primes(lo: int, hi: int) -> list[int]:
         if all(n % d for d in range(2, int(n**0.5) + 1)):
             out.append(n)
     return out
-
-
-class TestPowMod:
-    def test_seven_to_the_fourth(self):
-        # 7^4 = 2401 = 96*25 + 1
-        assert pow_mod(7, 4, 25) == 1
-
-    def test_zero_exponent(self):
-        assert pow_mod(2, 0, 13) == 1
-
-    def test_small_power(self):
-        assert pow_mod(2, 4, 25) == 16
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            pow_mod(3, 2, 1)
-
-    def test_negative_exponent(self):
-        with pytest.raises(ValueError):
-            pow_mod(3, -1, 7)
-
-    def test_homomorphism_property(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            a = rng.randrange(1, 10**6)
-            m = rng.randrange(0, 50)
-            n = rng.randrange(0, 50)
-            q = rng.randrange(2, 10**6)
-            assert pow_mod(a, m + n, q) == pow_mod(a, m, q) * pow_mod(a, n, q) % q
 
 
 class TestSieve:
@@ -95,41 +59,6 @@ class TestIsPrime:
     def test_large(self):
         assert is_prime(1_000_003)
         assert not is_prime(1_000_001)  # 101 * 9901
-
-
-class TestMultiplicativeOrder:
-    def test_two_mod_seven(self):
-        # 2, 4, 1: cycle of length 3
-        assert multiplicative_order(2, 7) == 3
-
-    def test_identity(self):
-        assert multiplicative_order(1, 97) == 1
-
-    def test_seven_mod_twentyfive(self):
-        # 7^2 = 49 = 24 mod 25, 7^4 = 1 mod 25
-        assert multiplicative_order(7, 25) == 4
-
-    def test_not_coprime(self):
-        with pytest.raises(ValueError):
-            multiplicative_order(5, 25)
-
-    def test_non_prime_power_modulus(self):
-        with pytest.raises(ValueError):
-            multiplicative_order(5, 12)
-
-    def test_order_divides_group_order(self):
-        rng = random.Random(7)
-        moduli = [5, 7, 9, 11, 13, 25, 27, 49, 121, 125, 169]
-        for _ in range(300):
-            q = rng.choice(moduli)
-            a = rng.randrange(1, q)
-            if any(a % r == 0 and q % r == 0 for r in (3, 5, 7, 11, 13)):
-                continue
-            k = multiplicative_order(a, q)
-            phi = q - q // [r for r in (3, 5, 7, 11, 13) if q % r == 0][0]
-            assert phi % k == 0
-            assert pow(a, k, q) == 1
-            assert all(pow(a, j, q) != 1 for j in range(1, min(k, 50)))
 
 
 def test_factorize_roundtrip():

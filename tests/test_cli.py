@@ -86,6 +86,15 @@ class TestClassify:
         assert code == EXIT_CONFIG
         assert "`p`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["classify", "--from", "2", "--to", "10"],
+                                         ["verify-density", "--bound", "100"]],
+                             ids=["classify", "verify-density"])
+    def test_negative_workers_exit_2(self, curve_config, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", curve_config, "--workers", "-5"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--workers: must be >= 0" in capsys.readouterr().err
+
     def test_table_gap_exit_3(self, table_config, capsys):
         code = main(["classify", "--config", table_config, "--from", "2", "--to", "40",
                      "--workers", "1"])

@@ -21,9 +21,7 @@ class TestLoadCoefficients:
     def test_parse(self, tmp_path):
         path = write_table(tmp_path, "ell,a_ell\n2,-2\n3,-1\n")
         table = load_coefficients(path, level=11)
-        assert len(table) == 2
-        assert table.coefficients[2] == -2
-        assert table.max_ell == 3
+        assert table.coefficients == {2: -2, 3: -1}
 
     def test_hasse_violation_rejected(self, tmp_path):
         # 12 > floor(2*sqrt(7)) = 5
@@ -34,7 +32,7 @@ class TestLoadCoefficients:
     def test_header_only_is_usable(self, tmp_path):
         path = write_table(tmp_path, "ell,a_ell\n")
         table = load_coefficients(path, level=11)
-        assert len(table) == 0
+        assert table.coefficients == {}
 
     def test_malformed_row_names_line(self, tmp_path):
         path = write_table(tmp_path, "ell,a_ell\n2,-2\nthree,-1\n")
@@ -57,10 +55,10 @@ class TestLoadCoefficients:
             load_coefficients(path, level=11)
 
     def test_ramified_rows_flagged_not_bounded(self, tmp_path):
-        # at ell | level the Hasse bound does not apply; the row is kept but flagged
+        # at ell | level the Hasse bound does not apply; the row is kept as given
         path = write_table(tmp_path, "ell,a_ell\n11,9\n13,4\n")
         table = load_coefficients(path, level=11)
-        assert table.ramified == {11}
+        assert table.coefficients[11] == 9
 
 
 class TestFormContext:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from lambda_forge import (
-    FactorProvenance,
     SigmaDatum,
     Verdict,
     bk_rank_bounds,
@@ -14,7 +13,6 @@ from lambda_forge import (
     lambda_transfer,
     ramified_euler_factor,
     sigma_ell,
-    user_supplied_factor,
 )
 from lambda_forge.arith import PrimeRange
 from lambda_forge.errors import HypothesisViolation, MissingDataError, ResourceLimitError
@@ -101,7 +99,6 @@ class TestEulerFactors:
         factor = euler_factor_from_frobenius(fc, 5)
         # (1 - X)(1 - 2X) = 1 - 3X + 2X^2 = 1 + 2X + 2X^2 mod 5
         assert factor.coefficients == (1, 2, 2)
-        assert factor.provenance is FactorProvenance.FROM_FROBENIUS
 
     def test_omega_factor_is_split_product(self):
         fc = FrobeniusClass(ell=3, trace_mod_p=3, det_mod_p=3,
@@ -127,24 +124,19 @@ class TestEulerFactors:
         with pytest.raises(ValueError):
             ramified_euler_factor(Verdict.NEITHER, 5)
 
-    def test_user_supplied_constant_term(self):
-        assert user_supplied_factor(5, (1, 3, 2)).provenance is FactorProvenance.USER_SUPPLIED
-        with pytest.raises(ValueError):
-            user_supplied_factor(5, (2, 3, 2))
-
 
 class TestDEll:
     def test_simple_root(self):
-        factor = user_supplied_factor(5, (1, 2, 2))  # (1 - X)(1 - 2X) mod 5
+        factor = EulerFactor(5, 2, 2)  # (1 - X)(1 - 2X) mod 5
         assert compute_d_ell(factor, 2, 5) == 1
 
     def test_no_root(self):
-        factor = user_supplied_factor(7, (1, 4, 3))  # (1 + X)(1 + 3X) mod 7
+        factor = EulerFactor(7, 4, 3)  # (1 + X)(1 + 3X) mod 7
         assert compute_d_ell(factor, 3, 7) == 0
 
     def test_double_root(self):
         # (1 - 3X)^2 = 1 + X + 2X^2 mod 7
-        factor = user_supplied_factor(7, (1, 1, 2))
+        factor = EulerFactor(7, 1, 2)
         assert compute_d_ell(factor, 3, 7) == 2
 
     def test_against_division_oracle(self):
@@ -152,7 +144,7 @@ class TestDEll:
         for _ in range(500):
             p = rng.choice([5, 7, 11, 13])
             ell = rng.choice([q for q in (2, 3, 7, 13, 19, 23, 29) if q != p])
-            factor = user_supplied_factor(p, (1, rng.randrange(p), rng.randrange(p)))
+            factor = EulerFactor(p, rng.randrange(p), rng.randrange(p))
             assert compute_d_ell(factor, ell, p) == brute_d_ell(factor, ell, p)
 
 
