@@ -27,7 +27,7 @@ print()
 print("small primes, both engines:")
 print(f"{'ell':>8} {'#E(F_ell)':>10} {'a_ell':>6} {'naive':>6} {'bsgs':>6}")
 for ell in [5, 13, 101, 1009, 4999]:
-    naive = count_points_naive(curve, ell)
+    naive = count_points_naive(curve, ell, limit=ell)  # 4999 is past the switchover
     bsgs = count_points_bsgs(curve, ell)
     a = ell + 1 - naive
     print(f"{ell:>8} {naive:>10} {a:>6} {naive:>6} {bsgs:>6}")

@@ -23,6 +23,10 @@ _SEGMENT_ODDS = 1 << 17
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The bases 2, 3, 5, 7 suffice below 3,215,031,751, the least strong
+# pseudoprime to all four (Jaeschke 1993, Math. Comp. 61).
+_MR_SMALL_WITNESSES = (2, 3, 5, 7)
+_MR_SMALL_BOUND = 3_215_031_751
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,8 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES
+    for p in witnesses:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -115,7 +120,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -204,7 +204,8 @@ def _cmd_carayol(cfg: RunConfig, args: argparse.Namespace) -> None:
 def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
     data = []
-    for klass in classify_range(ctx, PrimeRange(args.lo, args.hi)):
+    prime_range = PrimeRange(args.lo, args.hi)
+    for klass in classify_range(ctx, prime_range, workers=resolve_workers(cfg.threads)):
         if klass.verdict is Verdict.SKIPPED:
             continue
         factor = euler_factor_from_frobenius(klass, ctx.p)

@@ -6,9 +6,9 @@ strategies are provided and cross-validated against each other:
 
 * ``count_points_naive`` - quadratic-character summation over x (char > 3),
   or full enumeration of the long Weierstrass equation (char 2, 3);
-* ``count_points_bsgs`` - baby-step giant-step order finding on random
-  points of the curve and its quadratic twist, narrowing the candidate
-  group orders in the Hasse interval until exactly one survives.
+* ``count_points_bsgs`` - a baby-step giant-step walk over the Hasse
+  interval for random points of the curve and its quadratic twist, whose
+  point orders narrow the candidate group orders until exactly one survives.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonMinimalModelWarning, PointCountError
 
-NAIVE_COUNT_LIMIT = 10**5
+NAIVE_COUNT_LIMIT = 3000  # the measured naive/BSGS crossover, rounded
 BSGS_MAX_POINTS = 40
 
 
@@ -242,27 +242,42 @@ def _random_point(a, b, p, rng):
             return (x, y)
 
 
-def _first_annihilator(P, a, p, lo, hi):
-    """Smallest M in [lo, hi] with M*P = O (one always exists: the group order)."""
+def _window_order(P, a, p, lo, hi):
+    """ord(P), or the only multiple of ord(P) in [lo, hi], by one baby-step giant-step walk.
+
+    The window must contain the group order, so it holds at least one
+    multiple of ord(P).  If ord(P) <= m, the baby-step count, O recurs in
+    the baby steps at j = ord(P).  Otherwise the giant steps visit the
+    multiples of ord(P) in the window in increasing order, and the first
+    two differ by ord(P).  If the walk finds only one, that multiple is the
+    group order itself and is returned in place of ord(P): the multiples of
+    the returned value in the window are exactly those of ord(P), which is
+    all the candidate sieve in :func:`count_points_bsgs` needs.
+    """
     width = hi - lo
     m = isqrt(width) + 1
     baby: dict = {}
     R = None
     for j in range(m):
-        if R not in baby:
-            baby[R] = j
+        baby[R] = j
         R = _ec_add(R, P, a, p)
-    # look for u in [0, width] with u*P = -lo*P, u = i*m + j
+        if R is None:
+            return j + 1
+    # R = m*P and the m baby steps are distinct: look for the u in [0, width]
+    # with u*P = -lo*P, u = i*m + j, at most one in each block of m
+    step = _ec_neg(R, p)
     T = _ec_mul(-lo, P, a, p)
-    step = _ec_neg(_ec_mul(m, P, a, p), p)
-    i = 0
-    while i * m <= width:
+    first = None
+    for base in range(0, width + 1, m):
         j = baby.get(T)
-        if j is not None and i * m + j <= width:
-            return lo + i * m + j
+        if j is not None and base + j <= width:
+            if first is not None:
+                return base + j - first
+            first = base + j
         T = _ec_add(T, step, a, p)
-        i += 1
-    raise PointCountError(f"no annihilator of a point in [{lo}, {hi}] mod {p}; bug")
+    if first is None:
+        raise PointCountError(f"no annihilator of a point in [{lo}, {hi}] mod {p}; bug")
+    return lo + first
 
 
 def _count_cubic_roots(a, b, p):
@@ -341,26 +356,6 @@ def _structure_compatible(n, order_lcm, two_torsion, ell):
     return False
 
 
-def _point_order(P, a, p, multiple):
-    """Exact order of P given that multiple * P = O."""
-    n = multiple
-    rem = multiple
-    d = 2
-    factors = []
-    while d * d <= rem:
-        if rem % d == 0:
-            factors.append(d)
-            while rem % d == 0:
-                rem //= d
-        d += 1 if d == 2 else 2
-    if rem > 1:
-        factors.append(rem)
-    for q in factors:
-        while n % q == 0 and _ec_mul(n // q, P, a, p) is None:
-            n //= q
-    return n
-
-
 def count_points_bsgs(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX_POINTS) -> int:
     """#E(F_ell) via random point orders on the curve and its quadratic twist.
 
@@ -390,17 +385,17 @@ def count_points_bsgs(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX
     for trial in range(max_points):
         if trial % 2 == 0:
             P = _random_point(a, b, ell, rng)
-            m0 = _first_annihilator(P, a, ell, lo, hi)
-            lcm_curve = lcm(lcm_curve, _point_order(P, a, ell, m0))
+            lcm_curve = lcm(lcm_curve, _window_order(P, a, ell, lo, hi))
         else:
             P = _random_point(at, bt, ell, rng)
-            m0 = _first_annihilator(P, at, ell, total - hi, total - lo)
-            lcm_twist = lcm(lcm_twist, _point_order(P, at, ell, m0))
+            lcm_twist = lcm(lcm_twist, _window_order(P, at, ell, total - hi, total - lo))
         first = lo + (-lo) % lcm_curve
         cands = [n for n in range(first, hi + 1, lcm_curve) if (total - n) % lcm_twist == 0]
         if len(cands) > 1:
             # point orders alone cannot separate: both groups have small
-            # exponent; bring in the exact 2-torsion structure
+            # exponent; bring in the exact 2-torsion structure.  Every value
+            # folded into the lcms so far is an exact point order: a sole
+            # multiple in a window would have left one candidate.
             if not two_torsion:
                 two_torsion = 1 + _count_cubic_roots(a, b, ell)
                 two_torsion_twist = 1 + _count_cubic_roots(at, bt, ell)

@@ -112,7 +112,7 @@ class FormContext:
             raise ValueError(
                 f"curve conductor {self.backend.conductor} != stated level {self.level}"
             )
-        a_p = _backend_a_ell(self.backend, self.p, self.naive_limit)
+        a_p = self.coefficient(self.p)
         if a_p % self.p == 0:
             raise HypothesisViolation(
                 f"a_p = {a_p} is divisible by p = {self.p}: the form is not p-ordinary"
@@ -123,14 +123,18 @@ class FormContext:
         """Whether the prime ell divides N_g * p, where no Frobenius class is defined."""
         return self.level % ell == 0 or ell == self.p
 
+    def coefficient(self, ell: int) -> int:
+        """a_ell straight from the backend, for an ell the caller knows is prime.
 
-def _backend_a_ell(backend: CurveModel | CoefficientTable, ell: int, naive_limit: int) -> int:
-    if isinstance(backend, CurveModel):
-        return trace_of_frobenius(backend, ell, naive_limit=naive_limit)
-    try:
-        return backend.coefficients[ell]
-    except KeyError:
-        raise CoverageError(ell)
+        Nothing is checked here: :func:`a_ell` is the entry point that
+        refuses composite ell and primes dividing N_g * p.
+        """
+        if isinstance(self.backend, CurveModel):
+            return trace_of_frobenius(self.backend, ell, naive_limit=self.naive_limit)
+        try:
+            return self.backend.coefficients[ell]
+        except KeyError:
+            raise CoverageError(ell)
 
 
 def a_ell(ctx: FormContext, ell: int) -> int:
@@ -143,4 +147,4 @@ def a_ell(ctx: FormContext, ell: int) -> int:
         raise ValueError(f"ell = {ell} is not prime")
     if ctx.divides_ngp(ell):
         raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")
-    return _backend_a_ell(ctx.backend, ell, ctx.naive_limit)
+    return ctx.coefficient(ell)

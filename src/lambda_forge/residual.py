@@ -70,8 +70,12 @@ def classify_prime(ctx: FormContext, ell: int) -> FrobeniusClass:
         raise ValueError(
             f"ell = {ell} divides N_g * p; classification undefined at ramified primes"
         )
-    p = ctx.p
-    t = a_ell(ctx, ell) % p
+    return _frobenius_class(ell, a_ell(ctx, ell), ctx.p)
+
+
+def _frobenius_class(ell: int, a: int, p: int) -> FrobeniusClass:
+    """The class at an unramified prime ell with coefficient a_ell = a."""
+    t = a % p
     d = ell % p
 
     reasons = ["coprime-to-Ngp=pass"]
@@ -145,7 +149,10 @@ def _classify_chunk(ctx: FormContext, ells: Sequence[int]) -> _ChunkResult:
     out: list[FrobeniusClass] = []
     try:
         for ell in ells:
-            out.append(_skipped(ell) if ctx.divides_ngp(ell) else classify_prime(ctx, ell))
+            if ctx.divides_ngp(ell):
+                out.append(_skipped(ell))
+            else:  # sieved, so prime: no need for the checks of classify_prime
+                out.append(_frobenius_class(ell, ctx.coefficient(ell), ctx.p))
     except LambdaForgeError as exc:
         return out, exc
     return out, None

@@ -15,6 +15,21 @@ def trial_division_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin test of odd n > 2 to base a, written out independently."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 class TestSieve:
     def test_textbook_window(self):
         assert list(PrimeRange(2, 12)) == [2, 3, 5, 7, 11]
@@ -59,6 +74,21 @@ class TestIsPrime:
     def test_large(self):
         assert is_prime(1_000_003)
         assert not is_prime(1_000_001)  # 101 * 9901
+
+    def test_matches_sieve_to_two_million(self):
+        primes = set(PrimeRange(2, 2 * 10**6))
+        assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != (n in primes)] == []
+
+    def test_four_base_bound(self):
+        # 3,215,031,751 = 151 * 751 * 28351 is a strong pseudoprime to the
+        # bases 2, 3, 5 and 7, so those four alone must stop below it
+        n = 3_215_031_751
+        assert 151 * 751 * 28351 == n
+        assert all(strong_probable_prime(n, a) for a in (2, 3, 5, 7))
+        assert not is_prime(n)
+        assert is_prime(2**31 - 1)  # below the bound
+        assert is_prime(2**32 - 5)  # above it
+        assert not is_prime((2**16 + 1) * (2**16 + 3))
 
 
 def test_factorize_roundtrip():

@@ -169,13 +169,13 @@ class TestVerifyDensity:
         plain_report = capsys.readouterr().out
 
         classified = Counter()
-        classify_prime = residual.classify_prime
+        frobenius_class = residual._frobenius_class  # what the sweep calls per prime
 
-        def counting(ctx, ell):
+        def counting(ell, a, p):
             classified[ell] += 1
-            return classify_prime(ctx, ell)
+            return frobenius_class(ell, a, p)
 
-        monkeypatch.setattr(residual, "classify_prime", counting)
+        monkeypatch.setattr(residual, "_frobenius_class", counting)
         dump = tmp_path / "per_prime.csv"
         assert main(argv + ["--csv", str(dump)]) == EXIT_OK
         assert capsys.readouterr().out == plain_report

@@ -1,11 +1,18 @@
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lambda_forge.arith import PrimeRange
 from lambda_forge.curves import (
+    NAIVE_COUNT_LIMIT,
     CurveModel,
     ReductionType,
+    _ec_add,
+    _random_point,
+    _window_order,
     count_points_bsgs,
     count_points_naive,
     is_ordinary,
@@ -23,6 +30,14 @@ def exhaustive_count(curve: CurveModel, ell: int) -> int:
         for y in range(ell):
             if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell == 0:
                 n += 1
+    return n
+
+
+def order_by_addition(P, a, p) -> int:
+    """Oracle: the order of P, by adding P to itself until O."""
+    Q, n = P, 1
+    while Q is not None:
+        Q, n = _ec_add(Q, P, a, p), n + 1
     return n
 
 
@@ -128,6 +143,79 @@ class TestBsgs:
         # single sample) the order at this prime stays ambiguous
         with pytest.raises(PointCountError):
             count_points_bsgs(curve_389a1, 11, max_points=1)
+
+    def test_ambiguity_above_the_naive_limit(self, curve_11a1):
+        # two points leave 3499 ambiguous on 11a; more points settle it
+        with pytest.raises(PointCountError, match="ambiguous"):
+            count_points_bsgs(curve_11a1, 3499, max_points=2)
+        assert count_points_bsgs(curve_11a1, 3499) == 3400
+        assert count_points_naive(curve_11a1, 3499, limit=3499) == 3400
+
+    @settings(max_examples=150, deadline=None)
+    @given(ell=st.sampled_from(list(PrimeRange(5, 20000))), a=st.integers(0), b=st.integers(0))
+    def test_equals_naive_on_random_short_curves(self, ell, a, b):
+        a, b = a % ell, b % ell
+        assume((4 * a**3 + 27 * b * b) % ell != 0)
+        curve = CurveModel(0, 0, 0, a, b, conductor=1)
+        assert count_points_bsgs(curve, ell) == count_points_naive(curve, ell, limit=ell)
+
+    @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
+    def test_never_refuses_from_the_limit_to_1e5(self, name, request):
+        curve = request.getfixturevalue(name)
+        primes = PrimeRange(NAIVE_COUNT_LIMIT + 1, 10**5)
+        ells = [ell for ell in primes if curve.discriminant % ell]
+        sample = set(random.Random(curve.conductor).sample(ells, 30))
+        for ell in ells:
+            n = count_points_bsgs(curve, ell)  # a refusal raises PointCountError
+            if ell in sample:
+                assert n == count_points_naive(curve, ell, limit=ell)
+
+
+class TestWindowOrder:
+    """The walk returns ord(P), or the group order when the Hasse window holds one multiple."""
+
+    @staticmethod
+    def window(ell):
+        s = isqrt(4 * ell)
+        return ell + 1 - s, ell + 1 + s
+
+    def test_order_below_baby_step_count(self):
+        # y^2 = x^3 - x: (0, 0) has order 2, found in the baby steps
+        ell = 10007
+        lo, hi = self.window(ell)
+        assert _window_order((0, 0), -1 % ell, ell, lo, hi) == 2
+
+    def test_sole_multiple_is_the_group_order(self, curve_11a1):
+        ell = 1_000_003
+        a, b = curve_11a1.short_model(ell)
+        P = _random_point(a, b, ell, random.Random(0))
+        lo, hi = self.window(ell)
+        n = count_points_naive(curve_11a1, ell, limit=ell)
+        assert order_by_addition(P, a, ell) > hi - lo  # so n is the only multiple
+        assert _window_order(P, a, ell, lo, hi) == n
+
+    def test_against_point_orders(self):
+        rng = random.Random(5)
+        primes = list(PrimeRange(5, 3000))
+        seen = set()
+        for _ in range(400):
+            ell = rng.choice(primes)
+            a, b = rng.randrange(ell), rng.randrange(ell)
+            if (4 * a**3 + 27 * b * b) % ell == 0:
+                continue
+            P = _random_point(a, b, ell, rng)
+            lo, hi = self.window(ell)
+            order = order_by_addition(P, a, ell)
+            multiples = [n for n in range(lo, hi + 1) if n % order == 0]
+            got = _window_order(P, a, ell, lo, hi)
+            if len(multiples) == 1:
+                n = count_points_naive(CurveModel(0, 0, 0, a, b, conductor=1), ell)
+                assert got == multiples[0] == n
+                seen.add("sole multiple")
+            else:
+                assert got == order
+                seen.add("baby steps" if order <= isqrt(hi - lo) + 1 else "giant steps")
+        assert seen == {"sole multiple", "baby steps", "giant steps"}
 
 
 class TestTrace:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -19,6 +20,7 @@ from lambda_forge import (
     screen_p,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
+from lambda_forge.curves import count_points_naive
 from lambda_forge.errors import CoverageError
 from lambda_forge.residual import _skipped, classification_to_csv, resolve_workers
 
@@ -118,6 +120,39 @@ class TestMutualExclusivity:
                     assert sorted(roots) == sorted([1, fc.ell % p])
                 else:
                     assert sorted(roots) == sorted([p - 1, (-fc.ell) % p])
+
+
+class TestPointCountOracle:
+    """Pi and Omega traces against point counts, independent of the classifier.
+
+    a_ell = 1 + ell mod p exactly when p divides #E(F_ell) = ell + 1 - a_ell,
+    and a_ell = -(1 + ell) mod p exactly when p divides the order of the
+    quadratic twist, ell + 1 + a_ell, here counted on the twist itself.
+    """
+
+    @staticmethod
+    def counts(curve, ell):
+        a, b = curve.short_model(ell)
+        c = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) == ell - 1)
+        twist = CurveModel(0, 0, 0, a * c * c % ell, b * c**3 % ell, conductor=1)
+        return count_points_naive(curve, ell, limit=ell), count_points_naive(twist, ell, limit=ell)
+
+    def test_traces_match_group_orders(self, ctx_default):
+        p = ctx_default.p
+        verdicts = Counter()
+        for fc in classify_range(ctx_default, PrimeRange(5, 12000)):
+            if fc.verdict is Verdict.SKIPPED:
+                continue
+            n, n_twist = self.counts(ctx_default.backend, fc.ell)
+            assert n + n_twist == 2 * fc.ell + 2
+            assert (fc.trace_mod_p == (1 + fc.ell) % p) == (n % p == 0), fc
+            assert (fc.trace_mod_p == -(1 + fc.ell) % p) == (n_twist % p == 0), fc
+            if fc.verdict is Verdict.PI:
+                assert n % p == 0
+            if fc.verdict is Verdict.OMEGA:
+                assert n_twist % p == 0
+            verdicts[fc.verdict] += 1
+        assert verdicts[Verdict.PI] > 20 and verdicts[Verdict.OMEGA] > 20
 
 
 @pytest.fixture(scope="module")
