@@ -18,6 +18,7 @@ from .curves import (
     is_ordinary,
     reduction_type,
     trace_of_frobenius,
+    traces_of_frobenius,
 )
 from .density import (
     ClassCountReport,
@@ -101,4 +102,5 @@ __all__ = [
     "sieve_primes",
     "sigma_ell",
     "trace_of_frobenius",
+    "traces_of_frobenius",
 ]

@@ -22,7 +22,7 @@ from .arith import PrimeRange
 from .config import RunConfig, build_context, load_config
 from .density import empirical_density, enumerate_gl2_classes
 from .errors import ComputationError, ConfigError, LambdaForgeError
-from .forms import a_ell
+from .forms import a_ells
 from .iwasawa import bk_rank_bounds, euler_factor_from_frobenius, sigma_ell
 from .levels import carayol_check, plan_target_lambda
 from .residual import (
@@ -238,7 +238,7 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace) -> None:
         ells = [ell for ell in PrimeRange(args.lo, args.hi) if not ctx.divides_ngp(ell)]
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")
-    rows = [{"ell": ell, "a_ell": a_ell(ctx, ell)} for ell in ells]
+    rows = [{"ell": ell, "a_ell": a} for ell, a in zip(ells, a_ells(ctx, ells))]
     if args.format == "csv":
         lines = ["ell,a_ell"] + [f"{r['ell']},{r['a_ell']}" for r in rows]
         _emit("\n".join(lines) + "\n", args.out)

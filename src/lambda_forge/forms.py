@@ -13,11 +13,11 @@ import csv
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import curves
 from .arith import is_prime
-from .curves import CurveModel, trace_of_frobenius
+from .curves import CurveModel, trace_of_frobenius, traces_of_frobenius
 from .errors import CoverageError, HypothesisViolation, TableFormatError
 
 
@@ -136,6 +136,19 @@ class FormContext:
         except KeyError:
             raise CoverageError(ell)
 
+    def coefficients(self, ells: Sequence[int]) -> list[int | Exception]:
+        """:meth:`coefficient` at many primes, as one batch.
+
+        Each entry is a_ell or the error :meth:`coefficient` would raise at
+        that ell (a :class:`CoverageError` at a gap in a table); no entry
+        depends on the other ells.  A curve backend counts the points of all
+        of them in shared walks (:func:`curves.traces_of_frobenius`).
+        """
+        if isinstance(self.backend, CurveModel):
+            return traces_of_frobenius(self.backend, ells, naive_limit=self.naive_limit)
+        table = self.backend.coefficients
+        return [table[ell] if ell in table else CoverageError(ell) for ell in ells]
+
 
 def a_ell(ctx: FormContext, ell: int) -> int:
     """The ell-th Fourier coefficient of g, for ell coprime to N_g * p.
@@ -143,8 +156,28 @@ def a_ell(ctx: FormContext, ell: int) -> int:
     Mod p this is the trace of the Frobenius class at ell in the residual
     representation; the reduction itself is done by callers.
     """
+    _require_exposed(ctx, ell)
+    return ctx.coefficient(ell)
+
+
+def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
+    """:func:`a_ell` at each ell, the coefficients fetched in one batch.
+
+    Every ell is checked before any coefficient is computed, so the first
+    ell that :func:`a_ell` refuses is refused with its message; after that
+    the first error of the batch is raised.
+    """
+    for ell in ells:
+        _require_exposed(ctx, ell)
+    values = ctx.coefficients(ells)
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
+
+
+def _require_exposed(ctx: FormContext, ell: int) -> None:
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     if ctx.divides_ngp(ell):
         raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")
-    return ctx.coefficient(ell)

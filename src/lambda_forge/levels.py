@@ -18,7 +18,7 @@ from typing import Iterable
 from .arith import PrimeRange, factorize
 from .density import exact_densities
 from .errors import CoverageError, ResourceLimitError, ScarcityError
-from .forms import FormContext, a_ell
+from .forms import FormContext
 from .iwasawa import (
     SigmaDatum,
     compute_d_ell,
@@ -279,22 +279,22 @@ def carayol_check(
     level_factors = dict(factorize(proposed_level, trial_bound=trial_bound))
     p = ctx.p
 
-    reports: list[CarayolPrimeReport] = []
-    for ell in sorted(level_factors):
-        ord_level = level_factors[ell]
-        ord_base = base_factors.get(ell, 0)
-        alpha = ord_level - ord_base
-        if alpha <= 0:
-            continue
+    extra = [ell for ell in sorted(level_factors) if level_factors[ell] > base_factors.get(ell, 0)]
+    counted = [ell for ell in extra if not ctx.divides_ngp(ell)]
+    coefficients = dict(zip(counted, ctx.coefficients(counted)))
 
-        trace: int | None
-        if not ctx.divides_ngp(ell):
-            try:
-                trace = a_ell(ctx, ell) % p
-            except CoverageError:
-                trace = None
-        else:
+    reports: list[CarayolPrimeReport] = []
+    for ell in extra:
+        ord_base = base_factors.get(ell, 0)
+        alpha = level_factors[ell] - ord_base
+
+        trace = coefficients.get(ell)
+        if isinstance(trace, CoverageError):
             trace = None
+        elif isinstance(trace, Exception):
+            raise trace
+        elif trace is not None:
+            trace %= p
 
         satisfied: list[str] = []
         undecided: list[str] = []

@@ -142,19 +142,25 @@ _ChunkResult = tuple[list[FrobeniusClass], LambdaForgeError | None]
 def _classify_chunk(ctx: FormContext, ells: Sequence[int]) -> _ChunkResult:
     """Classify a chunk in order, stopping at the first error this package raises.
 
-    The error is returned along with the classes before it, so the consumer
+    The coefficients of the whole chunk come from one batched lookup.  The
+    error is returned along with the classes before it, so the consumer
     sees exactly what a prime-by-prime loop would have yielded before raising
-    (a table gap, say, as a CoverageError at the first uncovered prime).
+    (a table gap, say, as a CoverageError at the first uncovered prime); any
+    other exception at a prime is raised, as that loop would have.
     """
     out: list[FrobeniusClass] = []
-    try:
-        for ell in ells:
-            if ctx.divides_ngp(ell):
-                out.append(_skipped(ell))
-            else:  # sieved, so prime: no need for the checks of classify_prime
-                out.append(_frobenius_class(ell, ctx.coefficient(ell), ctx.p))
-    except LambdaForgeError as exc:
-        return out, exc
+    # sieved, so prime: no need for the checks of classify_prime
+    coefficients = iter(ctx.coefficients([ell for ell in ells if not ctx.divides_ngp(ell)]))
+    for ell in ells:
+        if ctx.divides_ngp(ell):
+            out.append(_skipped(ell))
+            continue
+        a = next(coefficients)
+        if isinstance(a, LambdaForgeError):
+            return out, a
+        if isinstance(a, Exception):
+            raise a
+        out.append(_frobenius_class(ell, a, ctx.p))
     return out, None
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from lambda_forge import PrimeRange, load_coefficients, residual
+from lambda_forge import PrimeRange, a_ell, load_coefficients, residual
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from lambda_forge.config import build_context, load_config
 
@@ -256,6 +256,27 @@ class TestAEll:
 
     def test_requires_selection(self, curve_config, capsys):
         assert main(["a-ell", "--config", curve_config]) == EXIT_CONFIG
+
+    def test_range_equals_per_prime_rows(self, curve_config, capsys):
+        # one batched lookup prints the bytes a prime-by-prime a_ell loop would
+        assert main(["a-ell", "--config", curve_config, "--from", "2", "--to", "20000",
+                     "--format", "csv"]) == EXIT_OK
+        ctx = build_context(load_config(curve_config))
+        rows = [f"{ell},{a_ell(ctx, ell)}" for ell in PrimeRange(2, 20000)
+                if not ctx.divides_ngp(ell)]
+        assert capsys.readouterr().out == "\n".join(["ell,a_ell", *rows]) + "\n"
+
+    @pytest.mark.parametrize("ells, message", [
+        (["13", "15", "11"], "ell = 11 divides N_g * p"),
+        (["13", "9", "7"], "ell = 7 divides N_g * p"),
+        (["15", "13", "9"], "ell = 9 is not prime"),
+    ])
+    def test_first_refused_ell_wins(self, curve_config, capsys, ells, message):
+        argv = ["a-ell", "--config", curve_config]
+        for ell in ells:
+            argv += ["--ell", ell]
+        assert main(argv) == EXIT_CONFIG
+        assert f"usage error: {message}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -5,21 +5,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lambda_forge.arith import PrimeRange
+from lambda_forge.arith import PrimeRange, is_prime
 from lambda_forge.curves import (
+    BSGS_MAX_POINTS,
     NAIVE_COUNT_LIMIT,
     CurveModel,
     ReductionType,
-    _ec_add,
+    _bsgs_counts,
     _random_point,
-    _window_order,
+    _window_orders,
     count_points_bsgs,
     count_points_naive,
     is_ordinary,
     reduction_type,
     trace_of_frobenius,
+    traces_of_frobenius,
 )
 from lambda_forge.errors import NonMinimalModelWarning, PointCountError
+
+from conftest import CURVE_11A1, CURVE_37A1, CURVE_389A1
 
 
 def exhaustive_count(curve: CurveModel, ell: int) -> int:
@@ -33,12 +37,100 @@ def exhaustive_count(curve: CurveModel, ell: int) -> int:
     return n
 
 
+# --- the scalar walk, kept as the reference for the lane-batched one ---------
+
+
+# Affine points are (x, y) tuples; None is the point at infinity.
+def _ec_add(P, Q, a, p):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        num = (3 * x1 * x1 + a) % p
+        den = (2 * y1) % p
+    else:
+        num = (y2 - y1) % p
+        den = (x2 - x1) % p
+    lam = num * pow(den, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
+    return (x3, y3)
+
+
+def _ec_neg(P, p):
+    return None if P is None else (P[0], (-P[1]) % p)
+
+
+def _ec_mul(k, P, a, p):
+    if k < 0:
+        k, P = -k, _ec_neg(P, p)
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, a, p)
+        P = _ec_add(P, P, a, p)
+        k >>= 1
+    return R
+
+
+def _window_order(P, a, p, lo, hi):
+    """ord(P), or the only multiple of ord(P) in [lo, hi], by one scalar walk with a dict."""
+    width = hi - lo
+    m = isqrt(width) + 1
+    baby: dict = {}
+    R = None
+    for j in range(m):
+        baby[R] = j
+        R = _ec_add(R, P, a, p)
+        if R is None:
+            return j + 1
+    step = _ec_neg(R, p)
+    T = _ec_mul(-lo, P, a, p)
+    first = None
+    for base in range(0, width + 1, m):
+        j = baby.get(T)
+        if j is not None and base + j <= width:
+            if first is not None:
+                return base + j - first
+            first = base + j
+        T = _ec_add(T, step, a, p)
+    if first is None:
+        raise PointCountError(f"no annihilator of a point in [{lo}, {hi}] mod {p}; bug")
+    return lo + first
+
+
+def window_order(P, a, p, lo, hi) -> int:
+    """The batched walk on one lane."""
+    (order,) = _window_orders([P], [a], [p], [lo], [hi])
+    return order
+
+
 def order_by_addition(P, a, p) -> int:
     """Oracle: the order of P, by adding P to itself until O."""
     Q, n = P, 1
     while Q is not None:
         Q, n = _ec_add(Q, P, a, p), n + 1
     return n
+
+
+# lanes of every size in one batch: tiny windows, the naive range, near 1e8
+WALK_PRIMES = (
+    list(PrimeRange(5, 50))
+    + list(PrimeRange(50, 30000))[::40]
+    + list(PrimeRange(10**8 - 600, 10**8))
+)
+# the primes of the refusal parity check, with a few near 1e6
+GROUPING_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 300))
+
+
+def describe(entry):
+    """A count, or the type and message of a refusal."""
+    return f"{type(entry).__name__}: {entry}" if isinstance(entry, Exception) else entry
 
 
 class TestCurveModel:
@@ -159,14 +251,27 @@ class TestBsgs:
         curve = CurveModel(0, 0, 0, a, b, conductor=1)
         assert count_points_bsgs(curve, ell) == count_points_naive(curve, ell, limit=ell)
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_grouping_never_changes_a_count_or_refusal(self, data):
+        curve = CurveModel(**data.draw(st.sampled_from([CURVE_11A1, CURVE_37A1, CURVE_389A1])))
+        ells = data.draw(st.lists(st.sampled_from(GROUPING_PRIMES), min_size=1, max_size=16))
+        max_points = data.draw(st.sampled_from([1, 2, 40]))
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(ells) - 1)))))
+        parts = []
+        for lo, hi in zip([0] + cuts, cuts + [len(ells)]):
+            parts += _bsgs_counts(curve, ells[lo:hi], max_points)
+        whole = _bsgs_counts(curve, ells, max_points)
+        assert list(map(describe, parts)) == list(map(describe, whole))
+
     @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
     def test_never_refuses_from_the_limit_to_1e5(self, name, request):
         curve = request.getfixturevalue(name)
         primes = PrimeRange(NAIVE_COUNT_LIMIT + 1, 10**5)
         ells = [ell for ell in primes if curve.discriminant % ell]
         sample = set(random.Random(curve.conductor).sample(ells, 30))
-        for ell in ells:
-            n = count_points_bsgs(curve, ell)  # a refusal raises PointCountError
+        for ell, n in zip(ells, _bsgs_counts(curve, ells, BSGS_MAX_POINTS)):
+            assert not isinstance(n, Exception), n  # a refusal is a PointCountError entry
             if ell in sample:
                 assert n == count_points_naive(curve, ell, limit=ell)
 
@@ -183,7 +288,7 @@ class TestWindowOrder:
         # y^2 = x^3 - x: (0, 0) has order 2, found in the baby steps
         ell = 10007
         lo, hi = self.window(ell)
-        assert _window_order((0, 0), -1 % ell, ell, lo, hi) == 2
+        assert window_order((0, 0), -1 % ell, ell, lo, hi) == 2
 
     def test_sole_multiple_is_the_group_order(self, curve_11a1):
         ell = 1_000_003
@@ -192,22 +297,24 @@ class TestWindowOrder:
         lo, hi = self.window(ell)
         n = count_points_naive(curve_11a1, ell, limit=ell)
         assert order_by_addition(P, a, ell) > hi - lo  # so n is the only multiple
-        assert _window_order(P, a, ell, lo, hi) == n
+        assert window_order(P, a, ell, lo, hi) == n
 
     def test_against_point_orders(self):
         rng = random.Random(5)
         primes = list(PrimeRange(5, 3000))
         seen = set()
+        lanes = []
         for _ in range(400):
             ell = rng.choice(primes)
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell == 0:
                 continue
-            P = _random_point(a, b, ell, rng)
-            lo, hi = self.window(ell)
+            lanes.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell), b))
+        # one batch of mixed primes
+        walked = _window_orders(*zip(*(lane[:5] for lane in lanes)))
+        for (P, a, ell, lo, hi, b), got in zip(lanes, walked):
             order = order_by_addition(P, a, ell)
             multiples = [n for n in range(lo, hi + 1) if n % order == 0]
-            got = _window_order(P, a, ell, lo, hi)
             if len(multiples) == 1:
                 n = count_points_naive(CurveModel(0, 0, 0, a, b, conductor=1), ell)
                 assert got == multiples[0] == n
@@ -216,6 +323,68 @@ class TestWindowOrder:
                 assert got == order
                 seen.add("baby steps" if order <= isqrt(hi - lo) + 1 else "giant steps")
         assert seen == {"sole multiple", "baby steps", "giant steps"}
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.sampled_from(WALK_PRIMES),
+                st.integers(0, 2**64),
+                st.integers(0, 2**64),
+                st.integers(0, 2**32),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_batched_walk_equals_scalar_reference(self, lanes):
+        batch = []
+        for ell, a, b, seed, hit_o in lanes:
+            a, b = a % ell, b % ell
+            if (4 * a**3 + 27 * b * b) % ell == 0:
+                continue
+            P = _random_point(a, b, ell, random.Random(seed))
+            lo, hi = self.window(ell)
+            if hit_o and ell < 10**5:
+                # shift the window so that the group order is lo + t*m: the
+                # giant walk meets O at step t, then steps from O and doubles
+                n = count_points_naive(CurveModel(0, 0, 0, a, b, conductor=1), ell, limit=ell)
+                shifted = n - (isqrt(hi - lo) + 1) * (1 + seed % 2)
+                if shifted > 0:
+                    lo, hi = shifted, shifted + hi - lo
+            batch.append((P, a, ell, lo, hi))
+        assume(batch)
+        expected = []
+        for lane in batch:
+            try:
+                expected.append(_window_order(*lane))
+            except PointCountError:
+                expected.append(0)
+        assert _window_orders(*zip(*batch)) == expected
+
+    def test_giant_step_hits_o(self, curve_11a1):
+        ell = 10007
+        a, b = curve_11a1.short_model(ell)
+        n = count_points_naive(curve_11a1, ell, limit=ell)
+        P = _random_point(a, b, ell, random.Random(0))
+        assert order_by_addition(P, a, ell) == n
+        m = isqrt(2 * isqrt(4 * ell)) + 1
+        # T_1 = -(lo + m)P = O, then T_2 = O + step and T_3 = step + step
+        lo = n - m
+        hi = lo + 2 * isqrt(4 * ell)
+        assert _window_order(P, a, ell, lo, hi) == window_order(P, a, ell, lo, hi) == n
+
+    def test_object_path_above_2_to_31(self):
+        big = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
+        huge = next(q for q in range(2**40, 2**40 + 100) if is_prime(q))
+        rng = random.Random(7)
+        batch = []
+        for ell in (big, 101, huge):
+            a, b = rng.randrange(ell), rng.randrange(ell)
+            batch.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell)))
+        assert _window_orders(*zip(*batch)) == [_window_order(*lane) for lane in batch]
 
 
 class TestTrace:
@@ -240,6 +409,18 @@ class TestTrace:
             if ell == 11:
                 continue
             assert ell + 1 - trace_of_frobenius(curve_11a1, ell) >= 1
+
+    def test_batch_entries_match_single_calls(self, curve_11a1):
+        # both engines, a bad prime and a refusal in one batch
+        ells = [2, 3, 5, 11, 2999, 3001, 3499, 100_003]
+        batch = traces_of_frobenius(curve_11a1, ells, max_points=2)
+        for ell, entry in zip(ells, batch):
+            try:
+                expected = trace_of_frobenius(curve_11a1, ell, max_points=2)
+            except (ValueError, PointCountError) as exc:
+                expected = exc
+            assert describe(entry) == describe(expected)
+        assert isinstance(batch[3], ValueError) and isinstance(batch[6], PointCountError)
 
     def test_dispatch_threshold(self, curve_11a1):
         # both paths, same answer, straddling the configured limit

@@ -177,6 +177,15 @@ class TestCarayol:
         assert report.verdict == "unknown"
         assert report.primes[0].status == "unknown"
 
+    def test_gap_leaves_later_primes_decided(self):
+        ctx = carayol_ctx()
+        # no a_23 in the table, a_31 = 2: the gap is unknown, 31 still decided
+        report = carayol_check(ctx, 11 * 23 * 31)
+        assert [prime.ell for prime in report.primes] == [23, 31]
+        assert [prime.status for prime in report.primes] == ["unknown", "admissible"]
+        assert set(report.primes[1].satisfied_cases) == {"1", "3b"}
+        assert report.verdict == "unknown"
+
     def test_structural_rejection(self):
         ctx = carayol_ctx()
         report = carayol_check(ctx, 26)  # not a multiple of 11
