@@ -10,18 +10,22 @@ strategies are provided and cross-validated against each other:
   interval for random points of the curve and its quadratic twist, whose
   point orders narrow the candidate group orders until exactly one survives.
 
-:func:`traces_of_frobenius` counts many primes at once: the walks of all
-their sampled points run in lock-step as the lanes of numpy arrays, in
-Jacobian coordinates with one inversion per lane per block of steps
-(Montgomery's simultaneous inversion), in batches capped at a few MB of
-temporaries.  A walk costs about 20-50 us a lane near 1e4-1e6 in a large
-batch but 1-15 ms alone, so sweeps pass whole chunks;
-:func:`count_points_bsgs` and :func:`trace_of_frobenius` are batches of one.
+:func:`traces_of_frobenius` counts many primes at once: the point draws
+and the walks of all their sampled points run in lock-step as the lanes of
+numpy arrays, the walks in Jacobian coordinates with one inversion per lane
+per block of steps (Montgomery's simultaneous inversion) over a baby table
+keyed by x alone, in batches capped at 2 MB of temporaries.  In a large
+batch a walk costs about 13-26 us a lane near 1e4-1e6 (40 us near 1e7) and
+a point draw 15-20 us, half of it seeding the prime's generator; a count
+alone costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole
+chunks; :func:`count_points_bsgs` and :func:`trace_of_frobenius` are
+batches of one.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from dataclasses import dataclass, field
 from math import gcd as math_gcd, isqrt, lcm
 from enum import Enum
@@ -96,8 +100,12 @@ class CurveModel:
         """
         if ell < 5:
             raise ValueError("short model needs characteristic >= 5")
-        c4, c6 = self.c_invariants()
-        return (-27 * c4) % ell, (-54 * c6) % ell
+        return _short_model(*self.c_invariants(), ell)
+
+
+def _short_model(c4: int, c6: int, ell: int) -> tuple[int, int]:
+    """(A, B) of :meth:`CurveModel.short_model` from the curve's c-invariants."""
+    return (-27 * c4) % ell, (-54 * c6) % ell
 
 
 def reduction_type(curve: CurveModel, ell: int) -> ReductionType:
@@ -175,59 +183,119 @@ def count_points_naive(curve: CurveModel, ell: int, *, limit: int = NAIVE_COUNT_
 # --- baby-step giant-step machinery (short model, char >= 5) ---------------
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod an odd prime p, or None if a is a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+def _non_residue(ell: int) -> int:
+    """The least quadratic non-residue mod the odd prime ell."""
+    c = 2
+    while pow(c, (ell - 1) // 2, ell) != ell - 1:
+        c += 1
+    return c
 
 
-def _random_point(a, b, p, rng):
-    while True:
-        x = rng.randrange(p)
-        f = (x * x % p * x + a * x + b) % p
-        y = sqrt_mod(f, p)
-        if y is not None:
-            return (x, y)
+# --- lane-batched arithmetic mod per-lane primes ------------------------------
+#
+# Arrays hold one lane per column (per row in the draws), and every operation
+# reduces modulo the per-lane array p.  Below this bound a sum of two products
+# of residues fits in int64; lanes of a larger prime run the same code on
+# dtype=object arrays.
+_INT64_PRIME_LIMIT = 1 << 31
+# x values a lane draws from its stream per pass of :func:`_random_points`:
+# about half of all x give a point, so one pass in 2^_DRAWS needs another.
+_DRAWS = 4
+
+
+def _pow(z, e, p):
+    """z^e mod p lane by lane, for an exponent array e >= 0 broadcasting against z."""
+    result = np.ones_like(z)
+    for k in range(int(e.max()).bit_length()):
+        result = np.where((e >> k) & 1 == 1, result * z % p, result)
+        z = z * z % p
+    return result
+
+
+def _random_points(seeds, skips, a, b, p) -> tuple[list, list[int]]:
+    """The next point of each lane's stream on y^2 = x^3 + ax + b over F_p.
+
+    Lane i draws x = rng.randrange(p[i]) from ``random.Random(seeds[i])``
+    after ``skips[i]`` earlier draws, until x^3 + ax + b is 0 or a square:
+    the x the scalar loop ``while True: x = rng.randrange(p); ...`` would
+    take.  Returns the points and each stream's draws used so far.  y is
+    one of the two roots, always the same one for the same lane; which one
+    does not matter to the walk, since ord(P) = ord(-P).
+
+    The draws are tested _DRAWS at a time per lane in numpy; a lane whose
+    draws all fail replays its stream from the seed for twice as many.
+    Square roots are Tonelli-Shanks in lock-step, with p - 1 = q * 2^s and
+    a non-residue's q-th power taken from a failed draw where there is one.
+    """
+    lanes, ells = len(seeds), p
+    dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
+    two_adic = [((ell - 1) & (1 - ell)).bit_length() - 1 for ell in p]
+    s = np.array(two_adic)
+    q = np.array([(ell - 1) >> k for ell, k in zip(p, two_adic)], dtype)
+    a, b, p = (np.array(v, dtype) for v in (a, b, p))
+    used = np.array(skips)
+    x, f, root, t, c = (np.zeros(lanes, dtype) for _ in range(5))
+    need_c = np.zeros(lanes, bool)
+    pending = np.arange(lanes)
+    per_lane = _DRAWS
+    while len(pending):
+        draws: list[int] = []
+        for i, skip in zip(pending.tolist(), used[pending].tolist()):
+            draw, ell = random.Random(seeds[i]).randrange, ells[i]
+            for _ in range(skip):
+                draw(ell)
+            draws += map(draw, repeat(ell, per_lane))
+        X = np.array(draws, dtype).reshape(len(pending), per_lane)
+        P, A, B, S = (v[pending, None] for v in (p, a, b, s))
+        F = (X * X % P * X + A * X + B) % P
+        W = _pow(F, (q[pending, None] - 1) >> 1, P)  # f^((q - 1)/2)
+        T = W * W % P * F % P  # f^q
+        euler = T.copy()  # f^((p - 1)/2)
+        for k in range(1, int(S.max())):
+            row = np.flatnonzero(S > k)
+            euler[row] = euler[row] * euler[row] % P[row]
+        ok = (F == 0) | (euler == 1)
+        col = ok.argmax(axis=1)
+        done = ok.any(axis=1)
+        at = (np.flatnonzero(done), col[done])
+        lane = pending[done]
+        x[lane], f[lane], t[lane] = X[at], F[at], T[at]
+        root[lane] = W[at] * F[at] % p[lane]  # f^((q + 1)/2)
+        failed = ~ok[done]
+        c[lane] = T[done][np.arange(len(lane)), failed.argmax(axis=1)]
+        need_c[lane] = ~failed.any(axis=1)
+        used[pending] += np.where(done, col + 1, per_lane)
+        pending = pending[~done]
+        per_lane *= 2
+    for i in np.flatnonzero(need_c & (s > 1) & (f != 0)).tolist():
+        c[i] = pow(_non_residue(ells[i]), int(q[i]), ells[i])
+    # Tonelli-Shanks: root^2 = f * t throughout; at step k, t has order
+    # dividing 2^k and c has order 2^(k + 1), and the step leaves t of order
+    # dividing 2^(k - 1), down to t = 1
+    for k in range(int(s.max()) - 1, 0, -1):
+        lane = np.flatnonzero(s > k)
+        ell = p[lane]
+        e = t[lane]
+        for _ in range(k - 1):
+            e = e * e % ell
+        flip = lane[e != 1]
+        root[flip] = root[flip] * c[flip] % p[flip]
+        c[lane] = c[lane] * c[lane] % ell
+        t[flip] = t[flip] * c[flip] % p[flip]
+    return list(zip(x.tolist(), root.tolist())), used.tolist()
 
 
 # --- the lane-batched walk ----------------------------------------------------
 #
 # One lane is one sampled point P on y^2 = x^3 + ax + b over F_ell with its
-# window [lo, hi]; arrays hold one lane per column and the walk runs down the
-# rows, so every operation reduces modulo the per-lane array p.  Points are
-# Jacobian (X : Y : Z), standing for (X / Z^2, Y / Z^3); Z = 0 is O.
+# window [lo, hi]; the walk runs down the rows.  Points are Jacobian
+# (X : Y : Z), standing for (X / Z^2, Y / Z^3); Z = 0 is O.
 
-# Below this bound a sum of two products of residues fits in int64; lanes of a
-# larger prime run the same code on dtype=object arrays.
-_INT64_PRIME_LIMIT = 1 << 31
 # Bytes of walk temporaries one batch of lanes may hold; the lanes per batch
 # follow from the walk length.  Measured with tracemalloc, a batch holds about
 # _WORDS_PER_STEP int64 words per lane and step of its baby walk and giant block.
 _WALK_BYTES = 2 << 20
-_WORDS_PER_STEP = 10
+_WORDS_PER_STEP = 5
 # Giant steps between two normalisations, each costing one inversion per lane.
 _GIANT_BLOCK = 32
 _NONE = np.iinfo(np.int64).max  # no annihilator found
@@ -285,16 +353,6 @@ def _madd(X, Y, Z, x, y, a, p):
     return X3, Y3, Z3
 
 
-def _inverse(z, p):
-    """z^(p - 2) mod p lane by lane: the inverse of z in F_p (Fermat)."""
-    e = p - 2
-    result = np.ones_like(z)
-    for k in range(int(e.max()).bit_length()):
-        result = np.where((e >> k) & 1 == 1, result * z % p, result)
-        z = z * z % p
-    return result
-
-
 def _affine(X, Y, Z, p):
     """Affine rows (x, y) and the mask of O for Jacobian rows, overwriting them.
 
@@ -308,7 +366,7 @@ def _affine(X, Y, Z, p):
     for k in range(1, len(Z)):
         np.multiply(acc[k - 1], Z[k], out=acc[k])
         acc[k] %= p
-    inv = _inverse(acc[-1], p)
+    inv = _pow(acc[-1], p - 2, p)  # Fermat
     for k in range(len(Z) - 1, 0, -1):
         np.multiply(inv, acc[k - 1], out=acc[k])
         acc[k] %= p
@@ -326,123 +384,181 @@ def _affine(X, Y, Z, p):
     return X, Y, at_o
 
 
+def _baby_count(width: int) -> int:
+    """M, the baby steps for a window of this width: the giant stride is 2M + 1.
+
+    With x-keyed babies one giant step covers 2M + 1 exponents, so M is
+    about sqrt(width / 2), and 2M >= isqrt(width) + 1 for every width.
+    """
+    return isqrt(width // 2) + 1
+
+
 def _window_orders(points, a, p, lo, hi) -> list[int]:
     """ord(P), or the only multiple of ord(P) in [lo, hi], for each lane (P, a, p, lo, hi).
 
-    Each window, 0 < lo <= hi, must contain the group order, so it holds at least one
-    multiple of ord(P).  The walk is Shanks' baby-step giant-step over the
-    window with m = isqrt(hi - lo) + 1 baby steps.  If ord(P) <= m, O recurs
-    in the baby steps at j = ord(P).  Otherwise the giant steps visit the
-    multiples of ord(P) in the window in increasing order, and the first two
-    differ by ord(P).  If the walk finds only one, that multiple is the group
-    order itself and is returned in place of ord(P): the multiples of the
-    returned value in the window are exactly those of ord(P), which is all
-    the candidate sieve in :func:`count_points_bsgs` needs.  A lane whose
-    window holds no annihilator (a bug upstream) gets 0.
+    Each window, 0 < lo <= hi, must contain the group order, so it holds at
+    least one multiple of ord(P).  With m = isqrt(hi - lo) + 1, a lane gets
+    ord(P) if ord(P) <= m or the window holds two multiples of it; else the
+    one multiple in the window, which is then the group order itself: its
+    multiples in the window are exactly those of ord(P), which is all the
+    candidate sieve of :class:`_OrderSieve` needs.  A lane whose window holds
+    no annihilator (a bug upstream) gets 0.
 
+    The walk is Shanks' baby-step giant-step with a baby table keyed by x
+    alone, so that one entry stands for both jP and -jP (see :func:`_walk`).
     Lanes may mix primes and window sizes; they are walked in batches sized
     so that a batch holds about ``_WALK_BYTES`` of temporaries.
     """
     width = [h - l for l, h in zip(lo, hi)]
-    m = [isqrt(w) + 1 for w in width]
-    steps = max(m) + min(max(-(-(w + 1) // k) for w, k in zip(width, m)), _GIANT_BLOCK)
+    babies = _baby_count(max(width))
+    steps = babies + 1 + min(max(width) // (2 * babies + 1) + 1, _GIANT_BLOCK)
     per_batch = max(1, _WALK_BYTES // (8 * _WORDS_PER_STEP * steps))
     out: list[int] = []
     for start in range(0, len(points), per_batch):
         batch = slice(start, start + per_batch)
-        out += _walk(points[batch], a[batch], p[batch], lo[batch], width[batch], m[batch])
+        out += _walk(points[batch], a[batch], p[batch], lo[batch], width[batch])
     return out
 
 
-def _walk(points, a, p, lo, width, m) -> list[int]:
-    """:func:`_window_orders` for one batch: the baby steps, then the giant walk."""
+def _walk(points, a, p, lo, width) -> list[int]:
+    """:func:`_window_orders` for one batch.
+
+    The baby rows hold jP for j = 1 .. M and (2M + 1)P, with M from the
+    widest window of the batch.  They show ord(P) when it is at most 2M + 1:
+    O recurs at j = ord(P) <= M; beyond M, jP = -kP (equal x) gives
+    ord(P) = j + k and y(jP) = 0 gives 2j; else (2M + 1)P = O.  Such lanes
+    get their result from ord(P) directly, the others take the giant walk.
+    """
     dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
     x = np.array([P[0] for P in points], dtype)
     y = np.array([P[1] for P in points], dtype)
     a, p, lo = (np.array(v, dtype) for v in (a, p, lo))
-    width, m = np.array(width), np.array(m)
-    steps = int(m.max())
+    width = np.array(width)
+    babies = _baby_count(int(width.max()))
+    lanes = len(x)
 
-    # row j - 1 holds jP for j = 1 .. max(m), so every lane has its mP
-    X, Y, Z = (np.empty((steps, len(x)), dtype) for _ in range(3))
+    X, Y, Z = (np.empty((babies + 1, lanes), dtype) for _ in range(3))
     X[0], Y[0], Z[0] = x, y, 1
-    X[1], Y[1], Z[1] = _dbl(x, y, 1, a, p)
-    for j in range(2, steps):
+    for j in range(1, babies):
         X[j], Y[j], Z[j] = _madd(X[j - 1], Y[j - 1], Z[j - 1], x, y, a, p)
+    X[-1], Y[-1], Z[-1] = _madd(*_dbl(X[-2], Y[-2], Z[-2], a, p), x, y, a, p)
     bx, by, b_o = _affine(X, Y, Z, p)
-    recurs = b_o & (np.arange(1, steps + 1)[:, None] <= m)
-    out = np.where(recurs.any(axis=0), recurs.argmax(axis=0) + 1, 0).astype(dtype)
-    walk = np.flatnonzero(out == 0)
-    if len(walk) < len(out):
-        bx, by, b_o = bx[:, walk], by[:, walk], b_o[:, walk]
-        a, p, lo, width, m = a[walk], p[walk], lo[walk], width[walk], m[walk]
+    del X, Y, Z
+    T = _multiple(lo + babies, bx, by, a, p)
+    T = (T[0], -T[1] % p, T[2])  # T_0 = -(lo + M)P, the giant walk's start
+
+    # the baby table, sorted, in place of the babies' x: key (lane * stride + x) * M + j - 1
+    # for jP, so that equal neighbours in key // M are x-collisions; O rows
+    # have junk keys, but O outranks them below
+    stride = int(p.max()) + 1
+    base = np.array(range(lanes), dtype) * stride
+    keys = bx[:-1]
+    keys += base
+    keys *= babies
+    keys += np.arange(babies)[:, None]
+    keys = keys.ravel()
+    keys.sort()
+    same = np.flatnonzero(keys[1:] // babies == keys[:-1] // babies)
+    ords = np.zeros(lanes, np.int64)
+    ords[(keys[same] // babies // stride).astype(np.intp)] = (
+        keys[same] % babies + keys[same + 1] % babies + 2
+    )
+    half = (by[:-1] == 0) & ~b_o[:-1]
+    ords = np.where(half.any(axis=0), 2 * half.argmax(axis=0) + 2, ords)
+    ords[b_o[-1]] = 2 * babies + 1
+    ords = np.where(b_o[:-1].any(axis=0), b_o[:-1].argmax(axis=0) + 1, ords)
+
+    out = np.zeros(lanes, dtype)
+    known = np.flatnonzero(ords)
+    if len(known):
+        n, l, w = ords[known].astype(dtype), lo[known], width[known]
+        first = l + (-l) % n
+        small = n <= np.array([isqrt(v) + 1 for v in w.tolist()])
+        out[known] = np.where(small | (first + n <= l + w), n, np.where(first <= l + w, first, 0))
+    walk = np.flatnonzero(ords == 0)
     if len(walk):
-        out[walk] = _giant_walk(bx, by, b_o, a, p, lo, width, m)
+        step = bx[-1, walk], -by[-1, walk] % p[walk]
+        out[walk] = _giant_walk(
+            tuple(v[walk] for v in T), step, keys, by[:-1].ravel(), walk, babies,
+            base[walk], a[walk], p[walk], lo[walk], width[walk],
+        )
     return out.tolist()
 
 
-def _giant_walk(bx, by, b_o, a, p, lo, width, m):
-    """The giant steps of :func:`_walk` for lanes with ord(P) > m, given their baby rows.
-
-    They look for the u in [0, hi - lo] with u*P = -lo*P, u = i*m + j: step
-    i is T_i = -(lo + i*m)P, matched against the baby steps jP, j < m, at
-    most one in each block of m.
-    """
-    steps, lanes = bx.shape
-    dtype = bx.dtype
-    col = np.arange(lanes)
-
-    # T_0 = -lo*P: Q = lo*P by fixed windows of w bits, the baby rows as the table
-    w = steps.bit_length() - 1
-    top = (int(lo.max()).bit_length() - 1) // w * w
-    Q = tuple(np.full(lanes, v, dtype) for v in (1, 1, 0))
+def _multiple(k, bx, by, a, p):
+    """kP in Jacobian coordinates by fixed windows, the affine rows jP (j >= 1) as the table."""
+    w = max(1, (len(bx) - 1).bit_length() - 1)  # so that a digit, < 2^w, has its row
+    top = (int(k.max()).bit_length() - 1) // w * w
+    col = np.arange(len(k))
+    Q = tuple(np.full(len(k), v, bx.dtype) for v in (1, 1, 0))
     for shift in range(top, -1, -w):
         for _ in range(w if shift < top else 0):
             Q = _dbl(*Q, a, p)
-        d = ((lo >> shift) & ((1 << w) - 1)).astype(np.intp)
-        use = (d > 0) & ~b_o[d - 1, col]
+        d = ((k >> shift) & ((1 << w) - 1)).astype(np.intp)
         added = _madd(*Q, bx[d - 1, col], by[d - 1, col], a, p)
-        Q = tuple(np.where(use, s, q) for s, q in zip(added, Q))
-    T = (Q[0], -Q[1] % p, Q[2])
-    step_x, step_y = bx[m - 1, col], -by[m - 1, col] % p
+        Q = tuple(np.where(d > 0, s, q) for s, q in zip(added, Q))
+    return Q
 
-    # the baby table, keyed lane * stride + x and sorted; x = stride - 1 marks
-    # a row past the lane's m.  x alone leaves jP and -jP apart only by y, so
-    # a key is checked at its first two places.
-    stride = int(p.max()) + 1
-    base = np.array(range(lanes), dtype) * stride
-    bx[(np.arange(1, steps + 1)[:, None] >= m) | b_o] = stride - 1
-    bx += base
-    keys = bx.ravel()
-    order = np.argsort(keys)
-    keys, ys = keys[order], by.ravel()[order]
-    del bx, by, b_o
 
-    giants = -(-(width + 1) // m)
-    first = np.full(lanes, _NONE)
-    second = np.full(lanes, _NONE)
-    for start in range(0, int(giants.max()), _GIANT_BLOCK):
-        rows = min(_GIANT_BLOCK, int(giants.max()) - start)
-        GX, GY, GZ = (np.empty((rows, lanes), dtype) for _ in range(3))
+def _giant_walk(T, step, keys, baby_y, walk, babies, base, a, p, lo, width):
+    """The giant steps of :func:`_walk` for its lanes ``walk``, where ord(P) > 2M + 1.
+
+    They look for the u in [0, hi - lo] with (lo + u)P = O, as u = c_i + j
+    with c_i = M + i(2M + 1) and -M <= j <= M: giant step i is
+    T_i = -(lo + c_i)P, and T_i = jP.  The baby with the x of T_i is |j|P,
+    and y tells the sign of j; T_i = O is j = 0.  As ord(P) > 2M + 1, the
+    babies' x differ and a giant step holds at most one annihilator.
+    ``keys`` is the batch's sorted baby table, ``base`` these lanes' offsets in it.
+    """
+    dtype = keys.dtype
+    stride = 2 * babies + 1
+    giants = width // stride + 1
+    first = np.full(len(walk), _NONE)
+    second = np.full(len(walk), _NONE)
+    for begin in range(0, int(giants.max()), _GIANT_BLOCK):
+        rows = min(_GIANT_BLOCK, int(giants.max()) - begin)
+        GX, GY, GZ = (np.empty((rows, len(walk)), dtype) for _ in range(3))
         for i in range(rows):
             GX[i], GY[i], GZ[i] = T
-            T = _madd(*T, step_x, step_y, a, p)
+            T = _madd(*T, *step, a, p)
         gx, gy, g_o = _affine(GX, GY, GZ, p)
-        gx += base
-        at = np.searchsorted(keys, gx)
-        j = np.where(g_o, 0, -1)  # T_i = O matches j = 0
-        for offset in (0, 1):
-            pos = np.minimum(at + offset, len(keys) - 1)
-            hit = (keys[pos] == gx) & (ys[pos] == gy) & ~g_o
-            j[hit] = order[pos[hit]] // lanes + 1
-        u = (start + np.arange(rows)[:, None]) * m + j
-        u[(j < 0) | (u > width)] = _NONE
+        del GX, GY, GZ
+        u, miss = _giant_matches(gx, gy, g_o, keys, baby_y, walk, babies, base)
+        del gx, gy
+        u += (begin + np.arange(rows)[:, None]) * stride + babies
+        u[miss | (u > width)] = _NONE
         first, second = np.sort(np.vstack([first, second, u]), axis=0)[:2]
-        if ((second != _NONE) | (start + rows >= giants)).all():
+        if ((second != _NONE) | (begin + rows >= giants)).all():
             break
     found = first != _NONE
     sole = np.where(found, lo + np.where(found, first, 0), 0)
     return np.where(second != _NONE, second - first, sole)
+
+
+def _giant_matches(gx, gy, g_o, keys, baby_y, walk, babies, base):
+    """j with T = jP for each giant step T, and the mask of steps without a match.
+
+    Overwrites gx.  See :func:`_giant_walk` for the arguments.
+    """
+    gx += base
+    gx *= babies
+    at = np.searchsorted(keys, gx)
+    np.minimum(at, len(keys) - 1, out=at)
+    found = keys[at]
+    del at
+    j = found % babies  # the baby (j + 1)P
+    found -= j
+    miss = (found != gx) & ~g_o
+    del found
+    j = j.astype(np.intp, copy=False)
+    at = j * (len(baby_y) // babies)
+    at += walk
+    flip = baby_y[at] != gy
+    del at
+    j += 1
+    np.negative(j, out=j, where=flip)
+    j[g_o] = 0
+    return j, miss
 
 
 def _count_cubic_roots(a, b, p):
@@ -503,21 +619,22 @@ def _structure_compatible(n, order_lcm, two_torsion, ell):
     The group is Z/d1 x Z/d2 with d1 | d2 and d1 | ell - 1 (Weil pairing);
     the lcm of sampled point orders must divide d2, and the rational
     2-torsion count gcd(d1,2) * gcd(d2,2) must match the measured value.
+    So d1 runs over the divisors of g = gcd(n, ell - 1) with d1^2 | n; g
+    divides n - (ell - 1), which is at most 2 sqrt(ell) + 2 unless it is 0.
     """
     if n % order_lcm != 0:
         return False
-    d1 = 1
-    while d1 * d1 <= n:
-        if n % d1 == 0:
-            d2 = n // d1
-            if (
-                d2 % d1 == 0
-                and (ell - 1) % d1 == 0
-                and d2 % order_lcm == 0
-                and math_gcd(d1, 2) * math_gcd(d2, 2) == two_torsion
-            ):
-                return True
-        d1 += 1
+    g = math_gcd(n, ell - 1)
+    for i in range(1, isqrt(g) + 1):
+        if g % i == 0:
+            for d1 in (i, g // i):
+                d2 = n // d1
+                if (
+                    d2 % d1 == 0
+                    and d2 % order_lcm == 0
+                    and math_gcd(d1, 2) * math_gcd(d2, 2) == two_torsion
+                ):
+                    return True
     return False
 
 
@@ -528,55 +645,50 @@ class _OrderSieve:
     Orders of random points on E force N into multiples of their lcm; orders
     on the quadratic twist do the same for 2*ell + 2 - N.  Trials alternate
     sides, curve first, until a single candidate survives.  The points come
-    from this ell's own rng, so they do not depend on other primes.
+    from this ell's own stream ``random.Random(seed)``, so they do not depend
+    on other primes; the sieve keeps only the count of draws used so far,
+    since a generator holds 2.9 KB of state, too much to keep for every
+    prime of a chunk when nearly all settle at the first point.
     """
 
     __slots__ = (
-        "ell", "a", "b", "lo", "hi", "lcm_curve", "lcm_twist", "twist", "two_torsion", "count"
+        "ell", "a", "b", "lo", "hi", "lcm_curve", "lcm_twist", "twist", "two_torsion", "count",
+        "draws",
     )
 
-    def __init__(self, curve: CurveModel, ell: int):
-        self.ell = ell
-        self.a, self.b = curve.short_model(ell)
+    def __init__(self, ell: int, a: int, b: int):
+        self.ell, self.a, self.b = ell, a, b
         s = isqrt(4 * ell)
         self.lo, self.hi = ell + 1 - s, ell + 1 + s
         self.lcm_curve = self.lcm_twist = 1
         self.twist: tuple[int, int] | None = None
         self.two_torsion: tuple[int, int] | None = None
         self.count: int | PointCountError | None = None
+        self.draws = 0
+
+    @property
+    def seed(self) -> str:
+        return f"ec-order:{self.ell}:{self.a}:{self.b}"
 
     def _twist_model(self) -> tuple[int, int]:
         if self.twist is None:
-            ell, c = self.ell, 2
-            while pow(c, (ell - 1) // 2, ell) != ell - 1:
-                c += 1
+            ell, c = self.ell, _non_residue(self.ell)
             self.twist = self.a * c * c % ell, self.b * c % ell * c % ell * c % ell
         return self.twist
 
-    def lane(self, trial: int) -> tuple:
-        """(P, a, ell, lo, hi): the walk for this trial's point, on the curve or the twist.
-
-        The rng is replayed from its seed through the earlier trials' draws: a
-        generator holds 2.9 KB of state, too much to keep for every prime of a
-        chunk when nearly all settle at the first point.
-        """
-        ell = self.ell
-        rng = random.Random(f"ec-order:{ell}:{self.a}:{self.b}")
-        for t in range(trial + 1):
-            a, b = (self.a, self.b) if t % 2 == 0 else self._twist_model()
-            P = _random_point(a, b, ell, rng)
+    def model(self, trial: int) -> tuple[int, int, int, int]:
+        """(a, b, lo, hi): the short model this trial's point lies on, and its Hasse window."""
         if trial % 2 == 0:
-            return P, a, ell, self.lo, self.hi
-        total = 2 * ell + 2
-        return P, a, ell, total - self.hi, total - self.lo
+            return self.a, self.b, self.lo, self.hi
+        total = 2 * self.ell + 2
+        return (*self._twist_model(), total - self.hi, total - self.lo)
 
-    def narrow(self, trial: int, order: int, lane: tuple) -> None:
-        """Fold in the walk result of this trial's lane; sets ``count`` once it is settled."""
+    def narrow(self, trial: int, order: int) -> None:
+        """Fold in the walk result of this trial's point; sets ``count`` once it is settled."""
         ell, lo, hi = self.ell, self.lo, self.hi
         if order == 0:
-            self.count = PointCountError(
-                f"no annihilator of a point in [{lane[3]}, {lane[4]}] mod {ell}; bug"
-            )
+            _, _, l, h = self.model(trial)
+            self.count = PointCountError(f"no annihilator of a point in [{l}, {h}] mod {ell}; bug")
             return
         if trial % 2 == 0:
             self.lcm_curve = lcm(self.lcm_curve, order)
@@ -616,17 +728,19 @@ def _bsgs_counts(
 ) -> list[int | Exception]:
     """#E(F_ell) or the exception counting raises at ell, for each ell, by batched BSGS.
 
-    Trial t walks the t-th point of every ell still ambiguous, all in one
-    :func:`_window_orders` call; each ell's points come from its own rng, so
-    an entry never depends on which other ells share the call.
+    Trial t draws (:func:`_random_points`) and walks (:func:`_window_orders`)
+    the t-th point of every ell still ambiguous, all in one call each; each
+    ell's points come from its own stream, so an entry never depends on
+    which other ells share the call.
     """
+    c4, c6 = curve.c_invariants()
     entries: list = []
     for ell in ells:
         try:
             _require_countable(curve, ell)
             if ell < 5:
                 raise ValueError("BSGS counting needs ell >= 5; use count_points_naive")
-            entries.append(_OrderSieve(curve, ell))
+            entries.append(_OrderSieve(ell, *_short_model(c4, c6, ell)))
         except ValueError as exc:
             entries.append(exc)
     live = [e for e in entries if isinstance(e, _OrderSieve)]
@@ -634,9 +748,12 @@ def _bsgs_counts(
         live = [s for s in live if s.count is None]
         if not live:
             break
-        lanes = [s.lane(trial) for s in live]
-        for sieve, order, lane in zip(live, _window_orders(*zip(*lanes)), lanes):
-            sieve.narrow(trial, order, lane)
+        a, b, lo, hi = zip(*(s.model(trial) for s in live))
+        p = [s.ell for s in live]
+        points, used = _random_points([s.seed for s in live], [s.draws for s in live], a, b, p)
+        for sieve, order, draws in zip(live, _window_orders(points, a, p, lo, hi), used):
+            sieve.draws = draws
+            sieve.narrow(trial, order)
     for i, entry in enumerate(entries):
         if isinstance(entry, _OrderSieve):
             entries[i] = entry.count
@@ -661,7 +778,7 @@ def count_points_bsgs(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX
     Sampling is deterministic per (curve, ell) (see :class:`_OrderSieve`),
     and ambiguity after ``max_points`` points raises instead of guessing.
     A batch of one: sweeps count many primes at once through
-    :func:`traces_of_frobenius`, since one walk alone costs 1-15 ms of
+    :func:`traces_of_frobenius`, since one count alone costs 2-6 ms of
     numpy overhead.
     """
     return _unwrap(_bsgs_counts(curve, [ell], max_points))

@@ -1,3 +1,4 @@
+import math
 import random
 from math import isqrt
 
@@ -11,8 +12,11 @@ from lambda_forge.curves import (
     NAIVE_COUNT_LIMIT,
     CurveModel,
     ReductionType,
+    _OrderSieve,
+    _baby_count,
     _bsgs_counts,
-    _random_point,
+    _random_points,
+    _structure_compatible,
     _window_orders,
     count_points_bsgs,
     count_points_naive,
@@ -37,7 +41,46 @@ def exhaustive_count(curve: CurveModel, ell: int) -> int:
     return n
 
 
-# --- the scalar walk, kept as the reference for the lane-batched one ---------
+# --- the scalar draws and walk, kept as the reference for the lane-batched ones
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod an odd prime p, or None if a is a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # Tonelli-Shanks
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _random_point(a, b, p, rng):
+    """The next point of rng's stream on y^2 = x^3 + ax + b over F_p, one x at a time."""
+    while True:
+        x = rng.randrange(p)
+        f = (x * x % p * x + a * x + b) % p
+        y = sqrt_mod(f, p)
+        if y is not None:
+            return (x, y)
 
 
 # Affine points are (x, y) tuples; None is the point at infinity.
@@ -126,6 +169,12 @@ WALK_PRIMES = (
 )
 # the primes of the refusal parity check, with a few near 1e6
 GROUPING_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 300))
+# the differential check's primes: refusals are common below 3000 at few points
+DIFFERENTIAL_PRIMES = list(PrimeRange(5, 3000))[::3] + list(PrimeRange(10**6, 10**6 + 1000))
+# the draws' primes: 3 mod 4 and 1 mod 4, p - 1 with a high 2-adic valuation
+# (65537 = 2^16 + 1, 7340033 = 7 * 2^20 + 1), and one above 2^31
+BIG_PRIME = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
+DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME]
 
 
 def describe(entry):
@@ -264,6 +313,14 @@ class TestBsgs:
         whole = _bsgs_counts(curve, ells, max_points)
         assert list(map(describe, parts)) == list(map(describe, whole))
 
+    @pytest.mark.parametrize("max_points", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
+    def test_batched_equals_scalar_draws_and_walks(self, name, max_points, request):
+        curve = request.getfixturevalue(name)
+        ells = [ell for ell in DIFFERENTIAL_PRIMES if curve.discriminant % ell]
+        batched = _bsgs_counts(curve, ells, max_points)
+        assert list(map(describe, batched)) == list(map(describe, scalar_counts(curve, ells, max_points)))
+
     @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
     def test_never_refuses_from_the_limit_to_1e5(self, name, request):
         curve = request.getfixturevalue(name)
@@ -274,6 +331,133 @@ class TestBsgs:
             assert not isinstance(n, Exception), n  # a refusal is a PointCountError entry
             if ell in sample:
                 assert n == count_points_naive(curve, ell, limit=ell)
+
+
+class CountingRandom(random.Random):
+    """A random.Random that counts its randrange calls; the stream is unchanged."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def scalar_counts(curve, ells, max_points):
+    """_bsgs_counts with each point drawn by _random_point and walked by _window_order."""
+    entries = []
+    for ell in ells:
+        sieve = _OrderSieve(ell, *curve.short_model(ell))
+        rng = random.Random(sieve.seed)
+        for trial in range(max_points):
+            if sieve.count is not None:
+                break
+            a, b, lo, hi = sieve.model(trial)
+            try:
+                order = _window_order(_random_point(a, b, ell, rng), a, ell, lo, hi)
+            except PointCountError:
+                order = 0
+            sieve.narrow(trial, order)
+        entries.append(sieve.count if sieve.count is not None else PointCountError(
+            f"group order ambiguous at ell={ell} after {max_points} points: refusing to guess"
+        ))
+    return entries
+
+
+def structure_compatible_by_every_d1(n, order_lcm, two_torsion, ell):
+    """The exponent-lattice test with d1 running over every integer up to isqrt(n)."""
+    if n % order_lcm != 0:
+        return False
+    d1 = 1
+    while d1 * d1 <= n:
+        if n % d1 == 0:
+            d2 = n // d1
+            if (
+                d2 % d1 == 0
+                and (ell - 1) % d1 == 0
+                and d2 % order_lcm == 0
+                and math.gcd(d1, 2) * math.gcd(d2, 2) == two_torsion
+            ):
+                return True
+        d1 += 1
+    return False
+
+
+class TestRandomPoints:
+    """The batched draws take the scalar loop's x and a square root of its cubic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.sampled_from(DRAW_PRIMES),
+                st.integers(0, 2**64),
+                st.integers(0, 2**64),
+                st.integers(0, 2**32),
+                st.integers(0, 6),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_batched_draws_equal_scalar_reference(self, lanes):
+        seeds, skips, a_s, b_s, ps, expected = [], [], [], [], [], []
+        for ell, a, b, seed, skip, root_first in lanes:
+            a, b = a % ell, b % ell
+            rng = CountingRandom(f"lane:{seed}")
+            for _ in range(skip):
+                rng.randrange(ell)
+            if root_first:
+                # make the next draw a root of the cubic: f = 0, so y = 0
+                x0 = random.Random(f"lane:{seed}")
+                for _ in range(skip + 1):
+                    x = x0.randrange(ell)
+                b = -(x * x * x + a * x) % ell
+            x, _ = _random_point(a, b, ell, rng)
+            seeds.append(f"lane:{seed}")
+            skips.append(skip)
+            a_s.append(a)
+            b_s.append(b)
+            ps.append(ell)
+            expected.append((x, rng.draws))
+        points, used = _random_points(seeds, skips, a_s, b_s, ps)
+        assert [(x, n) for (x, _), n in zip(points, used)] == expected
+        for (x, y), a, b, ell in zip(points, a_s, b_s, ps):
+            assert 0 <= y < ell and (y * y - (x**3 + a * x + b)) % ell == 0
+
+    def test_root_lane_and_high_two_adic_primes_in_one_batch(self):
+        ells = [7340033, 65537, 10007, BIG_PRIME]
+        seeds = [f"s{i}" for i in range(len(ells))]
+        first = [random.Random(s).randrange(ell) for s, ell in zip(seeds, ells)]
+        b = [-(x**3 + 3 * x) % ell for x, ell in zip(first, ells)]
+        points, used = _random_points(seeds, [0] * 4, [3] * 4, b, ells)
+        assert points == [(x, 0) for x in first] and used == [1] * 4
+
+
+class TestStructureCompatible:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_divisors_of_gcd_equal_every_d1(self, data):
+        ell = data.draw(st.sampled_from(GROUPING_PRIMES + [65537, 7340033]))
+        s = isqrt(4 * ell)
+        n = ell + 1 + data.draw(st.integers(-s, s))
+        divisors = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        divisors += [n // d for d in divisors]
+        order_lcm = data.draw(st.sampled_from(divisors))
+        for two_torsion in (1, 2, 4):
+            assert _structure_compatible(n, order_lcm, two_torsion, ell) == (
+                structure_compatible_by_every_d1(n, order_lcm, two_torsion, ell)
+            )
+
+    def test_group_order_ell_minus_one(self):
+        # n = ell - 1 makes g = n, the one case where g is not small
+        ell = 10007
+        for order_lcm in (1, 2, 5003, 10006):
+            for two_torsion in (1, 2, 4):
+                assert _structure_compatible(ell - 1, order_lcm, two_torsion, ell) == (
+                    structure_compatible_by_every_d1(ell - 1, order_lcm, two_torsion, ell)
+                )
 
 
 class TestWindowOrder:
@@ -363,6 +547,32 @@ class TestWindowOrder:
             except PointCountError:
                 expected.append(0)
         assert _window_orders(*zip(*batch)) == expected
+
+    def test_orders_the_baby_rows_show(self):
+        # with M babies, ord(P) <= M recurs as O; beyond M an odd order shows
+        # as jP = -kP (equal x), an even one as y(jP) = 0, and 2M + 1 as
+        # (2M + 1)P = O; one batch per prime, so that M is that prime's
+        rng = random.Random(11)
+        seen = set()
+        for ell in PrimeRange(50, 400):
+            lo, hi = self.window(ell)
+            babies = _baby_count(hi - lo)
+            lanes = []
+            for _ in range(12):
+                a, b = rng.randrange(ell), rng.randrange(ell)
+                if (4 * a**3 + 27 * b * b) % ell:
+                    lanes.append((_random_point(a, b, ell, rng), a, ell, lo, hi))
+            expected = [_window_order(*lane) for lane in lanes]
+            assert _window_orders(*zip(*lanes)) == expected
+            for P, a, *_ in lanes:
+                n = order_by_addition(P, a, ell)
+                if n <= babies:
+                    seen.add("O")
+                elif n <= 2 * babies:
+                    seen.add("y = 0" if n % 2 == 0 else "x-collision")
+                else:
+                    seen.add("(2M + 1)P = O" if n == 2 * babies + 1 else "giant steps")
+        assert seen == {"O", "x-collision", "y = 0", "(2M + 1)P = O", "giant steps"}
 
     def test_giant_step_hits_o(self, curve_11a1):
         ell = 10007

@@ -22,7 +22,13 @@ from lambda_forge import (
 from lambda_forge.arith import PrimeRange, sieve_primes
 from lambda_forge.curves import count_points_naive
 from lambda_forge.errors import CoverageError
-from lambda_forge.residual import _skipped, classification_to_csv, resolve_workers
+from lambda_forge.forms import a_ells
+from lambda_forge.residual import (
+    _frobenius_class,
+    _skipped,
+    classification_to_csv,
+    resolve_workers,
+)
 
 
 def single_prime_ctx(p: int, ell: int, a: int, level: int, a_p: int) -> FormContext:
@@ -157,10 +163,14 @@ class TestPointCountOracle:
 
 @pytest.fixture(scope="module")
 def serial_to_20000(ctx_default):
-    """Prime-by-prime classification of 2..20000, built without classify_range."""
+    """The classification of 2..20000 from one batch of coefficients, without classify_range."""
+    ells = list(sieve_primes(PrimeRange(2, 20000)))
+    exposed = [ell for ell in ells if not ctx_default.divides_ngp(ell)]
+    coefficients = dict(zip(exposed, a_ells(ctx_default, exposed)))
     return [
-        _skipped(ell) if ctx_default.divides_ngp(ell) else classify_prime(ctx_default, ell)
-        for ell in sieve_primes(PrimeRange(2, 20000))
+        _frobenius_class(ell, coefficients[ell], ctx_default.p) if ell in coefficients
+        else _skipped(ell)
+        for ell in ells
     ]
 
 
