@@ -3,10 +3,11 @@
 
 The coefficient backend of this package is an elliptic curve: the Fourier
 coefficient a_ell of the attached weight-2 newform is ell + 1 - #E(F_ell).
-Below the configured threshold the count is a direct quadratic-character
-sum; above it, a baby-step giant-step search pins the group order inside
-the Hasse interval.  This script shows both engines agreeing, the Hasse
-bound holding, and the ordinariness test that gates the working prime p.
+At or below the measured crossover ``curves.NAIVE_COUNT_LIMIT`` the count
+is a direct quadratic-character sum; above it, a baby-step giant-step
+search pins the group order inside the Hasse interval.  This script shows
+both engines agreeing, the Hasse bound holding, and the ordinariness test
+that gates the working prime p.
 """
 
 from lambda_forge import (

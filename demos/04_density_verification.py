@@ -32,7 +32,7 @@ print()
 
 ctx = build_context(load_config("configs/default.cfg"))
 bound = 300_000
-workers = resolve_workers(0)
+workers = resolve_workers()
 print(f"empirical sweep on the default configuration (p = {ctx.p}) to {bound:,} "
       f"with {workers} workers:")
 t0 = time.time()

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--to", dest="hi", type=int, required=True)
     p_classify.add_argument("--format", choices=("json", "csv"), default="json")
     p_classify.add_argument(
-        "--workers", type=nonnegative_int, default=0, help="0 = config/env/cores"
+        "--workers", type=nonnegative_int, default=0, help="0 = LAMBDA_FORGE_THREADS or all cores"
     )
 
     p_plan = sub.add_parser("plan", help="plan a level set hitting a target lambda")
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_density.add_argument("--csv", dest="csv_path", help="also dump per-prime classification")
     p_density.add_argument(
-        "--workers", type=nonnegative_int, default=0, help="0 = config/env/cores"
+        "--workers", type=nonnegative_int, default=0, help="0 = LAMBDA_FORGE_THREADS or all cores"
     )
 
     p_carayol = sub.add_parser("carayol", help="check a proposed level for admissibility")
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
-    workers = args.workers or resolve_workers(cfg.threads)
+    workers = args.workers or resolve_workers()
     stream = classify_range(ctx, PrimeRange(args.lo, args.hi), workers=workers)
     if args.format == "csv":
         buf = io.StringIO()
@@ -159,7 +159,7 @@ def _cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
     level_set = plan_target_lambda(
         ctx, args.target, args.omega_count, args.scan_bound,
-        workers=resolve_workers(cfg.threads),
+        workers=resolve_workers(),
     )
     payload = level_set.as_dict()
     payload["bk_rank"] = bk_rank_bounds(level_set.predicted_lambda).as_dict()
@@ -174,7 +174,7 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace) -> None:
         _emit_report(report.as_dict(), cfg, args)
         return
     ctx = build_context(cfg)
-    workers = args.workers or resolve_workers(cfg.threads)
+    workers = args.workers or resolve_workers()
     prime_range = PrimeRange(2, args.bound)
     stream = classify_range(ctx, prime_range, workers=workers)
     with contextlib.ExitStack() as stack:
@@ -205,7 +205,7 @@ def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
     data = []
     prime_range = PrimeRange(args.lo, args.hi)
-    for klass in classify_range(ctx, prime_range, workers=resolve_workers(cfg.threads)):
+    for klass in classify_range(ctx, prime_range, workers=resolve_workers()):
         if klass.verdict is Verdict.SKIPPED:
             continue
         factor = euler_factor_from_frobenius(klass, ctx.p)
@@ -226,7 +226,7 @@ def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace) -> None:
 def _cmd_screen_p(cfg: RunConfig, args: argparse.Namespace) -> None:
     if cfg.backend != "curve" or cfg.curve is None:
         raise ConfigError("screen-p needs a curve backend")
-    report = screen_p(cfg.curve, args.candidate, naive_limit=cfg.naive_count_limit)
+    report = screen_p(cfg.curve, args.candidate)
     _emit_report(report.as_dict(), cfg, args)
 
 

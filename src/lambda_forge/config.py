@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .curves import NAIVE_COUNT_LIMIT, CurveModel
+from .curves import CurveModel
 from .density import DEFAULT_SIGMA_BAND, MIN_EXPECTED_HITS
 from .errors import ConfigError
 from .forms import CoefficientTable, FormContext, load_coefficients
@@ -39,12 +39,10 @@ _FORM_KEYS = (
 # minimum; a float must be finite and > its minimum.  Defaults are the
 # RunConfig field defaults.
 _THRESHOLDS: dict[str, tuple[type, int]] = {
-    "naive_count_limit": (int, 3),  # ell = 2 and 3 can only be counted naively
     "s_ell_cap": (int, 0),
     "sigma_band": (float, 0),
     "min_expected_hits": (int, 0),
     "carayol_trial_bound": (int, 2),
-    "threads": (int, 0),
 }
 _KNOWN_KEYS = frozenset(_REQUIRED_COMMON + _FORM_KEYS) | _THRESHOLDS.keys()
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -61,12 +59,10 @@ class RunConfig:
     optimal_level_asserted: bool = True
     curve: CurveModel | None = None
     table_path: Path | None = None
-    naive_count_limit: int = NAIVE_COUNT_LIMIT
     s_ell_cap: int = S_ELL_EXPONENT_CAP
     sigma_band: float = DEFAULT_SIGMA_BAND
     min_expected_hits: int = MIN_EXPECTED_HITS
     carayol_trial_bound: int = CARAYOL_TRIAL_BOUND
-    threads: int = 0
     source: Path | None = field(default=None, compare=False)
 
     def assertions(self) -> dict:
@@ -215,5 +211,4 @@ def build_context(cfg: RunConfig) -> FormContext:
         surjective_mod_p=cfg.surjective_mod_p,
         backend=backend,
         optimal_level_asserted=cfg.optimal_level_asserted,
-        naive_limit=cfg.naive_count_limit,
     )

@@ -49,9 +49,10 @@ class ReductionType(Enum):
 class CurveModel:
     """Integral long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    The conductor is user-supplied (claimed to belong to the minimal model);
-    the discriminant is always recomputed from the coefficients and, when a
-    value is passed in, checked against it.
+    The conductor is user-supplied (claimed to belong to the minimal model)
+    and each of its primes must divide the discriminant; the discriminant is
+    always recomputed from the coefficients and, when a value is passed in,
+    checked against it.
     """
 
     a1: int
@@ -73,6 +74,15 @@ class CurveModel:
         object.__setattr__(self, "discriminant", disc)
         if self.conductor < 1:
             raise ValueError(f"conductor must be positive, got {self.conductor}")
+        # strip the primes shared with the discriminant; what is left has none
+        rest = self.conductor
+        while (g := math_gcd(rest, disc)) > 1:
+            rest //= g
+        if rest > 1:
+            raise ValueError(
+                f"conductor {self.conductor}: its factor {rest} is coprime to "
+                f"the discriminant {disc}, so the model is inconsistent"
+            )
 
     def _compute_discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
@@ -111,20 +121,14 @@ def _short_model(c4: int, c6: int, ell: int) -> tuple[int, int]:
 def reduction_type(curve: CurveModel, ell: int) -> ReductionType:
     """Good iff ell does not divide the supplied conductor.
 
-    Consistency checks against the discriminant: a conductor prime must
-    divide the discriminant (hard error otherwise), while a discriminant
-    prime absent from the conductor only *suggests* a non-minimal model
-    and raises :class:`NonMinimalModelWarning`.
+    Every conductor prime divides the discriminant (checked when the model
+    is built); a discriminant prime absent from the conductor only
+    *suggests* a non-minimal model and raises :class:`NonMinimalModelWarning`.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
     bad = curve.conductor % ell == 0
-    divides_disc = curve.discriminant % ell == 0
-    if bad and not divides_disc:
-        raise ValueError(
-            f"conductor divisible by {ell} but discriminant is not; inconsistent model"
-        )
-    if divides_disc and not bad:
+    if curve.discriminant % ell == 0 and not bad:
         warnings.warn(
             f"discriminant divisible by {ell} but conductor is not: "
             f"the model may not be minimal at {ell}",
@@ -785,27 +789,24 @@ def count_points_bsgs(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX
 
 
 def traces_of_frobenius(
-    curve: CurveModel,
-    ells: Sequence[int],
-    *,
-    naive_limit: int = NAIVE_COUNT_LIMIT,
-    max_points: int = BSGS_MAX_POINTS,
+    curve: CurveModel, ells: Sequence[int], *, max_points: int = BSGS_MAX_POINTS
 ) -> list[int | Exception]:
     """a_ell = ell + 1 - #E(F_ell) for each ell, each checked against the Hasse bound.
 
-    Primes up to ``naive_limit`` are counted naively, the others by BSGS
-    in shared walks.  Each entry is a_ell or the exception the
+    Primes up to :data:`NAIVE_COUNT_LIMIT` are counted naively, the others
+    by BSGS in shared walks.  Each entry is a_ell or the exception the
     count raised at that ell: a :class:`PointCountError`, or a ValueError
     where the model cannot be counted.  No entry depends on the other ells.
     """
+    limit = NAIVE_COUNT_LIMIT
     counts: list = [None] * len(ells)
     walked = []
     for i, ell in enumerate(ells):
-        if ell > naive_limit:
+        if ell > limit:
             walked.append(i)
             continue
         try:
-            counts[i] = count_points_naive(curve, ell, limit=naive_limit)
+            counts[i] = count_points_naive(curve, ell, limit=limit)
         except ValueError as exc:
             counts[i] = exc
     for i, n in zip(walked, _bsgs_counts(curve, [ells[i] for i in walked], max_points)):
@@ -821,23 +822,15 @@ def traces_of_frobenius(
     return traces
 
 
-def trace_of_frobenius(
-    curve: CurveModel,
-    ell: int,
-    *,
-    naive_limit: int = NAIVE_COUNT_LIMIT,
-    max_points: int = BSGS_MAX_POINTS,
-) -> int:
+def trace_of_frobenius(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX_POINTS) -> int:
     """a_ell = ell + 1 - #E(F_ell), checked against the Hasse bound: a batch of one."""
-    return _unwrap(
-        traces_of_frobenius(curve, [ell], naive_limit=naive_limit, max_points=max_points)
-    )
+    return _unwrap(traces_of_frobenius(curve, [ell], max_points=max_points))
 
 
-def is_ordinary(curve: CurveModel, p: int, *, naive_limit: int = NAIVE_COUNT_LIMIT) -> bool:
+def is_ordinary(curve: CurveModel, p: int) -> bool:
     """True iff p >= 5 is a good prime with a_p not divisible by p."""
     if p < 5:
         raise ValueError(f"ordinariness test requires p >= 5, got {p}")
     if reduction_type(curve, p) is ReductionType.BAD:
         raise ValueError(f"bad reduction at {p}: ordinariness undefined")
-    return trace_of_frobenius(curve, p, naive_limit=naive_limit) % p != 0
+    return trace_of_frobenius(curve, p) % p != 0

@@ -15,7 +15,6 @@ from math import isqrt
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import curves
 from .arith import is_prime
 from .curves import CurveModel, trace_of_frobenius, traces_of_frobenius
 from .errors import CoverageError, HypothesisViolation, TableFormatError
@@ -96,7 +95,6 @@ class FormContext:
     surjective_mod_p: bool
     backend: CurveModel | CoefficientTable
     optimal_level_asserted: bool = True
-    naive_limit: int = curves.NAIVE_COUNT_LIMIT
     a_p: int = field(default=0)
 
     def __post_init__(self) -> None:
@@ -130,7 +128,7 @@ class FormContext:
         refuses composite ell and primes dividing N_g * p.
         """
         if isinstance(self.backend, CurveModel):
-            return trace_of_frobenius(self.backend, ell, naive_limit=self.naive_limit)
+            return trace_of_frobenius(self.backend, ell)
         try:
             return self.backend.coefficients[ell]
         except KeyError:
@@ -145,7 +143,7 @@ class FormContext:
         of them in shared walks (:func:`curves.traces_of_frobenius`).
         """
         if isinstance(self.backend, CurveModel):
-            return traces_of_frobenius(self.backend, ells, naive_limit=self.naive_limit)
+            return traces_of_frobenius(self.backend, ells)
         table = self.backend.coefficients
         return [table[ell] if ell in table else CoverageError(ell) for ell in ells]
 

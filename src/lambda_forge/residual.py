@@ -130,8 +130,9 @@ def _skipped(ell: int) -> FrobeniusClass:
     return FrobeniusClass(ell, None, None, Verdict.SKIPPED, ("divides-Ngp",))
 
 
-# Primes in the first chunk of a sweep; later chunks double up to ``chunk_size``.
+# Primes in the first chunk of a sweep; later chunks double up to _MAX_CHUNK.
 _FIRST_CHUNK = 64
+_MAX_CHUNK = 4096
 
 # The context a pool worker classifies against, set once by the pool initializer.
 _worker_ctx: FormContext | None = None
@@ -173,22 +174,22 @@ def _classify_in_worker(ells: Sequence[int]) -> _ChunkResult:
     return _classify_chunk(_worker_ctx, ells)
 
 
-def _chunk_sizes(total: int, chunk_size: int, workers: int) -> Iterator[int]:
+def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
     """Chunk lengths covering ``total`` primes.
 
-    Chunks start at ``_FIRST_CHUNK`` primes and double up to ``chunk_size``,
+    Chunks start at ``_FIRST_CHUNK`` primes and double up to ``_MAX_CHUNK``,
     so a consumer that stops early leaves only small chunks running.  Each
     chunk also holds at most 1 / (2 * workers) of the primes still left
     (guided self-scheduling, Polychronopoulos and Kuck 1987), so the last,
     most expensive primes (point counting slows as ell grows) are spread
     over all workers instead of landing on one.
     """
-    size = min(_FIRST_CHUNK, chunk_size)
+    size = _FIRST_CHUNK
     while total > 0:
         n = min(size, -(-total // (2 * workers)))
         yield n
         total -= n
-        size = min(2 * size, chunk_size)
+        size = min(2 * size, _MAX_CHUNK)
 
 
 def classify_range(
@@ -196,14 +197,13 @@ def classify_range(
     prime_range: PrimeRange,
     *,
     workers: int | None = None,
-    chunk_size: int = 4096,
 ) -> Iterator[FrobeniusClass]:
     """Classify every prime in the range, in ascending order.
 
     Primes dividing N_g * p come through as Skipped markers so that density
     denominators can count classifiable primes only.
 
-    The sieved primes are cut into chunks (see :func:`_chunk_sizes`) and
+    The sieved primes are cut into chunks (see :func:`_chunk_lengths`) and
     classified on ``workers`` processes, capped at the cores this process
     may run on; a 1-worker sweep, or a range that fits in the first chunk,
     runs the same chunks in this process.  At most 2 * workers chunks are in
@@ -213,15 +213,13 @@ def classify_range(
     started and shuts the pool down, so a consumer that stops early stops
     the work too.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     total = count_primes(prime_range)
-    if total <= min(_FIRST_CHUNK, chunk_size):
+    if total <= _FIRST_CHUNK:
         workers = 1
     else:
         workers = max(1, min(workers or 1, len(os.sched_getaffinity(0))))
     primes = sieve_primes(prime_range)
-    chunks = (list(islice(primes, n)) for n in _chunk_sizes(total, chunk_size, workers))
+    chunks = (list(islice(primes, n)) for n in _chunk_lengths(total, workers))
 
     pool = None
     if workers > 1:
@@ -310,7 +308,7 @@ ASSERTED_ONLY_ITEMS = (
 )
 
 
-def screen_p(curve: CurveModel, p: int, *, naive_limit: int | None = None) -> ScreenReport:
+def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     """Screen a candidate prime p for use with a curve-backed form.
 
     Checks the conditions a machine can decide (p >= 5 prime, p coprime to
@@ -329,8 +327,7 @@ def screen_p(curve: CurveModel, p: int, *, naive_limit: int | None = None) -> Sc
     checks.append(CheckResult("good-reduction-at-p", good, detail))
 
     if good and curve.discriminant % p != 0:
-        kwargs = {"naive_limit": naive_limit} if naive_limit else {}
-        ap = trace_of_frobenius(curve, p, **kwargs)
+        ap = trace_of_frobenius(curve, p)
         checks.append(
             CheckResult("ordinary-at-p", ap % p != 0, f"a_p = {ap} mod {p} = {ap % p}")
         )
@@ -340,8 +337,8 @@ def screen_p(curve: CurveModel, p: int, *, naive_limit: int | None = None) -> Sc
     return ScreenReport(p=p, checks=tuple(checks), asserted_only=ASSERTED_ONLY_ITEMS)
 
 
-def resolve_workers(configured: int = 0) -> int:
-    """Worker count: LAMBDA_FORGE_THREADS env wins, then config, then cores.
+def resolve_workers() -> int:
+    """Worker count when no ``--workers`` is given: LAMBDA_FORGE_THREADS, else the cores.
 
     Never more than the cores this process may run on.
     """
@@ -355,6 +352,4 @@ def resolve_workers(configured: int = 0) -> int:
         if n < 1:
             raise ValueError(f"LAMBDA_FORGE_THREADS must be >= 1, got {n}")
         return min(n, cores)
-    if configured and configured > 0:
-        return min(configured, cores)
     return cores

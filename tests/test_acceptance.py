@@ -71,7 +71,7 @@ def test_criterion_2_exact_density_formulas():
 def test_criterion_3_chebotarev_empirical(ctx_default):
     """Pi and Omega frequencies to 2e6 sit within 3 standard errors."""
     t0 = time.perf_counter()
-    workers = resolve_workers(0)
+    workers = resolve_workers()
     pi, omega = empirical_density(
         ctx_default, PrimeRange(2, 2_000_000), workers=workers
     )
@@ -95,7 +95,7 @@ def test_criterion_4_closed_form_sigma_pipeline(ctx_default):
     p = ctx_default.p
     n_pi = n_omega = 0
     for klass in classify_range(ctx_default, PrimeRange(2, 100_000),
-                                workers=resolve_workers(0)):
+                                workers=resolve_workers()):
         if klass.verdict is Verdict.PI:
             n_pi += 1
             factor = euler_factor_from_frobenius(klass, p)

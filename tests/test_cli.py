@@ -1,6 +1,7 @@
 import io
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,8 @@ lambda_g = 0
 mu_zero = true
 surjective_mod_p = false
 """
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -111,6 +114,19 @@ class TestClassify:
 
 
 class TestPlan:
+    def test_conductor_prime_outside_discriminant_exit_2(self, tmp_path, capsys):
+        # 13 does not divide the discriminant -11^5, so 143 cannot be the conductor
+        shipped = (ROOT / "configs" / "default.cfg").read_text(encoding="utf-8")
+        assert "conductor = 11\n" in shipped
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(shipped.replace("conductor = 11\n", "conductor = 143\n")
+                       .replace("discriminant = -161051\n", ""), encoding="utf-8")
+        code = main(["plan", "--config", str(bad), "--target-lambda", "1"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad curve: conductor 143: its factor 13" in captured.err
+
     def test_plan_report(self, curve_config, capsys):
         report = run_json(capsys, ["plan", "--config", curve_config,
                                    "--target-lambda", "2", "--omega-count", "1",

@@ -1,10 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from lambda_forge.cli import EXIT_CONFIG, main
-from lambda_forge.config import RunConfig, load_config
-from lambda_forge.curves import NAIVE_COUNT_LIMIT
+from lambda_forge.config import _THRESHOLDS, RunConfig, load_config
 from lambda_forge.density import DEFAULT_SIGMA_BAND, MIN_EXPECTED_HITS
 from lambda_forge.iwasawa import S_ELL_EXPONENT_CAP
 from lambda_forge.levels import CARAYOL_TRIAL_BOUND
@@ -22,12 +22,10 @@ surjective_mod_p = true
 """
 
 LIBRARY_DEFAULTS = {
-    "naive_count_limit": NAIVE_COUNT_LIMIT,
     "s_ell_cap": S_ELL_EXPONENT_CAP,
     "sigma_band": DEFAULT_SIGMA_BAND,
     "min_expected_hits": MIN_EXPECTED_HITS,
     "carayol_trial_bound": CARAYOL_TRIAL_BOUND,
-    "threads": 0,
 }
 
 
@@ -41,10 +39,12 @@ def run_density(config):
     return main(["verify-density", "--config", config, "--bound", "2000", "--workers", "1"])
 
 
-def test_sieve_max_is_an_unknown_key(tmp_path, capsys):
-    config = write_config(tmp_path, "sieve_max = 100000000\n")
+@pytest.mark.parametrize("key", ["sieve_max", "naive_count_limit", "threads"])
+def test_sieve_max_is_an_unknown_key(tmp_path, capsys, key):
+    # removed keys: a config that still sets one exits 2 until the line goes
+    config = write_config(tmp_path, f"{key} = 1000\n")
     assert run_density(config) == EXIT_CONFIG
-    assert "unknown config keys: sieve_max" in capsys.readouterr().err
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -54,10 +54,8 @@ def test_sieve_max_is_an_unknown_key(tmp_path, capsys):
         ("sigma_band", "inf"),
         ("sigma_band", "-1"),
         ("sigma_band", "0"),
-        ("naive_count_limit", "2"),
         ("s_ell_cap", "-1"),
         ("min_expected_hits", "-1"),
-        ("threads", "-1"),
         ("carayol_trial_bound", "1"),
     ],
 )
@@ -73,10 +71,8 @@ def test_out_of_range_threshold_exits_2(tmp_path, capsys, key, value):
     "key, value, parsed",
     [
         ("sigma_band", "1e-9", 1e-9),
-        ("naive_count_limit", "3", 3),
         ("s_ell_cap", "0", 0),
         ("min_expected_hits", "0", 0),
-        ("threads", "0", 0),
         ("carayol_trial_bound", "2", 2),
     ],
 )
@@ -102,3 +98,10 @@ def test_shipped_configs_load(path):
     # the shipped thresholds, where listed, are the defaults
     for key, constant in LIBRARY_DEFAULTS.items():
         assert getattr(cfg, key) == constant, key
+
+
+def test_readme_table_lists_exactly_the_threshold_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(_THRESHOLDS)

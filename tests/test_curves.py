@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lambda_forge import curves
 from lambda_forge.arith import PrimeRange, is_prime
 from lambda_forge.curves import (
     BSGS_MAX_POINTS,
@@ -221,10 +222,12 @@ class TestReductionType:
             verdict = reduction_type(scaled, 2)
         assert verdict is ReductionType.GOOD
 
-    def test_conductor_prime_missing_from_discriminant(self, curve_11a1):
-        wrong = CurveModel(0, -1, 1, -10, -20, conductor=77)
-        with pytest.raises(ValueError, match="inconsistent"):
-            reduction_type(wrong, 7)
+    def test_conductor_prime_missing_from_discriminant(self):
+        # 11a1 has discriminant -11^5: 7 and 13 cannot divide its conductor
+        for conductor in (77, 143, 7 * 11**2):
+            with pytest.raises(ValueError, match="coprime to the discriminant"):
+                CurveModel(0, -1, 1, -10, -20, conductor=conductor)
+        assert CurveModel(0, -1, 1, -10, -20, conductor=121).conductor == 121
 
 
 class TestNaiveCount:
@@ -633,10 +636,30 @@ class TestTrace:
         assert isinstance(batch[3], ValueError) and isinstance(batch[6], PointCountError)
 
     def test_dispatch_threshold(self, curve_11a1):
-        # both paths, same answer, straddling the configured limit
-        lo = trace_of_frobenius(curve_11a1, 99_991, naive_limit=10**5)
-        hi = trace_of_frobenius(curve_11a1, 99_991, naive_limit=10**4)
-        assert lo == hi
+        # both engines, same answer, far above the crossover
+        assert count_points_naive(curve_11a1, 99_991, limit=10**5) == count_points_bsgs(
+            curve_11a1, 99_991
+        )
+
+    def test_engine_follows_the_limit_at_call_time(self, curve_11a1, monkeypatch):
+        calls = {"naive": [], "bsgs": []}
+        naive, bsgs = curves.count_points_naive, curves._bsgs_counts
+
+        def spy_naive(curve, ell, *, limit):
+            calls["naive"].append(ell)
+            return naive(curve, ell, limit=limit)
+
+        def spy_bsgs(curve, ells, max_points):
+            calls["bsgs"].extend(ells)
+            return bsgs(curve, ells, max_points)
+
+        monkeypatch.setattr(curves, "count_points_naive", spy_naive)
+        monkeypatch.setattr(curves, "_bsgs_counts", spy_bsgs)
+        monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 101)
+        ells = [97, 101, 103, 5003]
+        traces = traces_of_frobenius(curve_11a1, ells)
+        assert calls == {"naive": [97, 101], "bsgs": [103, 5003]}
+        assert traces == [ell + 1 - naive(curve_11a1, ell, limit=ell) for ell in ells]
 
 
 class TestIsOrdinary:

@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from lambda_forge import (
     Verdict,
     classify_prime,
     classify_range,
+    cli,
     screen_p,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
@@ -29,6 +31,8 @@ from lambda_forge.residual import (
     classification_to_csv,
     resolve_workers,
 )
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
 def single_prime_ctx(p: int, ell: int, a: int, level: int, a_p: int) -> FormContext:
@@ -189,21 +193,12 @@ class TestClassifyRange:
     @settings(max_examples=25, deadline=None)
     @given(
         bounds=st.lists(st.integers(2, 20000), min_size=2, max_size=2, unique=True).map(sorted),
-        chunk_size=st.integers(1, 512),
         workers=st.sampled_from([1, 2]),
     )
-    def test_parallel_equals_serial(
-        self, ctx_default, serial_to_20000, bounds, chunk_size, workers
-    ):
+    def test_parallel_equals_serial(self, ctx_default, serial_to_20000, bounds, workers):
         lo, hi = bounds
         expected = [fc for fc in serial_to_20000 if lo <= fc.ell <= hi]
-        stream = classify_range(ctx_default, PrimeRange(lo, hi), workers=workers,
-                                chunk_size=chunk_size)
-        assert list(stream) == expected
-
-    def test_chunk_size_must_be_positive(self, ctx_default):
-        with pytest.raises(ValueError):
-            next(classify_range(ctx_default, PrimeRange(2, 500), chunk_size=0))
+        assert list(classify_range(ctx_default, PrimeRange(lo, hi), workers=workers)) == expected
 
     def test_counts_match_independent_rerun(self, ctx_default):
         stream = list(classify_range(ctx_default, PrimeRange(2, 5000)))
@@ -250,8 +245,7 @@ class TestSweepPipeline:
         def run(workers):
             seen = []
             with pytest.raises(CoverageError) as info:
-                for fc in classify_range(ctx, PrimeRange(2, 4000), workers=workers,
-                                         chunk_size=64):
+                for fc in classify_range(ctx, PrimeRange(2, 4000), workers=workers):
                     seen.append(fc)
             return info.value.ell, seen
 
@@ -269,18 +263,29 @@ class TestResolveWorkers:
 
     def test_env_capped(self, monkeypatch):
         monkeypatch.setenv("LAMBDA_FORGE_THREADS", "10000")
-        assert resolve_workers(8) == 3
+        assert resolve_workers() == 3
 
     def test_env_below_cap(self, monkeypatch):
         monkeypatch.setenv("LAMBDA_FORGE_THREADS", "2")
-        assert resolve_workers(8) == 2
+        assert resolve_workers() == 2
 
-    def test_config_capped(self):
-        assert resolve_workers(8) == 3
-        assert resolve_workers(2) == 2
+    def test_workers_flag_wins_over_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("LAMBDA_FORGE_THREADS", "2")
+        seen = []
+        sweep = cli.classify_range
+
+        def spy(ctx, prime_range, *, workers):
+            seen.append(workers)
+            return sweep(ctx, prime_range, workers=workers)
+
+        monkeypatch.setattr(cli, "classify_range", spy)
+        for flag in (["--workers", "1"], []):
+            assert cli.main(["classify", "--config", str(DEFAULT_CFG),
+                             "--from", "2", "--to", "50", *flag]) == cli.EXIT_OK
+        assert seen == [1, 2]
 
     def test_fallback_is_affinity(self):
-        assert resolve_workers(0) == 3
+        assert resolve_workers() == 3
 
 
 class TestScreenP:
