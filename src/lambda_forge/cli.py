@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="plan a level set hitting a target lambda")
     _add_common(p_plan)
     p_plan.add_argument("--target-lambda", dest="target", type=int, required=True)
-    p_plan.add_argument("--omega-count", dest="omega_count", type=int, default=0)
+    p_plan.add_argument("--omega-count", dest="omega_count", type=nonnegative_int, default=0)
     p_plan.add_argument("--scan-bound", dest="scan_bound", type=int, default=100_000)
 
     p_density = sub.add_parser("verify-density", help="verify the density claims")
@@ -163,7 +163,7 @@ def _cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
     payload = level_set.as_dict()
     payload["bk_rank"] = bk_rank_bounds(level_set.predicted_lambda).as_dict()
-    carayol = carayol_check(ctx, level_set.n_f, trial_bound=cfg.carayol_trial_bound)
+    carayol = carayol_check(ctx, level_set.n_f)
     payload["carayol_cases"] = [p.as_dict() for p in carayol.primes]
     _emit_report(payload, cfg, args)
 
@@ -181,13 +181,7 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace) -> None:
         if args.csv_path:
             csv_file = stack.enter_context(open(args.csv_path, "w", encoding="utf-8"))
             stream = tee_to_csv(stream, csv_file)
-        pi_report, omega_report = empirical_density(
-            ctx,
-            prime_range,
-            band=cfg.sigma_band,
-            min_expected=cfg.min_expected_hits,
-            stream=stream,
-        )
+        pi_report, omega_report = empirical_density(ctx, prime_range, stream=stream)
     _emit_report(
         {"bound": args.bound, "pi": pi_report.as_dict(), "omega": omega_report.as_dict()},
         cfg,
@@ -197,7 +191,7 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def _cmd_carayol(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
-    report = carayol_check(ctx, args.level, trial_bound=cfg.carayol_trial_bound)
+    report = carayol_check(ctx, args.level)
     _emit_report(report.as_dict(), cfg, args)
 
 
@@ -209,7 +203,7 @@ def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace) -> None:
         if klass.verdict is Verdict.SKIPPED:
             continue
         factor = euler_factor_from_frobenius(klass, ctx.p)
-        data.append(sigma_ell(ctx.p, klass.ell, factor, s_cap=cfg.s_ell_cap))
+        data.append(sigma_ell(ctx.p, klass.ell, factor))
     if args.format == "csv":
         lines = ["ell,s,d,sigma"] + [
             f"{d.ell},{d.s_ell},{d.d_ell},{d.sigma}" for d in data

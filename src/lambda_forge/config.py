@@ -12,39 +12,25 @@ Example (curve backend)::
     optimal_level_asserted = true
 
 Table backend replaces the curve keys with ``table_path`` (relative paths
-resolve against the config file) and a ``level`` key.  Threshold keys are
-optional, default to the constants of the modules that use them, and are
-range-checked on load.  ``#`` starts a comment.
+resolve against the config file) and a ``level`` key.  ``#`` starts a
+comment.  Thresholds are module constants, not config keys.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .curves import CurveModel
-from .density import DEFAULT_SIGMA_BAND, MIN_EXPECTED_HITS
 from .errors import ConfigError
 from .forms import CoefficientTable, FormContext, load_coefficients
-from .iwasawa import S_ELL_EXPONENT_CAP
-from .levels import CARAYOL_TRIAL_BOUND
 
 _REQUIRED_COMMON = ("backend", "p", "lambda_g", "mu_zero", "surjective_mod_p")
 _FORM_KEYS = (
     "level", "curve_a_invariants", "conductor", "discriminant", "table_path",
     "optimal_level_asserted",
 )
-# Optional threshold keys: key -> (parser, minimum).  An int must be >= its
-# minimum; a float must be finite and > its minimum.  Defaults are the
-# RunConfig field defaults.
-_THRESHOLDS: dict[str, tuple[type, int]] = {
-    "s_ell_cap": (int, 0),
-    "sigma_band": (float, 0),
-    "min_expected_hits": (int, 0),
-    "carayol_trial_bound": (int, 2),
-}
-_KNOWN_KEYS = frozenset(_REQUIRED_COMMON + _FORM_KEYS) | _THRESHOLDS.keys()
+_KNOWN_KEYS = frozenset(_REQUIRED_COMMON + _FORM_KEYS)
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -59,11 +45,6 @@ class RunConfig:
     optimal_level_asserted: bool = True
     curve: CurveModel | None = None
     table_path: Path | None = None
-    s_ell_cap: int = S_ELL_EXPONENT_CAP
-    sigma_band: float = DEFAULT_SIGMA_BAND
-    min_expected_hits: int = MIN_EXPECTED_HITS
-    carayol_trial_bound: int = CARAYOL_TRIAL_BOUND
-    source: Path | None = field(default=None, compare=False)
 
     def assertions(self) -> dict:
         """The attested hypotheses, echoed verbatim into every report."""
@@ -98,22 +79,6 @@ def _get_int(entries: dict[str, str], key: str, path: Path) -> int:
         return int(entries[key])
     except ValueError:
         raise ConfigError(f"{path}: key `{key}` must be an integer, got {entries[key]!r}")
-
-
-def _get_threshold(entries: dict[str, str], key: str, path: Path) -> int | float:
-    parser, minimum = _THRESHOLDS[key]
-    if parser is int:
-        value = _get_int(entries, key, path)
-        if value < minimum:
-            raise ConfigError(f"{path}: key `{key}` must be >= {minimum}, got {value}")
-        return value
-    try:
-        value = parser(entries[key])
-    except ValueError:
-        raise ConfigError(f"{path}: key `{key}` must be a number")
-    if not (math.isfinite(value) and value > minimum):
-        raise ConfigError(f"{path}: key `{key}` must be finite and > {minimum}, got {value}")
-    return value
 
 
 def _get_bool(entries: dict[str, str], key: str, path: Path) -> bool:
@@ -175,9 +140,9 @@ def load_config(path: str | Path) -> RunConfig:
             table_path = path.parent / table_path
         level = _get_int(entries, "level", path)
 
-    optional = {key: _get_threshold(entries, key, path) for key in _THRESHOLDS if key in entries}
-    if "optimal_level_asserted" in entries:
-        optional["optimal_level_asserted"] = _get_bool(entries, "optimal_level_asserted", path)
+    optimal = "optimal_level_asserted" not in entries or _get_bool(
+        entries, "optimal_level_asserted", path
+    )
     return RunConfig(
         backend=backend,
         p=_get_int(entries, "p", path),
@@ -187,8 +152,7 @@ def load_config(path: str | Path) -> RunConfig:
         level=level,
         curve=curve,
         table_path=table_path,
-        source=path,
-        **optional,
+        optimal_level_asserted=optimal,
     )
 
 

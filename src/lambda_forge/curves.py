@@ -776,21 +776,20 @@ def _unwrap(entries: list) -> int:
     return entry
 
 
-def count_points_bsgs(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX_POINTS) -> int:
+def count_points_bsgs(curve: CurveModel, ell: int) -> int:
     """#E(F_ell) via random point orders on the curve and its quadratic twist.
 
     Sampling is deterministic per (curve, ell) (see :class:`_OrderSieve`),
-    and ambiguity after ``max_points`` points raises instead of guessing.
+    and ambiguity after :data:`BSGS_MAX_POINTS` points raises instead of
+    guessing.
     A batch of one: sweeps count many primes at once through
     :func:`traces_of_frobenius`, since one count alone costs 2-6 ms of
     numpy overhead.
     """
-    return _unwrap(_bsgs_counts(curve, [ell], max_points))
+    return _unwrap(_bsgs_counts(curve, [ell], BSGS_MAX_POINTS))
 
 
-def traces_of_frobenius(
-    curve: CurveModel, ells: Sequence[int], *, max_points: int = BSGS_MAX_POINTS
-) -> list[int | Exception]:
+def traces_of_frobenius(curve: CurveModel, ells: Sequence[int]) -> list[int | Exception]:
     """a_ell = ell + 1 - #E(F_ell) for each ell, each checked against the Hasse bound.
 
     Primes up to :data:`NAIVE_COUNT_LIMIT` are counted naively, the others
@@ -809,7 +808,7 @@ def traces_of_frobenius(
             counts[i] = count_points_naive(curve, ell, limit=limit)
         except ValueError as exc:
             counts[i] = exc
-    for i, n in zip(walked, _bsgs_counts(curve, [ells[i] for i in walked], max_points)):
+    for i, n in zip(walked, _bsgs_counts(curve, [ells[i] for i in walked], BSGS_MAX_POINTS)):
         counts[i] = n
     traces: list[int | Exception] = []
     for ell, n in zip(ells, counts):
@@ -822,9 +821,9 @@ def traces_of_frobenius(
     return traces
 
 
-def trace_of_frobenius(curve: CurveModel, ell: int, *, max_points: int = BSGS_MAX_POINTS) -> int:
+def trace_of_frobenius(curve: CurveModel, ell: int) -> int:
     """a_ell = ell + 1 - #E(F_ell), checked against the Hasse bound: a batch of one."""
-    return _unwrap(traces_of_frobenius(curve, [ell], max_points=max_points))
+    return _unwrap(traces_of_frobenius(curve, [ell]))
 
 
 def is_ordinary(curve: CurveModel, p: int) -> bool:

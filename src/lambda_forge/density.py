@@ -130,18 +130,16 @@ class DensityReport:
         }
 
 
-def _make_report(
-    name: str, density: Fraction, n: int, hits: int, band: float, min_expected: int
-) -> DensityReport:
+def _make_report(name: str, density: Fraction, n: int, hits: int) -> DensityReport:
     if n == 0:
         return DensityReport(name, density, 0, 0, Fraction(0), 0.0, 0.0, "Underpowered")
     delta = float(density)
     se = sqrt(delta * (1.0 - delta) / n)
     z = (hits / n - delta) / se
-    if density * n < min_expected:
+    if density * n < MIN_EXPECTED_HITS:
         verdict = "Underpowered"
     else:
-        verdict = "Consistent" if abs(z) <= band else "Inconsistent"
+        verdict = "Consistent" if abs(z) <= DEFAULT_SIGMA_BAND else "Inconsistent"
     return DensityReport(
         set_name=name,
         exact_density=density,
@@ -158,8 +156,6 @@ def empirical_density(
     ctx: FormContext,
     prime_range: PrimeRange,
     *,
-    band: float = DEFAULT_SIGMA_BAND,
-    min_expected: int = MIN_EXPECTED_HITS,
     workers: int | None = None,
     stream: Iterable[FrobeniusClass] | None = None,
 ) -> tuple[DensityReport, DensityReport]:
@@ -169,7 +165,7 @@ def empirical_density(
     comparison needs the (asserted) surjectivity of the residual image:
     without it the class proportions say nothing about prime frequencies,
     so a false assertion is a hard error.  A sample whose expected hit
-    count falls below ``min_expected`` yields an Underpowered verdict
+    count falls below :data:`MIN_EXPECTED_HITS` yields an Underpowered verdict
     instead of a Consistent/Inconsistent call.
 
     ``stream`` is the classification of ``prime_range`` when the caller
@@ -196,6 +192,6 @@ def empirical_density(
         elif klass.verdict is Verdict.OMEGA:
             omega_hits += 1
     return (
-        _make_report("Pi", pi_density, n, pi_hits, band, min_expected),
-        _make_report("Omega", omega_density, n, omega_hits, band, min_expected),
+        _make_report("Pi", pi_density, n, pi_hits),
+        _make_report("Omega", omega_density, n, omega_hits),
     )

@@ -57,20 +57,21 @@ class SigmaDatum:
         return {"ell": self.ell, "s": self.s_ell, "d": self.d_ell, "sigma": self.sigma}
 
 
-def compute_s_ell(p: int, ell: int, *, cap: int = S_ELL_EXPONENT_CAP) -> int:
+def compute_s_ell(p: int, ell: int) -> int:
     """p**m for the maximal m >= 0 with ell**(p-1) = 1 mod p**(m+1).
 
-    Fermat guarantees m >= 0.  The exponent is capped (default 20); hitting
-    the cap raises rather than silently truncating.
+    Fermat guarantees m >= 0.  The exponent is capped at
+    :data:`S_ELL_EXPONENT_CAP`; passing the cap raises rather than silently
+    truncating.
     """
     if ell == p:
         raise ValueError("s_ell is undefined at ell = p")
     m = 0
     while pow(ell, p - 1, p ** (m + 2)) == 1:
         m += 1
-        if m > cap:
+        if m > S_ELL_EXPONENT_CAP:
             raise ResourceLimitError(
-                f"s_ell exponent exceeds cap {cap} at ell={ell}, p={p}"
+                f"s_ell exponent exceeds cap {S_ELL_EXPONENT_CAP} at ell={ell}, p={p}"
             )
     return p**m
 
@@ -111,19 +112,18 @@ def compute_d_ell(factor: EulerFactor, ell: int, p: int) -> int:
     return 2 if (q0 + q1 * x0) % p == 0 else 1
 
 
-def sigma_ell(p: int, ell: int, factor: EulerFactor, *, s_cap: int = S_ELL_EXPONENT_CAP) -> SigmaDatum:
-    s = compute_s_ell(p, ell, cap=s_cap)
+def sigma_ell(p: int, ell: int, factor: EulerFactor) -> SigmaDatum:
+    s = compute_s_ell(p, ell)
     d = compute_d_ell(factor, ell, p)
     return SigmaDatum(ell=ell, s_ell=s, d_ell=d, sigma=s * d)
 
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Predicted invariants of a congruent form, with per-prime contributions."""
+    """Predicted invariants of a congruent form."""
 
     lambda_f: int
     mu_f: int
-    contributions: tuple[tuple[int, int], ...]
 
 
 def lambda_transfer(
@@ -152,18 +152,10 @@ def lambda_transfer(
         raise ValueError(
             f"sigma supports differ: {sorted(set(by_ell_g) ^ set(by_ell_f))}"
         )
-    contributions = []
-    total = 0
-    for ell in sorted(by_ell_g):
-        if ctx.level % ell == 0:
-            delta = 0
-        else:
-            delta = by_ell_g[ell].sigma - by_ell_f[ell].sigma
-        contributions.append((ell, delta))
-        total += delta
-    return TransferResult(
-        lambda_f=ctx.lambda_g + total, mu_f=0, contributions=tuple(contributions)
+    total = sum(
+        by_ell_g[ell].sigma - by_ell_f[ell].sigma for ell in by_ell_g if ctx.level % ell
     )
+    return TransferResult(lambda_f=ctx.lambda_g + total, mu_f=0)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,8 @@ def plan_target_lambda(
     Omega primes below ``scan_bound``.  The scan stops as soon as enough
     primes are found.
     """
+    if r < 0:
+        raise ValueError(f"omega count must be >= 0, got {r}")
     if target < ctx.lambda_g:
         raise ValueError(
             f"target {target} below lambda_g = {ctx.lambda_g}: "
@@ -252,9 +254,7 @@ class CarayolReport:
         }
 
 
-def carayol_check(
-    ctx: FormContext, proposed_level: int, *, trial_bound: int = CARAYOL_TRIAL_BOUND
-) -> CarayolReport:
+def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:
     """Check a proposed level against the per-prime admissibility conditions.
 
     The optimal level always divides an admissible one, so a level that is
@@ -275,8 +275,8 @@ def carayol_check(
             primes=(),
         )
 
-    base_factors = dict(factorize(ctx.level, trial_bound=trial_bound))
-    level_factors = dict(factorize(proposed_level, trial_bound=trial_bound))
+    base_factors = dict(factorize(ctx.level, trial_bound=CARAYOL_TRIAL_BOUND))
+    level_factors = dict(factorize(proposed_level, trial_bound=CARAYOL_TRIAL_BOUND))
     p = ctx.p
 
     extra = [ell for ell in sorted(level_factors) if level_factors[ell] > base_factors.get(ell, 0)]

@@ -150,6 +150,16 @@ class TestPlan:
                      "--omega-count", "0"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("target, omega", [("1", "-1"), ("0", "-2")])
+    def test_negative_omega_count_exit_2(self, curve_config, capsys, target, omega):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--config", curve_config, "--target-lambda", target,
+                  "--omega-count", omega])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--omega-count: must be >= 0, got {omega}" in captured.err
+
     def test_scarcity_exit_3(self, curve_config, capsys):
         code = main(["plan", "--config", curve_config, "--target-lambda", "6",
                      "--scan-bound", "60"])
@@ -221,6 +231,15 @@ class TestCarayol:
     def test_structural(self, curve_config, capsys):
         report = run_json(capsys, ["carayol", "--config", curve_config, "--level", "26"])
         assert report["verdict"] == "inadmissible_structural"
+
+    def test_trial_bound_refusal_exit_3(self, curve_config, capsys):
+        # 11 * 1000003 * 1000033: both large primes lie above the trial-division bound
+        code = main(["carayol", "--config", curve_config, "--level", "11000396001089"])
+        assert code == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("cofactor 1000036000099 of 11000396001089 not factorable by trial "
+                "division below 1000000") in captured.err
 
 
 class TestSigma:

@@ -4,6 +4,7 @@ import pytest
 
 from lambda_forge import empirical_density, enumerate_gl2_classes, exact_densities
 from lambda_forge.arith import PrimeRange
+from lambda_forge.density import _make_report
 from lambda_forge.errors import HypothesisViolation, ResourceLimitError
 
 
@@ -106,6 +107,14 @@ class TestEmpirical:
         pi, omega = empirical_density(ctx_default, PrimeRange(2, 100))
         assert pi.verdict == "Underpowered"
         assert omega.verdict == "Underpowered"
+
+    def test_verdict_cuts_at_the_constants(self):
+        # density 1/10: 300 primes expect exactly MIN_EXPECTED_HITS = 30 hits, 299 fewer
+        assert _make_report("Pi", Fraction(1, 10), 299, 30).verdict == "Underpowered"
+        assert _make_report("Pi", Fraction(1, 10), 300, 30).verdict == "Consistent"
+        # se = sqrt(0.09 / 300): 45 hits is z = 2.89, 46 hits z = 3.08 against the 3.0 band
+        assert _make_report("Pi", Fraction(1, 10), 300, 45).verdict == "Consistent"
+        assert _make_report("Pi", Fraction(1, 10), 300, 46).verdict == "Inconsistent"
 
     def test_moderate_sweep_consistent(self, ctx_default):
         pi, omega = empirical_density(ctx_default, PrimeRange(2, 50_000))

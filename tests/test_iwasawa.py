@@ -14,9 +14,9 @@ from lambda_forge import (
     ramified_euler_factor,
     sigma_ell,
 )
-from lambda_forge.arith import PrimeRange
+from lambda_forge.arith import PrimeRange, is_prime
 from lambda_forge.errors import HypothesisViolation, MissingDataError, ResourceLimitError
-from lambda_forge.iwasawa import EulerFactor
+from lambda_forge.iwasawa import S_ELL_EXPONENT_CAP, EulerFactor
 from lambda_forge.residual import FrobeniusClass
 
 
@@ -79,8 +79,11 @@ class TestSEll:
         # 443 = -57 mod 125 and 57^2 = -1 mod 125, so 443^4 = 1 mod 125: m >= 2
         assert compute_s_ell(5, 443) == brute_s_ell(5, 443)
         assert compute_s_ell(5, 443) >= 25
-        with pytest.raises(ResourceLimitError):
-            compute_s_ell(5, 443, cap=1)
+        # ell = 1 mod 5^22, so ell^4 = 1 mod 5^22 and m passes the cap of 20
+        ell = 1 + 16 * 5**22
+        assert is_prime(ell)
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap {S_ELL_EXPONENT_CAP} "):
+            compute_s_ell(5, ell)
 
     def test_brute_force_scan(self):
         rng = random.Random(5)
@@ -182,7 +185,7 @@ def omega_datum(ell, s=1):
 
 class TestLambdaTransfer:
     def test_three_pi_five_omega(self, ctx_default):
-        # lambda_g = 2 via a context clone is overkill; use contributions directly
+        # lambda_g = 2 via a context clone is overkill; build the sigma data directly
         pi_ells = [37, 73, 191]
         om_ells = [5, 47, 79, 89, 107]
         sigma_g = [pi_datum(e) for e in pi_ells] + [omega_datum(e) for e in om_ells]
@@ -219,7 +222,6 @@ class TestLambdaTransfer:
         also = SigmaDatum(ell=11, s_ell=1, d_ell=0, sigma=0)
         result = lambda_transfer(ctx_default, [shared], [also])
         assert result.lambda_f == ctx_default.lambda_g
-        assert result.contributions == ((11, 0),)
 
     def test_permutation_invariance(self, ctx_default):
         rng = random.Random(17)

@@ -109,6 +109,11 @@ class TestPlan:
         with pytest.raises(ValueError, match="at least one"):
             plan_target_lambda(ctx_default, 0, 0, 100)
 
+    @pytest.mark.parametrize("target, r", [(1, -1), (0, -2)])
+    def test_negative_omega_count_rejected(self, ctx_default, target, r):
+        with pytest.raises(ValueError, match=f"omega count must be >= 0, got {r}"):
+            plan_target_lambda(ctx_default, target, r, 100)
+
     def test_scarcity_quotes_densities(self, ctx_default):
         with pytest.raises(ScarcityError) as exc:
             plan_target_lambda(ctx_default, 6, 0, 120)
