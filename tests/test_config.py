@@ -43,6 +43,27 @@ def test_sieve_max_is_an_unknown_key(tmp_path, capsys, key):
     assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sigma_band", "nan"),
+        ("sigma_band", "inf"),
+        ("sigma_band", "-1"),
+        ("sigma_band", "0"),
+        ("s_ell_cap", "-1"),
+        ("min_expected_hits", "-1"),
+        ("carayol_trial_bound", "1"),
+    ],
+)
+def test_out_of_range_threshold_exits_2(tmp_path, capsys, key, value):
+    # the thresholds are code constants now: any value of a former key is refused
+    config = write_config(tmp_path, f"{key} = {value}\n")
+    assert run_density(config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"unknown config keys: {key}" in err
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_configs_load(path):
     cfg = load_config(path)
