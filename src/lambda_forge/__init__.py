@@ -12,11 +12,9 @@ both by exhaustive GL2(F_p) enumeration and by empirical sampling.
 from .arith import PrimeRange, sieve_primes
 from .curves import (
     CurveModel,
-    ReductionType,
     count_points_bsgs,
     count_points_naive,
     is_ordinary,
-    reduction_type,
     trace_of_frobenius,
     traces_of_frobenius,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "LevelSet",
     "PrimeRange",
     "RankBound",
-    "ReductionType",
     "ScreenReport",
     "SigmaDatum",
     "TransferResult",
@@ -97,7 +94,6 @@ __all__ = [
     "load_coefficients",
     "plan_target_lambda",
     "ramified_euler_factor",
-    "reduction_type",
     "screen_p",
     "sieve_primes",
     "sigma_ell",

@@ -61,10 +61,3 @@ class PointCountError(ComputationError):
 class MissingDataError(ComputationError):
     """A local Euler factor is needed but nothing can supply it."""
 
-
-class NonMinimalModelWarning(UserWarning):
-    """The discriminant has a prime factor the stated conductor lacks.
-
-    Usually means the supplied Weierstrass model is not minimal; point counts
-    at such primes would be wrong, so they are refused elsewhere.
-    """

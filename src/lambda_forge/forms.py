@@ -105,7 +105,7 @@ class FormContext:
         if self.level % self.p == 0:
             raise HypothesisViolation(f"p = {self.p} divides the level {self.level}")
         if self.lambda_g < 0:
-            raise ValueError(f"lambda_g must be >= 0, got {self.lambda_g}")
+            raise HypothesisViolation(f"lambda_g must be >= 0, got {self.lambda_g}")
         if isinstance(self.backend, CurveModel) and self.backend.conductor != self.level:
             raise ValueError(
                 f"curve conductor {self.backend.conductor} != stated level {self.level}"

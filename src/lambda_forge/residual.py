@@ -28,7 +28,6 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .arith import PrimeRange, count_primes, is_prime, sieve_primes
 from .curves import CurveModel, trace_of_frobenius
-from .errors import LambdaForgeError
 from .forms import FormContext, a_ell
 
 
@@ -65,11 +64,10 @@ class FrobeniusClass:
 
 
 def classify_prime(ctx: FormContext, ell: int) -> FrobeniusClass:
-    """Classify the Frobenius class at one prime ell coprime to N_g * p."""
-    if ctx.divides_ngp(ell):
-        raise ValueError(
-            f"ell = {ell} divides N_g * p; classification undefined at ramified primes"
-        )
+    """Classify the Frobenius class at one prime ell coprime to N_g * p.
+
+    Any other ell is refused with the ValueError of :func:`a_ell`.
+    """
     return _frobenius_class(ell, a_ell(ctx, ell), ctx.p)
 
 
@@ -137,17 +135,18 @@ _MAX_CHUNK = 4096
 # The context a pool worker classifies against, set once by the pool initializer.
 _worker_ctx: FormContext | None = None
 
-_ChunkResult = tuple[list[FrobeniusClass], LambdaForgeError | None]
+_ChunkResult = tuple[list[FrobeniusClass], Exception | None]
 
 
 def _classify_chunk(ctx: FormContext, ells: Sequence[int]) -> _ChunkResult:
-    """Classify a chunk in order, stopping at the first error this package raises.
+    """Classify a chunk in order, stopping at the first prime whose coefficient failed.
 
     The coefficients of the whole chunk come from one batched lookup.  The
     error is returned along with the classes before it, so the consumer
-    sees exactly what a prime-by-prime loop would have yielded before raising
-    (a table gap, say, as a CoverageError at the first uncovered prime); any
-    other exception at a prime is raised, as that loop would have.
+    sees exactly what a prime-by-prime loop would have yielded before raising,
+    whatever the chunking: a table gap, say, as a CoverageError at the first
+    uncovered prime, or a ValueError at a prime where the curve model is
+    singular.
     """
     out: list[FrobeniusClass] = []
     # sieved, so prime: no need for the checks of classify_prime
@@ -157,10 +156,8 @@ def _classify_chunk(ctx: FormContext, ells: Sequence[int]) -> _ChunkResult:
             out.append(_skipped(ell))
             continue
         a = next(coefficients)
-        if isinstance(a, LambdaForgeError):
-            return out, a
         if isinstance(a, Exception):
-            raise a
+            return out, a
         out.append(_frobenius_class(ell, a, ctx.p))
     return out, None
 
@@ -314,26 +311,33 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     Checks the conditions a machine can decide (p >= 5 prime, p coprime to
     the conductor, ordinariness); everything else is reported as requiring
     attestation.  Always returns a report, never raises on a failing check.
+    A check that cannot be evaluated fails with a "not evaluated (...)"
+    detail naming what stopped it.  Ordinariness is evaluated exactly where
+    :func:`curves.is_ordinary` answers: a_p comes from the point counter,
+    whose refusal (bad reduction, or a model singular mod p) is the reason.
     """
-    checks: list[CheckResult] = []
     p_ok = p >= 5 and is_prime(p)
-    checks.append(CheckResult("p>=5-and-prime", p_ok, f"p = {p}"))
+    checks = [CheckResult("p>=5-and-prime", p_ok, f"p = {p}")]
+    if not p_ok:
+        skipped = "not evaluated (p is not a prime >= 5)"
+        checks += [
+            CheckResult("good-reduction-at-p", False, skipped),
+            CheckResult("ordinary-at-p", False, skipped),
+        ]
+        return ScreenReport(p=p, checks=tuple(checks), asserted_only=ASSERTED_ONLY_ITEMS)
 
-    good = p_ok and curve.conductor % p != 0
-    if p_ok:
-        detail = f"conductor {curve.conductor} {'coprime to' if good else 'divisible by'} {p}"
-    else:
-        detail = "not evaluated"
+    good = curve.conductor % p != 0
+    detail = f"conductor {curve.conductor} {'coprime to' if good else 'divisible by'} {p}"
     checks.append(CheckResult("good-reduction-at-p", good, detail))
-
-    if good and curve.discriminant % p != 0:
+    try:
         ap = trace_of_frobenius(curve, p)
+    except ValueError as exc:
+        reason = str(exc) if good else "bad reduction"
+        checks.append(CheckResult("ordinary-at-p", False, f"not evaluated ({reason})"))
+    else:
         checks.append(
             CheckResult("ordinary-at-p", ap % p != 0, f"a_p = {ap} mod {p} = {ap % p}")
         )
-    else:
-        checks.append(CheckResult("ordinary-at-p", False, "not evaluated (bad reduction)"))
-
     return ScreenReport(p=p, checks=tuple(checks), asserted_only=ASSERTED_ONLY_ITEMS)
 
 

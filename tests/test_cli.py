@@ -89,6 +89,17 @@ class TestClassify:
         assert code == EXIT_CONFIG
         assert "`p`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("p = 7", "p = 4", "p must be a prime >= 5, got 4"),
+        ("lambda_g = 0", "lambda_g = -1", "lambda_g must be >= 0, got -1"),
+    ], ids=["p", "lambda_g"])
+    def test_bad_attested_value_is_config_error(self, tmp_path, capsys, old, new, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CURVE_CFG.replace(old + "\n", new + "\n"), encoding="utf-8")
+        code = main(["classify", "--config", str(bad), "--from", "2", "--to", "10"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", [["classify", "--from", "2", "--to", "10"],
                                          ["verify-density", "--bound", "100"]],
                              ids=["classify", "verify-density"])

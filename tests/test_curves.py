@@ -3,7 +3,7 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lambda_forge import curves
@@ -12,7 +12,6 @@ from lambda_forge.curves import (
     BSGS_MAX_POINTS,
     NAIVE_COUNT_LIMIT,
     CurveModel,
-    ReductionType,
     _OrderSieve,
     _baby_count,
     _bsgs_counts,
@@ -22,11 +21,11 @@ from lambda_forge.curves import (
     count_points_bsgs,
     count_points_naive,
     is_ordinary,
-    reduction_type,
     trace_of_frobenius,
     traces_of_frobenius,
 )
-from lambda_forge.errors import NonMinimalModelWarning, PointCountError
+from lambda_forge.errors import PointCountError
+from lambda_forge.residual import screen_p
 
 from conftest import CURVE_11A1, CURVE_37A1, CURVE_389A1
 
@@ -208,19 +207,7 @@ class TestCurveModel:
 
 
 class TestReductionType:
-    def test_bad_at_conductor_prime(self, curve_11a1):
-        assert reduction_type(curve_11a1, 11) is ReductionType.BAD
-
-    def test_good_away_from_conductor(self, curve_11a1):
-        assert reduction_type(curve_11a1, 7) is ReductionType.GOOD
-
-    def test_non_minimal_model_warns(self, curve_11a1):
-        # rescale by u = 2: discriminant gains 2^12, conductor stays odd
-        scaled = CurveModel(0, -4, 8, -160, -1280, conductor=11)
-        assert scaled.discriminant == (2**12) * curve_11a1.discriminant
-        with pytest.warns(NonMinimalModelWarning):
-            verdict = reduction_type(scaled, 2)
-        assert verdict is ReductionType.GOOD
+    """The bad primes are the stated conductor's; the model checks them against its discriminant."""
 
     def test_conductor_prime_missing_from_discriminant(self):
         # 11a1 has discriminant -11^5: 7 and 13 cannot divide its conductor
@@ -675,3 +662,26 @@ class TestIsOrdinary:
     def test_bad_reduction_rejected(self, curve_11a1):
         with pytest.raises(ValueError):
             is_ordinary(curve_11a1, 11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve=st.sampled_from([
+        CurveModel(**CURVE_11A1),
+        CurveModel(**CURVE_37A1),
+        # 11a1 scaled by u = 13: conductor 11, singular mod 13
+        CurveModel(0, -13**2, 13**3, -10 * 13**4, -20 * 13**6, conductor=11),
+    ]), p=st.integers(0, 200))
+    @example(curve=CurveModel(**CURVE_11A1), p=9)
+    @example(curve=CurveModel(**CURVE_11A1), p=25)
+    def test_agrees_with_screen_p(self, curve, p):
+        """One rule: is_ordinary refuses exactly where screen-p leaves ordinarity unevaluated."""
+        good, ordinary = screen_p(curve, p).checks[1:]
+        assert ordinary.name == "ordinary-at-p"
+        if p < 5 or not is_prime(p):
+            assert ordinary.detail == "not evaluated (p is not a prime >= 5)"
+        if "(bad reduction)" in ordinary.detail:
+            assert not good.passed and not good.detail.startswith("not evaluated")
+        if ordinary.detail.startswith("not evaluated"):
+            with pytest.raises(ValueError):
+                is_ordinary(curve, p)
+        else:
+            assert is_ordinary(curve, p) is ordinary.passed

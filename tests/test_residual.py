@@ -231,27 +231,39 @@ class TestSweepPipeline:
         assert time.perf_counter() - t0 < 5.0  # the whole sweep takes about 25 s
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("gaps", [(3001,), (1999, 3001)])
+    @pytest.mark.parametrize("gaps", [(3001,), (1999, 3001), pytest.param(None, id="scaled-2503")])
     def test_error_order(self, gaps):
-        rng = random.Random(7)
-        coeffs = {}
-        for ell in sieve_primes(PrimeRange(2, 4000)):
-            if ell not in gaps:
-                bound = isqrt(4 * ell)
-                coeffs[ell] = 3 if ell == 7 else rng.randint(-bound, bound)
+        """The stream stops at the first failing prime, whatever the worker count.
+
+        ``gaps`` are primes missing from a coefficient table (a CoverageError);
+        None is 11a1 scaled by u = 2503, conductor 11 but singular mod 2503
+        (a ValueError from the point counter).
+        """
+        if gaps is None:
+            u = 2503
+            backend = CurveModel(0, -u**2, u**3, -10 * u**4, -20 * u**6, conductor=11)
+            first, error = u, ValueError
+        else:
+            rng = random.Random(7)
+            coeffs = {}
+            for ell in sieve_primes(PrimeRange(2, 4000)):
+                if ell not in gaps:
+                    bound = isqrt(4 * ell)
+                    coeffs[ell] = 3 if ell == 7 else rng.randint(-bound, bound)
+            backend = CoefficientTable(coefficients=coeffs, level=11)
+            first, error = gaps[0], CoverageError
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
-                          backend=CoefficientTable(coefficients=coeffs, level=11))
+                          backend=backend)
 
         def run(workers):
             seen = []
-            with pytest.raises(CoverageError) as info:
+            with pytest.raises(error, match=rf"\b{first}\b") as info:
                 for fc in classify_range(ctx, PrimeRange(2, 4000), workers=workers):
                     seen.append(fc)
-            return info.value.ell, seen
+            return str(info.value), seen
 
         serial = run(1)
-        assert serial[0] == gaps[0]
-        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, gaps[0] - 1)))
+        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, first - 1)))
         assert run(2) == serial
 
 
