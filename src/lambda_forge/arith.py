@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -131,6 +131,42 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def are_prime(values: Collection[int]) -> np.ndarray:
+    """:func:`is_prime` at each of ``values``, as a bool array in their order.
+
+    Values in [2, MAX_SIEVE_BOUND] are looked up in a sieve of just the
+    sieve segments (2**18-wide windows) that hold one of them, so a sparse
+    set costs at most one window a value.  Larger values go to
+    :func:`is_prime` one at a time.
+    """
+    beyond: list[tuple[int, int]] = []
+
+    def sievable() -> Iterator[int]:
+        for i, n in enumerate(values):
+            if n > MAX_SIEVE_BOUND:
+                beyond.append((i, n))
+            yield n if 2 <= n <= MAX_SIEVE_BOUND else 0
+
+    ns = np.fromiter(sievable(), dtype=np.int64, count=len(values))
+    prime = np.zeros(len(ns), dtype=bool)
+    order = np.argsort(ns, kind="stable")
+    sorted_ns = ns[order]
+    width = 2 * _SEGMENT_ODDS
+    i = int(np.searchsorted(sorted_ns, 2))
+    while i < len(sorted_ns):
+        lo = int(sorted_ns[i]) // width * width
+        hi = min(lo + width - 1, MAX_SIEVE_BOUND)
+        j = int(np.searchsorted(sorted_ns, hi, side="right"))
+        sieved = np.zeros(hi - lo + 1, dtype=bool)
+        for segment in _sieve_segments(PrimeRange(max(lo, 2), hi)):
+            sieved[segment - lo] = True
+        prime[order[i:j]] = sieved[sorted_ns[i:j] - lo]
+        i = j
+    for k, n in beyond:
+        prime[k] = is_prime(n)
+    return prime
 
 
 def factorize(n: int, *, trial_bound: int | None = None) -> list[tuple[int, int]]:

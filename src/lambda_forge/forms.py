@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isqrt
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
-from .arith import is_prime
+import numpy as np
+
+from .arith import are_prime, is_prime
 from .curves import CurveModel, trace_of_frobenius, traces_of_frobenius
 from .errors import CoverageError, HypothesisViolation, TableFormatError
 
@@ -38,45 +41,76 @@ class CoefficientTable:
 def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
     """Parse a CSV coefficient file (header ``ell,a_ell``) and validate it.
 
-    Rows must be integer pairs with strictly increasing prime ell.  Rows at
-    primes dividing ``level`` are kept as given; all other rows must
-    satisfy the weight-2 Hasse bound.  Violations raise
-    :class:`TableFormatError` naming the offending line.
+    Every row is an integer pair ``ell,a_ell``; blank lines are skipped.
+    ``ell`` must be prime and strictly increasing.  Rows at primes dividing
+    ``level`` are kept as given; all other rows must satisfy the weight-2
+    Hasse bound |a_ell| <= 2*sqrt(ell).  The first bad line raises
+    :class:`TableFormatError` naming it; within a line, a field count or a
+    non-integer field comes first, then ``not prime``, then ordering, then
+    the Hasse bound.  Primality of all rows is checked at the end in one
+    sieve pass (:func:`arith.are_prime`), not one Miller-Rabin test a row.
     """
     path = Path(path)
     coeffs: dict[int, int] = {}
     prev = 0
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TableFormatError(f"{path}: empty file, expected header 'ell,a_ell'")
-        if [h.strip() for h in header] != ["ell", "a_ell"]:
-            raise TableFormatError(f"{path}: bad header {header!r}, expected 'ell,a_ell'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise TableFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                ell, a = int(row[0]), int(row[1])
-            except ValueError:
-                raise TableFormatError(f"{path}:{lineno}: non-integer row {row!r}")
-            if not is_prime(ell):
-                raise TableFormatError(f"{path}:{lineno}: index {ell} is not prime")
-            if ell <= prev:
-                raise TableFormatError(
-                    f"{path}:{lineno}: ell={ell} not strictly increasing (previous {prev})"
-                )
-            if level % ell != 0 and a * a > 4 * ell:
-                raise TableFormatError(
-                    f"{path}:{lineno}: a_{ell} = {a} violates the Hasse bound"
-                    f" (|a| <= {isqrt(4 * ell)})"
-                )
-            coeffs[ell] = a
-            prev = ell
+            for lineno, row in _data_rows(fh, path):
+                if len(row) != 2:
+                    raise TableFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                try:
+                    ell, a = int(row[0]), int(row[1])
+                except ValueError:
+                    raise TableFormatError(f"{path}:{lineno}: non-integer row {row!r}")
+                if ell <= prev or (level % ell != 0 and a * a > 4 * ell):
+                    if not is_prime(ell):
+                        raise TableFormatError(f"{path}:{lineno}: index {ell} is not prime")
+                    if ell <= prev:
+                        raise TableFormatError(
+                            f"{path}:{lineno}: ell={ell} not strictly increasing (previous {prev})"
+                        )
+                    raise TableFormatError(
+                        f"{path}:{lineno}: a_{ell} = {a} violates the Hasse bound"
+                        f" (|a| <= {isqrt(4 * ell)})"
+                    )
+                coeffs[ell] = a
+                prev = ell
+        except Exception:
+            # whatever stopped the parse (a bad row, undecodable bytes), a
+            # composite row above it is the first fault in the file
+            _require_prime_rows(path, coeffs)
+            raise
+    _require_prime_rows(path, coeffs)
     return CoefficientTable(coefficients=coeffs, level=level)
+
+
+def _data_rows(fh: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after the ``ell,a_ell`` header, with their line numbers."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TableFormatError(f"{path}: empty file, expected header 'ell,a_ell'")
+    if [h.strip() for h in header] != ["ell", "a_ell"]:
+        raise TableFormatError(f"{path}: bad header {header!r}, expected 'ell,a_ell'")
+    for lineno, row in enumerate(reader, start=2):
+        if row and (len(row) != 1 or row[0].strip()):
+            yield lineno, row
+
+
+def _require_prime_rows(path: Path, coeffs: Mapping[int, int]) -> None:
+    """Raise at the first row of ``coeffs`` whose ell is not prime.
+
+    ``coeffs`` holds the file's first rows in order, so the line of the
+    offending row is found by reading the file again up to it.
+    """
+    prime = are_prime(coeffs)
+    if prime.all():
+        return
+    index = int(np.argmin(prime))
+    with path.open(newline="", encoding="utf-8") as fh:
+        lineno, row = next(islice(_data_rows(fh, path), index, None))
+    raise TableFormatError(f"{path}:{lineno}: index {int(row[0])} is not prime")
 
 
 @dataclass(frozen=True)
@@ -154,7 +188,7 @@ def a_ell(ctx: FormContext, ell: int) -> int:
     Mod p this is the trace of the Frobenius class at ell in the residual
     representation; the reduction itself is done by callers.
     """
-    _require_exposed(ctx, ell)
+    _require_exposed(ctx, ell, is_prime(ell))
     return ctx.coefficient(ell)
 
 
@@ -163,10 +197,11 @@ def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
 
     Every ell is checked before any coefficient is computed, so the first
     ell that :func:`a_ell` refuses is refused with its message; after that
-    the first error of the batch is raised.
+    the first error of the batch is raised.  Primality of the whole list is
+    decided in one sieve pass (:func:`arith.are_prime`).
     """
-    for ell in ells:
-        _require_exposed(ctx, ell)
+    for ell, prime in zip(ells, are_prime(ells)):
+        _require_exposed(ctx, ell, prime)
     values = ctx.coefficients(ells)
     for value in values:
         if isinstance(value, Exception):
@@ -174,8 +209,8 @@ def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
     return values
 
 
-def _require_exposed(ctx: FormContext, ell: int) -> None:
-    if not is_prime(ell):
+def _require_exposed(ctx: FormContext, ell: int, prime: bool) -> None:
+    if not prime:
         raise ValueError(f"ell = {ell} is not prime")
     if ctx.divides_ngp(ell):
         raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")

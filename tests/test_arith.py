@@ -1,9 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambda_forge.arith import PrimeRange, factorize, is_prime, sieve_primes
+from lambda_forge import arith
+from lambda_forge.arith import (
+    MAX_SIEVE_BOUND,
+    PrimeRange,
+    are_prime,
+    factorize,
+    is_prime,
+    sieve_primes,
+)
 from lambda_forge.errors import ResourceLimitError
+
+WINDOW = 1 << 18  # the sieve segment width are_prime sieves by
+SMALL_PRIMES = list(PrimeRange(2, 10**4))
+# Carmichael numbers, strong base-2 pseudoprimes (2047, and 3,215,031,751,
+# the least one to bases 2, 3, 5 and 7) and values on either side of the
+# sieve cap
+AWKWARD = [561, 1105, 41041, 2047, 3_215_031_751, 2**31 - 1, 1_000_000_001,
+           MAX_SIEVE_BOUND - 1, MAX_SIEVE_BOUND, MAX_SIEVE_BOUND + 1]
 
 
 def trial_division_primes(lo: int, hi: int) -> list[int]:
@@ -89,6 +107,52 @@ class TestIsPrime:
         assert is_prime(2**31 - 1)  # below the bound
         assert is_prime(2**32 - 5)  # above it
         assert not is_prime((2**16 + 1) * (2**16 + 3))
+
+
+class TestArePrime:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-10, 2**40),
+        st.integers(MAX_SIEVE_BOUND - 200, MAX_SIEVE_BOUND + 200),
+        st.sampled_from(SMALL_PRIMES).map(lambda q: q * q),
+        st.sampled_from(AWKWARD),
+    ), max_size=12))
+    def test_matches_is_prime(self, values):
+        assert are_prime(values).tolist() == [is_prime(n) for n in values]
+
+    @settings(max_examples=40, deadline=None)
+    @given(window=st.integers(1, MAX_SIEVE_BOUND // WINDOW), before=st.integers(1, 400),
+           after=st.integers(1, 400), data=st.data())
+    def test_dense_run_across_window_boundary(self, window, before, after, data):
+        edge = window * WINDOW
+        values = data.draw(st.permutations(range(edge - before, edge + after)))
+        assert are_prime(values).tolist() == [is_prime(n) for n in values]
+
+    def test_awkward_values(self):
+        assert are_prime(AWKWARD).tolist() == [is_prime(n) for n in AWKWARD]
+        assert not are_prime([3_215_031_751, 41041, 2047]).any()
+        assert are_prime([2**31 - 1]).all()
+
+    def test_empty_and_unsorted(self):
+        assert are_prime([]).tolist() == []
+        assert are_prime([9, 7, -7, 5, 4, 3, 2, 1, 0]).tolist() == [
+            False, True, False, True, False, True, True, False, False]
+
+    def test_sieves_only_occupied_windows(self, monkeypatch):
+        ranges = []
+        sieve = arith._sieve_segments
+
+        def spy(prime_range):
+            ranges.append(prime_range)
+            return sieve(prime_range)
+
+        monkeypatch.setattr(arith, "_sieve_segments", spy)
+        values = [5, 7, 99_999_989, 50_000_017, 50_000_021]
+        assert are_prime(values).tolist() == [is_prime(n) for n in values]
+        assert len(ranges) == 3
+        for r in ranges:
+            assert r.hi - r.lo < WINDOW
+            assert any(r.lo <= n <= r.hi for n in values)
 
 
 def test_factorize_roundtrip():

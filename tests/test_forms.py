@@ -1,13 +1,21 @@
+import csv
+from math import isqrt
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lambda_forge import (
     CoefficientTable,
     FormContext,
     a_ell,
+    arith,
+    forms,
     load_coefficients,
     trace_of_frobenius,
 )
-from lambda_forge.arith import PrimeRange
+from lambda_forge.arith import MAX_SIEVE_BOUND, PrimeRange, is_prime
 from lambda_forge.errors import CoverageError, HypothesisViolation, TableFormatError
 
 
@@ -15,6 +23,83 @@ def write_table(tmp_path, text, name="coeffs.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# --- the per-row loader, kept as the reference for the batched primality check
+
+
+def scalar_load_coefficients(path: str | Path, level: int) -> CoefficientTable:
+    """Every check at every row in file order, one Miller-Rabin test a row."""
+    path = Path(path)
+    coeffs: dict[int, int] = {}
+    prev = 0
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TableFormatError(f"{path}: empty file, expected header 'ell,a_ell'")
+        if [h.strip() for h in header] != ["ell", "a_ell"]:
+            raise TableFormatError(f"{path}: bad header {header!r}, expected 'ell,a_ell'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise TableFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+            try:
+                ell, a = int(row[0]), int(row[1])
+            except ValueError:
+                raise TableFormatError(f"{path}:{lineno}: non-integer row {row!r}")
+            if not is_prime(ell):
+                raise TableFormatError(f"{path}:{lineno}: index {ell} is not prime")
+            if ell <= prev:
+                raise TableFormatError(
+                    f"{path}:{lineno}: ell={ell} not strictly increasing (previous {prev})"
+                )
+            if level % ell != 0 and a * a > 4 * ell:
+                raise TableFormatError(
+                    f"{path}:{lineno}: a_{ell} = {a} violates the Hasse bound"
+                    f" (|a| <= {isqrt(4 * ell)})"
+                )
+            coeffs[ell] = a
+            prev = ell
+    return CoefficientTable(coefficients=coeffs, level=level)
+
+
+def outcome(load, path, level):
+    """What ``load`` makes of the file: its coefficients or its error message."""
+    try:
+        return load(path, level).coefficients
+    except TableFormatError as err:
+        return str(err)
+
+
+TABLE_PRIMES = list(PrimeRange(2, 400)) + [2_147_483_647]  # one row above the sieve cap
+COMPOSITES = [-3, 0, 1, 4, 9, 15, 561, 2047, 41041, 1_000_000_001]
+BLANKS = ["", "   "]
+MALFORMED = ["7", "7,1,2", "7,", ",", "x,1", "7,y", "1.5,0", "7,1e2"]
+
+
+@st.composite
+def faulty_tables(draw):
+    """A valid table with a few fault lines (or blank lines) inserted anywhere."""
+    ells = sorted(draw(st.sets(st.sampled_from(TABLE_PRIMES), max_size=25)))
+    lines = [f"{ell},{draw(st.integers(-isqrt(4 * ell), isqrt(4 * ell)))}" for ell in ells]
+    fault = st.one_of(
+        st.sampled_from(COMPOSITES).map(lambda n: f"{n},0"),  # composite ell
+        st.sampled_from(TABLE_PRIMES).map(lambda q: f"{q},0"),  # out of order if misplaced
+        st.sampled_from(TABLE_PRIMES).map(lambda q: f"{q},{isqrt(4 * q) + 1}"),  # Hasse
+        st.sampled_from(COMPOSITES).map(lambda n: f"{n},{10**6}"),  # composite and Hasse
+        st.sampled_from(MALFORMED),
+        st.sampled_from(BLANKS),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(lines)))
+        if lines and draw(st.booleans()):
+            lines.insert(pos, lines[max(pos - 1, 0)])  # a repeated row
+        else:
+            lines.insert(pos, draw(fault))
+    return "ell,a_ell\n" + "".join(line + "\n" for line in lines)
 
 
 class TestLoadCoefficients:
@@ -59,6 +144,71 @@ class TestLoadCoefficients:
         path = write_table(tmp_path, "ell,a_ell\n11,9\n13,4\n")
         table = load_coefficients(path, level=11)
         assert table.coefficients[11] == 9
+
+
+@pytest.fixture(scope="module")
+def parity_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity") / "coeffs.csv"
+
+
+class TestLoaderParity:
+    """The batched loader reports what the per-row loader reports, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=faulty_tables(), level=st.sampled_from([1, 11, 30, 77, 2 * 3 * 5 * 7 * 11 * 13]))
+    @example(text="ell,a_ell\n7,1\n4,1\n", level=11)
+    @example(text="ell,a_ell\n2,1\n9,1\n11,x\n", level=11)
+    def test_same_error_or_same_table(self, parity_path, text, level):
+        parity_path.write_text(text, encoding="utf-8")
+        assert outcome(load_coefficients, parity_path, level) == outcome(
+            scalar_load_coefficients, parity_path, level)
+
+    @pytest.mark.parametrize("text, message", [
+        # composite and not increasing: primality is checked first
+        ("ell,a_ell\n7,1\n4,1\n", ":3: index 4 is not prime"),
+        # a composite row wins over a later malformed row
+        ("ell,a_ell\n2,1\n9,1\n11,x\n", ":3: index 9 is not prime"),
+        ("ell,a_ell\n2,1\n\n9,1\n11\n", ":4: index 9 is not prime"),
+        # composite and over the Hasse bound
+        ("ell,a_ell\n2,1\n25,100\n", ":3: index 25 is not prime"),
+        # composite above the sieve cap
+        ("ell,a_ell\n2,1\n1000000001,0\n", ":3: index 1000000001 is not prime"),
+    ])
+    def test_first_bad_line_wins(self, tmp_path, text, message):
+        path = write_table(tmp_path, text)
+        expected = f"{path}{message}"
+        assert outcome(scalar_load_coefficients, path, 11) == expected
+        assert outcome(load_coefficients, path, 11) == expected
+
+    def test_composite_row_above_undecodable_bytes(self, tmp_path):
+        # the bytes are decoded in blocks, so they fail only after the rows above
+        # them were parsed; the composite row among those is the first fault
+        rows = "".join(f"{ell},0\n" for ell in PrimeRange(11, 20000))
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(("ell,a_ell\n2,0\n9,0\n" + rows).encode() + b"\xff,0\n")
+        expected = f"{path}:3: index 9 is not prime"
+        assert outcome(scalar_load_coefficients, path, 11) == expected
+        assert outcome(load_coefficients, path, 11) == expected
+
+    def test_prime_above_sieve_cap_accepted(self, tmp_path):
+        assert 2_147_483_647 > MAX_SIEVE_BOUND
+        path = write_table(tmp_path, "ell,a_ell\n2,1\n2147483647,5\n")
+        assert load_coefficients(path, level=11).coefficients == {2: 1, 2_147_483_647: 5}
+
+    def test_dense_table_makes_no_per_row_miller_rabin_calls(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(forms, "is_prime", spy)
+        monkeypatch.setattr(arith, "is_prime", spy)
+        ells = list(PrimeRange(2, 10**5))
+        path = write_table(tmp_path, "ell,a_ell\n" + "".join(f"{ell},0\n" for ell in ells))
+        table = load_coefficients(path, level=11)
+        assert len(table.coefficients) == len(ells) == 9592
+        assert calls == []
 
 
 class TestFormContext:
