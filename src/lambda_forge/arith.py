@@ -21,6 +21,13 @@ MAX_SIEVE_BOUND = 10**8
 # working set stays inside L2.
 _SEGMENT_ODDS = 1 << 17
 
+# are_prime sieves a window only when it holds at least this many values and
+# tests the values of a sparser window with is_prime.  Sieving a window costs
+# as much as 470 is_prime calls at the bottom of the range and 1,560 at the
+# sieve cap (0.56 ms against 1.18 us, 2.0 ms against 1.28 us, best of five
+# on a 2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
+_MIN_SIEVED_VALUES = 1000
+
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The bases 2, 3, 5, 7 suffice below 3,215,031,751, the least strong
@@ -137,9 +144,9 @@ def are_prime(values: Collection[int]) -> np.ndarray:
     """:func:`is_prime` at each of ``values``, as a bool array in their order.
 
     Values in [2, MAX_SIEVE_BOUND] are looked up in a sieve of just the
-    sieve segments (2**18-wide windows) that hold one of them, so a sparse
-    set costs at most one window a value.  Larger values go to
-    :func:`is_prime` one at a time.
+    sieve segments (2**18-wide windows) that hold at least
+    ``_MIN_SIEVED_VALUES`` of them; the values of a sparser window, and
+    values above the cap, go to :func:`is_prime` one at a time.
     """
     beyond: list[tuple[int, int]] = []
 
@@ -159,6 +166,10 @@ def are_prime(values: Collection[int]) -> np.ndarray:
         lo = int(sorted_ns[i]) // width * width
         hi = min(lo + width - 1, MAX_SIEVE_BOUND)
         j = int(np.searchsorted(sorted_ns, hi, side="right"))
+        if j - i < _MIN_SIEVED_VALUES:
+            prime[order[i:j]] = [is_prime(n) for n in sorted_ns[i:j].tolist()]
+            i = j
+            continue
         sieved = np.zeros(hi - lo + 1, dtype=bool)
         for segment in _sieve_segments(PrimeRange(max(lo, 2), hi)):
             sieved[segment - lo] = True

@@ -29,6 +29,7 @@ from .residual import (
     Verdict,
     classification_to_csv,
     classify_range,
+    coefficient_chunks,
     resolve_workers,
     screen_p,
     tee_to_csv,
@@ -228,11 +229,21 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace) -> None:
     ctx = build_context(cfg)
     if args.ell:
         ells = sorted(set(args.ell))
+        rows = [{"ell": ell, "a_ell": a} for ell, a in zip(ells, a_ells(ctx, ells))]
     elif args.lo is not None and args.hi is not None:
-        ells = [ell for ell in PrimeRange(args.lo, args.hi) if not ctx.divides_ngp(ell)]
+        # the sweep's coefficient stream: sieved primes, so only its errors need checking
+        prime_range = PrimeRange(args.lo, args.hi)
+        rows = []
+        with contextlib.closing(
+            coefficient_chunks(ctx, prime_range, workers=resolve_workers())
+        ) as chunks:
+            for _, coefficients in chunks:
+                for ell, a in coefficients.items():
+                    if isinstance(a, Exception):
+                        raise a
+                    rows.append({"ell": ell, "a_ell": a})
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")
-    rows = [{"ell": ell, "a_ell": a} for ell, a in zip(ells, a_ells(ctx, ells))]
     if args.format == "csv":
         lines = ["ell,a_ell"] + [f"{r['ell']},{r['a_ell']}" for r in rows]
         _emit("\n".join(lines) + "\n", args.out)

@@ -20,9 +20,11 @@ from __future__ import annotations
 import csv
 import os
 from collections import deque
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -132,34 +134,8 @@ def _skipped(ell: int) -> FrobeniusClass:
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4096
 
-# The context a pool worker classifies against, set once by the pool initializer.
+# The context a pool worker fetches coefficients from, set once by the pool initializer.
 _worker_ctx: FormContext | None = None
-
-_ChunkResult = tuple[list[FrobeniusClass], Exception | None]
-
-
-def _classify_chunk(ctx: FormContext, ells: Sequence[int]) -> _ChunkResult:
-    """Classify a chunk in order, stopping at the first prime whose coefficient failed.
-
-    The coefficients of the whole chunk come from one batched lookup.  The
-    error is returned along with the classes before it, so the consumer
-    sees exactly what a prime-by-prime loop would have yielded before raising,
-    whatever the chunking: a table gap, say, as a CoverageError at the first
-    uncovered prime, or a ValueError at a prime where the curve model is
-    singular.
-    """
-    out: list[FrobeniusClass] = []
-    # sieved, so prime: no need for the checks of classify_prime
-    coefficients = iter(ctx.coefficients([ell for ell in ells if not ctx.divides_ngp(ell)]))
-    for ell in ells:
-        if ctx.divides_ngp(ell):
-            out.append(_skipped(ell))
-            continue
-        a = next(coefficients)
-        if isinstance(a, Exception):
-            return out, a
-        out.append(_frobenius_class(ell, a, ctx.p))
-    return out, None
 
 
 def _set_worker_context(ctx: FormContext) -> None:
@@ -167,8 +143,8 @@ def _set_worker_context(ctx: FormContext) -> None:
     _worker_ctx = ctx
 
 
-def _classify_in_worker(ells: Sequence[int]) -> _ChunkResult:
-    return _classify_chunk(_worker_ctx, ells)
+def _coefficients_in_worker(ells: Sequence[int]) -> list[int | Exception]:
+    return _worker_ctx.coefficients(ells)
 
 
 def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
@@ -189,29 +165,34 @@ def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
         size = min(2 * size, _MAX_CHUNK)
 
 
-def classify_range(
+def coefficient_chunks(
     ctx: FormContext,
     prime_range: PrimeRange,
     *,
     workers: int | None = None,
-) -> Iterator[FrobeniusClass]:
-    """Classify every prime in the range, in ascending order.
+) -> Iterator[tuple[list[int], dict[int, int | Exception]]]:
+    """The primes of the range in ascending chunks, each with its coefficients.
 
-    Primes dividing N_g * p come through as Skipped markers so that density
-    denominators can count classifiable primes only.
+    A chunk comes as its primes and a dict, in ascending order, from those
+    that do not divide N_g * p to a_ell, or to the exception the backend
+    raised at that ell (:meth:`FormContext.coefficients`).
 
-    The sieved primes are cut into chunks (see :func:`_chunk_lengths`) and
-    classified on ``workers`` processes, capped at the cores this process
-    may run on; a 1-worker sweep, or a range that fits in the first chunk,
-    runs the same chunks in this process.  At most 2 * workers chunks are in
-    flight and results are merged in ascending order, so the stream (an
-    error included) is identical at every worker count.  Closing the
-    generator, explicitly or by dropping it, cancels the chunks not yet
-    started and shuts the pool down, so a consumer that stops early stops
-    the work too.
+    The sieved primes are cut into chunks (see :func:`_chunk_lengths`) whose
+    coefficients are fetched on ``workers`` processes, capped at the cores
+    this process may run on.  A 1-worker sweep, a range that fits in the
+    first chunk, or a table backend makes the same batched lookups in this
+    process: a table's coefficients are dict lookups, cheaper than the pool's
+    start-up and traffic (``BENCH_11.json``), so only a curve, whose
+    coefficients are point counts, is swept on a pool.  Only primes go out
+    to a worker and only its list of coefficients comes back, about 4 bytes
+    a prime pickled.  At most 2 * workers chunks are in flight and they are
+    merged in ascending order, so the stream is identical at every worker
+    count.  Closing the generator, explicitly or by dropping it, cancels the
+    chunks not yet started and shuts the pool down, so a consumer that stops
+    early stops the work too.
     """
     total = count_primes(prime_range)
-    if total <= _FIRST_CHUNK:
+    if total <= _FIRST_CHUNK or not isinstance(ctx.backend, CurveModel):
         workers = 1
     else:
         workers = max(1, min(workers or 1, len(os.sched_getaffinity(0))))
@@ -224,24 +205,66 @@ def classify_range(
             max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
         )
 
-    def submit(ells: list[int]) -> Callable[[], _ChunkResult]:
+    def submit(ells: list[int]) -> tuple[list[int], list[int], Callable[[], list]]:
+        # sieved, so prime: no need for the checks of a_ell
+        exposed = [ell for ell in ells if not ctx.divides_ngp(ell)]
         if pool is None:
-            return lambda: _classify_chunk(ctx, ells)
-        return pool.submit(_classify_in_worker, ells).result
+            return ells, exposed, partial(ctx.coefficients, exposed)
+        return ells, exposed, pool.submit(_coefficients_in_worker, exposed).result
 
-    in_flight: deque[Callable[[], _ChunkResult]] = deque()
+    in_flight: deque[tuple[list[int], list[int], Callable[[], list]]] = deque()
     try:
         while True:
             in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
             if not in_flight:
                 return
-            classes, error = in_flight.popleft()()
-            yield from classes
-            if error is not None:
-                raise error
+            ells, exposed, coefficients = in_flight.popleft()
+            yield ells, dict(zip(exposed, coefficients()))
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _classify_chunk(
+    ctx: FormContext, ells: Sequence[int], coefficients: dict[int, int | Exception]
+) -> Iterator[FrobeniusClass]:
+    """Classify a chunk in order, raising the error of the first prime whose coefficient failed.
+
+    The consumer therefore sees exactly what a prime-by-prime loop would
+    have yielded before raising, whatever the chunking: a table gap, say,
+    as a CoverageError at the first uncovered prime, or a ValueError at a
+    prime where the curve model is singular.
+    """
+    for ell in ells:
+        a = coefficients.get(ell)
+        if a is None:
+            yield _skipped(ell)
+        elif isinstance(a, Exception):
+            raise a
+        else:
+            yield _frobenius_class(ell, a, ctx.p)
+
+
+def classify_range(
+    ctx: FormContext,
+    prime_range: PrimeRange,
+    *,
+    workers: int | None = None,
+) -> Iterator[FrobeniusClass]:
+    """Classify every prime in the range, in ascending order.
+
+    Primes dividing N_g * p come through as Skipped markers so that density
+    denominators can count classifiable primes only.
+
+    The coefficients come from :func:`coefficient_chunks` on ``workers``
+    processes: primes go out to the pool and coefficients come back, and
+    each chunk is classified here, in this process, as it arrives.  The
+    stream (an error included) is therefore identical at every worker
+    count, and closing it stops the sweep.
+    """
+    with closing(coefficient_chunks(ctx, prime_range, workers=workers)) as chunks:
+        for ells, coefficients in chunks:
+            yield from _classify_chunk(ctx, ells, coefficients)
 
 
 def tee_to_csv(stream: Iterable[FrobeniusClass], out: IO[str]) -> Iterator[FrobeniusClass]:

@@ -113,11 +113,24 @@ class TestArePrime:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(
         st.integers(-10, 2**40),
+        st.integers(2, MAX_SIEVE_BOUND),  # sparse: most sit alone in their window
         st.integers(MAX_SIEVE_BOUND - 200, MAX_SIEVE_BOUND + 200),
         st.sampled_from(SMALL_PRIMES).map(lambda q: q * q),
         st.sampled_from(AWKWARD),
-    ), max_size=12))
+    ), max_size=40))
     def test_matches_is_prime(self, values):
+        assert are_prime(values).tolist() == [is_prime(n) for n in values]
+
+    @settings(max_examples=20, deadline=None)
+    @given(window=st.integers(0, MAX_SIEVE_BOUND // WINDOW - 1),
+           extra=st.integers(-1, 1),
+           sparse=st.lists(st.integers(2, MAX_SIEVE_BOUND), max_size=60),
+           data=st.data())
+    def test_sparse_windows_beside_a_dense_one(self, window, extra, sparse, data):
+        # one window holds about the cut-over count, the rest are spread thin
+        start = window * WINDOW + 1
+        dense = list(range(start, start + 2 * (arith._MIN_SIEVED_VALUES + extra), 2))
+        values = data.draw(st.permutations(dense + sparse))
         assert are_prime(values).tolist() == [is_prime(n) for n in values]
 
     @settings(max_examples=40, deadline=None)
@@ -147,12 +160,21 @@ class TestArePrime:
             return sieve(prime_range)
 
         monkeypatch.setattr(arith, "_sieve_segments", spy)
-        values = [5, 7, 99_999_989, 50_000_017, 50_000_021]
+        dense = arith._MIN_SIEVED_VALUES
+        values = [5, 7, 99_999_989, *range(50_000_017, 50_000_017 + dense), *range(9, 9 + dense)]
         assert are_prime(values).tolist() == [is_prime(n) for n in values]
-        assert len(ranges) == 3
+        assert len(ranges) == 2  # the lone 99,999,989 goes to is_prime
         for r in ranges:
             assert r.hi - r.lo < WINDOW
             assert any(r.lo <= n <= r.hi for n in values)
+
+    def test_lone_values_are_not_sieved(self, monkeypatch):
+        ranges = []
+        sieve = arith._sieve_segments
+        monkeypatch.setattr(arith, "_sieve_segments", lambda r: ranges.append(r) or sieve(r))
+        values = random.Random(5).sample(range(2, MAX_SIEVE_BOUND), 300)
+        assert are_prime(values).tolist() == [is_prime(n) for n in values]
+        assert ranges == []
 
 
 def test_factorize_roundtrip():

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -311,6 +312,35 @@ class TestAEll:
         rows = [f"{ell},{a_ell(ctx, ell)}" for ell in PrimeRange(2, 20000)
                 if not ctx.divides_ngp(ell)]
         assert capsys.readouterr().out == "\n".join(["ell,a_ell", *rows]) + "\n"
+
+    @pytest.fixture()
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_range_is_the_same_at_one_and_two_workers(self, curve_config, capsys, monkeypatch,
+                                                       two_cores):
+        argv = ["a-ell", "--config", curve_config, "--from", "2", "--to", "20000"]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LAMBDA_FORGE_THREADS", threads)
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_range_raises_its_first_gap(self, table_config, capsys, monkeypatch, two_cores):
+        # 1999 and 2003 are missing from the table: the lower gap is the error
+        rows = [f"{ell},1\n" for ell in PrimeRange(2, 3000) if ell not in (1999, 2003)]
+        (Path(table_config).parent / "coeffs.csv").write_text("ell,a_ell\n" + "".join(rows))
+        errors = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LAMBDA_FORGE_THREADS", threads)
+            argv = ["a-ell", "--config", table_config, "--from", "2", "--to", "3000"]
+            assert main(argv) == EXIT_COMPUTE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert "1999" in errors[0] and "2003" not in errors[0]
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("ells, message", [
         (["13", "15", "11"], "ell = 11 divides N_g * p"),

@@ -145,6 +145,11 @@ class TestLoadCoefficients:
         table = load_coefficients(path, level=11)
         assert table.coefficients[11] == 9
 
+    def test_direct_table_refused_at_hasse_violation(self):
+        with pytest.raises(TableFormatError) as info:
+            CoefficientTable(coefficients={2: -2, 11: 9, 7: 12}, level=11)
+        assert str(info.value) == "a_7 = 12 violates the Hasse bound |a| <= 2*sqrt(7)"
+
 
 @pytest.fixture(scope="module")
 def parity_path(tmp_path_factory):

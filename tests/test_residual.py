@@ -1,9 +1,11 @@
 import io
 import multiprocessing
 import os
+import pickle
 import random
 import time
 from collections import Counter
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from lambda_forge import (
     classify_prime,
     classify_range,
     cli,
+    residual,
     screen_p,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
@@ -265,6 +268,54 @@ class TestSweepPipeline:
         serial = run(1)
         assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, first - 1)))
         assert run(2) == serial
+
+
+class TestPoolTraffic:
+    """Pool workers only fetch coefficients; every class is built in the parent."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_parent_classifies_every_prime_once(self, ctx_default, monkeypatch):
+        classified = Counter()
+        frobenius_class = residual._frobenius_class  # what the sweep calls per prime
+
+        def counting(ell, a, p):
+            classified[ell] += 1
+            return frobenius_class(ell, a, p)
+
+        monkeypatch.setattr(residual, "_frobenius_class", counting)
+        stream = list(classify_range(ctx_default, PrimeRange(2, 5000), workers=2))
+        assert set(classified.values()) == {1}
+        assert sorted(classified) == [fc.ell for fc in stream if fc.verdict is not Verdict.SKIPPED]
+        assert len(classified) == sum(1 for _ in PrimeRange(2, 5000)) - 2  # 7 and 11 skipped
+
+    def test_only_a_curve_is_swept_on_a_pool(self, ctx_default, monkeypatch):
+        # a table's coefficients are dict lookups: a pool would only add its traffic
+        started = []
+        pool = residual.ProcessPoolExecutor
+
+        def counting_pool(**kwargs):
+            started.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        monkeypatch.setattr(residual, "ProcessPoolExecutor", counting_pool)
+        table = CoefficientTable(coefficients=dict.fromkeys(PrimeRange(2, 5000), 1), level=11)
+        ctx_table = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                                backend=table)
+        for ctx, pools in ((ctx_table, []), (ctx_default, [2])):
+            started.clear()
+            pooled = list(classify_range(ctx, PrimeRange(2, 5000), workers=2))
+            assert started == pools
+            assert pooled == list(classify_range(ctx, PrimeRange(2, 5000), workers=1))
+
+    def test_worker_returns_a_few_bytes_a_prime(self, ctx_default, monkeypatch):
+        chunk = list(islice(sieve_primes(PrimeRange(10**6, 2 * 10**6)), residual._MAX_CHUNK))
+        monkeypatch.setattr(residual, "_worker_ctx", ctx_default)
+        returned = residual._coefficients_in_worker(chunk)
+        assert all(type(a) is int for a in returned)
+        assert len(pickle.dumps(returned)) < 8 * len(chunk)
 
 
 class TestResolveWorkers:
