@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out or --csv, named in exc
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ComputationError as exc:

@@ -174,5 +174,4 @@ def build_context(cfg: RunConfig) -> FormContext:
         mu_zero=cfg.mu_zero,
         surjective_mod_p=cfg.surjective_mod_p,
         backend=backend,
-        optimal_level_asserted=cfg.optimal_level_asserted,
     )

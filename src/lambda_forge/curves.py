@@ -51,9 +51,10 @@ class CurveModel:
     """Integral long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
     The conductor is user-supplied (claimed to belong to the minimal model)
-    and each of its primes must divide the discriminant; the discriminant is
-    always recomputed from the coefficients and, when a value is passed in,
-    checked against it.
+    and must have exactly the discriminant's primes: one missing from the
+    discriminant is inconsistent, and a discriminant prime missing from the
+    conductor makes the model singular, so not minimal, there.  The
+    discriminant is always recomputed and, when passed in, checked against it.
     """
 
     a1: int
@@ -75,14 +76,17 @@ class CurveModel:
         object.__setattr__(self, "discriminant", disc)
         if self.conductor < 1:
             raise ValueError(f"conductor must be positive, got {self.conductor}")
-        # strip the primes shared with the discriminant; what is left has none
-        rest = self.conductor
-        while (g := math_gcd(rest, disc)) > 1:
-            rest //= g
-        if rest > 1:
+        if (rest := _coprime_part(self.conductor, disc)) > 1:
             raise ValueError(
                 f"conductor {self.conductor}: its factor {rest} is coprime to "
                 f"the discriminant {disc}, so the model is inconsistent"
+            )
+        if (rest := _coprime_part(abs(disc), self.conductor)) > 1:
+            # the least prime of rest, or rest whole if it has none below 10^6
+            q = next((d for d in range(2, min(isqrt(rest), 10**6) + 1) if rest % d == 0), rest)
+            raise ValueError(
+                f"model is singular mod {q}, which does not divide the conductor "
+                f"{self.conductor}: not a minimal model"
             )
 
     def _compute_discriminant(self) -> int:
@@ -103,36 +107,33 @@ class CurveModel:
         c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
         return c4, c6
 
-    def short_model(self, ell: int) -> tuple[int, int]:
-        """Coefficients (A, B) of the isomorphic curve y^2 = x^3 + Ax + B over F_ell.
 
-        Valid for ell >= 5: the change of variables uses u = 6, invertible
-        away from 2 and 3, so point counts transfer unchanged.
-        """
-        if ell < 5:
-            raise ValueError("short model needs characteristic >= 5")
-        return _short_model(*self.c_invariants(), ell)
+def _coprime_part(n: int, m: int) -> int:
+    """n stripped of every prime that divides m."""
+    while (g := math_gcd(n, m)) > 1:
+        n //= g
+    return n
 
 
 def _short_model(c4: int, c6: int, ell: int) -> tuple[int, int]:
-    """(A, B) of :meth:`CurveModel.short_model` from the curve's c-invariants."""
+    """(A, B) of y^2 = x^3 + Ax + B over F_ell, isomorphic to the curve with these c-invariants.
+
+    Valid for ell >= 5: the change of variables uses u = 6, invertible away
+    from 2 and 3, so point counts transfer unchanged.
+    """
     return (-27 * c4) % ell, (-54 * c6) % ell
 
 
 def _require_countable(curve: CurveModel, ell: int) -> None:
-    """Refuse a prime ell at which this model cannot count points: the one curve-level rule.
+    """Refuse a prime ell of bad reduction: the one curve-level rule.
 
-    ell must divide neither the stated conductor (bad reduction) nor the
-    discriminant of the model (a model singular mod ell, so not minimal
-    there).  Every counter applies it; ell itself is trusted to be prime.
+    :class:`CurveModel` has already refused a model singular at a prime
+    outside its conductor, so ell may divide the discriminant only if it
+    divides the conductor.  Every counter applies it; ell itself is trusted
+    to be prime.
     """
     if curve.conductor % ell == 0:
         raise ValueError(f"bad reduction at {ell}: cannot count points")
-    if curve.discriminant % ell == 0:
-        raise ValueError(
-            f"model is singular mod {ell}, which does not divide the conductor: "
-            "not a minimal model; refusing to count points"
-        )
 
 
 def _count_tiny_char(curve: CurveModel, ell: int) -> int:
@@ -162,7 +163,7 @@ def count_points_naive(curve: CurveModel, ell: int, *, limit: int = NAIVE_COUNT_
     if ell <= 3:
         return _count_tiny_char(curve, ell)
 
-    a, b = curve.short_model(ell)
+    a, b = _short_model(*curve.c_invariants(), ell)
     x = np.arange(ell, dtype=np.int64)
     f = (x * x % ell * x + a * x + b) % ell
     is_qr = np.zeros(ell, dtype=bool)
@@ -554,11 +555,15 @@ def _giant_matches(gx, gy, g_o, keys, baby_y, walk, babies, base):
 
 
 def _count_cubic_roots(a, b, p):
-    """Number of roots of the squarefree cubic x^3 + ax + b in F_p.
+    """Number of roots in F_p, p >= 5, of the squarefree cubic x^3 + ax + b.
 
-    deg gcd(x^3 + ax + b, x^p - x), with x^p computed by square-and-multiply
-    in F_p[x] modulo the cubic; O(log p) polynomial operations.
+    Stickelberger: a squarefree cubic over F_p has exactly one root iff its
+    discriminant -4a^3 - 27b^2 is a non-square; otherwise it has three roots
+    when x^p = x modulo the cubic, else none.  The twist x^3 + ac^2 x + bc^3
+    has the roots times c, so the same count.
     """
+    if pow(-4 * a**3 - 27 * b * b, (p - 1) // 2, p) == p - 1:
+        return 1
 
     def mul(u, v):
         # product of two polynomials of degree <= 2, reduced by x^3 = -(ax + b)
@@ -581,28 +586,7 @@ def _count_cubic_roots(a, b, p):
             result = mul(result, base)
         base = mul(base, base)
         e >>= 1
-    h = [result[0], (result[1] - 1) % p, result[2]]  # x^p - x mod cubic
-
-    f = [b % p, a % p, 0, 1]
-    while any(h):
-        while h and h[-1] == 0:
-            h.pop()
-        if not h:
-            break
-        # f mod h
-        inv = pow(h[-1], -1, p)
-        rem = f[:]
-        for i in range(len(rem) - 1, len(h) - 2, -1):
-            coef = rem[i] * inv % p
-            if coef:
-                for j in range(len(h)):
-                    rem[i - len(h) + 1 + j] = (rem[i - len(h) + 1 + j] - coef * h[j]) % p
-        while len(rem) >= len(h):
-            rem.pop()
-        f, h = h, rem
-    while f and f[-1] == 0:
-        f.pop()
-    return len(f) - 1
+    return 3 if result == (0, 1, 0) else 0
 
 
 def _structure_compatible(n, order_lcm, two_torsion, ell):
@@ -654,7 +638,7 @@ class _OrderSieve:
         self.lo, self.hi = ell + 1 - s, ell + 1 + s
         self.lcm_curve = self.lcm_twist = 1
         self.twist: tuple[int, int] | None = None
-        self.two_torsion: tuple[int, int] | None = None
+        self.two_torsion: int | None = None  # the same on the curve and its twist
         self.count: int | PointCountError | None = None
         self.draws = 0
 
@@ -697,17 +681,12 @@ class _OrderSieve:
             # folded into the lcms so far is an exact point order: a sole
             # multiple in a window would have left one candidate.
             if self.two_torsion is None:
-                at, bt = self._twist_model()
-                self.two_torsion = (
-                    1 + _count_cubic_roots(self.a, self.b, ell),
-                    1 + _count_cubic_roots(at, bt, ell),
-                )
-            curve_2, twist_2 = self.two_torsion
+                self.two_torsion = 1 + _count_cubic_roots(self.a, self.b, ell)
             cands = [
                 n
                 for n in cands
-                if _structure_compatible(n, self.lcm_curve, curve_2, ell)
-                and _structure_compatible(total - n, self.lcm_twist, twist_2, ell)
+                if _structure_compatible(n, self.lcm_curve, self.two_torsion, ell)
+                and _structure_compatible(total - n, self.lcm_twist, self.two_torsion, ell)
             ]
         if len(cands) == 1:
             self.count = cands[0]
@@ -784,7 +763,7 @@ def traces_of_frobenius(curve: CurveModel, ells: Sequence[int]) -> list[int | Ex
     Primes up to :data:`NAIVE_COUNT_LIMIT` are counted naively, the others
     by BSGS in shared walks.  Each entry is a_ell or the exception the
     count raised at that ell: a :class:`PointCountError`, or a ValueError
-    where the model cannot be counted.  No entry depends on the other ells.
+    at a prime of bad reduction.  No entry depends on the other ells.
     Every ell must be a prime; the caller checks that (see the module notes).
     """
     limit = NAIVE_COUNT_LIMIT
@@ -823,8 +802,8 @@ def trace_of_frobenius(curve: CurveModel, ell: int) -> int:
 def is_ordinary(curve: CurveModel, p: int) -> bool:
     """True iff a_p is not divisible by p.
 
-    Raises ValueError unless p is a prime >= 5 at which the model can count
-    points (:func:`_require_countable`).
+    Raises ValueError unless p is a prime >= 5 of good reduction
+    (:func:`_require_countable`).
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"ordinariness needs a prime p >= 5, got {p}")

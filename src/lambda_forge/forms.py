@@ -120,6 +120,7 @@ class FormContext:
     ``lambda_g``, ``mu_zero`` and ``surjective_mod_p`` are certified inputs:
     they come from the literature or prior computation, are asserted in the
     configuration, and are echoed (never claimed as verified) in reports.
+    The backend must be at ``level``: a curve's conductor or a table's level.
     """
 
     level: int
@@ -128,7 +129,6 @@ class FormContext:
     mu_zero: bool
     surjective_mod_p: bool
     backend: CurveModel | CoefficientTable
-    optimal_level_asserted: bool = True
     a_p: int = field(default=0)
 
     def __post_init__(self) -> None:
@@ -140,10 +140,12 @@ class FormContext:
             raise HypothesisViolation(f"p = {self.p} divides the level {self.level}")
         if self.lambda_g < 0:
             raise HypothesisViolation(f"lambda_g must be >= 0, got {self.lambda_g}")
-        if isinstance(self.backend, CurveModel) and self.backend.conductor != self.level:
-            raise ValueError(
-                f"curve conductor {self.backend.conductor} != stated level {self.level}"
-            )
+        if isinstance(self.backend, CurveModel):
+            kind, level = "curve conductor", self.backend.conductor
+        else:
+            kind, level = "table level", self.backend.level
+        if level != self.level:
+            raise ValueError(f"{kind} {level} != stated level {self.level}")
         a_p = self.coefficient(self.p)
         if a_p % self.p == 0:
             raise HypothesisViolation(

@@ -232,8 +232,8 @@ def _classify_chunk(
 
     The consumer therefore sees exactly what a prime-by-prime loop would
     have yielded before raising, whatever the chunking: a table gap, say,
-    as a CoverageError at the first uncovered prime, or a ValueError at a
-    prime where the curve model is singular.
+    as a CoverageError at the first uncovered prime, or a PointCountError
+    at the first prime whose group order stayed ambiguous.
     """
     for ell in ells:
         a = coefficients.get(ell)
@@ -337,7 +337,7 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     A check that cannot be evaluated fails with a "not evaluated (...)"
     detail naming what stopped it.  Ordinariness is evaluated exactly where
     :func:`curves.is_ordinary` answers: a_p comes from the point counter,
-    whose refusal (bad reduction, or a model singular mod p) is the reason.
+    whose one refusal at a prime p >= 5 is bad reduction.
     """
     p_ok = p >= 5 and is_prime(p)
     checks = [CheckResult("p>=5-and-prime", p_ok, f"p = {p}")]
@@ -354,9 +354,8 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     checks.append(CheckResult("good-reduction-at-p", good, detail))
     try:
         ap = trace_of_frobenius(curve, p)
-    except ValueError as exc:
-        reason = str(exc) if good else "bad reduction"
-        checks.append(CheckResult("ordinary-at-p", False, f"not evaluated ({reason})"))
+    except ValueError:
+        checks.append(CheckResult("ordinary-at-p", False, "not evaluated (bad reduction)"))
     else:
         checks.append(
             CheckResult("ordinary-at-p", ap % p != 0, f"a_p = {ap} mod {p} = {ap % p}")

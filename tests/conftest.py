@@ -8,6 +8,11 @@ CURVE_37A1 = dict(a1=0, a2=0, a3=1, a4=-1, a6=0, conductor=37)
 CURVE_389A1 = dict(a1=0, a2=1, a3=1, a4=-2, a6=0, conductor=389)
 
 
+def short_curve(a: int, b: int) -> CurveModel:
+    """y^2 = x^3 + ax + b with conductor |discriminant|, so that it loads as a minimal model."""
+    return CurveModel(0, 0, 0, a, b, conductor=abs(16 * (4 * a**3 + 27 * b * b)))
+
+
 @pytest.fixture(scope="session")
 def curve_11a1() -> CurveModel:
     return CurveModel(**CURVE_11A1)

@@ -124,6 +124,15 @@ class TestClassify:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["schema_version"] == 1
 
+    def test_unwritable_out_exit_2(self, curve_config, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["classify", "--config", curve_config, "--from", "2", "--to", "30",
+                     "--workers", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out) in captured.err
+
 
 class TestPlan:
     def test_conductor_prime_outside_discriminant_exit_2(self, tmp_path, capsys):
@@ -138,6 +147,20 @@ class TestPlan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad curve: conductor 143: its factor 13" in captured.err
+
+    def test_non_minimal_model_exit_2(self, tmp_path, capsys):
+        # 11a1 scaled by u = 2503 is singular mod 2503, which is not in the conductor
+        u = 2503
+        scaled = ", ".join(map(str, (0, -u**2, u**3, -10 * u**4, -20 * u**6)))
+        shipped = (ROOT / "configs" / "default.cfg").read_text(encoding="utf-8")
+        bad = tmp_path / "scaled.cfg"
+        bad.write_text(shipped.replace("0, -1, 1, -10, -20", scaled)
+                       .replace("discriminant = -161051\n", ""), encoding="utf-8")
+        code = main(["verify-density", "--config", str(bad), "--bound", "5000", "--workers", "1"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad curve: model is singular mod 2503" in captured.err
 
     def test_plan_report(self, curve_config, capsys):
         report = run_json(capsys, ["plan", "--config", curve_config,
@@ -227,6 +250,15 @@ class TestVerifyDensity:
         expected = io.StringIO()
         residual.classification_to_csv(residual.classify_range(ctx, PrimeRange(2, 200)), expected)
         assert dump.read_text() == expected.getvalue()
+
+    def test_unwritable_csv_exit_2(self, curve_config, tmp_path, capsys):
+        dump = tmp_path / "missing" / "per_prime.csv"
+        code = main(["verify-density", "--config", curve_config, "--bound", "200",
+                     "--workers", "1", "--csv", str(dump)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(dump) in captured.err
 
     def test_surjectivity_required(self, table_config, capsys):
         code = main(["verify-density", "--config", table_config, "--bound", "100"])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from lambda_forge import curves, density, iwasawa, levels
 from lambda_forge.cli import EXIT_CONFIG, main
-from lambda_forge.config import load_config
+from lambda_forge.config import build_context, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -69,6 +70,13 @@ def test_shipped_configs_load(path):
     cfg = load_config(path)
     assert cfg.backend == "curve"
     assert cfg.level == cfg.curve.conductor
+
+
+def test_optimal_level_is_echoed_from_the_config(tmp_path):
+    cfg = load_config(write_config(tmp_path, "optimal_level_asserted = false\n"))
+    assert cfg.assertions()["optimal_level"] is False
+    # the form itself carries no copy: reports echo the config's attestation
+    assert "optimal_level_asserted" not in {f.name for f in dataclasses.fields(build_context(cfg))}
 
 
 def readme_configuration():

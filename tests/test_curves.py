@@ -2,6 +2,7 @@ import math
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,10 @@ from lambda_forge.curves import (
     _OrderSieve,
     _baby_count,
     _bsgs_counts,
+    _count_cubic_roots,
+    _non_residue,
     _random_points,
+    _short_model,
     _structure_compatible,
     _window_orders,
     count_points_bsgs,
@@ -27,7 +31,7 @@ from lambda_forge.curves import (
 from lambda_forge.errors import PointCountError
 from lambda_forge.residual import screen_p
 
-from conftest import CURVE_11A1, CURVE_37A1, CURVE_389A1
+from conftest import CURVE_11A1, CURVE_37A1, CURVE_389A1, short_curve
 
 
 def exhaustive_count(curve: CurveModel, ell: int) -> int:
@@ -201,8 +205,7 @@ class TestCurveModel:
 
     def test_short_model_preserves_counts(self, curve_11a1):
         for ell in (5, 13, 101):
-            a, b = curve_11a1.short_model(ell)
-            short = CurveModel(0, 0, 0, a, b, conductor=1)
+            short = short_curve(*_short_model(*curve_11a1.c_invariants(), ell))
             assert exhaustive_count(curve_11a1, ell) == exhaustive_count(short, ell)
 
 
@@ -215,6 +218,30 @@ class TestReductionType:
             with pytest.raises(ValueError, match="coprime to the discriminant"):
                 CurveModel(0, -1, 1, -10, -20, conductor=conductor)
         assert CurveModel(0, -1, 1, -10, -20, conductor=121).conductor == 121
+
+    @pytest.mark.parametrize(
+        "u, named",
+        [
+            pytest.param(2, 2, id="2"),
+            pytest.param(13, 13, id="13"),
+            pytest.param(2503, 2503, id="2503"),
+            pytest.param(26, 2, id="26"),
+            pytest.param(1_000_003, 1_000_003**12, id="u>1e6"),
+        ],
+    )
+    def test_non_minimal_model_refused(self, u, named):
+        # 11a1 scaled by u has conductor 11 and discriminant -11^5 u^12: it is
+        # singular mod the primes of u, which the message names from the least,
+        # or u^12 whole when none is below 10^6
+        with pytest.raises(ValueError, match=rf"singular mod {named}, which does not divide the conductor 11:"):
+            CurveModel(0, -u**2, u**3, -10 * u**4, -20 * u**6, conductor=11)
+
+    def test_every_test_curve_loads(self, curve_11a1, curve_37a1, curve_389a1, curve_x3x1):
+        # the shipped configs are loaded by test_config.py::test_shipped_configs_load
+        loaded = [curve_11a1, curve_37a1, curve_389a1, curve_x3x1]
+        loaded += [CurveModel(0, 0, 0, -1, 0, conductor=32), CurveModel(0, 0, 0, 0, 1, conductor=36)]
+        for curve in loaded:  # trial division: each prime of the discriminant is a bad prime
+            assert all(curve.conductor % q == 0 for q in PrimeRange(2, 400) if curve.discriminant % q == 0)
 
 
 class TestNaiveCount:
@@ -242,11 +269,6 @@ class TestNaiveCount:
         with pytest.raises(ValueError, match="threshold"):
             count_points_naive(curve_11a1, 100_003)
 
-    def test_rejects_singular_equation(self):
-        scaled = CurveModel(0, -4, 8, -160, -1280, conductor=11)  # non-minimal at 2
-        with pytest.raises(ValueError, match="singular"):
-            count_points_naive(scaled, 2)
-
 
 class TestBsgs:
     def test_agrees_with_naive_on_a_window(self, curve_11a1):
@@ -266,7 +288,7 @@ class TestBsgs:
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell == 0:
                 continue
-            curve = CurveModel(0, 0, 0, a, b, conductor=1)
+            curve = short_curve(a, b)
             assert count_points_bsgs(curve, ell) == count_points_naive(curve, ell)
 
     def test_ambiguity_is_an_error_not_a_guess(self, curve_389a1):
@@ -287,7 +309,7 @@ class TestBsgs:
     def test_equals_naive_on_random_short_curves(self, ell, a, b):
         a, b = a % ell, b % ell
         assume((4 * a**3 + 27 * b * b) % ell != 0)
-        curve = CurveModel(0, 0, 0, a, b, conductor=1)
+        curve = short_curve(a, b)
         assert count_points_bsgs(curve, ell) == count_points_naive(curve, ell, limit=ell)
 
     @settings(max_examples=25, deadline=None)
@@ -337,7 +359,7 @@ def scalar_counts(curve, ells, max_points):
     """_bsgs_counts with each point drawn by _random_point and walked by _window_order."""
     entries = []
     for ell in ells:
-        sieve = _OrderSieve(ell, *curve.short_model(ell))
+        sieve = _OrderSieve(ell, *_short_model(*curve.c_invariants(), ell))
         rng = random.Random(sieve.seed)
         for trial in range(max_points):
             if sieve.count is not None:
@@ -450,6 +472,41 @@ class TestStructureCompatible:
                 )
 
 
+class TestCubicRoots:
+    """The 2-torsion count of the BSGS tie-break, by Stickelberger's theorem."""
+
+    def test_every_nonsingular_cubic_below_100(self):
+        seen = set()
+        for p in PrimeRange(5, 100):
+            x = np.arange(p)
+            c = _non_residue(p)
+            for a in range(p):
+                roots = np.bincount(-(x**3 + a * x) % p, minlength=p)  # roots[b] of x^3 + ax + b
+                for b in range(p):
+                    if (4 * a**3 + 27 * b * b) % p:
+                        assert _count_cubic_roots(a, b, p) == roots[b], (a, b, p)
+                        # the twist's cubic has the roots times c
+                        assert _count_cubic_roots(a * c * c % p, b * c**3 % p, p) == roots[b]
+                        seen.add(int(roots[b]))
+        assert seen == {0, 1, 3}
+
+    def test_against_numpy_brute_force_to_1e5(self):
+        rng = random.Random(3)
+        seen = set()
+        for p in rng.sample(list(PrimeRange(100, 10**5)), 40):
+            x = np.arange(p, dtype=np.int64)
+            r, t = rng.randrange(p), rng.randrange(p)
+            # random cubics, and (x - r)(x - t)(x + r + t), which has three roots unless two meet
+            cubics = [(rng.randrange(p), rng.randrange(p)) for _ in range(3)]
+            cubics.append(((r * t - (r + t) ** 2) % p, r * t * (r + t) % p))
+            for a, b in cubics:
+                if (4 * a**3 + 27 * b * b) % p:
+                    roots = int(np.count_nonzero((x * x % p * x + a * x + b) % p == 0))
+                    assert _count_cubic_roots(a, b, p) == roots, (a, b, p)
+                    seen.add(roots)
+        assert seen == {0, 1, 3}
+
+
 class TestWindowOrder:
     """The walk returns ord(P), or the group order when the Hasse window holds one multiple."""
 
@@ -466,7 +523,7 @@ class TestWindowOrder:
 
     def test_sole_multiple_is_the_group_order(self, curve_11a1):
         ell = 1_000_003
-        a, b = curve_11a1.short_model(ell)
+        a, b = _short_model(*curve_11a1.c_invariants(), ell)
         P = _random_point(a, b, ell, random.Random(0))
         lo, hi = self.window(ell)
         n = count_points_naive(curve_11a1, ell, limit=ell)
@@ -490,7 +547,7 @@ class TestWindowOrder:
             order = order_by_addition(P, a, ell)
             multiples = [n for n in range(lo, hi + 1) if n % order == 0]
             if len(multiples) == 1:
-                n = count_points_naive(CurveModel(0, 0, 0, a, b, conductor=1), ell)
+                n = count_points_naive(short_curve(a, b), ell)
                 assert got == multiples[0] == n
                 seen.add("sole multiple")
             else:
@@ -524,7 +581,7 @@ class TestWindowOrder:
             if hit_o and ell < 10**5:
                 # shift the window so that the group order is lo + t*m: the
                 # giant walk meets O at step t, then steps from O and doubles
-                n = count_points_naive(CurveModel(0, 0, 0, a, b, conductor=1), ell, limit=ell)
+                n = count_points_naive(short_curve(a, b), ell, limit=ell)
                 shifted = n - (isqrt(hi - lo) + 1) * (1 + seed % 2)
                 if shifted > 0:
                     lo, hi = shifted, shifted + hi - lo
@@ -566,7 +623,7 @@ class TestWindowOrder:
 
     def test_giant_step_hits_o(self, curve_11a1):
         ell = 10007
-        a, b = curve_11a1.short_model(ell)
+        a, b = _short_model(*curve_11a1.c_invariants(), ell)
         n = count_points_naive(curve_11a1, ell, limit=ell)
         P = _random_point(a, b, ell, random.Random(0))
         assert order_by_addition(P, a, ell) == n
@@ -667,8 +724,7 @@ class TestIsOrdinary:
     @given(curve=st.sampled_from([
         CurveModel(**CURVE_11A1),
         CurveModel(**CURVE_37A1),
-        # 11a1 scaled by u = 13: conductor 11, singular mod 13
-        CurveModel(0, -13**2, 13**3, -10 * 13**4, -20 * 13**6, conductor=11),
+        CurveModel(**CURVE_389A1),
     ]), p=st.integers(0, 200))
     @example(curve=CurveModel(**CURVE_11A1), p=9)
     @example(curve=CurveModel(**CURVE_11A1), p=25)

@@ -244,6 +244,13 @@ class TestFormContext:
             FormContext(level=15, p=7, lambda_g=0, mu_zero=True,
                         surjective_mod_p=True, backend=curve_11a1)
 
+    def test_table_level_consistency(self):
+        # at level 37 the table may break the Hasse bound at 37, a good prime at level 11
+        table = CoefficientTable(coefficients={5: 1, 37: 100}, level=37)
+        with pytest.raises(ValueError, match="table level 37 != stated level 11"):
+            FormContext(level=11, p=5, lambda_g=0, mu_zero=True,
+                        surjective_mod_p=True, backend=table)
+
     def test_missing_a_p_is_coverage_error(self):
         table = CoefficientTable(coefficients={2: -2}, level=11)
         with pytest.raises(CoverageError):

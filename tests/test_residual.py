@@ -21,12 +21,13 @@ from lambda_forge import (
     classify_prime,
     classify_range,
     cli,
+    curves,
     residual,
     screen_p,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
-from lambda_forge.curves import count_points_naive
-from lambda_forge.errors import CoverageError
+from lambda_forge.curves import _short_model, count_points_naive
+from lambda_forge.errors import CoverageError, PointCountError
 from lambda_forge.forms import a_ells
 from lambda_forge.residual import (
     _frobenius_class,
@@ -34,6 +35,8 @@ from lambda_forge.residual import (
     classification_to_csv,
     resolve_workers,
 )
+
+from conftest import short_curve
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -145,9 +148,9 @@ class TestPointCountOracle:
 
     @staticmethod
     def counts(curve, ell):
-        a, b = curve.short_model(ell)
+        a, b = _short_model(*curve.c_invariants(), ell)
         c = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) == ell - 1)
-        twist = CurveModel(0, 0, 0, a * c * c % ell, b * c**3 % ell, conductor=1)
+        twist = short_curve(a * c * c % ell, b * c**3 % ell)
         return count_points_naive(curve, ell, limit=ell), count_points_naive(twist, ell, limit=ell)
 
     def test_traces_match_group_orders(self, ctx_default):
@@ -234,18 +237,21 @@ class TestSweepPipeline:
         assert time.perf_counter() - t0 < 5.0  # the whole sweep takes about 25 s
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("gaps", [(3001,), (1999, 3001), pytest.param(None, id="scaled-2503")])
-    def test_error_order(self, gaps):
+    @pytest.mark.parametrize("gaps", [(3001,), (1999, 3001), pytest.param(None, id="ambiguous-bsgs")])
+    def test_error_order(self, gaps, monkeypatch):
         """The stream stops at the first failing prime, whatever the worker count.
 
         ``gaps`` are primes missing from a coefficient table (a CoverageError);
-        None is 11a1 scaled by u = 2503, conductor 11 but singular mod 2503
-        (a ValueError from the point counter).
+        None is 11a1 counted with one BSGS point a prime, which leaves the
+        group order ambiguous at 3001 (a PointCountError, raised in a pool
+        worker at 2 workers).
         """
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        to = 4000
         if gaps is None:
-            u = 2503
-            backend = CurveModel(0, -u**2, u**3, -10 * u**4, -20 * u**6, conductor=11)
-            first, error = u, ValueError
+            monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
+            backend = CurveModel(0, -1, 1, -10, -20, conductor=11)
+            first, error, to = 3001, PointCountError, 20000
         else:
             rng = random.Random(7)
             coeffs = {}
@@ -261,7 +267,7 @@ class TestSweepPipeline:
         def run(workers):
             seen = []
             with pytest.raises(error, match=rf"\b{first}\b") as info:
-                for fc in classify_range(ctx, PrimeRange(2, 4000), workers=workers):
+                for fc in classify_range(ctx, PrimeRange(2, to), workers=workers):
                     seen.append(fc)
             return str(info.value), seen
 
