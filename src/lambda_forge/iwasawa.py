@@ -6,15 +6,25 @@ above ell in the cyclotomic Z_p-tower and d_ell is the multiplicity of
 1/ell as a root of the mod-p local Euler factor.  Congruent forms differ in
 lambda exactly by the sum of the sigma differences over primes of the new
 level, which is what ``lambda_transfer`` evaluates.
+
+s_ell and d_ell are computed over arrays of primes (:func:`s_ells`,
+:func:`d_ells`, and :func:`sigma_columns` for a classified chunk): both are
+congruences in ell, except that a prime with ell**(p-1) = 1 mod p**2 (about
+one in p) needs the exact scalar loop over higher powers of p.  The
+per-prime functions (:func:`compute_s_ell`, :func:`compute_d_ell`,
+:func:`sigma_ell`) are batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .curves import _pow
 from .errors import HypothesisViolation, MissingDataError, ResourceLimitError
 from .forms import FormContext
-from .residual import FrobeniusClass, Verdict
+from .residual import ClassifiedChunk, FrobeniusClass, Verdict, column_dtype
 
 S_ELL_EXPONENT_CAP = 20
 
@@ -64,8 +74,28 @@ def compute_s_ell(p: int, ell: int) -> int:
     :data:`S_ELL_EXPONENT_CAP`; passing the cap raises rather than silently
     truncating.
     """
-    if ell == p:
+    return s_ells(p, np.array([ell], column_dtype(p, ell))).tolist()[0]
+
+
+def s_ells(p: int, ells: np.ndarray) -> np.ndarray:
+    """:func:`compute_s_ell` at each ell of an array of dtype :func:`column_dtype`.
+
+    ell**(p-1) = 1 mod p**2 is tested over the whole array; only the rows
+    where it holds take the scalar loop over higher powers, in order, so
+    the first ell past the cap is the one that raises.  The result is int64
+    while 2 * s fits, else an object array.
+    """
+    if (ells == p).any():
         raise ValueError("s_ell is undefined at ell = p")
+    hits = np.flatnonzero(_pow(ells % (p * p), np.asarray(p - 1), p * p) == 1)
+    exponents = [_s_exponent(p, ell) for ell in ells[hits].tolist()]
+    top = p ** max(exponents, default=0)
+    s = np.ones(len(ells), np.int64 if 2 * top < 2**63 else object)
+    s[hits] = [p**m for m in exponents]
+    return s
+
+
+def _s_exponent(p: int, ell: int) -> int:
     m = 0
     while pow(ell, p - 1, p ** (m + 2)) == 1:
         m += 1
@@ -73,7 +103,7 @@ def compute_s_ell(p: int, ell: int) -> int:
             raise ResourceLimitError(
                 f"s_ell exponent exceeds cap {S_ELL_EXPONENT_CAP} at ell={ell}, p={p}"
             )
-    return p**m
+    return m
 
 
 def euler_factor_from_frobenius(klass: FrobeniusClass, p: int) -> EulerFactor:
@@ -101,21 +131,45 @@ def ramified_euler_factor(verdict: Verdict, p: int) -> EulerFactor:
 
 def compute_d_ell(factor: EulerFactor, ell: int, p: int) -> int:
     """Multiplicity of 1/ell mod p as a root of the factor (0, 1, or 2)."""
-    if ell % p == 0:
-        raise ValueError(f"ell = {ell} not invertible mod {p}")
-    x0 = pow(ell, -1, p)
-    c0, c1, c2 = factor.coefficients
-    if (c0 + c1 * x0 + c2 * x0 * x0) % p != 0:
-        return 0
-    # synthetic division of c2*X^2 + c1*X + c0 by (X - x0): quotient c2*X + (c1 + c2*x0)
-    q1, q0 = c2, (c1 + c2 * x0) % p
-    return 2 if (q0 + q1 * x0) % p == 0 else 1
+    dtype = column_dtype(p, ell)
+    c1, c2 = (np.array([c], dtype) for c in (factor.c1, factor.c2))
+    return d_ells(p, np.array([ell], dtype), c1, c2).tolist()[0]
+
+
+def d_ells(p: int, ells: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """:func:`compute_d_ell` at each row, for the factors 1 + c1*X + c2*X^2.
+
+    All three arrays have the dtype :func:`column_dtype`; c1 and c2 are
+    taken mod p.
+    """
+    r = ells % p
+    if not r.all():
+        raise ValueError(f"ell = {ells[np.argmin(r != 0)]} not invertible mod {p}")
+    x0 = _pow(r, np.asarray(p - 2), p)  # 1/ell, by Fermat
+    c1, c2 = c1 % p, c2 % p
+    root = (1 + x0 * ((c1 + c2 * x0) % p)) % p == 0
+    # synthetic division of c2*X^2 + c1*X + 1 by (X - x0): quotient c2*X + (c1 + c2*x0)
+    double = ((c1 + c2 * x0) % p + c2 * x0) % p == 0
+    return np.where(root, 1 + double, 0)
 
 
 def sigma_ell(p: int, ell: int, factor: EulerFactor) -> SigmaDatum:
     s = compute_s_ell(p, ell)
     d = compute_d_ell(factor, ell, p)
     return SigmaDatum(ell=ell, s_ell=s, d_ell=d, sigma=s * d)
+
+
+def sigma_columns(chunk: ClassifiedChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ell, s_ell, d_ell, sigma) at the unramified primes of a classified chunk.
+
+    Each prime's factor is its unramified one, 1 - t*X + ell*X^2 with
+    t = a_ell mod p (:func:`euler_factor_from_frobenius`).
+    """
+    unramified = chunk.codes != 0
+    ells = chunk.ells[unramified]
+    s = s_ells(chunk.p, ells)
+    d = d_ells(chunk.p, ells, -chunk.trace_mod_p[unramified], ells)
+    return ells, s, d, s * d
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,18 @@ families is decided by congruences alone:
 No mod-p**2 test applies to the Omega family: splitting behaviour in the
 first cyclotomic layer only matters when the local multiplicity it scales
 is nonzero, and for Omega primes that multiplicity is already zero.
+
+Every test is a congruence, so a sweep classifies a whole chunk of primes
+at once (:func:`classify_chunk`): a :class:`ClassifiedChunk` holds the
+columns ell, a_ell mod p and a code naming the outcome of each test, all
+computed in numpy.  Consumers that stream (the CSV export, density counts,
+sigma columns) read the columns; :func:`classify_range` flattens the same
+chunks into one :class:`FrobeniusClass` a prime for the reports that list
+them.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from collections import deque
 from contextlib import closing
@@ -25,11 +32,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from itertools import islice, product
+from math import isqrt
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .arith import PrimeRange, count_primes, is_prime, sieve_primes
-from .curves import CurveModel, trace_of_frobenius
+from .curves import CurveModel, _pow, trace_of_frobenius
+from .errors import PointCountError
 from .forms import FormContext, a_ell
 
 
@@ -70,64 +81,127 @@ def classify_prime(ctx: FormContext, ell: int) -> FrobeniusClass:
 
     Any other ell is refused with the ValueError of :func:`a_ell`.
     """
-    return _frobenius_class(ell, a_ell(ctx, ell), ctx.p)
+    (klass,) = classify_chunk([ell], {ell: a_ell(ctx, ell)}, ctx.p).classes()
+    return klass
 
 
-def _frobenius_class(ell: int, a: int, p: int) -> FrobeniusClass:
-    """The class at an unramified prime ell with coefficient a_ell = a."""
-    t = a % p
+# The outcomes of the three congruence tests, as recorded in ``reasons``.
+_MOD_P_CLASS = ("mod-p-class=pass", "mod-p-class=fail(ell=+1 mod p)",
+                "mod-p-class=fail(ell=-1 mod p)")
+_TRACE = ("trace=pi", "trace=omega", "trace=neither")
+_WIEFERICH = ("wieferich=pass", "wieferich=fail(ell^(p-1)=1 mod p^2)", "wieferich=n/a")
+
+# A row's code: 0 for a Skipped prime, else 1 + 9*m + 3*t + w for the outcomes
+# (m, t, w), each an index into the tuple of its test above.  A prime is Pi
+# when all three pass, Omega when its class passes with an Omega trace.
+_REASONS = (("divides-Ngp",),) + tuple(
+    ("coprime-to-Ngp=pass", _MOD_P_CLASS[m], _TRACE[t], _WIEFERICH[w])
+    for m, t, w in product(range(3), repeat=3)
+)
+_VERDICTS = (Verdict.SKIPPED,) + tuple(
+    Verdict.PI if (m, t, w) == (0, 0, 0)
+    else Verdict.OMEGA if (m, t) == (0, 1)
+    else Verdict.NEITHER
+    for m, t, w in product(range(3), repeat=3)
+)
+_VERDICT_INDEX = np.array([list(Verdict).index(v) for v in _VERDICTS])
+
+# Up to this p a product of two residues mod p^2 fits in int64, so the
+# columns of a chunk are int64; a larger p, or an ell from 2^62 up, runs the
+# same code on dtype=object arrays of exact Python ints.
+_INT64_P_LIMIT = isqrt(isqrt(2**63 - 1))
+
+
+def column_dtype(p: int, top: int):
+    """The dtype of the columns of primes up to ``top`` at the working prime p."""
+    return np.int64 if p <= _INT64_P_LIMIT and top < 2**62 else object
+
+
+@dataclass(frozen=True, eq=False)  # numpy columns have no single truth value
+class ClassifiedChunk:
+    """Consecutive primes classified as columns, one row a prime, ascending.
+
+    ``trace_mod_p`` is a_ell mod p, or -1 at a Skipped prime.  ``codes``
+    names each row's reasons and verdict (see ``_REASONS``); the det column
+    is ``ells % p``, so it is not stored.
+    """
+
+    p: int
+    ells: np.ndarray
+    trace_mod_p: np.ndarray
+    codes: np.ndarray
+
+    def _rows(self) -> zip:
+        return zip(self.ells.tolist(), self.trace_mod_p.tolist(), self.codes.tolist())
+
+    def classes(self) -> Iterator[FrobeniusClass]:
+        """The rows as :class:`FrobeniusClass` objects, in order."""
+        for ell, t, code in self._rows():
+            if code:
+                yield FrobeniusClass(ell, t, ell % self.p, _VERDICTS[code], _REASONS[code])
+            else:
+                yield FrobeniusClass(ell, None, None, Verdict.SKIPPED, _REASONS[0])
+
+    def counts(self) -> dict[Verdict, int]:
+        """The number of rows of each verdict."""
+        tally = np.bincount(_VERDICT_INDEX[self.codes], minlength=len(Verdict))
+        return dict(zip(Verdict, tally.tolist()))
+
+    def csv_rows(self) -> str:
+        """The rows in the export format of :func:`tee_to_csv`."""
+        return "".join([
+            f"{ell},{t},{_VERDICTS[code].value}\n" if code else f"{ell},,Skipped\n"
+            for ell, t, code in self._rows()
+        ])
+
+
+def classify_chunk(
+    ells: Sequence[int], coefficients: Mapping[int, int], p: int
+) -> ClassifiedChunk:
+    """Classify ascending primes at once; an ell not in ``coefficients`` is Skipped.
+
+    ``coefficients`` maps the other ells, in ascending order, to a_ell.  The
+    split factorization of each Pi and Omega row is rechecked, and the first
+    row that fails it raises an AssertionError.
+    """
+    dtype = column_dtype(p, ells[-1] if len(ells) else 0)
+    column = np.array(ells, dtype)
+    rows = np.searchsorted(column, np.fromiter(coefficients, dtype, len(coefficients)))
+    ell = column[rows]
+    t = np.fromiter(coefficients.values(), dtype, len(coefficients)) % p
     d = ell % p
+    m = (d == 1) + 2 * (d == p - 1)
+    pi = t == (1 + ell) % p
+    omega = ~pi & (t == -(1 + ell) % p)
+    w = np.full(len(rows), 2)
+    tested = (m == 0) & pi
+    w[tested] = _pow(ell[tested] % (p * p), np.asarray(p - 1), p * p) == 1
+    _check_split_factorizations(tested & (w == 0), (m == 0) & omega, ell, t, d, p)
 
-    reasons = ["coprime-to-Ngp=pass"]
-    res_ok = d not in (1, p - 1)
-    if res_ok:
-        reasons.append("mod-p-class=pass")
-    else:
-        reasons.append(f"mod-p-class=fail(ell={'+1' if d == 1 else '-1'} mod p)")
-
-    pi_trace = t == (1 + ell) % p
-    omega_trace = t == (-(1 + ell)) % p
-    if pi_trace:
-        reasons.append("trace=pi")
-    elif omega_trace:
-        reasons.append("trace=omega")
-    else:
-        reasons.append("trace=neither")
-
-    verdict = Verdict.NEITHER
-    if res_ok and pi_trace:
-        if pow(ell, p - 1, p * p) != 1:
-            reasons.append("wieferich=pass")
-            verdict = Verdict.PI
-        else:
-            reasons.append("wieferich=fail(ell^(p-1)=1 mod p^2)")
-    else:
-        reasons.append("wieferich=n/a")
-        if res_ok and omega_trace:
-            verdict = Verdict.OMEGA
-
-    if verdict is not Verdict.NEITHER:
-        _check_split_factorization(verdict, t, d, ell, p)
-    return FrobeniusClass(ell, t, d, verdict, tuple(reasons))
+    codes = np.zeros(len(column), np.uint8)
+    codes[rows] = 1 + 9 * m + 3 * np.where(pi, 0, np.where(omega, 1, 2)) + w
+    trace = np.full(len(column), -1, dtype)
+    trace[rows] = t
+    return ClassifiedChunk(p, column, trace, codes)
 
 
-def _check_split_factorization(verdict: Verdict, t: int, d: int, ell: int, p: int) -> None:
-    """Recheck that X^2 - tX + d splits with the two distinct claimed roots."""
-    if verdict is Verdict.PI:
-        roots = (1, ell % p)
-    else:
-        roots = (p - 1, (-ell) % p)
-    if roots[0] == roots[1]:
-        raise AssertionError(f"repeated eigenvalue at ell={ell}, p={p}; classifier bug")
-    for r in roots:
-        if (r * r - t * r + d) % p != 0:
-            raise AssertionError(
-                f"claimed eigenvalue {r} is not a root of X^2-{t}X+{d} mod {p}"
-            )
+def _check_split_factorizations(pi, omega, ell, t, d, p: int) -> None:
+    """Recheck that X^2 - tX + d splits with the two distinct claimed roots.
 
-
-def _skipped(ell: int) -> FrobeniusClass:
-    return FrobeniusClass(ell, None, None, Verdict.SKIPPED, ("divides-Ngp",))
+    The roots are {1, ell} at the Pi rows and {-1, -ell} at the Omega rows;
+    the first row that fails raises an AssertionError.
+    """
+    r0 = np.where(pi, 1, p - 1).astype(d.dtype)  # object past the int64 bound, as d is
+    r1 = np.where(pi, d, -ell % p)
+    r0_bad = (r0 * r0 - t * r0 + d) % p != 0
+    bad = (pi | omega) & ((r0 == r1) | r0_bad | ((r1 * r1 - t * r1 + d) % p != 0))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if r0[i] == r1[i]:
+        raise AssertionError(f"repeated eigenvalue at ell={ell[i]}, p={p}; classifier bug")
+    r = r0[i] if r0_bad[i] else r1[i]
+    raise AssertionError(f"claimed eigenvalue {r} is not a root of X^2-{t[i]}X+{d[i]} mod {p}")
 
 
 # Primes in the first chunk of a sweep; later chunks double up to _MAX_CHUNK.
@@ -225,24 +299,37 @@ def coefficient_chunks(
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _classify_chunk(
-    ctx: FormContext, ells: Sequence[int], coefficients: dict[int, int | Exception]
-) -> Iterator[FrobeniusClass]:
-    """Classify a chunk in order, raising the error of the first prime whose coefficient failed.
+def classify_chunks(
+    ctx: FormContext,
+    prime_range: PrimeRange,
+    *,
+    workers: int | None = None,
+) -> Iterator[ClassifiedChunk]:
+    """Classify every prime in the range, in ascending chunks of columns.
 
-    The consumer therefore sees exactly what a prime-by-prime loop would
-    have yielded before raising, whatever the chunking: a table gap, say,
-    as a CoverageError at the first uncovered prime, or a PointCountError
-    at the first prime whose group order stayed ambiguous.
+    Primes dividing N_g * p come through as Skipped rows so that density
+    denominators can count classifiable primes only.
+
+    The coefficients come from :func:`coefficient_chunks` on ``workers``
+    processes: primes go out to the pool and coefficients come back, and
+    each chunk is classified here, in this process, as it arrives.  A chunk
+    whose coefficient failed at some prime (a table gap, say, as a
+    CoverageError, or a PointCountError where a group order stayed
+    ambiguous) is cut just before that prime, and the error is raised after
+    the cut chunk is yielded.  The rows (an error included) are therefore
+    identical at every worker count, and closing the stream stops the sweep.
     """
-    for ell in ells:
-        a = coefficients.get(ell)
-        if a is None:
-            yield _skipped(ell)
-        elif isinstance(a, Exception):
-            raise a
-        else:
-            yield _frobenius_class(ell, a, ctx.p)
+    with closing(coefficient_chunks(ctx, prime_range, workers=workers)) as chunks:
+        for ells, coefficients in chunks:
+            errors = (ell for ell, a in coefficients.items() if isinstance(a, Exception))
+            failed = next(errors, None)
+            if failed is None:
+                yield classify_chunk(ells, coefficients, ctx.p)
+                continue
+            cut = ells[: ells.index(failed)]
+            exposed = {ell: coefficients[ell] for ell in cut if ell in coefficients}
+            yield classify_chunk(cut, exposed, ctx.p)
+            raise coefficients[failed]
 
 
 def classify_range(
@@ -251,38 +338,27 @@ def classify_range(
     *,
     workers: int | None = None,
 ) -> Iterator[FrobeniusClass]:
-    """Classify every prime in the range, in ascending order.
-
-    Primes dividing N_g * p come through as Skipped markers so that density
-    denominators can count classifiable primes only.
-
-    The coefficients come from :func:`coefficient_chunks` on ``workers``
-    processes: primes go out to the pool and coefficients come back, and
-    each chunk is classified here, in this process, as it arrives.  The
-    stream (an error included) is therefore identical at every worker
-    count, and closing it stops the sweep.
-    """
-    with closing(coefficient_chunks(ctx, prime_range, workers=workers)) as chunks:
-        for ells, coefficients in chunks:
-            yield from _classify_chunk(ctx, ells, coefficients)
+    """The rows of :func:`classify_chunks` as one :class:`FrobeniusClass` a prime."""
+    with closing(classify_chunks(ctx, prime_range, workers=workers)) as chunks:
+        for chunk in chunks:
+            yield from chunk.classes()
 
 
-def tee_to_csv(stream: Iterable[FrobeniusClass], out: IO[str]) -> Iterator[FrobeniusClass]:
-    """Pass the stream through, writing it to ``out`` in the export format.
+def tee_to_csv(chunks: Iterable[ClassifiedChunk], out: IO[str]) -> Iterator[ClassifiedChunk]:
+    """Pass the chunks through, writing them to ``out`` in the export format.
 
     The format has the header ``ell,trace_mod_p,verdict`` and one row per
-    class, written as the class goes by.
+    prime, written as its chunk goes by.
     """
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["ell", "trace_mod_p", "verdict"])
-    for fc in stream:
-        writer.writerow([fc.ell, "" if fc.trace_mod_p is None else fc.trace_mod_p, fc.verdict.value])
-        yield fc
+    out.write("ell,trace_mod_p,verdict\n")
+    for chunk in chunks:
+        out.write(chunk.csv_rows())
+        yield chunk
 
 
-def classification_to_csv(stream: Iterable[FrobeniusClass], out: IO[str]) -> None:
-    """Write the whole stream to ``out`` in the export format of :func:`tee_to_csv`."""
-    for _ in tee_to_csv(stream, out):
+def classification_to_csv(chunks: Iterable[ClassifiedChunk], out: IO[str]) -> None:
+    """Write all the chunks to ``out`` in the export format of :func:`tee_to_csv`."""
+    for _ in tee_to_csv(chunks, out):
         pass
 
 
@@ -337,7 +413,9 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     A check that cannot be evaluated fails with a "not evaluated (...)"
     detail naming what stopped it.  Ordinariness is evaluated exactly where
     :func:`curves.is_ordinary` answers: a_p comes from the point counter,
-    whose one refusal at a prime p >= 5 is bad reduction.
+    which refuses a prime p >= 5 of bad reduction, and whose
+    :class:`PointCountError` (a group order it could not pin down) is
+    reported with its message.
     """
     p_ok = p >= 5 and is_prime(p)
     checks = [CheckResult("p>=5-and-prime", p_ok, f"p = {p}")]
@@ -356,6 +434,8 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
         ap = trace_of_frobenius(curve, p)
     except ValueError:
         checks.append(CheckResult("ordinary-at-p", False, "not evaluated (bad reduction)"))
+    except PointCountError as exc:
+        checks.append(CheckResult("ordinary-at-p", False, f"not evaluated ({exc})"))
     else:
         checks.append(
             CheckResult("ordinary-at-p", ap % p != 0, f"a_p = {ap} mod {p} = {ap % p}")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lambda_forge import PrimeRange, a_ell, load_coefficients, residual
+from lambda_forge import PrimeRange, a_ell, cli, iwasawa, load_coefficients, residual
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from lambda_forge.config import build_context, load_config
 
@@ -133,6 +133,27 @@ class TestClassify:
         assert captured.out == ""
         assert str(out) in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out_refused_before_the_sweep(self, curve_config, tmp_path, capsys,
+                                                     monkeypatch, fmt):
+        sweeps = []
+        for name in ("classify_range", "classify_chunks"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: sweeps.append(args))
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["classify", "--config", curve_config, "--from", "2", "--to", "2000000",
+                     "--format", fmt, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert sweeps == []
+        assert str(out) in capsys.readouterr().err
+
+    def test_failed_command_leaves_out_empty(self, table_config, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        out.write_text("an earlier report\n")
+        code = main(["classify", "--config", table_config, "--from", "2", "--to", "40",
+                     "--format", "csv", "--workers", "1", "--out", str(out)])
+        assert code == EXIT_COMPUTE  # 7 is missing from the table
+        assert out.read_text() == ""
+
 
 class TestPlan:
     def test_conductor_prime_outside_discriminant_exit_2(self, tmp_path, capsys):
@@ -230,13 +251,13 @@ class TestVerifyDensity:
         plain_report = capsys.readouterr().out
 
         classified = Counter()
-        frobenius_class = residual._frobenius_class  # what the sweep calls per prime
+        chunk_classifier = residual.classify_chunk  # what the sweep calls per chunk
 
-        def counting(ell, a, p):
-            classified[ell] += 1
-            return frobenius_class(ell, a, p)
+        def counting(ells, coefficients, p):
+            classified.update(coefficients.keys())
+            return chunk_classifier(ells, coefficients, p)
 
-        monkeypatch.setattr(residual, "_frobenius_class", counting)
+        monkeypatch.setattr(residual, "classify_chunk", counting)
         dump = tmp_path / "per_prime.csv"
         assert main(argv + ["--csv", str(dump)]) == EXIT_OK
         assert capsys.readouterr().out == plain_report
@@ -248,7 +269,7 @@ class TestVerifyDensity:
         assert len(lines) == 1 + sum(1 for _ in PrimeRange(2, 200))
         ctx = build_context(load_config(curve_config))
         expected = io.StringIO()
-        residual.classification_to_csv(residual.classify_range(ctx, PrimeRange(2, 200)), expected)
+        residual.classification_to_csv(residual.classify_chunks(ctx, PrimeRange(2, 200)), expected)
         assert dump.read_text() == expected.getvalue()
 
     def test_unwritable_csv_exit_2(self, curve_config, tmp_path, capsys):
@@ -385,6 +406,52 @@ class TestAEll:
             argv += ["--ell", ell]
         assert main(argv) == EXIT_CONFIG
         assert f"usage error: {message}" in capsys.readouterr().err
+
+
+class TestNoPerPrimeObjects:
+    """The streaming commands read classified columns; no object is built a prime."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        counts = Counter()
+        for cls in (residual.FrobeniusClass, iwasawa.SigmaDatum):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @pytest.fixture()
+    def wide_table_config(self, table_config):
+        rows = [f"{ell},{1 if ell == 7 else 2 * (ell % 3) - 2}\n" for ell in PrimeRange(2, 20000)]
+        (Path(table_config).parent / "coeffs.csv").write_text("ell,a_ell\n" + "".join(rows))
+        text = Path(table_config).read_text().replace("p = 5", "p = 7")
+        text = text.replace("surjective_mod_p = false", "surjective_mod_p = true")
+        Path(table_config).write_text(text)
+        return table_config
+
+    @pytest.mark.parametrize("argv, last", [
+        (["classify", "--from", "2", "--to", "20000", "--format", "csv"], "19997,"),
+        (["sigma", "--from", "2", "--to", "20000", "--format", "csv"], "19997,"),
+        (["verify-density", "--bound", "20000"], '"sample_primes": 2260'),
+        (["verify-density", "--bound", "20000", "--csv", "{dir}/per_prime.csv"],
+         '"sample_primes": 2260'),
+    ], ids=["classify-csv", "sigma-csv", "verify-density", "verify-density-csv"])
+    def test_streaming_commands(self, wide_table_config, built, capsys, argv, last):
+        argv = [arg.format(dir=Path(wide_table_config).parent) for arg in argv]
+        assert main([*argv, "--config", wide_table_config]) == EXIT_OK
+        assert last in capsys.readouterr().out  # the whole range went through
+        assert built == {}
+
+    def test_the_spy_sees_the_json_report(self, wide_table_config, built, capsys):
+        argv = ["classify", "--config", wide_table_config, "--from", "2", "--to", "100"]
+        assert main(argv) == EXIT_OK
+        assert built == {"FrobeniusClass": sum(1 for _ in PrimeRange(2, 100))}
+        iwasawa.sigma_ell(5, 2, iwasawa.EulerFactor(5, 2, 2))
+        assert built["SigmaDatum"] == 1
 
 
 class TestDeterminism:

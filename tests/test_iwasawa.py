@@ -1,6 +1,10 @@
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_forge import (
     SigmaDatum,
@@ -16,8 +20,8 @@ from lambda_forge import (
 )
 from lambda_forge.arith import PrimeRange, is_prime
 from lambda_forge.errors import HypothesisViolation, MissingDataError, ResourceLimitError
-from lambda_forge.iwasawa import S_ELL_EXPONENT_CAP, EulerFactor
-from lambda_forge.residual import FrobeniusClass
+from lambda_forge.iwasawa import S_ELL_EXPONENT_CAP, EulerFactor, d_ells, s_ells, sigma_columns
+from lambda_forge.residual import FrobeniusClass, classify_chunks, column_dtype
 
 
 def brute_s_ell(p: int, ell: int, cap: int = 30) -> int:
@@ -52,6 +56,93 @@ def brute_d_ell(factor: EulerFactor, ell: int, p: int) -> int:
         coeffs = quotient
         mult += 1
     return mult
+
+
+def scalar_s_ell(p: int, ell: int) -> int:
+    """Reference: raise the modulus one power of p at a time, up to the cap."""
+    m = 0
+    while pow(ell, p - 1, p ** (m + 2)) == 1:
+        m += 1
+        if m > S_ELL_EXPONENT_CAP:
+            raise ResourceLimitError(
+                f"s_ell exponent exceeds cap {S_ELL_EXPONENT_CAP} at ell={ell}, p={p}"
+            )
+    return p**m
+
+
+def scalar_d_ell(c1: int, c2: int, ell: int, p: int) -> int:
+    """Reference: evaluate 1 + c1*X + c2*X^2 at 1/ell, then its quotient by (X - 1/ell)."""
+    x0 = pow(ell, -1, p)
+    if (1 + c1 * x0 + c2 * x0 * x0) % p != 0:
+        return 0
+    return 2 if ((c1 + c2 * x0) % p + c2 * x0) % p == 0 else 1
+
+
+# ell = 1 mod 5^22, so ell^4 = 1 mod 5^22 and the exponent passes the cap of 20
+CAP_ELL = 1 + 16 * 5**22
+
+
+@st.composite
+def sigma_rows(draw):
+    """(p, ells, c1, c2): ells prime to p, rich in ell^(p-1) = 1 mod p^2 and mod p^3.
+
+    Such ells are the p-th (or p^2-th) powers of some y mod p^2 (or p^3);
+    at p = 5 the list may hold 443 (s = 125) and CAP_ELL.  p runs on both
+    sides of the int64 bound of the columns, and far past it.
+    """
+    p = draw(st.sampled_from([5, 7, 11, 55103, 55109, 2**61 - 1]))
+    ells = []
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["any", "mod p^2", "mod p^3"]))
+        k = draw(st.integers(0, 1000))
+        if kind == "any":
+            ell = draw(st.integers(2, 10**12))
+        else:
+            e = 1 if kind == "mod p^2" else 2
+            ell = pow(draw(st.integers(2, 10**6)), p**e, p ** (e + 1)) + k * p ** (e + 1)
+        ells.append(ell + 1 if ell % p == 0 else ell)
+    if p == 5:
+        for special in (443, CAP_ELL):
+            if draw(st.booleans()):
+                ells.insert(draw(st.integers(0, len(ells))), special)
+    coefficient = st.integers(-10**6, 10**6)
+    return p, ells, [draw(coefficient) for _ in ells], [draw(coefficient) for _ in ells]
+
+
+class TestColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(sigma_rows())
+    def test_equal_scalar_loops(self, rows):
+        p, ells, c1, c2 = rows
+        dtype = column_dtype(p, max(ells))
+        column = np.array(ells, dtype)
+        try:
+            expected = [scalar_s_ell(p, ell) for ell in ells]
+        except ResourceLimitError as exc:
+            with pytest.raises(ResourceLimitError, match=re.escape(str(exc))):
+                s_ells(p, column)
+        else:
+            assert s_ells(p, column).tolist() == expected
+        d = d_ells(p, column, np.array(c1, dtype), np.array(c2, dtype))
+        expected = [scalar_d_ell(a % p, b % p, ell, p) for ell, a, b in zip(ells, c1, c2)]
+        assert d.tolist() == expected
+
+    def test_cap_raised_at_the_first_ell_past_it(self):
+        ells = np.array([2, 443, 7, CAP_ELL, CAP_ELL + 2 * 5**23])
+        assert scalar_s_ell(5, 443) == 125
+        with pytest.raises(ResourceLimitError, match=f"at ell={CAP_ELL}, p=5"):
+            s_ells(5, ells)
+        assert s_ells(5, ells[:3]).tolist() == [1, 125, 5]
+
+    def test_sigma_columns_equal_per_prime_data(self, ctx_default):
+        rows = []
+        data = []
+        for chunk in classify_chunks(ctx_default, PrimeRange(2, 5000)):
+            rows += zip(*(column.tolist() for column in sigma_columns(chunk)))
+            data += [sigma_ell(7, fc.ell, euler_factor_from_frobenius(fc, 7))
+                     for fc in chunk.classes() if fc.verdict is not Verdict.SKIPPED]
+        assert rows == [(d.ell, d.s_ell, d.d_ell, d.sigma) for d in data]
+        assert {d.s_ell for d in data} >= {1, 7}
 
 
 class TestSEll:

@@ -3,20 +3,23 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import time
 from collections import Counter
 from itertools import islice
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_forge import (
     CoefficientTable,
     CurveModel,
     FormContext,
+    FrobeniusClass,
     Verdict,
     classify_prime,
     classify_range,
@@ -30,15 +33,139 @@ from lambda_forge.curves import _short_model, count_points_naive
 from lambda_forge.errors import CoverageError, PointCountError
 from lambda_forge.forms import a_ells
 from lambda_forge.residual import (
-    _frobenius_class,
-    _skipped,
+    _INT64_P_LIMIT,
     classification_to_csv,
+    classify_chunk,
+    classify_chunks,
     resolve_workers,
 )
 
 from conftest import short_curve
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+def _frobenius_class(ell: int, a: int, p: int) -> FrobeniusClass:
+    """Reference: the class at an unramified prime ell, one congruence test at a time."""
+    t = a % p
+    d = ell % p
+
+    reasons = ["coprime-to-Ngp=pass"]
+    res_ok = d not in (1, p - 1)
+    if res_ok:
+        reasons.append("mod-p-class=pass")
+    else:
+        reasons.append(f"mod-p-class=fail(ell={'+1' if d == 1 else '-1'} mod p)")
+
+    pi_trace = t == (1 + ell) % p
+    omega_trace = t == (-(1 + ell)) % p
+    if pi_trace:
+        reasons.append("trace=pi")
+    elif omega_trace:
+        reasons.append("trace=omega")
+    else:
+        reasons.append("trace=neither")
+
+    verdict = Verdict.NEITHER
+    if res_ok and pi_trace:
+        if pow(ell, p - 1, p * p) != 1:
+            reasons.append("wieferich=pass")
+            verdict = Verdict.PI
+        else:
+            reasons.append("wieferich=fail(ell^(p-1)=1 mod p^2)")
+    else:
+        reasons.append("wieferich=n/a")
+        if res_ok and omega_trace:
+            verdict = Verdict.OMEGA
+    return FrobeniusClass(ell, t, d, verdict, tuple(reasons))
+
+
+def _skipped(ell: int) -> FrobeniusClass:
+    return FrobeniusClass(ell, None, None, Verdict.SKIPPED, ("divides-Ngp",))
+
+
+# The largest prime whose chunk columns are int64, the least past it, and a
+# prime far past it; every other p of the parity property is small.
+P_INT64, P_OBJECT, P_HUGE = 55103, 55109, 2**61 - 1
+
+
+@st.composite
+def mixed_chunks(draw):
+    """(ells, coefficients, p): ascending ells, some skipped, rich in the boundary cases.
+
+    Each ell is drawn as any integer, or as +1 or -1 mod p, or as a Wieferich
+    type ell (ell^(p-1) = 1 mod p^2, the p-th power of some y mod p^2).  Its
+    a_ell is drawn with a Pi trace, an Omega trace or any trace, and may be
+    negative.  With ``wide`` the ells run past 2^62, so the columns are
+    dtype=object at any p.
+    """
+    p = draw(st.sampled_from([5, 7, 11, 13, P_INT64, P_OBJECT, P_HUGE]))
+    top = 2**70 if draw(st.booleans()) else 10**9
+    rows = {}
+    for _ in range(draw(st.integers(1, 30))):
+        k = draw(st.integers(0, top // (p * p) + 1))
+        kind = draw(st.sampled_from(["any", "+1", "-1", "wieferich"]))
+        if kind == "any":
+            ell = draw(st.integers(2, top))
+        elif kind == "wieferich":
+            ell = pow(draw(st.integers(2, min(p - 2, 10**6))), p, p * p) + k * p * p
+        else:
+            ell = (1 if kind == "+1" else p - 1) + k * p
+        trace = draw(st.sampled_from(["pi", "omega", "any"]))
+        base = {"pi": (1 + ell) % p, "omega": -(1 + ell) % p, "any": draw(st.integers(0, p - 1))}
+        a = base[trace] + p * draw(st.integers(-3, 3))
+        rows[ell] = None if draw(st.integers(0, 9)) == 0 else a
+    ells = sorted(rows)
+    return ells, {ell: rows[ell] for ell in ells if rows[ell] is not None}, p
+
+
+class TestClassifyChunk:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_chunks())
+    @example(([2], {2: P_HUGE - 3}, P_HUGE))  # an Omega row whose roots overflow int64
+    def test_equals_scalar_reference(self, chunk):
+        ells, coefficients, p = chunk
+        expected = [
+            _frobenius_class(ell, coefficients[ell], p) if ell in coefficients else _skipped(ell)
+            for ell in ells
+        ]
+        assert list(classify_chunk(ells, coefficients, p).classes()) == expected
+
+    def test_columns_switch_to_objects_past_the_bound(self):
+        assert _INT64_P_LIMIT**4 < 2**63 <= (_INT64_P_LIMIT + 1) ** 4
+        assert classify_chunk([2, 3], {2: 1, 3: 0}, P_INT64).ells.dtype == "int64"
+        assert classify_chunk([2, 3], {2: 1, 3: 0}, P_OBJECT).ells.dtype == object
+        assert classify_chunk([2, 2**62 + 135], {2: 1}, 7).ells.dtype == object
+
+    def test_wieferich_type_ells(self):
+        # 79 = 2^7 mod 49 and 97 = 6^7 mod 49, so ell^6 = 1 mod 49 for both; 79 = 2 mod 7
+        # passes the class test and fails only the Wieferich one, 97 = -1 mod 7 fails first
+        coefficients = {79: 80 % 7, 97: 98 % 7 - 7}
+        classes = list(classify_chunk([79, 97], coefficients, 7).classes())
+        assert classes == [_frobenius_class(ell, a, 7) for ell, a in coefficients.items()]
+        assert [fc.reasons[1:] for fc in classes] == [
+            ("mod-p-class=pass", "trace=pi", "wieferich=fail(ell^(p-1)=1 mod p^2)"),
+            ("mod-p-class=fail(ell=-1 mod p)", "trace=pi", "wieferich=n/a"),
+        ]
+
+    @pytest.mark.parametrize("ells, pi, t, message", [
+        ([2, 3, 13], [False, True, True], [3, 0, 0],
+         "claimed eigenvalue 1 is not a root of X^2-0X+3 mod 5"),
+        ([2, 11, 13], [True, True, False], [3, 2, 0], "repeated eigenvalue at ell=11, p=5"),
+    ], ids=["not-a-root", "repeated"])
+    def test_recheck_raises_at_the_first_bad_row(self, ells, pi, t, message):
+        ell = np.array(ells)
+        columns = [np.array(pi), np.zeros(3, bool), ell, np.array(t), ell % 5]
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            residual._check_split_factorizations(*columns, 5)
+
+    def test_counts_and_csv_rows(self):
+        chunk = classify_chunk([2, 3, 5, 13, 17], {2: 3, 3: 1, 13: 4, 17: 0}, 5)
+        assert chunk.counts() == {Verdict.PI: 2, Verdict.OMEGA: 1, Verdict.NEITHER: 1,
+                                  Verdict.SKIPPED: 1}
+        assert chunk.csv_rows() == (
+            "2,3,PiMember\n3,1,OmegaMember\n5,,Skipped\n13,4,PiMember\n17,0,Neither\n"
+        )
 
 
 def single_prime_ctx(p: int, ell: int, a: int, level: int, a_p: int) -> FormContext:
@@ -221,7 +348,7 @@ class TestClassifyRange:
 
     def test_csv_export_shape(self, ctx_default):
         buf = io.StringIO()
-        classification_to_csv(classify_range(ctx_default, PrimeRange(2, 50)), buf)
+        classification_to_csv(classify_chunks(ctx_default, PrimeRange(2, 50)), buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "ell,trace_mod_p,verdict"
         assert lines[1] == "2,5,Neither"
@@ -276,6 +403,18 @@ class TestSweepPipeline:
         assert run(2) == serial
 
 
+    def test_a_failing_chunk_is_cut_before_its_prime(self):
+        # 1999 is missing from the table: the chunk holding it ends at 1997, then the error
+        coeffs = {ell: 1 for ell in sieve_primes(PrimeRange(2, 4000)) if ell != 1999}
+        ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                          backend=CoefficientTable(coefficients=coeffs, level=11))
+        rows = []
+        with pytest.raises(CoverageError, match=r"\b1999\b"):
+            for chunk in classify_chunks(ctx, PrimeRange(2, 4000)):
+                rows += chunk.ells.tolist()
+        assert rows == list(sieve_primes(PrimeRange(2, 1998)))
+
+
 class TestPoolTraffic:
     """Pool workers only fetch coefficients; every class is built in the parent."""
 
@@ -285,13 +424,13 @@ class TestPoolTraffic:
 
     def test_parent_classifies_every_prime_once(self, ctx_default, monkeypatch):
         classified = Counter()
-        frobenius_class = residual._frobenius_class  # what the sweep calls per prime
+        chunk_classifier = residual.classify_chunk  # what the sweep calls per chunk
 
-        def counting(ell, a, p):
-            classified[ell] += 1
-            return frobenius_class(ell, a, p)
+        def counting(ells, coefficients, p):
+            classified.update(coefficients.keys())
+            return chunk_classifier(ells, coefficients, p)
 
-        monkeypatch.setattr(residual, "_frobenius_class", counting)
+        monkeypatch.setattr(residual, "classify_chunk", counting)
         stream = list(classify_range(ctx_default, PrimeRange(2, 5000), workers=2))
         assert set(classified.values()) == {1}
         assert sorted(classified) == [fc.ell for fc in stream if fc.verdict is not Verdict.SKIPPED]
@@ -379,6 +518,15 @@ class TestScreenP:
 
     def test_always_returns_report(self, curve_11a1):
         assert screen_p(curve_11a1, 4).checks  # not prime, still a report
+
+    def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
+        # one point a prime leaves the group order at 3001 ambiguous: a PointCountError
+        monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
+        report = screen_p(curve_11a1, 3001)
+        ordinary = report.checks[-1]
+        assert (ordinary.name, ordinary.passed) == ("ordinary-at-p", False)
+        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3001")
+        assert [c.passed for c in report.checks[:2]] == [True, True]
 
 
 def test_verdict_vocabulary_is_stable():
