@@ -26,20 +26,7 @@ from .density import (
     exact_densities,
 )
 from .forms import CoefficientTable, FormContext, a_ell, load_coefficients
-from .iwasawa import (
-    EulerFactor,
-    RankBound,
-    SigmaDatum,
-    TransferResult,
-    bk_rank_bounds,
-    compute_d_ell,
-    compute_s_ell,
-    euler_factor_from_frobenius,
-    lambda_transfer,
-    ramified_euler_factor,
-    sigma_columns,
-    sigma_ell,
-)
+from .iwasawa import RankBound, bk_rank_bounds, lambda_transfer, sigma_columns, sigma_ell
 from .levels import (
     CarayolReport,
     LevelSet,
@@ -68,15 +55,12 @@ __all__ = [
     "CoefficientTable",
     "CurveModel",
     "DensityReport",
-    "EulerFactor",
     "FormContext",
     "FrobeniusClass",
     "LevelSet",
     "PrimeRange",
     "RankBound",
     "ScreenReport",
-    "SigmaDatum",
-    "TransferResult",
     "Verdict",
     "a_ell",
     "bk_rank_bounds",
@@ -85,20 +69,16 @@ __all__ = [
     "classify_chunks",
     "classify_prime",
     "classify_range",
-    "compute_d_ell",
-    "compute_s_ell",
     "count_points_bsgs",
     "count_points_naive",
     "empirical_density",
     "enumerate_gl2_classes",
     "enumerate_level_sets",
-    "euler_factor_from_frobenius",
     "exact_densities",
     "is_ordinary",
     "lambda_transfer",
     "load_coefficients",
     "plan_target_lambda",
-    "ramified_euler_factor",
     "screen_p",
     "sieve_primes",
     "sigma_columns",

@@ -56,8 +56,3 @@ class ResourceLimitError(ComputationError):
 
 class PointCountError(ComputationError):
     """Point counting could not pin down the group order unambiguously."""
-
-
-class MissingDataError(ComputationError):
-    """A local Euler factor is needed but nothing can supply it."""
-

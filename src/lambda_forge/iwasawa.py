@@ -5,14 +5,13 @@ is sigma_ell = s_ell * d_ell, where s_ell is the p-power counting primes
 above ell in the cyclotomic Z_p-tower and d_ell is the multiplicity of
 1/ell as a root of the mod-p local Euler factor.  Congruent forms differ in
 lambda exactly by the sum of the sigma differences over primes of the new
-level, which is what ``lambda_transfer`` evaluates.
+level (Greenberg-Vatsal), which is what ``lambda_transfer`` evaluates.
 
-s_ell and d_ell are computed over arrays of primes (:func:`s_ells`,
-:func:`d_ells`, and :func:`sigma_columns` for a classified chunk): both are
-congruences in ell, except that a prime with ell**(p-1) = 1 mod p**2 (about
-one in p) needs the exact scalar loop over higher powers of p.  The
-per-prime functions (:func:`compute_s_ell`, :func:`compute_d_ell`,
-:func:`sigma_ell`) are batches of one.
+Everything works on columns, one row a prime: :func:`s_ells` and
+:func:`d_ells` are congruences in ell, except that a prime with
+ell**(p-1) = 1 mod p**2 (about one in p) needs the exact scalar loop over
+higher powers of p.  :func:`sigma_ell` is the one sigma kernel; both the
+sweep (:func:`sigma_columns`) and the level planner call it.
 """
 
 from __future__ import annotations
@@ -22,68 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _pow
-from .errors import HypothesisViolation, MissingDataError, ResourceLimitError
+from .errors import HypothesisViolation, ResourceLimitError
 from .forms import FormContext
-from .residual import ClassifiedChunk, FrobeniusClass, Verdict, column_dtype
+from .residual import ClassifiedChunk
 
 S_ELL_EXPONENT_CAP = 20
 
 
-@dataclass(frozen=True)
-class EulerFactor:
-    """Mod-p local factor 1 + c1*X + c2*X^2 (constant term always 1)."""
-
-    p: int
-    c1: int
-    c2: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", self.c1 % self.p)
-        object.__setattr__(self, "c2", self.c2 % self.p)
-
-    @property
-    def coefficients(self) -> tuple[int, int, int]:
-        return (1, self.c1, self.c2)
-
-
-@dataclass(frozen=True)
-class SigmaDatum:
-    """Per-prime transfer datum; sigma = s_ell * d_ell by construction."""
-
-    ell: int
-    s_ell: int
-    d_ell: int
-    sigma: int
-
-    def __post_init__(self) -> None:
-        if self.d_ell not in (0, 1, 2):
-            raise ValueError(f"d_ell must be in {{0,1,2}}, got {self.d_ell}")
-        if self.sigma != self.s_ell * self.d_ell:
-            raise ValueError(
-                f"sigma = {self.sigma} != s_ell * d_ell = {self.s_ell * self.d_ell}"
-            )
-
-    def as_dict(self) -> dict:
-        return {"ell": self.ell, "s": self.s_ell, "d": self.d_ell, "sigma": self.sigma}
-
-
-def compute_s_ell(p: int, ell: int) -> int:
-    """p**m for the maximal m >= 0 with ell**(p-1) = 1 mod p**(m+1).
-
-    Fermat guarantees m >= 0.  The exponent is capped at
-    :data:`S_ELL_EXPONENT_CAP`; passing the cap raises rather than silently
-    truncating.
-    """
-    return s_ells(p, np.array([ell], column_dtype(p, ell))).tolist()[0]
-
-
 def s_ells(p: int, ells: np.ndarray) -> np.ndarray:
-    """:func:`compute_s_ell` at each ell of an array of dtype :func:`column_dtype`.
+    """p**m at each ell, for the maximal m >= 0 with ell**(p-1) = 1 mod p**(m+1).
 
-    ell**(p-1) = 1 mod p**2 is tested over the whole array; only the rows
-    where it holds take the scalar loop over higher powers, in order, so
-    the first ell past the cap is the one that raises.  The result is int64
-    while 2 * s fits, else an object array.
+    ``ells`` has the dtype :func:`~lambda_forge.residual.column_dtype`.
+    Fermat guarantees m >= 0.  ell**(p-1) = 1 mod p**2 is tested over the
+    whole array; only the rows where it holds take the scalar loop over
+    higher powers, in order, so the first ell whose exponent passes
+    :data:`S_ELL_EXPONENT_CAP` is the one that raises, rather than being
+    silently truncated.  The result is int64 while 2 * s fits, else an
+    object array.
     """
     if (ells == p).any():
         raise ValueError("s_ell is undefined at ell = p")
@@ -106,41 +60,11 @@ def _s_exponent(p: int, ell: int) -> int:
     return m
 
 
-def euler_factor_from_frobenius(klass: FrobeniusClass, p: int) -> EulerFactor:
-    """Unramified factor 1 - trace*X + det*X^2 from a classified prime."""
-    if klass.trace_mod_p is None or klass.det_mod_p is None:
-        raise MissingDataError(
-            f"prime {klass.ell} was skipped (ramified); no Frobenius data for its factor"
-        )
-    return EulerFactor(p=p, c1=-klass.trace_mod_p, c2=klass.det_mod_p)
-
-
-def ramified_euler_factor(verdict: Verdict, p: int) -> EulerFactor:
-    """Factor for a form newly ramified at a Pi/Omega prime: 1 -+ X.
-
-    Inertia then acts by nontrivial unipotents, the inertia coinvariants are
-    a line on which Frobenius acts by +1 (Pi type) or -1 (Omega type), so the
-    quadratic factor degenerates to 1 - X resp. 1 + X.
-    """
-    if verdict is Verdict.PI:
-        return EulerFactor(p=p, c1=-1, c2=0)
-    if verdict is Verdict.OMEGA:
-        return EulerFactor(p=p, c1=1, c2=0)
-    raise ValueError(f"ramified trivial-quotient factor needs a Pi/Omega verdict, got {verdict}")
-
-
-def compute_d_ell(factor: EulerFactor, ell: int, p: int) -> int:
-    """Multiplicity of 1/ell mod p as a root of the factor (0, 1, or 2)."""
-    dtype = column_dtype(p, ell)
-    c1, c2 = (np.array([c], dtype) for c in (factor.c1, factor.c2))
-    return d_ells(p, np.array([ell], dtype), c1, c2).tolist()[0]
-
-
 def d_ells(p: int, ells: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """:func:`compute_d_ell` at each row, for the factors 1 + c1*X + c2*X^2.
+    """Multiplicity (0, 1 or 2) of 1/ell mod p as a root of 1 + c1*X + c2*X^2, a row each.
 
-    All three arrays have the dtype :func:`column_dtype`; c1 and c2 are
-    taken mod p.
+    All three arrays have the dtype :func:`~lambda_forge.residual.column_dtype`;
+    c1 and c2 are taken mod p.
     """
     r = ells % p
     if not r.all():
@@ -153,63 +77,40 @@ def d_ells(p: int, ells: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarr
     return np.where(root, 1 + double, 0)
 
 
-def sigma_ell(p: int, ell: int, factor: EulerFactor) -> SigmaDatum:
-    s = compute_s_ell(p, ell)
-    d = compute_d_ell(factor, ell, p)
-    return SigmaDatum(ell=ell, s_ell=s, d_ell=d, sigma=s * d)
+def sigma_ell(
+    p: int, ells: np.ndarray, c1: np.ndarray, c2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (s_ell, d_ell, sigma = s_ell * d_ell) for the factors 1 + c1*X + c2*X^2."""
+    s = s_ells(p, ells)
+    d = d_ells(p, ells, c1, c2)
+    return s, d, s * d
 
 
 def sigma_columns(chunk: ClassifiedChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ell, s_ell, d_ell, sigma) at the unramified primes of a classified chunk.
 
     Each prime's factor is its unramified one, 1 - t*X + ell*X^2 with
-    t = a_ell mod p (:func:`euler_factor_from_frobenius`).
+    t = a_ell mod p.
     """
     unramified = chunk.codes != 0
     ells = chunk.ells[unramified]
-    s = s_ells(chunk.p, ells)
-    d = d_ells(chunk.p, ells, -chunk.trace_mod_p[unramified], ells)
-    return ells, s, d, s * d
+    return (ells, *sigma_ell(chunk.p, ells, -chunk.trace_mod_p[unramified], ells))
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Predicted invariants of a congruent form."""
+def lambda_transfer(ctx: FormContext, sigma_g: np.ndarray, sigma_f: np.ndarray) -> int:
+    """lambda_f = lambda_g + sum over the new primes ell of (sigma_ell(g) - sigma_ell(f)).
 
-    lambda_f: int
-    mu_f: int
-
-
-def lambda_transfer(
-    ctx: FormContext,
-    sigma_g: list[SigmaDatum] | tuple[SigmaDatum, ...],
-    sigma_f: list[SigmaDatum] | tuple[SigmaDatum, ...],
-) -> TransferResult:
-    """lambda_f = lambda_g + sum over ell | N_f of (sigma_ell(g) - sigma_ell(f)).
-
-    Requires the certified mu_zero attestation: the congruence transfer of
-    Selmer coranks is only valid when the mu-invariant of g vanishes.  Both
-    lists must cover the same primes.  Primes dividing N_g contribute zero
-    identically (both forms see the same inertia coinvariants there), so
-    such entries are accepted but never evaluated.  Returns mu_f = 0.
+    ``sigma_g`` and ``sigma_f`` are aligned columns, one row a prime of
+    N_f / N_g.  Requires the certified mu_zero attestation: the congruence
+    transfer of Selmer coranks is only valid when the mu-invariant of g
+    vanishes.
     """
     if not ctx.mu_zero:
         raise HypothesisViolation(
             "lambda transfer requires the certified vanishing of mu_p(g); "
             "config asserts mu_zero = false"
         )
-    by_ell_g = {d.ell: d for d in sigma_g}
-    by_ell_f = {d.ell: d for d in sigma_f}
-    if len(by_ell_g) != len(sigma_g) or len(by_ell_f) != len(sigma_f):
-        raise ValueError("duplicate primes in a sigma list")
-    if set(by_ell_g) != set(by_ell_f):
-        raise ValueError(
-            f"sigma supports differ: {sorted(set(by_ell_g) ^ set(by_ell_f))}"
-        )
-    total = sum(
-        by_ell_g[ell].sigma - by_ell_f[ell].sigma for ell in by_ell_g if ctx.level % ell
-    )
-    return TransferResult(lambda_f=ctx.lambda_g + total, mu_f=0)
+    return ctx.lambda_g + int((sigma_g - sigma_f).sum())
 
 
 @dataclass(frozen=True)

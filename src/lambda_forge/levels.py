@@ -15,19 +15,14 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .arith import PrimeRange, factorize
 from .density import exact_densities
 from .errors import CoverageError, ResourceLimitError, ScarcityError
 from .forms import FormContext
-from .iwasawa import (
-    SigmaDatum,
-    compute_d_ell,
-    euler_factor_from_frobenius,
-    lambda_transfer,
-    ramified_euler_factor,
-    sigma_ell,
-)
-from .residual import FrobeniusClass, Verdict, classify_range
+from .iwasawa import lambda_transfer, sigma_ell
+from .residual import FrobeniusClass, Verdict, classify_range, column_dtype
 
 MAX_LEVEL = 2**63
 CARAYOL_TRIAL_BOUND = 10**6
@@ -82,11 +77,14 @@ def build_level_set(
 
     The predicted lambda is obtained by actually evaluating the transfer sum
     over the chosen primes (generic Euler factors for g, degenerate ramified
-    factors for the new form), not by shortcutting to lambda_g + n.
+    factors for the new form), not by shortcutting to lambda_g + n.  A prime
+    dividing N_g * p has no Frobenius class to transfer and is refused.
     """
-    for klass, want in [(c, Verdict.PI) for c in pi_classes] + [
-        (c, Verdict.OMEGA) for c in omega_classes
-    ]:
+    chosen = [(c, Verdict.PI) for c in pi_classes] + [(c, Verdict.OMEGA) for c in omega_classes]
+    for klass, _ in chosen:
+        if ctx.divides_ngp(klass.ell):
+            raise ValueError(f"level-raising prime {klass.ell} divides N_g * p")
+    for klass, want in chosen:
         if klass.verdict is not want:
             raise ValueError(f"prime {klass.ell} has verdict {klass.verdict}, expected {want}")
         if not _case1_identity_holds(klass.ell, klass.trace_mod_p, ctx.p):
@@ -94,31 +92,29 @@ def build_level_set(
                 f"level-raising prime {klass.ell} fails the Carayol case-1 identity; bug"
             )
 
-    chosen = list(pi_classes) + list(omega_classes)
-    primes = [c.ell for c in chosen]
+    primes = [c.ell for c, _ in chosen]
     if len(set(primes)) != len(primes):
         raise ValueError(f"duplicate primes in level set: {sorted(primes)}")
     n_sigma = _checked_product(primes)
     n_f = _checked_product([ctx.level], start=n_sigma)
 
-    sigma_g = []
-    sigma_f = []
-    for klass in chosen:
-        g_datum = sigma_ell(ctx.p, klass.ell, euler_factor_from_frobenius(klass, ctx.p))
-        f_d = compute_d_ell(ramified_euler_factor(klass.verdict, ctx.p), klass.ell, ctx.p)
-        sigma_g.append(g_datum)
-        sigma_f.append(
-            SigmaDatum(ell=klass.ell, s_ell=g_datum.s_ell, d_ell=f_d, sigma=g_datum.s_ell * f_d)
-        )
-    transfer = lambda_transfer(ctx, sigma_g, sigma_f)
+    dtype = column_dtype(ctx.p, max(primes, default=0))
+    ells = np.array(primes, dtype)
+    traces = np.array([c.trace_mod_p for c, _ in chosen], dtype)
+    # Newly ramified at a Pi (Omega) prime, f has inertia acting by a nontrivial
+    # unipotent; its inertia coinvariants are a line on which Frobenius acts by
+    # +1 (-1), so the quadratic factor degenerates to 1 - X (1 + X).
+    signs = np.array([-1 if want is Verdict.PI else 1 for _, want in chosen], dtype)
+    _, _, sigma_g = sigma_ell(ctx.p, ells, -traces, ells)
+    _, _, sigma_f = sigma_ell(ctx.p, ells, signs, np.zeros_like(ells))
 
     return LevelSet(
         pi_primes=tuple(c.ell for c in pi_classes),
         omega_primes=tuple(c.ell for c in omega_classes),
         n_sigma=n_sigma,
         n_f=n_f,
-        predicted_lambda=transfer.lambda_f,
-        predicted_mu=transfer.mu_f,
+        predicted_lambda=lambda_transfer(ctx, sigma_g, sigma_f),
+        predicted_mu=0,
         existence=EXISTENCE_ASSERTED if chosen else EXISTENCE_IDENTITY,
     )
 

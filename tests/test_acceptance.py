@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from lambda_forge import (
     CoefficientTable,
     CurveModel,
@@ -17,22 +19,20 @@ from lambda_forge import (
     Verdict,
     bk_rank_bounds,
     carayol_check,
+    classify_chunks,
     classify_range,
-    compute_s_ell,
     count_points_bsgs,
     count_points_naive,
     empirical_density,
     enumerate_gl2_classes,
     enumerate_level_sets,
-    euler_factor_from_frobenius,
     exact_densities,
     lambda_transfer,
-    ramified_euler_factor,
     sigma_ell,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
-from lambda_forge.iwasawa import SigmaDatum
-from lambda_forge.residual import resolve_workers
+from lambda_forge.iwasawa import s_ells
+from lambda_forge.residual import _VERDICTS, resolve_workers
 
 from conftest import CURVE_11A1, CURVE_37A1, CURVE_389A1
 
@@ -93,26 +93,25 @@ def test_criterion_3_chebotarev_empirical(ctx_default):
 def test_criterion_4_closed_form_sigma_pipeline(ctx_default):
     """Every Pi/Omega prime below 1e5: sigma(g) and sigma(f) match the closed forms."""
     p = ctx_default.p
+    verdicts = np.array(_VERDICTS, object)
     n_pi = n_omega = 0
-    for klass in classify_range(ctx_default, PrimeRange(2, 100_000),
-                                workers=resolve_workers()):
-        if klass.verdict is Verdict.PI:
-            n_pi += 1
-            factor = euler_factor_from_frobenius(klass, p)
-            # (1 - X)(1 - ell X): trace is 1 + ell, det is ell
-            assert factor.coefficients == (1, (-(1 + klass.ell)) % p, klass.ell % p)
-            datum = sigma_ell(p, klass.ell, factor)
-            assert (datum.s_ell, datum.d_ell, datum.sigma) == (1, 1, 1)
-            ram = sigma_ell(p, klass.ell, ramified_euler_factor(Verdict.PI, p))
-            assert ram.sigma == 0
-        elif klass.verdict is Verdict.OMEGA:
-            n_omega += 1
-            factor = euler_factor_from_frobenius(klass, p)
-            assert factor.coefficients == (1, (1 + klass.ell) % p, klass.ell % p)
-            datum = sigma_ell(p, klass.ell, factor)
-            assert datum.sigma == 0
-            ram = sigma_ell(p, klass.ell, ramified_euler_factor(Verdict.OMEGA, p))
-            assert ram.sigma == 0
+    for chunk in classify_chunks(ctx_default, PrimeRange(2, 100_000),
+                                 workers=resolve_workers()):
+        for verdict, sign in ((Verdict.PI, 1), (Verdict.OMEGA, -1)):
+            rows = verdicts[chunk.codes] == verdict
+            ells, t = chunk.ells[rows], chunk.trace_mod_p[rows]
+            # Pi: (1 - X)(1 - ell X), trace 1 + ell; Omega: (1 + X)(1 + ell X), trace -(1 + ell)
+            assert ((t - sign * (1 + ells)) % p == 0).all()
+            s, d, sigma = sigma_ell(p, ells, -t, ells)
+            if verdict is Verdict.PI:
+                n_pi += len(ells)
+                assert (s == 1).all() and (d == 1).all() and (sigma == 1).all()
+            else:
+                n_omega += len(ells)
+                assert (sigma == 0).all()
+            # the newly ramified factor 1 - X (Pi) or 1 + X (Omega)
+            ramified = sigma_ell(p, ells, np.full_like(ells, -sign), np.zeros_like(ells))
+            assert (ramified[2] == 0).all()
     assert n_pi > 500 and n_omega > 500  # the families are not accidentally empty
     report("criterion 4 (closed-form sigma values below 1e5)",
            f"{n_pi} Pi primes, {n_omega} Omega primes")
@@ -125,6 +124,13 @@ def _transfer_ctx(lambda_g: int, cache={}) -> FormContext:
             backend=CoefficientTable(coefficients={7: 1}, level=6),
         )
     return cache[lambda_g]
+
+
+def _transfer(ctx: FormContext, rows: list[tuple[int, int, int]]) -> int:
+    """lambda_f from rows (ell, s_ell, d_ell(g)), with d_ell(f) = 0 at each."""
+    s = np.array([row[1] for row in rows], np.int64)
+    d = np.array([row[2] for row in rows], np.int64)
+    return lambda_transfer(ctx, s * d, s * 0)
 
 
 def test_criterion_5_transfer_arithmetic():
@@ -140,29 +146,17 @@ def test_criterion_5_transfer_arithmetic():
         ctx = _transfer_ctx(lambda_g)
         pi_ells = rng.sample(pi_pool, n)
         omega_ells = rng.sample(omega_pool, r)
-        sigma_g = [SigmaDatum(ell=e, s_ell=1, d_ell=1, sigma=1) for e in pi_ells] + [
-            SigmaDatum(ell=e, s_ell=rng.choice([1, 7]), d_ell=0, sigma=0)
-            for e in omega_ells
-        ]
-        sigma_f = [SigmaDatum(ell=d.ell, s_ell=d.s_ell, d_ell=0, sigma=0) for d in sigma_g]
-        rng.shuffle(sigma_g)
-        rng.shuffle(sigma_f)
-        result = lambda_transfer(ctx, sigma_g, sigma_f)
-        assert result.lambda_f == lambda_g + n
-        assert result.mu_f == 0
+        rows = [(e, 1, 1) for e in pi_ells] + [(e, rng.choice([1, 7]), 0) for e in omega_ells]
+        rng.shuffle(rows)
+        result = _transfer(ctx, rows)
+        assert result == lambda_g + n
         if r and len(omega_pool) > r:
             # swapping one Omega prime for an unused one changes nothing
             unused = next(e for e in omega_pool if e not in omega_ells)
-            swapped_g = [
-                SigmaDatum(ell=unused, s_ell=1, d_ell=0, sigma=0)
-                if d.ell == omega_ells[0] else d
-                for d in sigma_g
-            ]
-            swapped_f = [SigmaDatum(ell=d.ell, s_ell=d.s_ell, d_ell=0, sigma=0)
-                         for d in swapped_g]
-            assert lambda_transfer(ctx, swapped_g, swapped_f).lambda_f == lambda_g + n
+            swapped = [(unused, 1, 0) if row[0] == omega_ells[0] else row for row in rows]
+            assert _transfer(ctx, swapped) == lambda_g + n
         if n == 0 and r == 0:
-            assert result.lambda_f == lambda_g  # identity case
+            assert result == lambda_g  # identity case
         checked += 1
     assert checked == 1000
     report("criterion 5 (transfer arithmetic, 1000 randomized cases)")
@@ -315,14 +309,13 @@ def test_criterion_7_s_ell_oracle():
         return p**best
 
     # named regression: 7^4 = 2401 = 1 mod 25 but 2401 = 26 mod 125
-    assert compute_s_ell(5, 7) == 5
+    assert s_ells(5, np.array([7])).tolist() == [5]
 
     checked = 0
     for p in (5, 7, 11):
-        for ell in sieve_primes(PrimeRange(2, 10_000)):
-            if ell == p:
-                continue
-            assert compute_s_ell(p, ell) == brute(p, ell), (p, ell)
+        ells = [ell for ell in sieve_primes(PrimeRange(2, 10_000)) if ell != p]
+        for ell, s in zip(ells, s_ells(p, np.array(ells)).tolist()):
+            assert s == brute(p, ell), (p, ell)
             checked += 1
     report("criterion 7 (s_ell against brute-force scan)", f"{checked} pairs")
 

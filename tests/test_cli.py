@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lambda_forge import PrimeRange, a_ell, cli, iwasawa, load_coefficients, residual
+from lambda_forge import PrimeRange, a_ell, cli, load_coefficients, residual
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from lambda_forge.config import build_context, load_config
 
@@ -414,14 +414,13 @@ class TestNoPerPrimeObjects:
     @pytest.fixture()
     def built(self, monkeypatch):
         counts = Counter()
-        for cls in (residual.FrobeniusClass, iwasawa.SigmaDatum):
-            init = cls.__init__
+        init = residual.FrobeniusClass.__init__
 
-            def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
-                counts[_name] += 1
-                _init(self, *args, **kwargs)
+        def counting(self, *args, **kwargs):
+            counts["FrobeniusClass"] += 1
+            init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(residual.FrobeniusClass, "__init__", counting)
         return counts
 
     @pytest.fixture()
@@ -450,8 +449,6 @@ class TestNoPerPrimeObjects:
         argv = ["classify", "--config", wide_table_config, "--from", "2", "--to", "100"]
         assert main(argv) == EXIT_OK
         assert built == {"FrobeniusClass": sum(1 for _ in PrimeRange(2, 100))}
-        iwasawa.sigma_ell(5, 2, iwasawa.EulerFactor(5, 2, 2))
-        assert built["SigmaDatum"] == 1
 
 
 class TestDeterminism:

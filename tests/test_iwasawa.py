@@ -6,21 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_forge import (
-    SigmaDatum,
-    Verdict,
-    bk_rank_bounds,
-    classify_prime,
-    compute_d_ell,
-    compute_s_ell,
-    euler_factor_from_frobenius,
-    lambda_transfer,
-    ramified_euler_factor,
-    sigma_ell,
-)
+from lambda_forge import Verdict, bk_rank_bounds, classify_prime, lambda_transfer, sigma_ell
 from lambda_forge.arith import PrimeRange, is_prime
-from lambda_forge.errors import HypothesisViolation, MissingDataError, ResourceLimitError
-from lambda_forge.iwasawa import S_ELL_EXPONENT_CAP, EulerFactor, d_ells, s_ells, sigma_columns
+from lambda_forge.errors import HypothesisViolation, ResourceLimitError
+from lambda_forge.iwasawa import S_ELL_EXPONENT_CAP, d_ells, s_ells, sigma_columns
 from lambda_forge.residual import FrobeniusClass, classify_chunks, column_dtype
 
 
@@ -33,9 +22,9 @@ def brute_s_ell(p: int, ell: int, cap: int = 30) -> int:
     return p**best
 
 
-def brute_d_ell(factor: EulerFactor, ell: int, p: int) -> int:
-    """Oracle: repeated long division by (1 - ell*X) over F_p."""
-    coeffs = list(factor.coefficients)  # ascending: c0 + c1 X + c2 X^2
+def brute_d_ell(c1: int, c2: int, ell: int, p: int) -> int:
+    """Oracle: repeated long division of 1 + c1*X + c2*X^2 by (1 - ell*X) over F_p."""
+    coeffs = [1, c1 % p, c2 % p]  # ascending: c0 + c1 X + c2 X^2
     mult = 0
     for _ in range(3):
         # value at X = 1/ell is zero iff (1 - ell X) divides
@@ -68,6 +57,19 @@ def scalar_s_ell(p: int, ell: int) -> int:
                 f"s_ell exponent exceeds cap {S_ELL_EXPONENT_CAP} at ell={ell}, p={p}"
             )
     return p**m
+
+
+def column(p: int, *values: int) -> np.ndarray:
+    """Values as a column of the dtype the sweep gives primes up to their maximum."""
+    return np.array(values, column_dtype(p, max(map(abs, values), default=0)))
+
+
+def s_of(p: int, ell: int) -> int:
+    return s_ells(p, column(p, ell)).tolist()[0]
+
+
+def d_of(c1: int, c2: int, ell: int, p: int) -> int:
+    return d_ells(p, column(p, ell), column(p, c1), column(p, c2)).tolist()[0]
 
 
 def scalar_d_ell(c1: int, c2: int, ell: int, p: int) -> int:
@@ -115,17 +117,20 @@ class TestColumns:
     def test_equal_scalar_loops(self, rows):
         p, ells, c1, c2 = rows
         dtype = column_dtype(p, max(ells))
-        column = np.array(ells, dtype)
+        expected_d = [scalar_d_ell(a % p, b % p, ell, p) for ell, a, b in zip(ells, c1, c2)]
+        col, c1, c2 = (np.array(values, dtype) for values in (ells, c1, c2))
+        assert d_ells(p, col, c1, c2).tolist() == expected_d
         try:
-            expected = [scalar_s_ell(p, ell) for ell in ells]
+            expected_s = [scalar_s_ell(p, ell) for ell in ells]
         except ResourceLimitError as exc:
-            with pytest.raises(ResourceLimitError, match=re.escape(str(exc))):
-                s_ells(p, column)
+            for kernel in (lambda: s_ells(p, col), lambda: sigma_ell(p, col, c1, c2)):
+                with pytest.raises(ResourceLimitError, match=re.escape(str(exc))):
+                    kernel()
         else:
-            assert s_ells(p, column).tolist() == expected
-        d = d_ells(p, column, np.array(c1, dtype), np.array(c2, dtype))
-        expected = [scalar_d_ell(a % p, b % p, ell, p) for ell, a, b in zip(ells, c1, c2)]
-        assert d.tolist() == expected
+            assert s_ells(p, col).tolist() == expected_s
+            expected_sigma = [s * d for s, d in zip(expected_s, expected_d)]
+            columns = sigma_ell(p, col, c1, c2)
+            assert [c.tolist() for c in columns] == [expected_s, expected_d, expected_sigma]
 
     def test_cap_raised_at_the_first_ell_past_it(self):
         ells = np.array([2, 443, 7, CAP_ELL, CAP_ELL + 2 * 5**23])
@@ -136,200 +141,169 @@ class TestColumns:
 
     def test_sigma_columns_equal_per_prime_data(self, ctx_default):
         rows = []
-        data = []
+        expected = []
         for chunk in classify_chunks(ctx_default, PrimeRange(2, 5000)):
-            rows += zip(*(column.tolist() for column in sigma_columns(chunk)))
-            data += [sigma_ell(7, fc.ell, euler_factor_from_frobenius(fc, 7))
-                     for fc in chunk.classes() if fc.verdict is not Verdict.SKIPPED]
-        assert rows == [(d.ell, d.s_ell, d.d_ell, d.sigma) for d in data]
-        assert {d.s_ell for d in data} >= {1, 7}
+            rows += zip(*(col.tolist() for col in sigma_columns(chunk)))
+            for fc in chunk.classes():
+                if fc.verdict is not Verdict.SKIPPED:
+                    s = scalar_s_ell(7, fc.ell)
+                    d = scalar_d_ell(-fc.trace_mod_p % 7, fc.det_mod_p, fc.ell, 7)
+                    expected.append((fc.ell, s, d, s * d))
+        assert rows == expected
+        assert {s for _, s, _, _ in expected} >= {1, 7}
 
 
 class TestSEll:
     def test_p5_ell2(self):
-        assert compute_s_ell(5, 2) == 1  # 16 = 1 mod 5 but not mod 25
+        assert s_of(5, 2) == 1  # 16 = 1 mod 5 but not mod 25
 
     def test_p5_ell7_named_regression(self):
         # 7^4 = 2401 = 96*25 + 1, and 2401 mod 125 = 26
-        assert compute_s_ell(5, 7) == 5
+        assert s_of(5, 7) == 5
 
     def test_generic_prime_gives_one(self):
-        assert compute_s_ell(7, 2) == 1
-        assert compute_s_ell(11, 2) == 1
+        assert s_of(7, 2) == 1
+        assert s_of(11, 2) == 1
 
     def test_wieferich_pair_11_3(self):
         # 3^5 = 243 = 2*121 + 1, so 3^10 = 1 mod 11^2 and s jumps to 11
-        assert compute_s_ell(11, 3) == 11
-        assert compute_s_ell(11, 3) == brute_s_ell(11, 3)
+        assert s_of(11, 3) == 11
+        assert s_of(11, 3) == brute_s_ell(11, 3)
 
     def test_ell_equal_p_rejected(self):
         with pytest.raises(ValueError):
-            compute_s_ell(5, 5)
+            s_of(5, 5)
 
     def test_cap_is_an_error_not_truncation(self):
         # 443 = -57 mod 125 and 57^2 = -1 mod 125, so 443^4 = 1 mod 125: m >= 2
-        assert compute_s_ell(5, 443) == brute_s_ell(5, 443)
-        assert compute_s_ell(5, 443) >= 25
+        assert s_of(5, 443) == brute_s_ell(5, 443)
+        assert s_of(5, 443) >= 25
         # ell = 1 mod 5^22, so ell^4 = 1 mod 5^22 and m passes the cap of 20
         ell = 1 + 16 * 5**22
         assert is_prime(ell)
         with pytest.raises(ResourceLimitError, match=f"exceeds cap {S_ELL_EXPONENT_CAP} "):
-            compute_s_ell(5, ell)
+            s_of(5, ell)
 
     def test_brute_force_scan(self):
         rng = random.Random(5)
         primes = list(PrimeRange(2, 3000))
+        pairs = []
         for _ in range(300):
             p = rng.choice([5, 7, 11])
             ell = rng.choice(primes)
-            if ell == p:
-                continue
-            assert compute_s_ell(p, ell) == brute_s_ell(p, ell)
+            if ell != p:
+                pairs.append((p, ell))
+        for p in (5, 7, 11):
+            ells = [ell for q, ell in pairs if q == p]
+            assert s_ells(p, column(p, *ells)).tolist() == [brute_s_ell(p, ell) for ell in ells]
 
 
 class TestEulerFactors:
+    """Factors 1 + c1*X + c2*X^2 as d_ells sees them; a classified prime's is (-t, ell)."""
+
     def test_pi_factor_is_split_product(self, ctx_p5):
         fc = classify_prime(ctx_p5, 2)
-        factor = euler_factor_from_frobenius(fc, 5)
+        c1, c2 = -fc.trace_mod_p, fc.det_mod_p
         # (1 - X)(1 - 2X) = 1 - 3X + 2X^2 = 1 + 2X + 2X^2 mod 5
-        assert factor.coefficients == (1, 2, 2)
+        assert (c1 % 5, c2 % 5) == (2, 2)
+        assert d_of(c1, c2, 2, 5) == 1  # 1/2 = 3 is one of the two distinct roots 1, 3
 
     def test_omega_factor_is_split_product(self):
         fc = FrobeniusClass(ell=3, trace_mod_p=3, det_mod_p=3,
                             verdict=Verdict.OMEGA, reasons=())
-        factor = euler_factor_from_frobenius(fc, 7)
-        # (1 + X)(1 + 3X) = 1 + 4X + 3X^2 mod 7
-        assert factor.coefficients == (1, 4, 3)
+        c1, c2 = -fc.trace_mod_p, fc.det_mod_p
+        # (1 + X)(1 + 3X) = 1 + 4X + 3X^2 mod 7: roots -1 and -1/3, never 1/3
+        assert (c1 % 7, c2 % 7) == (4, 3)
+        assert d_of(c1, c2, 3, 7) == 0
 
     def test_zero_trace_drops_linear_term(self):
+        # 1 + 4X^2 = (1 - X)(1 + X) mod 5, and 1/19 = 4 = -1 mod 5 is a simple root
         fc = FrobeniusClass(ell=19, trace_mod_p=0, det_mod_p=4,
                             verdict=Verdict.NEITHER, reasons=())
-        assert euler_factor_from_frobenius(fc, 5).coefficients == (1, 0, 4)
-
-    def test_skipped_class_is_missing_data(self):
-        fc = FrobeniusClass(ell=11, trace_mod_p=None, det_mod_p=None,
-                            verdict=Verdict.SKIPPED, reasons=())
-        with pytest.raises(MissingDataError):
-            euler_factor_from_frobenius(fc, 5)
+        assert d_of(-fc.trace_mod_p, fc.det_mod_p, 19, 5) == 1
+        assert d_of(0, 4, 19, 5) == brute_d_ell(0, 4, 19, 5)
 
     def test_ramified_factors(self):
-        assert ramified_euler_factor(Verdict.PI, 5).coefficients == (1, 4, 0)  # 1 - X
-        assert ramified_euler_factor(Verdict.OMEGA, 5).coefficients == (1, 1, 0)  # 1 + X
-        with pytest.raises(ValueError):
-            ramified_euler_factor(Verdict.NEITHER, 5)
+        # 1 - X has the root 1 = 1/ell only at ell = 1 mod p; 1 + X only at ell = -1 mod p
+        assert [d_of(-1, 0, ell, 5) for ell in (2, 3, 11, 19)] == [0, 0, 1, 0]
+        assert [d_of(1, 0, ell, 5) for ell in (2, 3, 11, 19)] == [0, 0, 0, 1]
 
 
 class TestDEll:
     def test_simple_root(self):
-        factor = EulerFactor(5, 2, 2)  # (1 - X)(1 - 2X) mod 5
-        assert compute_d_ell(factor, 2, 5) == 1
+        assert d_of(2, 2, 2, 5) == 1  # (1 - X)(1 - 2X) mod 5
 
     def test_no_root(self):
-        factor = EulerFactor(7, 4, 3)  # (1 + X)(1 + 3X) mod 7
-        assert compute_d_ell(factor, 3, 7) == 0
+        assert d_of(4, 3, 3, 7) == 0  # (1 + X)(1 + 3X) mod 7
 
     def test_double_root(self):
         # (1 - 3X)^2 = 1 + X + 2X^2 mod 7
-        factor = EulerFactor(7, 1, 2)
-        assert compute_d_ell(factor, 3, 7) == 2
+        assert d_of(1, 2, 3, 7) == 2
 
     def test_against_division_oracle(self):
         rng = random.Random(99)
         for _ in range(500):
             p = rng.choice([5, 7, 11, 13])
             ell = rng.choice([q for q in (2, 3, 7, 13, 19, 23, 29) if q != p])
-            factor = EulerFactor(p, rng.randrange(p), rng.randrange(p))
-            assert compute_d_ell(factor, ell, p) == brute_d_ell(factor, ell, p)
+            c1, c2 = rng.randrange(p), rng.randrange(p)
+            assert d_of(c1, c2, ell, p) == brute_d_ell(c1, c2, ell, p)
 
 
 class TestSigma:
     def test_pi_prime_for_base_form(self, ctx_p5):
         fc = classify_prime(ctx_p5, 2)
-        datum = sigma_ell(5, 2, euler_factor_from_frobenius(fc, 5))
-        assert (datum.s_ell, datum.d_ell, datum.sigma) == (1, 1, 1)
+        columns = sigma_ell(5, column(5, 2), column(5, -fc.trace_mod_p), column(5, 2))
+        assert [col.tolist() for col in columns] == [[1], [1], [1]]
 
     def test_pi_prime_for_newly_ramified_form(self):
-        datum = sigma_ell(5, 2, ramified_euler_factor(Verdict.PI, 5))
-        assert (datum.d_ell, datum.sigma) == (0, 0)
+        _, d, sigma = sigma_ell(5, column(5, 2), column(5, -1), column(5, 0))
+        assert (d.tolist(), sigma.tolist()) == ([0], [0])
 
     def test_omega_prime_zero_even_with_large_s(self):
         # ell = 7, p = 5: s = 5 but d = 0, so sigma = 0
         fc = FrobeniusClass(ell=7, trace_mod_p=2, det_mod_p=2,
                             verdict=Verdict.OMEGA, reasons=())
-        datum = sigma_ell(5, 7, euler_factor_from_frobenius(fc, 5))
-        assert datum.s_ell == 5
-        assert datum.sigma == 0
-
-    def test_datum_invariant(self):
-        with pytest.raises(ValueError):
-            SigmaDatum(ell=2, s_ell=5, d_ell=1, sigma=1)
+        s, _, sigma = sigma_ell(5, column(5, 7), column(5, -fc.trace_mod_p), column(5, 7))
+        assert s.tolist() == [5]
+        assert sigma.tolist() == [0]
 
 
-def pi_datum(ell, sigma_g=True):
-    return SigmaDatum(ell=ell, s_ell=1, d_ell=1 if sigma_g else 0,
-                      sigma=1 if sigma_g else 0)
-
-
-def omega_datum(ell, s=1):
-    return SigmaDatum(ell=ell, s_ell=s, d_ell=0, sigma=0)
+def transfer_columns(n_pi: int, n_omega: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned (sigma_g, sigma_f): 1 -> 0 at each Pi prime, 0 -> 0 at each Omega prime."""
+    return column(7, *[1] * n_pi, *[0] * n_omega), column(7, *[0] * (n_pi + n_omega))
 
 
 class TestLambdaTransfer:
     def test_three_pi_five_omega(self, ctx_default):
-        # lambda_g = 2 via a context clone is overkill; build the sigma data directly
-        pi_ells = [37, 73, 191]
-        om_ells = [5, 47, 79, 89, 107]
-        sigma_g = [pi_datum(e) for e in pi_ells] + [omega_datum(e) for e in om_ells]
-        sigma_f = [pi_datum(e, sigma_g=False) for e in pi_ells] + [
-            omega_datum(e) for e in om_ells
-        ]
-        result = lambda_transfer(ctx_default, sigma_g, sigma_f)
-        assert result.lambda_f == ctx_default.lambda_g + 3
-        assert result.mu_f == 0
+        sigma_g, sigma_f = transfer_columns(3, 5)
+        assert lambda_transfer(ctx_default, sigma_g, sigma_f) == ctx_default.lambda_g + 3
 
     def test_empty_sum_is_identity(self, ctx_default):
-        result = lambda_transfer(ctx_default, [], [])
-        assert result.lambda_f == ctx_default.lambda_g
+        sigma_g, sigma_f = transfer_columns(0, 0)
+        assert lambda_transfer(ctx_default, sigma_g, sigma_f) == ctx_default.lambda_g
 
     def test_single_pi_prime(self, ctx_default):
-        result = lambda_transfer(ctx_default, [pi_datum(37)], [pi_datum(37, sigma_g=False)])
-        assert result.lambda_f == 1
+        assert lambda_transfer(ctx_default, *transfer_columns(1, 0)) == 1
+
+    def test_returns_a_python_int(self, ctx_default):
+        assert type(lambda_transfer(ctx_default, *transfer_columns(2, 1))) is int
 
     def test_requires_mu_zero(self, curve_11a1):
         from lambda_forge import FormContext
 
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=False,
                           surjective_mod_p=True, backend=curve_11a1)
-        with pytest.raises(HypothesisViolation):
-            lambda_transfer(ctx, [], [])
-
-    def test_mismatched_supports(self, ctx_default):
-        with pytest.raises(ValueError, match="support"):
-            lambda_transfer(ctx_default, [pi_datum(37)], [pi_datum(73, sigma_g=False)])
-
-    def test_level_primes_contribute_zero(self, ctx_default):
-        # entries at ell | N_g are accepted and never change the total
-        shared = SigmaDatum(ell=11, s_ell=1, d_ell=2, sigma=2)
-        also = SigmaDatum(ell=11, s_ell=1, d_ell=0, sigma=0)
-        result = lambda_transfer(ctx_default, [shared], [also])
-        assert result.lambda_f == ctx_default.lambda_g
+        with pytest.raises(HypothesisViolation, match="config asserts mu_zero = false"):
+            lambda_transfer(ctx, *transfer_columns(0, 0))
 
     def test_permutation_invariance(self, ctx_default):
         rng = random.Random(17)
-        pi_ells = [37, 73, 191, 233, 277]
-        om_ells = [5, 47, 79, 89]
         for _ in range(100):
-            n = rng.randrange(0, len(pi_ells) + 1)
-            r = rng.randrange(0, len(om_ells) + 1)
-            chosen_pi = rng.sample(pi_ells, n)
-            chosen_om = rng.sample(om_ells, r)
-            sigma_g = [pi_datum(e) for e in chosen_pi] + [omega_datum(e) for e in chosen_om]
-            sigma_f = [pi_datum(e, sigma_g=False) for e in chosen_pi] + [
-                omega_datum(e) for e in chosen_om
-            ]
-            rng.shuffle(sigma_g)
-            rng.shuffle(sigma_f)
-            assert lambda_transfer(ctx_default, sigma_g, sigma_f).lambda_f == n
+            n = rng.randrange(0, 6)
+            r = rng.randrange(0, 5)
+            sigma_g, sigma_f = transfer_columns(n, r)
+            order = rng.sample(range(n + r), n + r)
+            assert lambda_transfer(ctx_default, sigma_g[order], sigma_f[order]) == n
 
 
 class TestRankBounds:

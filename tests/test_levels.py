@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lambda_forge import (
@@ -8,12 +9,14 @@ from lambda_forge import (
     carayol_check,
     classify_range,
     enumerate_level_sets,
+    levels,
     plan_target_lambda,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
 from lambda_forge.errors import ResourceLimitError, ScarcityError
+from lambda_forge.iwasawa import sigma_ell
 from lambda_forge.levels import EXISTENCE_ASSERTED, EXISTENCE_IDENTITY
-from lambda_forge.residual import FrobeniusClass
+from lambda_forge.residual import FrobeniusClass, column_dtype
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,45 @@ class TestEnumerate:
         omega = next(fc for fc in stream_500 if fc.verdict is Verdict.OMEGA)
         with pytest.raises(ValueError, match="verdict"):
             build_level_set(ctx_default, (omega,), ())
+
+    @pytest.mark.parametrize("klass", [
+        FrobeniusClass(11, 5, 4, Verdict.PI, ()),  # ell = N_g: no lambda increase to predict
+        FrobeniusClass(7, 1, 0, Verdict.PI, ()),  # ell = p: s_ell is undefined
+    ], ids=["ell-divides-level", "ell-equals-p"])
+    def test_prime_dividing_ngp_refused(self, ctx_default, klass):
+        with pytest.raises(ValueError, match=f"level-raising prime {klass.ell} divides N_g \\* p"):
+            build_level_set(ctx_default, (klass,), ())
+        with pytest.raises(ValueError, match=f"prime {klass.ell} divides"):
+            build_level_set(ctx_default, (), (klass,))
+
+
+def hand_made_classes(p: int) -> tuple[tuple[FrobeniusClass, ...], tuple[FrobeniusClass, ...]]:
+    """Pi classes at 5, 13, 17 and an Omega class at 19, with the traces of their types."""
+    pi = tuple(FrobeniusClass(ell, (1 + ell) % p, ell % p, Verdict.PI, ()) for ell in (5, 13, 17))
+    return pi, (FrobeniusClass(19, -20 % p, 19 % p, Verdict.OMEGA, ()),)
+
+
+class TestTransferPastTheInt64Bound:
+    """Past p = 55108 the transfer runs on object columns of exact integers."""
+
+    @pytest.mark.parametrize("p, dtype", [(55109, object), (7, np.int64)])
+    def test_three_pi_primes_raise_lambda_by_three(self, monkeypatch, p, dtype):
+        ctx = FormContext(level=6, p=p, lambda_g=2, mu_zero=True, surjective_mod_p=False,
+                          backend=CoefficientTable({p: 1}, level=6))
+        seen = []
+
+        def spy(p, ells, c1, c2):
+            seen.append(ells.dtype)
+            return sigma_ell(p, ells, c1, c2)
+
+        monkeypatch.setattr(levels, "sigma_ell", spy)
+        level_set = build_level_set(ctx, *hand_made_classes(p))
+        assert column_dtype(p, 19) is dtype
+        assert seen == [np.dtype(dtype)] * 2  # sigma(g), then sigma(f)
+        assert level_set.predicted_lambda == 5
+        assert type(level_set.predicted_lambda) is int
+        assert level_set.predicted_mu == 0
+        assert level_set.n_f == 6 * 5 * 13 * 17 * 19
 
 
 class TestPlan:
