@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -109,6 +109,20 @@ def sieve_primes(prime_range: PrimeRange) -> Iterator[int]:
         yield from segment.tolist()
 
 
+def prime_chunks(prime_range: PrimeRange, lengths: Iterable[int]) -> Iterator[np.ndarray]:
+    """The primes in ``prime_range``, ascending, as int64 arrays of the given lengths.
+
+    The lengths must not add up to more than the range holds.
+    """
+    segments = _sieve_segments(prime_range)
+    pending = np.empty(0, dtype=np.int64)
+    for n in lengths:
+        while len(pending) < n:
+            pending = np.concatenate((pending, next(segments)))
+        yield pending[:n]
+        pending = pending[n:]
+
+
 def count_primes(prime_range: PrimeRange) -> int:
     """How many primes ``prime_range`` holds, sieved without keeping them."""
     return sum(len(segment) for segment in _sieve_segments(prime_range))
@@ -140,23 +154,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def are_prime(values: Collection[int]) -> np.ndarray:
+def are_prime(values: Collection[int] | np.ndarray) -> np.ndarray:
     """:func:`is_prime` at each of ``values``, as a bool array in their order.
 
     Values in [2, MAX_SIEVE_BOUND] are looked up in a sieve of just the
     sieve segments (2**18-wide windows) that hold at least
     ``_MIN_SIEVED_VALUES`` of them; the values of a sparser window, and
-    values above the cap, go to :func:`is_prime` one at a time.
+    values above the cap, go to :func:`is_prime` one at a time.  An int64
+    array is split into those parts without a loop over its values.
     """
-    beyond: list[tuple[int, int]] = []
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        above = values > MAX_SIEVE_BOUND
+        beyond = list(zip(np.flatnonzero(above).tolist(), values[above].tolist()))
+        ns = np.where((values >= 2) & ~above, values, 0)
+    else:
+        beyond = []
 
-    def sievable() -> Iterator[int]:
-        for i, n in enumerate(values):
-            if n > MAX_SIEVE_BOUND:
-                beyond.append((i, n))
-            yield n if 2 <= n <= MAX_SIEVE_BOUND else 0
+        def sievable() -> Iterator[int]:
+            for i, n in enumerate(values):
+                if n > MAX_SIEVE_BOUND:
+                    beyond.append((i, n))
+                yield n if 2 <= n <= MAX_SIEVE_BOUND else 0
 
-    ns = np.fromiter(sievable(), dtype=np.int64, count=len(values))
+        ns = np.fromiter(sievable(), dtype=np.int64, count=len(values))
     prime = np.zeros(len(ns), dtype=bool)
     order = np.argsort(ns, kind="stable")
     sorted_ns = ns[order]

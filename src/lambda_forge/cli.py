@@ -208,13 +208,21 @@ def _cmd_carayol(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None
 
 def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
-    rows: list[tuple[int, int, int, int]] = []
     prime_range = PrimeRange(args.lo, args.hi)
-    for chunk in classify_chunks(ctx, prime_range, workers=resolve_workers()):
-        rows += zip(*(column.tolist() for column in sigma_columns(chunk)))
+    chunks = classify_chunks(ctx, prime_range, workers=resolve_workers())
     if args.format == "csv":
-        out.write("".join(["ell,s,d,sigma\n"] + [f"{e},{s},{d},{sg}\n" for e, s, d, sg in rows]))
+        # each chunk's rows are written as it arrives, to a buffer, so a sweep that fails
+        # writes nothing
+        buf = io.StringIO()
+        buf.write("ell,s,d,sigma\n")
+        for chunk in chunks:
+            columns = (column.tolist() for column in sigma_columns(chunk))
+            buf.write("".join([f"{e},{s},{d},{sg}\n" for e, s, d, sg in zip(*columns)]))
+        out.write(buf.getvalue())
         return
+    rows: list[tuple[int, int, int, int]] = []
+    for chunk in chunks:
+        rows += zip(*(column.tolist() for column in sigma_columns(chunk)))
     _emit_report(
         {
             "range": {"from": args.lo, "to": args.hi},
@@ -237,25 +245,26 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     if args.ell:
         ells = sorted(set(args.ell))
-        rows = [{"ell": ell, "a_ell": a} for ell, a in zip(ells, a_ells(ctx, ells))]
+        values = a_ells(ctx, ells)
     elif args.lo is not None and args.hi is not None:
         # the sweep's coefficient stream: sieved primes, so only its errors need checking
         prime_range = PrimeRange(args.lo, args.hi)
-        rows = []
+        ells, values = [], []
         with contextlib.closing(
             coefficient_chunks(ctx, prime_range, workers=resolve_workers())
         ) as chunks:
-            for _, coefficients in chunks:
-                for ell, a in coefficients.items():
-                    if isinstance(a, Exception):
-                        raise a
-                    rows.append({"ell": ell, "a_ell": a})
+            for chunk in chunks:
+                if chunk.error is not None:
+                    raise chunk.error
+                ells += chunk.ells[chunk.exposed].tolist()
+                values += chunk.a_ells.tolist()
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")
     if args.format == "csv":
-        lines = ["ell,a_ell"] + [f"{r['ell']},{r['a_ell']}" for r in rows]
+        lines = ["ell,a_ell"] + [f"{ell},{a}" for ell, a in zip(ells, values)]
         out.write("\n".join(lines) + "\n")
         return
+    rows = [{"ell": ell, "a_ell": a} for ell, a in zip(ells, values)]
     _emit_report({"coefficients": rows}, cfg, args, out)
 
 

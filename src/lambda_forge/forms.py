@@ -3,15 +3,17 @@
 A :class:`FormContext` bundles the level N_g, the working prime p, the
 certified Iwasawa inputs (lambda_g, mu-vanishing) and a coefficient
 backend, which is either an elliptic curve (a_ell by point counting) or a
-table loaded from CSV.  The certified fields are *attestations* carried in
-configuration; nothing in this package verifies them.
+table loaded from CSV.  A table is two columns, ell ascending and a_ell,
+and answers a batch of ells with one ``searchsorted`` gather
+(:meth:`FormContext.coefficient_column`).  The certified fields are
+*attestations* carried in configuration; nothing in this package verifies
+them.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import islice
 from math import isqrt
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO
@@ -22,20 +24,99 @@ from .arith import are_prime, is_prime
 from .curves import CurveModel, trace_of_frobenius, traces_of_frobenius
 from .errors import CoverageError, HypothesisViolation, TableFormatError
 
+# A table column is int64 while all its values lie strictly between -2^60 and
+# 2^60, so that the Hasse check's 4*ell and its square of a clipped |a| stay
+# exact; otherwise the column holds exact Python ints (dtype=object).
+_INT64_BOUND = 2**60
+# Any |a| from here up breaks the Hasse bound at every ell below 2^60.
+_HASSE_CLIP = 2**31
 
-@dataclass(frozen=True)
+
+def _column(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``values`` as a table column: int64 when every value fits, else dtype=object."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+    if len(values) and (values.min() <= -_INT64_BOUND or values.max() >= _INT64_BOUND):
+        return values.astype(object)
+    return values
+
+
+def _divides(n: int, ells: np.ndarray) -> np.ndarray:
+    """Whether each of ``ells`` divides n, for any int n."""
+    if ells.dtype != object and n >= 2**63:
+        ells = ells.astype(object)
+    return n % ells == 0
+
+
+def _hasse_violations(ells: np.ndarray, a_ells: np.ndarray, level: int) -> np.ndarray:
+    """The rows where ell does not divide ``level`` and a_ell**2 > 4*ell."""
+    if ells.dtype == object or a_ells.dtype == object:
+        exact = a_ells.astype(object)
+        over = exact * exact > 4 * ells
+    else:
+        clipped = np.minimum(np.abs(a_ells), _HASSE_CLIP)
+        over = clipped * clipped > 4 * ells
+    return over & ~_divides(level, ells)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CoefficientTable:
-    """Finite map ell -> a_ell; the Hasse bound holds at primes not dividing the level."""
+    """Finite map ell -> a_ell as two columns, ascending in ell.
 
-    coefficients: Mapping[int, int]
+    Built from a mapping, ``CoefficientTable({2: -2, 3: -1}, level=11)``, or
+    from two columns (:meth:`from_columns`).  Either way the weight-2 Hasse
+    bound |a_ell| <= 2*sqrt(ell) is checked once, over the whole columns, at
+    every ell not dividing the level; the first violating row, in the order
+    given, raises :class:`TableFormatError`.  The columns are read-only, and
+    int64 unless a value lies outside (-2^60, 2^60): then that column holds
+    exact Python ints (dtype=object).
+    """
+
+    ells: np.ndarray
+    a_ells: np.ndarray
     level: int
 
-    def __post_init__(self) -> None:
-        for ell, a in self.coefficients.items():
-            if self.level % ell != 0 and a * a > 4 * ell:
-                raise TableFormatError(
-                    f"a_{ell} = {a} violates the Hasse bound |a| <= 2*sqrt({ell})"
-                )
+    def __init__(self, coefficients: Mapping[int, int], level: int) -> None:
+        self._set_columns(list(coefficients), list(coefficients.values()), level)
+
+    @classmethod
+    def from_columns(
+        cls, ells: Sequence[int] | np.ndarray, a_ells: Sequence[int] | np.ndarray, level: int
+    ) -> CoefficientTable:
+        """The table of the rows (ells[i], a_ells[i]); the ells are distinct, in any order."""
+        table = cls.__new__(cls)
+        table._set_columns(ells, a_ells, level)
+        return table
+
+    def _set_columns(self, ells, a_ells, level: int) -> None:
+        ells, a_ells = _column(ells), _column(a_ells)
+        bad = _hasse_violations(ells, a_ells, level)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TableFormatError(
+                f"a_{ells[i]} = {a_ells[i]} violates the Hasse bound |a| <= 2*sqrt({ells[i]})"
+            )
+        if (ells[1:] < ells[:-1]).any():
+            order = np.argsort(ells, kind="stable")
+            ells, a_ells = ells[order], a_ells[order]
+        for name, column in (("ells", ells), ("a_ells", a_ells)):
+            column = column.view()  # read-only here, whoever else holds the data
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "level", level)
+
+    def rows(self, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each of ``ells``, the index of its row and whether the table has that row.
+
+        An index is meaningful only where the table has the row.
+        """
+        if not len(self.ells):
+            return np.zeros(len(ells), np.intp), np.zeros(len(ells), bool)
+        at = np.minimum(np.searchsorted(self.ells, ells), len(self.ells) - 1)
+        return at, self.ells[at] == ells
 
 
 def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
@@ -47,14 +128,133 @@ def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
     Hasse bound |a_ell| <= 2*sqrt(ell).  The first bad line raises
     :class:`TableFormatError` naming it; within a line, a field count or a
     non-integer field comes first, then ``not prime``, then ordering, then
-    the Hasse bound.  Primality of all rows is checked at the end in one
-    sieve pass (:func:`arith.are_prime`), not one Miller-Rabin test a row.
+    the Hasse bound.
+
+    A file in the plain form (:func:`_plain_rows`) is parsed into columns
+    in one numpy pass; any other file is read row by row with ``csv`` and
+    ``int()`` (:func:`_scanned_rows`).  Either way, primality (one sieve
+    pass, :func:`arith.are_prime`), ordering and the Hasse bound are then
+    checked over the columns, and the line of the first fault is named.
     """
     path = Path(path)
-    coeffs: dict[int, int] = {}
-    prev = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        try:
+    rows = _plain_rows(path)
+    if rows is None:
+        rows = _scanned_rows(path)
+    ells, a_ells, lines, stop = rows
+    ells, a_ells = _column(ells), _column(a_ells)
+    previous = np.concatenate((np.zeros(1, ells.dtype), ells))[:-1]
+    bad = ~are_prime(ells) | (ells <= previous)
+    fault = int(np.argmax(bad)) if bad.any() else len(ells)
+    try:
+        # the rows above the first composite or out-of-order one: a Hasse violation
+        # among them is the first fault in the file
+        table = CoefficientTable.from_columns(ells[:fault], a_ells[:fault], level)
+    except TableFormatError:
+        i = int(np.argmax(_hasse_violations(ells[:fault], a_ells[:fault], level)))
+        ell, a = int(ells[i]), int(a_ells[i])
+        raise TableFormatError(
+            f"{path}:{lines[i]}: a_{ell} = {a} violates the Hasse bound (|a| <= {isqrt(4 * ell)})"
+        ) from None
+    if fault < len(ells):
+        ell = int(ells[fault])
+        if not is_prime(ell):
+            raise TableFormatError(f"{path}:{lines[fault]}: index {ell} is not prime")
+        raise TableFormatError(
+            f"{path}:{lines[fault]}: ell={ell} not strictly increasing"
+            f" (previous {int(previous[fault])})"
+        )
+    if stop is not None:
+        raise stop
+    return table
+
+
+# The bytes of the plain form: digits, '-', ',' and '\n'.
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[list(b"0123456789-,\n")] = True
+# Digits a plain field may have: fewer than 19, so every value is below 2^60.
+_PLAIN_DIGITS = 18
+
+
+def _plain_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, None] | None:
+    """The rows of a plain-form table as int64 columns with their line numbers.
+
+    The plain form is the header line ``ell,a_ell`` and then lines of two
+    fields joined by one comma, each field an optional ``-`` and 1 to 18
+    decimal digits (:func:`_field_values`).  Lines end in LF or CRLF, the
+    last one may lack its end, and empty lines are skipped.  ``csv`` and
+    ``int()`` read such a file to the same rows, so line numbers are
+    physical lines.  Any other file gives None.
+    """
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")  # a lone CR is not plain, and stays
+    header = data.split(b"\n", 1)[0]
+    if header != b"ell,a_ell":
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=min(len(header) + 1, len(data)))
+    if not _PLAIN_BYTES[body].all():
+        return None
+    ends = np.flatnonzero(body == ord("\n"))
+    if len(body) and body[-1] != ord("\n"):
+        ends = np.append(ends, len(body))
+    starts = np.concatenate(([0], ends + 1))[: len(ends)]
+    lines = np.flatnonzero(ends > starts)
+    starts, ends = starts[lines], ends[lines]
+    commas = np.flatnonzero(body == ord(","))
+    # every line holds one comma, with a field on each side
+    if len(commas) != len(starts) or not ((starts < commas) & (commas + 1 < ends)).all():
+        return None
+    signs = np.count_nonzero(body[np.concatenate((starts, commas + 1))] == ord("-"))
+    if np.count_nonzero(body == ord("-")) != signs:
+        return None  # a '-' inside a field
+    ells = _field_values(body, starts, commas)
+    a_ells = _field_values(body, commas + 1, ends)
+    if ells is None or a_ells is None:
+        return None
+    return ells, a_ells, lines + 2, None
+
+
+def _field_values(body: np.ndarray, firsts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The integers ``body[firsts[i]:ends[i]]`` as int64, or None if one is not plain.
+
+    A plain field is an optional ``-`` (the caller has checked there is no
+    other) and then 1 to 18 digits.  The fields are read a digit place at a
+    time, from the place of the widest field's first digit, in place.
+    """
+    negative = body[firsts] == ord("-")
+    lows = firsts + negative
+    widths = ends - lows
+    if len(widths) and (widths.min() < 1 or widths.max() > _PLAIN_DIGITS):
+        return None
+    width = int(widths.max(initial=0))
+    values = np.zeros(len(lows), dtype=np.int64)
+    at = ends - width  # each field's place k digits from its end, k = width down to 1
+    index = np.empty_like(at)
+    digit = np.empty(len(at), dtype=np.uint8)
+    for _ in range(width):
+        np.maximum(at, 0, out=index)
+        np.take(body, index, out=digit)
+        digit -= ord("0")
+        digit *= at >= lows  # a place before the field's first digit reads as 0
+        values *= 10
+        values += digit
+        at += 1
+    np.negative(values, out=values, where=negative)
+    return values
+
+
+def _scanned_rows(path: Path) -> tuple[list[int], list[int], list[int], Exception | None]:
+    """The rows of any table, read with ``csv`` and ``int()``, with their line numbers.
+
+    The scan stops at the first line that is not two integer fields, or at
+    anything else that stops the read (undecodable bytes, say); that error
+    is returned, for the caller to raise unless a row above it is at fault.
+    """
+    ells: list[int] = []
+    a_ells: list[int] = []
+    lines: list[int] = []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
             for lineno, row in _data_rows(fh, path):
                 if len(row) != 2:
                     raise TableFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
@@ -62,26 +262,12 @@ def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
                     ell, a = int(row[0]), int(row[1])
                 except ValueError:
                     raise TableFormatError(f"{path}:{lineno}: non-integer row {row!r}")
-                if ell <= prev or (level % ell != 0 and a * a > 4 * ell):
-                    if not is_prime(ell):
-                        raise TableFormatError(f"{path}:{lineno}: index {ell} is not prime")
-                    if ell <= prev:
-                        raise TableFormatError(
-                            f"{path}:{lineno}: ell={ell} not strictly increasing (previous {prev})"
-                        )
-                    raise TableFormatError(
-                        f"{path}:{lineno}: a_{ell} = {a} violates the Hasse bound"
-                        f" (|a| <= {isqrt(4 * ell)})"
-                    )
-                coeffs[ell] = a
-                prev = ell
-        except Exception:
-            # whatever stopped the parse (a bad row, undecodable bytes), a
-            # composite row above it is the first fault in the file
-            _require_prime_rows(path, coeffs)
-            raise
-    _require_prime_rows(path, coeffs)
-    return CoefficientTable(coefficients=coeffs, level=level)
+                ells.append(ell)
+                a_ells.append(a)
+                lines.append(lineno)
+    except Exception as exc:
+        return ells, a_ells, lines, exc
+    return ells, a_ells, lines, None
 
 
 def _data_rows(fh: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -96,21 +282,6 @@ def _data_rows(fh: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
     for lineno, row in enumerate(reader, start=2):
         if row and (len(row) != 1 or row[0].strip()):
             yield lineno, row
-
-
-def _require_prime_rows(path: Path, coeffs: Mapping[int, int]) -> None:
-    """Raise at the first row of ``coeffs`` whose ell is not prime.
-
-    ``coeffs`` holds the file's first rows in order, so the line of the
-    offending row is found by reading the file again up to it.
-    """
-    prime = are_prime(coeffs)
-    if prime.all():
-        return
-    index = int(np.argmin(prime))
-    with path.open(newline="", encoding="utf-8") as fh:
-        lineno, row = next(islice(_data_rows(fh, path), index, None))
-    raise TableFormatError(f"{path}:{lineno}: index {int(row[0])} is not prime")
 
 
 @dataclass(frozen=True)
@@ -153,8 +324,13 @@ class FormContext:
             )
         object.__setattr__(self, "a_p", a_p)
 
-    def divides_ngp(self, ell: int) -> bool:
-        """Whether the prime ell divides N_g * p, where no Frobenius class is defined."""
+    def divides_ngp(self, ell: int | np.ndarray) -> bool | np.ndarray:
+        """Whether the prime ell divides N_g * p, where no Frobenius class is defined.
+
+        An array of primes gives a bool array.
+        """
+        if isinstance(ell, np.ndarray):
+            return _divides(self.level, ell) | (ell == self.p)
         return self.level % ell == 0 or ell == self.p
 
     def coefficient(self, ell: int) -> int:
@@ -165,10 +341,10 @@ class FormContext:
         """
         if isinstance(self.backend, CurveModel):
             return trace_of_frobenius(self.backend, ell)
-        try:
-            return self.backend.coefficients[ell]
-        except KeyError:
-            raise CoverageError(ell)
+        (a,) = self.coefficients([ell])
+        if isinstance(a, Exception):
+            raise a
+        return a
 
     def coefficients(self, ells: Sequence[int]) -> list[int | Exception]:
         """:meth:`coefficient` at many primes, as one batch.
@@ -180,8 +356,33 @@ class FormContext:
         """
         if isinstance(self.backend, CurveModel):
             return traces_of_frobenius(self.backend, ells)
-        table = self.backend.coefficients
-        return [table[ell] if ell in table else CoverageError(ell) for ell in ells]
+        at, found = self.backend.rows(_column(ells))
+        values = iter(self.backend.a_ells[at[found]].tolist())
+        return [next(values) if hit else CoverageError(ell)
+                for ell, hit in zip(ells, found.tolist())]
+
+    def coefficient_column(self, ells: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+        """a_ell at ascending primes, up to the first one the backend fails at.
+
+        Returns the column of the coefficients before that prime and its
+        error (None when there is none).  A table answers with one gather
+        through :meth:`CoefficientTable.rows`, a curve as :meth:`coefficients`.
+        """
+        if isinstance(self.backend, CurveModel):
+            return leading_column(self.coefficients(ells.tolist()))
+        at, found = self.backend.rows(ells)
+        if found.all():
+            return self.backend.a_ells[at], None
+        gap = int(np.argmin(found))
+        return self.backend.a_ells[at[:gap]], CoverageError(int(ells[gap]))
+
+
+def leading_column(values: Sequence[int | Exception]) -> tuple[np.ndarray, Exception | None]:
+    """The ints of ``values`` before its first exception, as a column, and that exception."""
+    for i, value in enumerate(values):
+        if isinstance(value, Exception):
+            return _column(values[:i]), value
+    return _column(values), None
 
 
 def a_ell(ctx: FormContext, ell: int) -> int:

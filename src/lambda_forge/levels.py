@@ -277,14 +277,14 @@ def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:
 
     extra = [ell for ell in sorted(level_factors) if level_factors[ell] > base_factors.get(ell, 0)]
     counted = [ell for ell in extra if not ctx.divides_ngp(ell)]
-    coefficients = dict(zip(counted, ctx.coefficients(counted)))
+    fetched = iter(ctx.coefficients(counted))
 
     reports: list[CarayolPrimeReport] = []
     for ell in extra:
         ord_base = base_factors.get(ell, 0)
         alpha = level_factors[ell] - ord_base
 
-        trace = coefficients.get(ell)
+        trace = None if ctx.divides_ngp(ell) else next(fetched)
         if isinstance(trace, CoverageError):
             trace = None
         elif isinstance(trace, Exception):

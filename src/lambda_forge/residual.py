@@ -17,10 +17,12 @@ is nonzero, and for Omega primes that multiplicity is already zero.
 Every test is a congruence, so a sweep classifies a whole chunk of primes
 at once (:func:`classify_chunk`): a :class:`ClassifiedChunk` holds the
 columns ell, a_ell mod p and a code naming the outcome of each test, all
-computed in numpy.  Consumers that stream (the CSV export, density counts,
-sigma columns) read the columns; :func:`classify_range` flattens the same
-chunks into one :class:`FrobeniusClass` a prime for the reports that list
-them.
+computed in numpy.  The chunks come from :func:`coefficient_chunks` as
+columns too (:class:`CoefficientChunk`): the sieved primes, the rows that
+do not divide N_g * p and their a_ell.  Consumers that stream (the CSV
+export, density counts, sigma columns) read the columns;
+:func:`classify_range` flattens the same chunks into one
+:class:`FrobeniusClass` a prime for the reports that list them.
 """
 
 from __future__ import annotations
@@ -28,20 +30,21 @@ from __future__ import annotations
 import os
 from collections import deque
 from contextlib import closing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import islice, product
 from math import isqrt
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import PrimeRange, count_primes, is_prime, sieve_primes
+from .arith import PrimeRange, count_primes, is_prime, prime_chunks
+# the traced benchmark (bench/run.py) wraps residual.sieve_primes by name
+from .arith import sieve_primes  # noqa: F401
 from .curves import CurveModel, _pow, trace_of_frobenius
 from .errors import PointCountError
-from .forms import FormContext, a_ell
+from .forms import FormContext, a_ell, leading_column
 
 
 class Verdict(Enum):
@@ -81,7 +84,7 @@ def classify_prime(ctx: FormContext, ell: int) -> FrobeniusClass:
 
     Any other ell is refused with the ValueError of :func:`a_ell`.
     """
-    (klass,) = classify_chunk([ell], {ell: a_ell(ctx, ell)}, ctx.p).classes()
+    (klass,) = classify_chunk([ell], [0], np.array([a_ell(ctx, ell)]), ctx.p).classes()
     return klass
 
 
@@ -105,6 +108,8 @@ _VERDICTS = (Verdict.SKIPPED,) + tuple(
     for m, t, w in product(range(3), repeat=3)
 )
 _VERDICT_INDEX = np.array([list(Verdict).index(v) for v in _VERDICTS])
+# What follows the trace in a row of the CSV export, by code.
+_CSV_TAILS = tuple(f",{v.value}\n" for v in _VERDICTS)
 
 # Up to this p a product of two residues mod p^2 fits in int64, so the
 # columns of a chunk are int64; a larger p, or an ell from 2^62 up, runs the
@@ -150,25 +155,29 @@ class ClassifiedChunk:
     def csv_rows(self) -> str:
         """The rows in the export format of :func:`tee_to_csv`."""
         return "".join([
-            f"{ell},{t},{_VERDICTS[code].value}\n" if code else f"{ell},,Skipped\n"
+            f"{ell},{t}{_CSV_TAILS[code]}" if code else f"{ell},,Skipped\n"
             for ell, t, code in self._rows()
         ])
 
 
 def classify_chunk(
-    ells: Sequence[int], coefficients: Mapping[int, int], p: int
+    ells: Sequence[int] | np.ndarray,
+    exposed: Sequence[int] | np.ndarray,
+    a_ells: np.ndarray,
+    p: int,
 ) -> ClassifiedChunk:
-    """Classify ascending primes at once; an ell not in ``coefficients`` is Skipped.
+    """Classify ascending primes at once; a row not in ``exposed`` is Skipped.
 
-    ``coefficients`` maps the other ells, in ascending order, to a_ell.  The
-    split factorization of each Pi and Omega row is rechecked, and the first
-    row that fails it raises an AssertionError.
+    ``exposed`` holds the indices, ascending, of the rows of ``ells`` that
+    are classified, and ``a_ells`` their coefficients, in the same order.
+    The split factorization of each Pi and Omega row is rechecked, and the
+    first row that fails it raises an AssertionError.
     """
     dtype = column_dtype(p, ells[-1] if len(ells) else 0)
-    column = np.array(ells, dtype)
-    rows = np.searchsorted(column, np.fromiter(coefficients, dtype, len(coefficients)))
+    column = np.asarray(ells, dtype)
+    rows = np.asarray(exposed, np.intp)
     ell = column[rows]
-    t = np.fromiter(coefficients.values(), dtype, len(coefficients)) % p
+    t = (a_ells % p).astype(dtype)
     d = ell % p
     m = (d == 1) + 2 * (d == p - 1)
     pi = t == (1 + ell) % p
@@ -239,61 +248,84 @@ def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
         size = min(2 * size, _MAX_CHUNK)
 
 
+# A chunk's coefficients once they are in: the column and the error that ended it.
+_Fetch = Callable[[], tuple[np.ndarray, Exception | None]]
+
+
+class CoefficientChunk(NamedTuple):
+    """Consecutive primes of a sweep, with the coefficients of those not dividing N_g * p.
+
+    ``ells`` are the sieved primes, ascending, ``exposed`` the indices of
+    the rows that do not divide N_g * p, and ``a_ells[i]`` is a_ell at
+    ``ells[exposed[i]]``.  When the backend failed at some prime, ``error``
+    is its exception (which names that prime) and the chunk ends just
+    before it; otherwise ``error`` is None.
+    """
+
+    ells: np.ndarray
+    exposed: np.ndarray
+    a_ells: np.ndarray
+    error: Exception | None
+
+
 def coefficient_chunks(
     ctx: FormContext,
     prime_range: PrimeRange,
     *,
     workers: int | None = None,
-) -> Iterator[tuple[list[int], dict[int, int | Exception]]]:
-    """The primes of the range in ascending chunks, each with its coefficients.
-
-    A chunk comes as its primes and a dict, in ascending order, from those
-    that do not divide N_g * p to a_ell, or to the exception the backend
-    raised at that ell (:meth:`FormContext.coefficients`).
+) -> Iterator[CoefficientChunk]:
+    """The primes of the range in ascending chunks of columns, with their coefficients.
 
     The sieved primes are cut into chunks (see :func:`_chunk_lengths`) whose
     coefficients are fetched on ``workers`` processes, capped at the cores
     this process may run on.  A 1-worker sweep, a range that fits in the
-    first chunk, or a table backend makes the same batched lookups in this
-    process: a table's coefficients are dict lookups, cheaper than the pool's
-    start-up and traffic (``BENCH_11.json``), so only a curve, whose
-    coefficients are point counts, is swept on a pool.  Only primes go out
-    to a worker and only its list of coefficients comes back, about 4 bytes
-    a prime pickled.  At most 2 * workers chunks are in flight and they are
-    merged in ascending order, so the stream is identical at every worker
-    count.  Closing the generator, explicitly or by dropping it, cancels the
-    chunks not yet started and shuts the pool down, so a consumer that stops
-    early stops the work too.
+    first chunk, or a table backend fetches them in this process with
+    :meth:`FormContext.coefficient_column`: a table answers a chunk with one
+    ``searchsorted`` gather, cheaper than the pool's start-up and traffic
+    (``BENCH_11.json``), so only a curve, whose coefficients are point
+    counts, is swept on a pool.  Only primes go out to a worker and only its
+    list of coefficients comes back, about 4 bytes a prime pickled.  At most
+    2 * workers chunks are in flight and they are merged in ascending order,
+    so the stream is identical at every worker count.  Closing the
+    generator, explicitly or by dropping it, cancels the chunks not yet
+    started and shuts the pool down, so a consumer that stops early stops
+    the work too.
     """
     total = count_primes(prime_range)
     if total <= _FIRST_CHUNK or not isinstance(ctx.backend, CurveModel):
         workers = 1
     else:
         workers = max(1, min(workers or 1, len(os.sched_getaffinity(0))))
-    primes = sieve_primes(prime_range)
-    chunks = (list(islice(primes, n)) for n in _chunk_lengths(total, workers))
+    chunks = prime_chunks(prime_range, _chunk_lengths(total, workers))
 
     pool = None
     if workers > 1:
+        # imported here, so that a process that never starts a pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
         )
 
-    def submit(ells: list[int]) -> tuple[list[int], list[int], Callable[[], list]]:
+    def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Fetch]:
         # sieved, so prime: no need for the checks of a_ell
-        exposed = [ell for ell in ells if not ctx.divides_ngp(ell)]
+        exposed = np.flatnonzero(~ctx.divides_ngp(ells))
         if pool is None:
-            return ells, exposed, partial(ctx.coefficients, exposed)
-        return ells, exposed, pool.submit(_coefficients_in_worker, exposed).result
+            return ells, exposed, partial(ctx.coefficient_column, ells[exposed])
+        future = pool.submit(_coefficients_in_worker, ells[exposed].tolist())
+        return ells, exposed, lambda: leading_column(future.result())
 
-    in_flight: deque[tuple[list[int], list[int], Callable[[], list]]] = deque()
+    in_flight: deque[tuple[np.ndarray, np.ndarray, _Fetch]] = deque()
     try:
         while True:
             in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
             if not in_flight:
                 return
-            ells, exposed, coefficients = in_flight.popleft()
-            yield ells, dict(zip(exposed, coefficients()))
+            ells, exposed, fetch = in_flight.popleft()
+            a_ells, error = fetch()
+            if error is not None:
+                ells, exposed = ells[: exposed[len(a_ells)]], exposed[: len(a_ells)]
+            yield CoefficientChunk(ells, exposed, a_ells, error)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -315,21 +347,15 @@ def classify_chunks(
     each chunk is classified here, in this process, as it arrives.  A chunk
     whose coefficient failed at some prime (a table gap, say, as a
     CoverageError, or a PointCountError where a group order stayed
-    ambiguous) is cut just before that prime, and the error is raised after
+    ambiguous) ends just before that prime, and the error is raised after
     the cut chunk is yielded.  The rows (an error included) are therefore
     identical at every worker count, and closing the stream stops the sweep.
     """
     with closing(coefficient_chunks(ctx, prime_range, workers=workers)) as chunks:
-        for ells, coefficients in chunks:
-            errors = (ell for ell, a in coefficients.items() if isinstance(a, Exception))
-            failed = next(errors, None)
-            if failed is None:
-                yield classify_chunk(ells, coefficients, ctx.p)
-                continue
-            cut = ells[: ells.index(failed)]
-            exposed = {ell: coefficients[ell] for ell in cut if ell in coefficients}
-            yield classify_chunk(cut, exposed, ctx.p)
-            raise coefficients[failed]
+        for ells, exposed, a_ells, error in chunks:
+            yield classify_chunk(ells, exposed, a_ells, ctx.p)
+            if error is not None:
+                raise error
 
 
 def classify_range(

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -253,9 +255,9 @@ class TestVerifyDensity:
         classified = Counter()
         chunk_classifier = residual.classify_chunk  # what the sweep calls per chunk
 
-        def counting(ells, coefficients, p):
-            classified.update(coefficients.keys())
-            return chunk_classifier(ells, coefficients, p)
+        def counting(ells, exposed, a_ells, p):
+            classified.update(ells[exposed].tolist())
+            return chunk_classifier(ells, exposed, a_ells, p)
 
         monkeypatch.setattr(residual, "classify_chunk", counting)
         dump = tmp_path / "per_prime.csv"
@@ -296,6 +298,15 @@ class TestCarayol:
     def test_structural(self, curve_config, capsys):
         report = run_json(capsys, ["carayol", "--config", curve_config, "--level", "26"])
         assert report["verdict"] == "inadmissible_structural"
+
+    def test_gap_is_unknown(self, table_config, capsys):
+        # the table has a_13 but no a_7: 7 stays unknown, 13 is decided
+        report = run_json(capsys, ["carayol", "--config", table_config,
+                                   "--level", str(11 * 7 * 13)])
+        assert report["verdict"] == "unknown"
+        assert [(row["ell"], row["status"]) for row in report["primes"]] == [
+            (7, "unknown"), (13, "admissible")]
+        assert report["primes"][0]["detail"] == "cases 1 undecidable: no coefficient for 7"
 
     def test_trial_bound_refusal_exit_3(self, curve_config, capsys):
         # 11 * 1000003 * 1000033: both large primes lie above the trial-division bound
@@ -351,8 +362,9 @@ class TestAEll:
                      "--format", "csv", "--out", str(out)])
         assert code == EXIT_OK
         table = load_coefficients(out, level=11)
-        assert table.coefficients[2] == -2
-        assert table.coefficients[13] == 4
+        coefficients = dict(zip(table.ells.tolist(), table.a_ells.tolist()))
+        assert coefficients[2] == -2
+        assert coefficients[13] == 4
 
     def test_requires_selection(self, curve_config, capsys):
         assert main(["a-ell", "--config", curve_config]) == EXIT_CONFIG
@@ -406,6 +418,22 @@ class TestAEll:
             argv += ["--ell", ell]
         assert main(argv) == EXIT_CONFIG
         assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def test_a_table_sweep_never_imports_the_process_pool(table_config):
+    # the pool module is imported where a pool starts, and a table never starts one
+    script = (
+        "import sys\n"
+        "from lambda_forge import cli\n"
+        f"argv = ['classify', '--config', {table_config!r}, '--from', '2', '--to', '5',"
+        " '--format', 'csv', '--workers', '2']\n"
+        "assert cli.main(argv) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('concurrent')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestNoPerPrimeObjects:

@@ -1,7 +1,9 @@
 import csv
+import random
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,10 @@ def write_table(tmp_path, text, name="coeffs.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def as_dict(table: CoefficientTable) -> dict[int, int]:
+    return dict(zip(table.ells.tolist(), table.a_ells.tolist()))
 
 
 # --- the per-row loader, kept as the reference for the batched primality check
@@ -67,11 +73,12 @@ def scalar_load_coefficients(path: str | Path, level: int) -> CoefficientTable:
 
 
 def outcome(load, path, level):
-    """What ``load`` makes of the file: its coefficients or its error message."""
+    """What ``load`` makes of the file: its rows and column dtypes, or its error message."""
     try:
-        return load(path, level).coefficients
+        table = load(path, level)
     except TableFormatError as err:
         return str(err)
+    return as_dict(table), table.ells.dtype, table.a_ells.dtype
 
 
 TABLE_PRIMES = list(PrimeRange(2, 400)) + [2_147_483_647]  # one row above the sieve cap
@@ -106,7 +113,7 @@ class TestLoadCoefficients:
     def test_parse(self, tmp_path):
         path = write_table(tmp_path, "ell,a_ell\n2,-2\n3,-1\n")
         table = load_coefficients(path, level=11)
-        assert table.coefficients == {2: -2, 3: -1}
+        assert as_dict(table) == {2: -2, 3: -1}
 
     def test_hasse_violation_rejected(self, tmp_path):
         # 12 > floor(2*sqrt(7)) = 5
@@ -117,7 +124,7 @@ class TestLoadCoefficients:
     def test_header_only_is_usable(self, tmp_path):
         path = write_table(tmp_path, "ell,a_ell\n")
         table = load_coefficients(path, level=11)
-        assert table.coefficients == {}
+        assert as_dict(table) == {}
 
     def test_malformed_row_names_line(self, tmp_path):
         path = write_table(tmp_path, "ell,a_ell\n2,-2\nthree,-1\n")
@@ -143,7 +150,7 @@ class TestLoadCoefficients:
         # at ell | level the Hasse bound does not apply; the row is kept as given
         path = write_table(tmp_path, "ell,a_ell\n11,9\n13,4\n")
         table = load_coefficients(path, level=11)
-        assert table.coefficients[11] == 9
+        assert as_dict(table)[11] == 9
 
     def test_direct_table_refused_at_hasse_violation(self):
         with pytest.raises(TableFormatError) as info:
@@ -195,10 +202,102 @@ class TestLoaderParity:
         assert outcome(scalar_load_coefficients, path, 11) == expected
         assert outcome(load_coefficients, path, 11) == expected
 
+    @pytest.mark.parametrize("text", [
+        "ell,a_ell\n2,1\n 13 , 4\n",  # space-padded fields
+        'ell,a_ell\n2,1\n"17",1\n',  # quoted fields
+        "ell,a_ell\r\n2,1\r\n13,4\r\n\r\n17,1\r\n",  # CRLF line ends
+        "ell,a_ell\r\n2,1\r\n13,8\r\n",  # CRLF, a Hasse violation on line 3
+        "ell,a_ell\n2,1\n1_3,4\n",  # an int() spelling with an underscore
+        "ell,a_ell\n2,1\n+13,-0\n",  # explicit signs
+        "ell,a_ell\n2,1\n18446744073709551629,5\n",  # a prime row at 2^64 + 13
+        "ell,a_ell\n2,1\n18446744073709551629,1099511627776\n",  # a_ell = 2^40 there: Hasse
+        "ell,a_ell\n2,1\n11,-9223372036854775808\n13,4\n",  # ramified, |a_11| = 2^63
+        "ell,a_ell\n2,1\n11,100000000000000000000\n",  # ramified, more than 18 digits
+        "ell,a_ell\n2,1\n11,9999999999999999999\n",  # ramified, 19 digits, past int64
+        "ell,a_ell\n2,1\n11,999999999999999999\n13,4\n",  # ramified, 18 digits
+        "ell,a_ell\n2,1\n13,999999999999999999\n",  # 18 digits over the Hasse bound
+        "ell,a_ell\n2,-1000000000000\n",  # far over the Hasse bound
+        "ell,a_ell\n2,1\n13,4",  # no line end after the last row
+        "ell,a_ell",  # the header alone
+        " ell , a_ell \n2,1\n",  # a padded header
+        "ell,a_ell\n2,1\r13,4\n",  # a lone CR
+        "ell,a_ell\n2,1\n13,-\n",  # a sign without digits
+        "ell,a_ell\n2,1\n1-3,4\n",  # a sign inside a field
+        "ell,a_ell\n2,1\n13,,4\n",  # three fields
+    ])
+    def test_unusual_spellings_load_as_before(self, tmp_path, text):
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(text.encode())
+        assert outcome(load_coefficients, path, 11) == outcome(scalar_load_coefficients, path, 11)
+
+    def test_wide_values_keep_exact_columns(self, tmp_path):
+        huge_prime = 2**64 + 13
+        path = write_table(tmp_path, f"ell,a_ell\n2,1\n11,{-(2**63)}\n{huge_prime},5\n")
+        table = load_coefficients(path, level=11)
+        assert table.ells.dtype == table.a_ells.dtype == object
+        assert as_dict(table) == {2: 1, 11: -(2**63), huge_prime: 5}
+
+    def test_level_past_int64(self, tmp_path):
+        # 11 * (2^64 + 13) exceeds int64: the ramified row at 11 is still exempt
+        level = 11 * (2**64 + 13)
+        path = write_table(tmp_path, "ell,a_ell\n2,1\n7,1\n11,99\n13,4\n")
+        table = load_coefficients(path, level=level)
+        ctx = FormContext(level=level, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                          backend=table)
+        assert ctx.divides_ngp(table.ells).tolist() == [False, True, True, False]
+        assert ctx.coefficients([2, 11, 17]) [:2] == [1, 99]
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=faulty_tables(), level=st.sampled_from([1, 11, 30, 77]),
+           spelling=st.sampled_from(["crlf", "spaces", "quotes", "underscores"]))
+    def test_same_outcome_in_other_spellings(self, parity_path, text, level, spelling):
+        # the same rows spelled in ways the columnar pass hands to the row scan (or, for
+        # CRLF, takes itself): the outcome still matches the per-row loader
+        if spelling == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif spelling == "spaces":
+            text = text.replace(",", " , ")
+        elif spelling == "quotes":
+            text = text.replace("\n7,", '\n"7",')
+        else:
+            text = text.replace("\n11,", "\n1_1,")
+        parity_path.write_bytes(text.encode())
+        assert outcome(load_coefficients, parity_path, level) == outcome(
+            scalar_load_coefficients, parity_path, level)
+
+    def test_bench_sized_table_never_enters_the_row_scan(self, tmp_path, monkeypatch):
+        def refused(path):
+            raise AssertionError(f"row scan entered for {path}")
+
+        monkeypatch.setattr(forms, "_scanned_rows", refused)
+        rng = random.Random(11)
+        rows = [f"{ell},{rng.randint(-isqrt(4 * ell), isqrt(4 * ell))}\n"
+                for ell in PrimeRange(2, 10**6)]
+        path = write_table(tmp_path, "ell,a_ell\n" + "".join(rows))
+        table = load_coefficients(path, level=11)
+        assert len(table.ells) == 78498
+        assert table.ells.dtype == table.a_ells.dtype == np.int64
+
+    def test_hasse_bound_is_checked_once_a_load(self, tmp_path, monkeypatch):
+        checks = []
+        hasse = forms._hasse_violations
+
+        def counting(ells, a_ells, level):
+            checks.append(len(ells))
+            return hasse(ells, a_ells, level)
+
+        monkeypatch.setattr(forms, "_hasse_violations", counting)
+        rows = "".join(f"{ell},1\n" for ell in PrimeRange(2, 10**4))
+        for text in ("ell,a_ell\n" + rows, "ell,a_ell\r\n" + rows.replace("\n", "\r\n"),
+                     "ell , a_ell\n" + rows):  # the last one through the row scan
+            checks.clear()
+            load_coefficients(write_table(tmp_path, text), level=11)
+            assert checks == [1229]
+
     def test_prime_above_sieve_cap_accepted(self, tmp_path):
         assert 2_147_483_647 > MAX_SIEVE_BOUND
         path = write_table(tmp_path, "ell,a_ell\n2,1\n2147483647,5\n")
-        assert load_coefficients(path, level=11).coefficients == {2: 1, 2_147_483_647: 5}
+        assert as_dict(load_coefficients(path, level=11)) == {2: 1, 2_147_483_647: 5}
 
     def test_dense_table_makes_no_per_row_miller_rabin_calls(self, tmp_path, monkeypatch):
         calls = []
@@ -212,7 +311,7 @@ class TestLoaderParity:
         ells = list(PrimeRange(2, 10**5))
         path = write_table(tmp_path, "ell,a_ell\n" + "".join(f"{ell},0\n" for ell in ells))
         table = load_coefficients(path, level=11)
-        assert len(table.coefficients) == len(ells) == 9592
+        assert len(table.ells) == len(ells) == 9592
         assert calls == []
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import multiprocessing
 import os
@@ -31,7 +32,7 @@ from lambda_forge import (
 from lambda_forge.arith import PrimeRange, sieve_primes
 from lambda_forge.curves import _short_model, count_points_naive
 from lambda_forge.errors import CoverageError, PointCountError
-from lambda_forge.forms import a_ells
+from lambda_forge.forms import _column, a_ells
 from lambda_forge.residual import (
     _INT64_P_LIMIT,
     classification_to_csv,
@@ -84,6 +85,12 @@ def _skipped(ell: int) -> FrobeniusClass:
     return FrobeniusClass(ell, None, None, Verdict.SKIPPED, ("divides-Ngp",))
 
 
+def classify_mapping(ells, coefficients, p):
+    """classify_chunk on ascending ells, the classified ones given as a map ell -> a_ell."""
+    exposed = [i for i, ell in enumerate(ells) if ell in coefficients]
+    return classify_chunk(ells, exposed, _column([coefficients[ells[i]] for i in exposed]), p)
+
+
 # The largest prime whose chunk columns are int64, the least past it, and a
 # prime far past it; every other p of the parity property is small.
 P_INT64, P_OBJECT, P_HUGE = 55103, 55109, 2**61 - 1
@@ -129,19 +136,19 @@ class TestClassifyChunk:
             _frobenius_class(ell, coefficients[ell], p) if ell in coefficients else _skipped(ell)
             for ell in ells
         ]
-        assert list(classify_chunk(ells, coefficients, p).classes()) == expected
+        assert list(classify_mapping(ells, coefficients, p).classes()) == expected
 
     def test_columns_switch_to_objects_past_the_bound(self):
         assert _INT64_P_LIMIT**4 < 2**63 <= (_INT64_P_LIMIT + 1) ** 4
-        assert classify_chunk([2, 3], {2: 1, 3: 0}, P_INT64).ells.dtype == "int64"
-        assert classify_chunk([2, 3], {2: 1, 3: 0}, P_OBJECT).ells.dtype == object
-        assert classify_chunk([2, 2**62 + 135], {2: 1}, 7).ells.dtype == object
+        assert classify_mapping([2, 3], {2: 1, 3: 0}, P_INT64).ells.dtype == "int64"
+        assert classify_mapping([2, 3], {2: 1, 3: 0}, P_OBJECT).ells.dtype == object
+        assert classify_mapping([2, 2**62 + 135], {2: 1}, 7).ells.dtype == object
 
     def test_wieferich_type_ells(self):
         # 79 = 2^7 mod 49 and 97 = 6^7 mod 49, so ell^6 = 1 mod 49 for both; 79 = 2 mod 7
         # passes the class test and fails only the Wieferich one, 97 = -1 mod 7 fails first
         coefficients = {79: 80 % 7, 97: 98 % 7 - 7}
-        classes = list(classify_chunk([79, 97], coefficients, 7).classes())
+        classes = list(classify_mapping([79, 97], coefficients, 7).classes())
         assert classes == [_frobenius_class(ell, a, 7) for ell, a in coefficients.items()]
         assert [fc.reasons[1:] for fc in classes] == [
             ("mod-p-class=pass", "trace=pi", "wieferich=fail(ell^(p-1)=1 mod p^2)"),
@@ -160,7 +167,7 @@ class TestClassifyChunk:
             residual._check_split_factorizations(*columns, 5)
 
     def test_counts_and_csv_rows(self):
-        chunk = classify_chunk([2, 3, 5, 13, 17], {2: 3, 3: 1, 13: 4, 17: 0}, 5)
+        chunk = classify_mapping([2, 3, 5, 13, 17], {2: 3, 3: 1, 13: 4, 17: 0}, 5)
         assert chunk.counts() == {Verdict.PI: 2, Verdict.OMEGA: 1, Verdict.NEITHER: 1,
                                   Verdict.SKIPPED: 1}
         assert chunk.csv_rows() == (
@@ -415,6 +422,72 @@ class TestSweepPipeline:
         assert rows == list(sieve_primes(PrimeRange(2, 1998)))
 
 
+@st.composite
+def gapped_tables(draw):
+    """(ctx, rows, hi): a table with gaps and ramified rows, and a sweep bound.
+
+    The table runs over the primes to a drawn top, each missing with a drawn
+    probability (sometimes 0).  Rows at primes dividing the level hold any
+    value, at times one past 2^63, which makes the a_ell column dtype=object.
+    The sweep bound may lie past the top of the table.
+    """
+    level = draw(st.sampled_from([11, 11 * 13, 2 * 3 * 11, 37]))
+    p = draw(st.sampled_from([q for q in (5, 7, 17) if level % q]))
+    top = draw(st.integers(p, 3000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gap_rate = draw(st.sampled_from([0.0, 0.002, 0.02]))
+    rows = {}
+    for ell in sieve_primes(PrimeRange(2, top)):
+        if level % ell == 0:
+            rows[ell] = rng.choice([0, 2**63 + 5, -(10**30), rng.randint(-99, 99)])
+        elif ell == p or rng.random() >= gap_rate:
+            bound = isqrt(4 * ell)
+            rows[ell] = rng.randint(-bound, bound)
+            while ell == p and rows[ell] % p == 0:
+                rows[ell] = rng.randint(-bound, bound)
+    ctx = FormContext(level=level, p=p, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                      backend=CoefficientTable(rows, level=level))
+    return ctx, rows, draw(st.integers(3, top + 200))
+
+
+def entries(values):
+    return [(type(v).__name__, str(v)) if isinstance(v, Exception) else v for v in values]
+
+
+class TestColumnLookups:
+    """A table answers from its columns what a dict of its rows answers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=gapped_tables())
+    def test_columns_equal_a_dict_reference(self, table):
+        ctx, rows, hi = table
+        ells = list(sieve_primes(PrimeRange(2, hi))) + [2**64 + 13]
+        reference = [rows[ell] if ell in rows else CoverageError(ell) for ell in ells]
+        assert entries(ctx.coefficients(ells)) == entries(reference)
+
+        expected, error = [], None
+        for ell in ells[:-1]:
+            if ctx.divides_ngp(ell):
+                expected.append(_skipped(ell))
+            elif ell in rows:
+                expected.append(_frobenius_class(ell, rows[ell], ctx.p))
+            else:
+                error = CoverageError(ell)
+                break
+        for workers in (1, 2):
+            seen, raised = [], None
+            try:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+                    for chunk in classify_chunks(ctx, PrimeRange(2, hi), workers=workers):
+                        seen += chunk.classes()
+            except CoverageError as exc:
+                raised = exc
+            assert seen == expected
+            assert entries([raised]) == entries([error])
+            assert getattr(raised, "ell", None) == getattr(error, "ell", None)
+
+
 class TestPoolTraffic:
     """Pool workers only fetch coefficients; every class is built in the parent."""
 
@@ -426,9 +499,9 @@ class TestPoolTraffic:
         classified = Counter()
         chunk_classifier = residual.classify_chunk  # what the sweep calls per chunk
 
-        def counting(ells, coefficients, p):
-            classified.update(coefficients.keys())
-            return chunk_classifier(ells, coefficients, p)
+        def counting(ells, exposed, a_ells, p):
+            classified.update(ells[exposed].tolist())
+            return chunk_classifier(ells, exposed, a_ells, p)
 
         monkeypatch.setattr(residual, "classify_chunk", counting)
         stream = list(classify_range(ctx_default, PrimeRange(2, 5000), workers=2))
@@ -437,15 +510,17 @@ class TestPoolTraffic:
         assert len(classified) == sum(1 for _ in PrimeRange(2, 5000)) - 2  # 7 and 11 skipped
 
     def test_only_a_curve_is_swept_on_a_pool(self, ctx_default, monkeypatch):
-        # a table's coefficients are dict lookups: a pool would only add its traffic
+        # a table's coefficients are one searchsorted gather a chunk: a pool would
+        # only add its traffic
         started = []
-        pool = residual.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(**kwargs):
             started.append(kwargs["max_workers"])
             return pool(**kwargs)
 
-        monkeypatch.setattr(residual, "ProcessPoolExecutor", counting_pool)
+        # coefficient_chunks imports the pool class from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         table = CoefficientTable(coefficients=dict.fromkeys(PrimeRange(2, 5000), 1), level=11)
         ctx_table = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                                 backend=table)
