@@ -9,6 +9,16 @@ verifies the exact Chebotarev densities of the admissible prime families
 both by exhaustive GL2(F_p) enumeration and by empirical sampling.
 """
 
+import os
+import sys
+
+# The package makes no BLAS call, so numpy need not start OpenBLAS's thread
+# pool (a thread a core) at import.  Set before the first import of numpy,
+# so that pool workers and every other importer get it too; a value the
+# user has set wins, and once numpy is loaded the variable is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import PrimeRange, sieve_primes
 from .curves import (
     CurveModel,

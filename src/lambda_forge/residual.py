@@ -234,11 +234,12 @@ def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
     """Chunk lengths covering ``total`` primes.
 
     Chunks start at ``_FIRST_CHUNK`` primes and double up to ``_MAX_CHUNK``,
-    so a consumer that stops early leaves only small chunks running.  Each
-    chunk also holds at most 1 / (2 * workers) of the primes still left
-    (guided self-scheduling, Polychronopoulos and Kuck 1987), so the last,
-    most expensive primes (point counting slows as ell grows) are spread
-    over all workers instead of landing on one.
+    so a consumer that stops early leaves only small chunks running, and
+    one that stops inside the first chunk, which is fetched in-process,
+    starts no pool at all.  Each chunk also holds at most 1 / (2 * workers)
+    of the primes still left (guided self-scheduling, Polychronopoulos and
+    Kuck 1987), so the last, most expensive primes (point counting slows as
+    ell grows) are spread over all workers instead of landing on one.
     """
     size = _FIRST_CHUNK
     while total > 0:
@@ -276,20 +277,23 @@ def coefficient_chunks(
 ) -> Iterator[CoefficientChunk]:
     """The primes of the range in ascending chunks of columns, with their coefficients.
 
-    The sieved primes are cut into chunks (see :func:`_chunk_lengths`) whose
-    coefficients are fetched on ``workers`` processes, capped at the cores
-    this process may run on.  A 1-worker sweep, a range that fits in the
-    first chunk, or a table backend fetches them in this process with
-    :meth:`FormContext.coefficient_column`: a table answers a chunk with one
+    The sieved primes are cut into chunks (see :func:`_chunk_lengths`).  The
+    first chunk's coefficients are always fetched in this process with
+    :meth:`FormContext.coefficient_column`, so a consumer that stops inside
+    it (``plan`` at its usual targets) never starts a pool.  Only when the
+    consumer asks for a second chunk are the rest fetched on ``workers``
+    processes, capped at the cores this process may run on.  A 1-worker
+    sweep, a range that fits in the first chunk, or a table backend fetches
+    every chunk in this process: a table answers a chunk with one
     ``searchsorted`` gather, cheaper than the pool's start-up and traffic
     (``BENCH_11.json``), so only a curve, whose coefficients are point
     counts, is swept on a pool.  Only primes go out to a worker and only its
     list of coefficients comes back, about 4 bytes a prime pickled.  At most
     2 * workers chunks are in flight and they are merged in ascending order,
     so the stream is identical at every worker count.  Closing the
-    generator, explicitly or by dropping it, cancels the chunks not yet
-    started and shuts the pool down, so a consumer that stops early stops
-    the work too.
+    generator, explicitly or by dropping it, cancels the chunks no worker
+    has taken yet and shuts the pool down; it waits for the chunks already
+    taken (at most workers + 1 of them, all small early in a sweep).
     """
     total = count_primes(prime_range)
     if total <= _FIRST_CHUNK or not isinstance(ctx.backend, CurveModel):
@@ -299,13 +303,6 @@ def coefficient_chunks(
     chunks = prime_chunks(prime_range, _chunk_lengths(total, workers))
 
     pool = None
-    if workers > 1:
-        # imported here, so that a process that never starts a pool never loads it
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
-        )
 
     def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Fetch]:
         # sieved, so prime: no need for the checks of a_ell
@@ -315,17 +312,25 @@ def coefficient_chunks(
         future = pool.submit(_coefficients_in_worker, ells[exposed].tolist())
         return ells, exposed, lambda: leading_column(future.result())
 
+    # the first chunk is always fetched here: a sweep that stops inside it starts no pool
     in_flight: deque[tuple[np.ndarray, np.ndarray, _Fetch]] = deque()
+    in_flight.extend(map(submit, islice(chunks, 1)))
     try:
-        while True:
-            in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
-            if not in_flight:
-                return
+        while in_flight:
             ells, exposed, fetch = in_flight.popleft()
             a_ells, error = fetch()
             if error is not None:
                 ells, exposed = ells[: exposed[len(a_ells)]], exposed[: len(a_ells)]
             yield CoefficientChunk(ells, exposed, a_ells, error)
+            # workers > 1 only where the range outgrows its first chunk, so chunks follow
+            if pool is None and workers > 1:
+                # imported here, so that a process that never starts a pool never loads it
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(
+                    max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
+                )
+            in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

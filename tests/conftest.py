@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from lambda_forge import CoefficientTable, CurveModel, FormContext
@@ -11,6 +13,21 @@ CURVE_389A1 = dict(a1=0, a2=1, a3=1, a4=-2, a6=0, conductor=389)
 def short_curve(a: int, b: int) -> CurveModel:
     """y^2 = x^3 + ax + b with conductor |discriminant|, so that it loads as a minimal model."""
     return CurveModel(0, 0, 0, a, b, conductor=abs(16 * (4 * a**3 + 27 * b * b)))
+
+
+@pytest.fixture
+def pools_started(monkeypatch) -> list[int]:
+    """The worker count of each process pool started during the test, in order."""
+    started = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(**kwargs):
+        started.append(kwargs["max_workers"])
+        return pool(**kwargs)
+
+    # coefficient_chunks imports the pool class from here when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    return started
 
 
 @pytest.fixture(scope="session")

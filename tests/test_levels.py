@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from lambda_forge import (
     plan_target_lambda,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
+from lambda_forge.config import build_context, load_config
 from lambda_forge.errors import ResourceLimitError, ScarcityError
 from lambda_forge.iwasawa import sigma_ell
 from lambda_forge.levels import EXISTENCE_ASSERTED, EXISTENCE_IDENTITY
@@ -169,6 +173,19 @@ class TestPlan:
         omega_pool = [fc.ell for fc in pool if fc.verdict is Verdict.OMEGA]
         assert level_set.pi_primes == tuple(pi_pool[:2])
         assert level_set.omega_primes == tuple(omega_pool[:1])
+
+
+@pytest.mark.parametrize("config", ["default.cfg", "curve37a.cfg", "curve389a.cfg"])
+def test_plans_start_no_pool(config, monkeypatch, pools_started):
+    # every request of the benchmark's plan mix finds its primes in the first
+    # chunk of the sweep, which is fetched in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ctx = build_context(load_config(Path(__file__).resolve().parents[1] / "configs" / config))
+    for target in range(ctx.lambda_g + 1, ctx.lambda_g + 4):
+        for r in (0, 1, 2):
+            planned = plan_target_lambda(ctx, target, r, 100_000, workers=2)
+            assert pools_started == []
+            assert planned == plan_target_lambda(ctx, target, r, 100_000, workers=1)
 
 
 class TestCarayol:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import multiprocessing
 import os
@@ -362,25 +361,44 @@ class TestClassifyRange:
         assert "7,,Skipped" in lines
 
 
+def stream_until(error, first: int, ctx: FormContext, to: int, workers: int):
+    """The message of the error a sweep raises at ``first``, and the rows before it."""
+    seen = []
+    with pytest.raises(error, match=rf"\b{first}\b") as info:
+        for fc in classify_range(ctx, PrimeRange(2, to), workers=workers):
+            seen.append(fc)
+    return str(info.value), seen
+
+
 class TestSweepPipeline:
-    def test_early_stop_in_parallel(self, ctx_default):
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_early_stop_in_parallel(self, ctx_default, pools_started):
         t0 = time.perf_counter()
         stream = classify_range(ctx_default, PrimeRange(2, 10**6), workers=2)
-        assert next(stream).ell == 2
+        primes = sieve_primes(PrimeRange(2, 10**6))
+        # the first chunk (64 primes) is fetched in-process; the pool starts past it
+        assert [fc.ell for fc in islice(stream, 64)] == list(islice(primes, 64))
+        assert pools_started == []
+        assert [fc.ell for fc in islice(stream, 136)] == list(islice(primes, 136))
+        assert pools_started == [2]
         stream.close()
         assert time.perf_counter() - t0 < 5.0  # the whole sweep takes about 25 s
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("gaps", [(3001,), (1999, 3001), pytest.param(None, id="ambiguous-bsgs")])
-    def test_error_order(self, gaps, monkeypatch):
+    @pytest.mark.parametrize("gaps", [
+        (3001,), (1999, 3001), pytest.param(None, id="ambiguous-bsgs"), (101,),
+    ])
+    def test_error_order(self, gaps, monkeypatch, pools_started):
         """The stream stops at the first failing prime, whatever the worker count.
 
-        ``gaps`` are primes missing from a coefficient table (a CoverageError);
-        None is 11a1 counted with one BSGS point a prime, which leaves the
-        group order ambiguous at 3001 (a PointCountError, raised in a pool
-        worker at 2 workers).
+        ``gaps`` are primes missing from a coefficient table (a CoverageError;
+        at 101 it falls in the first chunk); None is 11a1 counted with one BSGS
+        point a prime, which leaves the group order ambiguous at 3001 (a
+        PointCountError, raised in a pool worker at 2 workers).
         """
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         to = 4000
         if gaps is None:
             monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
@@ -398,17 +416,22 @@ class TestSweepPipeline:
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                           backend=backend)
 
-        def run(workers):
-            seen = []
-            with pytest.raises(error, match=rf"\b{first}\b") as info:
-                for fc in classify_range(ctx, PrimeRange(2, to), workers=workers):
-                    seen.append(fc)
-            return str(info.value), seen
-
-        serial = run(1)
+        serial = stream_until(error, first, ctx, to, 1)
         assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, first - 1)))
-        assert run(2) == serial
+        assert stream_until(error, first, ctx, to, 2) == serial
+        assert pools_started == ([2] if gaps is None else [])  # a table never starts one
+        assert multiprocessing.active_children() == []
 
+    def test_curve_error_in_the_first_chunk_starts_no_pool(self, monkeypatch, pools_started):
+        # counted by BSGS with one point from 100 up, 11a1 is ambiguous at 101 first
+        monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 100)
+        monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
+        ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                          backend=CurveModel(0, -1, 1, -10, -20, conductor=11))
+        serial = stream_until(PointCountError, 101, ctx, 20000, 1)
+        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, 100)))
+        assert stream_until(PointCountError, 101, ctx, 20000, 2) == serial
+        assert pools_started == []
 
     def test_a_failing_chunk_is_cut_before_its_prime(self):
         # 1999 is missing from the table: the chunk holding it ends at 1997, then the error
@@ -509,25 +532,16 @@ class TestPoolTraffic:
         assert sorted(classified) == [fc.ell for fc in stream if fc.verdict is not Verdict.SKIPPED]
         assert len(classified) == sum(1 for _ in PrimeRange(2, 5000)) - 2  # 7 and 11 skipped
 
-    def test_only_a_curve_is_swept_on_a_pool(self, ctx_default, monkeypatch):
+    def test_only_a_curve_is_swept_on_a_pool(self, ctx_default, pools_started):
         # a table's coefficients are one searchsorted gather a chunk: a pool would
         # only add its traffic
-        started = []
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        def counting_pool(**kwargs):
-            started.append(kwargs["max_workers"])
-            return pool(**kwargs)
-
-        # coefficient_chunks imports the pool class from here when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         table = CoefficientTable(coefficients=dict.fromkeys(PrimeRange(2, 5000), 1), level=11)
         ctx_table = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                                 backend=table)
         for ctx, pools in ((ctx_table, []), (ctx_default, [2])):
-            started.clear()
+            pools_started.clear()
             pooled = list(classify_range(ctx, PrimeRange(2, 5000), workers=2))
-            assert started == pools
+            assert pools_started == pools
             assert pooled == list(classify_range(ctx, PrimeRange(2, 5000), workers=1))
 
     def test_worker_returns_a_few_bytes_a_prime(self, ctx_default, monkeypatch):
