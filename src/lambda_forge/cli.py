@@ -186,12 +186,13 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) 
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers()
     prime_range = PrimeRange(2, args.bound)
-    chunks = classify_chunks(ctx, prime_range, workers=workers)
-    with contextlib.ExitStack() as stack:
-        if args.csv_path:
-            csv_file = stack.enter_context(open(args.csv_path, "w", encoding="utf-8"))
-            chunks = tee_to_csv(chunks, csv_file)
-        pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
+    if args.csv_path:
+        # the CSV has a row a prime, so this sweep fetches and checks every a_ell
+        with open(args.csv_path, "w", encoding="utf-8") as csv_file:
+            chunks = tee_to_csv(classify_chunks(ctx, prime_range, workers=workers), csv_file)
+            pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
+    else:
+        pi_report, omega_report = empirical_density(ctx, prime_range, workers=workers)
     _emit_report(
         {"bound": args.bound, "pi": pi_report.as_dict(), "omega": omega_report.as_dict()},
         cfg,
@@ -256,7 +257,7 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
             for chunk in chunks:
                 if chunk.error is not None:
                     raise chunk.error
-                ells += chunk.ells[chunk.exposed].tolist()
+                ells += chunk.ells[chunk.fetched].tolist()
                 values += chunk.a_ells.tolist()
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")

@@ -18,7 +18,7 @@ from typing import Iterable
 from .arith import PrimeRange, is_prime
 from .errors import HypothesisViolation, ResourceLimitError
 from .forms import FormContext
-from .residual import ClassifiedChunk, Verdict, classify_chunks
+from .residual import ClassifiedChunk, Verdict, verdict_counts
 # the traced benchmark (bench/run.py) wraps density.classify_range by name
 from .residual import classify_range  # noqa: F401
 
@@ -171,9 +171,15 @@ def empirical_density(
     instead of a Consistent/Inconsistent call.
 
     ``chunks`` is the classification of ``prime_range`` when the caller
-    already has one under way (the CLI writes it to CSV as it passes);
-    without it the range is classified here on ``workers`` processes.  The
-    verdicts are counted a chunk at a time, from its code column.
+    already has one under way (the CLI writes it to CSV as it passes), and
+    every a_ell in it has been fetched and checked.  Without it the range is
+    swept here on ``workers`` processes (:func:`residual.verdict_counts`),
+    fetching a_ell only where it can change a verdict: not at a prime
+    dividing N_g * p, nor at one with ell = +-1 mod p, whose class has
+    det = +-1 and is in neither family whatever its trace (the census's
+    ``det in excluded``).  Those primes still count in ``sample_primes``,
+    and a backend failure at one of them does not stop the sweep.  Either
+    way the verdicts are counted a chunk at a time, from its code column.
     """
     if not ctx.surjective_mod_p:
         raise HypothesisViolation(
@@ -182,10 +188,12 @@ def empirical_density(
         )
     pi_density, omega_density = exact_densities(ctx.p)
     if chunks is None:
-        chunks = classify_chunks(ctx, prime_range, workers=workers)
+        tallies = verdict_counts(ctx, prime_range, workers=workers)
+    else:
+        tallies = (chunk.counts() for chunk in chunks)
     counts = dict.fromkeys(Verdict, 0)
-    for chunk in chunks:
-        for verdict, count in chunk.counts().items():
+    for tally in tallies:
+        for verdict, count in tally.items():
             counts[verdict] += count
     n = sum(counts.values()) - counts[Verdict.SKIPPED]
     return (

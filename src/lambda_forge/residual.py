@@ -18,11 +18,12 @@ Every test is a congruence, so a sweep classifies a whole chunk of primes
 at once (:func:`classify_chunk`): a :class:`ClassifiedChunk` holds the
 columns ell, a_ell mod p and a code naming the outcome of each test, all
 computed in numpy.  The chunks come from :func:`coefficient_chunks` as
-columns too (:class:`CoefficientChunk`): the sieved primes, the rows that
-do not divide N_g * p and their a_ell.  Consumers that stream (the CSV
-export, density counts, sigma columns) read the columns;
-:func:`classify_range` flattens the same chunks into one
-:class:`FrobeniusClass` a prime for the reports that list them.
+columns too (:class:`CoefficientChunk`): the sieved primes, the rows whose
+a_ell was fetched and those a_ell.  Consumers that stream (the CSV export,
+density counts, sigma columns) read the columns; :func:`classify_range`
+flattens the same chunks into one :class:`FrobeniusClass` a prime for the
+reports that list them.  Only the density counts (:func:`verdict_counts`)
+fetch fewer rows: those that can change a verdict (:func:`verdict_rows`).
 """
 
 from __future__ import annotations
@@ -108,8 +109,32 @@ _VERDICTS = (Verdict.SKIPPED,) + tuple(
     for m, t, w in product(range(3), repeat=3)
 )
 _VERDICT_INDEX = np.array([list(Verdict).index(v) for v in _VERDICTS])
+
 # What follows the trace in a row of the CSV export, by code.
 _CSV_TAILS = tuple(f",{v.value}\n" for v in _VERDICTS)
+
+
+def mod_p_class(det: np.ndarray, p: int) -> np.ndarray:
+    """The mod-p-class test at each det = ell mod p, as an index into ``_MOD_P_CLASS``.
+
+    It fails, 1 at ell = +1 and 2 at ell = -1 mod p, where the eigenvalue
+    ell of a Pi class (or -ell of an Omega class) would meet the other
+    eigenvalue +-1.  Such a prime is Neither whatever its a_ell, just as
+    the census of :func:`density.enumerate_gl2_classes` drops every class
+    with ``det in excluded``.
+    """
+    return (det == 1) + 2 * (det == p - 1)
+
+
+def verdict_rows(ctx: FormContext, ells: np.ndarray) -> np.ndarray:
+    """Which of the sieved primes ``ells`` have an a_ell that can change a verdict.
+
+    Those that neither divide N_g * p (Skipped) nor fail the mod-p-class
+    test (:func:`mod_p_class`, Neither): the verdict of every other prime
+    is fixed by ell alone.
+    """
+    return ~ctx.divides_ngp(ells) & (mod_p_class(ells % ctx.p, ctx.p) == 0)
+
 
 # Up to this p a product of two residues mod p^2 fits in int64, so the
 # columns of a chunk are int64; a larger p, or an ell from 2^62 up, runs the
@@ -179,7 +204,7 @@ def classify_chunk(
     ell = column[rows]
     t = (a_ells % p).astype(dtype)
     d = ell % p
-    m = (d == 1) + 2 * (d == p - 1)
+    m = mod_p_class(d, p)
     pi = t == (1 + ell) % p
     omega = ~pi & (t == -(1 + ell) % p)
     w = np.full(len(rows), 2)
@@ -254,17 +279,18 @@ _Fetch = Callable[[], tuple[np.ndarray, Exception | None]]
 
 
 class CoefficientChunk(NamedTuple):
-    """Consecutive primes of a sweep, with the coefficients of those not dividing N_g * p.
+    """Consecutive primes of a sweep, with the coefficients of the rows the consumer reads.
 
-    ``ells`` are the sieved primes, ascending, ``exposed`` the indices of
-    the rows that do not divide N_g * p, and ``a_ells[i]`` is a_ell at
-    ``ells[exposed[i]]``.  When the backend failed at some prime, ``error``
-    is its exception (which names that prime) and the chunk ends just
-    before it; otherwise ``error`` is None.
+    ``ells`` are the sieved primes, ascending, ``fetched`` the indices of
+    the rows whose a_ell was fetched (by default every row not dividing
+    N_g * p), and ``a_ells[i]`` is a_ell at ``ells[fetched[i]]``.  When the
+    backend failed at some prime, ``error`` is its exception (which names
+    that prime) and the chunk ends just before it; otherwise ``error`` is
+    None.
     """
 
     ells: np.ndarray
-    exposed: np.ndarray
+    fetched: np.ndarray
     a_ells: np.ndarray
     error: Exception | None
 
@@ -274,15 +300,24 @@ def coefficient_chunks(
     prime_range: PrimeRange,
     *,
     workers: int | None = None,
+    rows: Callable[[FormContext, np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[CoefficientChunk]:
     """The primes of the range in ascending chunks of columns, with their coefficients.
 
-    The sieved primes are cut into chunks (see :func:`_chunk_lengths`).  The
-    first chunk's coefficients are always fetched in this process with
-    :meth:`FormContext.coefficient_column`, so a consumer that stops inside
-    it (``plan`` at its usual targets) never starts a pool.  Only when the
-    consumer asks for a second chunk are the rest fetched on ``workers``
-    processes, capped at the cores this process may run on.  A 1-worker
+    ``rows(ctx, ells)`` is the consumer's choice of the coefficients it
+    reads: the mask of a chunk's sieved primes ``ells`` to fetch, among
+    those not dividing N_g * p.  By default every one of those is fetched,
+    as every consumer that prints a row per prime needs; the density counts
+    fetch only :func:`verdict_rows`.  Only fetched rows are checked, so a
+    backend failure at a row not fetched (a table gap, say) never shows.
+
+    The sieved primes are cut into chunks (see :func:`_chunk_lengths`)
+    whatever ``rows`` picks.  The first chunk's coefficients are always
+    fetched in this process with :meth:`FormContext.coefficient_column`, so
+    a consumer that stops inside it (``plan`` at its usual targets) never
+    starts a pool.  Only when the consumer asks for a second chunk are the
+    rest fetched on ``workers`` processes, capped at the cores this process
+    may run on.  A 1-worker
     sweep, a range that fits in the first chunk, or a table backend fetches
     every chunk in this process: a table answers a chunk with one
     ``searchsorted`` gather, cheaper than the pool's start-up and traffic
@@ -306,22 +341,22 @@ def coefficient_chunks(
 
     def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Fetch]:
         # sieved, so prime: no need for the checks of a_ell
-        exposed = np.flatnonzero(~ctx.divides_ngp(ells))
+        fetched = np.flatnonzero(~ctx.divides_ngp(ells) if rows is None else rows(ctx, ells))
         if pool is None:
-            return ells, exposed, partial(ctx.coefficient_column, ells[exposed])
-        future = pool.submit(_coefficients_in_worker, ells[exposed].tolist())
-        return ells, exposed, lambda: leading_column(future.result())
+            return ells, fetched, partial(ctx.coefficient_column, ells[fetched])
+        future = pool.submit(_coefficients_in_worker, ells[fetched].tolist())
+        return ells, fetched, lambda: leading_column(future.result())
 
     # the first chunk is always fetched here: a sweep that stops inside it starts no pool
     in_flight: deque[tuple[np.ndarray, np.ndarray, _Fetch]] = deque()
     in_flight.extend(map(submit, islice(chunks, 1)))
     try:
         while in_flight:
-            ells, exposed, fetch = in_flight.popleft()
+            ells, fetched, fetch = in_flight.popleft()
             a_ells, error = fetch()
             if error is not None:
-                ells, exposed = ells[: exposed[len(a_ells)]], exposed[: len(a_ells)]
-            yield CoefficientChunk(ells, exposed, a_ells, error)
+                ells, fetched = ells[: fetched[len(a_ells)]], fetched[: len(a_ells)]
+            yield CoefficientChunk(ells, fetched, a_ells, error)
             # workers > 1 only where the range outgrows its first chunk, so chunks follow
             if pool is None and workers > 1:
                 # imported here, so that a process that never starts a pool never loads it
@@ -357,8 +392,36 @@ def classify_chunks(
     identical at every worker count, and closing the stream stops the sweep.
     """
     with closing(coefficient_chunks(ctx, prime_range, workers=workers)) as chunks:
-        for ells, exposed, a_ells, error in chunks:
-            yield classify_chunk(ells, exposed, a_ells, ctx.p)
+        for ells, fetched, a_ells, error in chunks:
+            yield classify_chunk(ells, fetched, a_ells, ctx.p)
+            if error is not None:
+                raise error
+
+
+def verdict_counts(
+    ctx: FormContext,
+    prime_range: PrimeRange,
+    *,
+    workers: int | None = None,
+) -> Iterator[dict[Verdict, int]]:
+    """The number of primes of each verdict, a chunk of the range at a time.
+
+    The counts are those of :func:`classify_chunks`, but only the rows that
+    can change a verdict (:func:`verdict_rows`) are fetched and classified.
+    A prime dividing N_g * p counts as Skipped and one with ell = +-1 mod p
+    as Neither, with no a_ell computed, so a backend failure there (a table
+    gap, or a point count refused or outside the Hasse bound) cannot stop
+    the sweep.  A failure at a fetched prime is raised after its cut chunk's
+    counts, as in :func:`classify_chunks`.
+    """
+    stream = coefficient_chunks(ctx, prime_range, workers=workers, rows=verdict_rows)
+    with closing(stream) as chunks:
+        for ells, fetched, a_ells, error in chunks:
+            counts = classify_chunk(ells[fetched], np.arange(len(fetched)), a_ells, ctx.p).counts()
+            skipped = int(np.count_nonzero(ctx.divides_ngp(ells)))
+            counts[Verdict.SKIPPED] += skipped
+            counts[Verdict.NEITHER] += len(ells) - len(fetched) - skipped
+            yield counts
             if error is not None:
                 raise error
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 
 import pytest
 
@@ -13,6 +14,12 @@ CURVE_389A1 = dict(a1=0, a2=1, a3=1, a4=-2, a6=0, conductor=389)
 def short_curve(a: int, b: int) -> CurveModel:
     """y^2 = x^3 + ax + b with conductor |discriminant|, so that it loads as a minimal model."""
     return CurveModel(0, 0, 0, a, b, conductor=abs(16 * (4 * a**3 + 27 * b * b)))
+
+
+@pytest.fixture
+def two_cores(monkeypatch) -> None:
+    """This process may run on two cores, so that a 2-worker curve sweep starts a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture

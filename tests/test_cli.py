@@ -1,14 +1,16 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
-from lambda_forge import PrimeRange, a_ell, cli, load_coefficients, residual
+from lambda_forge import FormContext, PrimeRange, a_ell, cli, load_coefficients, residual
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from lambda_forge.config import build_context, load_config
 
@@ -274,6 +276,86 @@ class TestVerifyDensity:
         residual.classification_to_csv(residual.classify_chunks(ctx, PrimeRange(2, 200)), expected)
         assert dump.read_text() == expected.getvalue()
 
+    def test_csv_changes_no_report_byte(self, curve_config, tmp_path, capsys, two_cores):
+        # 2,262 primes: past the first chunk, so a 2-worker sweep runs on a pool
+        argv = ["verify-density", "--config", curve_config, "--bound", "20000"]
+        reports, dumps = set(), set()
+        for workers in ("1", "2"):
+            dump = tmp_path / f"per_prime_{workers}.csv"
+            for extra in ([], ["--csv", str(dump)]):
+                assert main([*argv, "--workers", workers, *extra]) == EXIT_OK
+                reports.add(capsys.readouterr().out)
+            dumps.add(dump.read_text())
+        assert len(reports) == 1 and len(dumps) == 1
+
+    def test_fetches_only_where_a_ell_decides_a_verdict(self, curve_config, capsys, monkeypatch):
+        fetched = Counter()
+        fetch = FormContext.coefficient_column
+
+        def spy(self, ells):
+            fetched.update(ells.tolist())
+            return fetch(self, ells)
+
+        monkeypatch.setattr(FormContext, "coefficient_column", spy)
+        argv = ["verify-density", "--config", curve_config, "--bound", "20000", "--workers", "1"]
+        assert main(argv) == EXIT_OK
+        assert set(fetched.values()) == {1}
+        # N_g * p = 77, and a class with det = ell = +-1 mod 7 is neither Pi nor Omega
+        assert list(fetched) == [ell for ell in PrimeRange(2, 20000)
+                                 if ell not in (7, 11) and ell % 7 not in (1, 6)]
+
+    @pytest.fixture()
+    def p7_table(self, table_config):
+        """The table config at p = 7 with surjectivity asserted, and a writer of its table.
+
+        The writer puts down random Hasse-bounded rows for the primes to 3000,
+        less the ``gaps``.
+        """
+        path = Path(table_config)
+        text = path.read_text().replace("p = 5", "p = 7")
+        path.write_text(text.replace("surjective_mod_p = false", "surjective_mod_p = true"))
+        rng = random.Random(17)
+        rows = {ell: 3 if ell == 7 else rng.randint(-isqrt(4 * ell), isqrt(4 * ell))
+                for ell in PrimeRange(2, 3000)}
+
+        def write(*gaps):
+            lines = "".join(f"{ell},{a}\n" for ell, a in rows.items() if ell not in gaps)
+            (path.parent / "coeffs.csv").write_text("ell,a_ell\n" + lines)
+
+        return table_config, write
+
+    def test_a_gap_that_decides_no_verdict(self, p7_table, tmp_path, capsys, two_cores):
+        # 2003 = 1 mod 7: no a_2003 changes a verdict, so only --csv needs it
+        config, write = p7_table
+        argv = ["verify-density", "--config", config, "--bound", "3000"]
+        write()
+        assert main(argv) == EXIT_OK
+        complete = capsys.readouterr().out
+        write(2003)
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == EXIT_OK
+            assert capsys.readouterr().out == complete
+        assert main([*argv, "--csv", str(tmp_path / "per_prime.csv")]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "prime 2003" in captured.err
+
+    def test_a_gap_that_decides_a_verdict(self, p7_table, tmp_path, capsys, two_cores):
+        # 29 = 1 mod 7 decides no verdict; 1999 = 4 mod 7 does
+        config, write = p7_table
+        argv = ["verify-density", "--config", config, "--bound", "3000"]
+        write(29, 1999)
+        errors = []
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == EXIT_COMPUTE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert "prime 1999" in errors[0]
+        assert errors[0] == errors[1]
+        assert main([*argv, "--csv", str(tmp_path / "per_prime.csv")]) == EXIT_COMPUTE
+        assert "prime 29" in capsys.readouterr().err
+
     def test_unwritable_csv_exit_2(self, curve_config, tmp_path, capsys):
         dump = tmp_path / "missing" / "per_prime.csv"
         code = main(["verify-density", "--config", curve_config, "--bound", "200",
@@ -377,10 +459,6 @@ class TestAEll:
         rows = [f"{ell},{a_ell(ctx, ell)}" for ell in PrimeRange(2, 20000)
                 if not ctx.divides_ngp(ell)]
         assert capsys.readouterr().out == "\n".join(["ell,a_ell", *rows]) + "\n"
-
-    @pytest.fixture()
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def test_range_is_the_same_at_one_and_two_workers(self, curve_config, capsys, monkeypatch,
                                                        two_cores):

@@ -1,11 +1,21 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambda_forge import empirical_density, enumerate_gl2_classes, exact_densities
+from lambda_forge import (
+    CoefficientTable,
+    FormContext,
+    empirical_density,
+    enumerate_gl2_classes,
+    exact_densities,
+)
 from lambda_forge.arith import PrimeRange
 from lambda_forge.density import _make_report
 from lambda_forge.errors import HypothesisViolation, ResourceLimitError
+from lambda_forge.residual import classify_chunks
 
 
 def brute_gl2_census(p: int):
@@ -134,3 +144,41 @@ class TestEmpirical:
         pi, _ = empirical_density(ctx_default, PrimeRange(2, 100))
         n_classifiable = sum(1 for _ in PrimeRange(2, 100)) - 2  # drop 7 and 11
         assert pi.sample_primes == n_classifiable
+
+
+@st.composite
+def hasse_tables(draw):
+    """(full, gapped, prime_range): two table contexts at p in {5, 7, 11, 13} and a range.
+
+    ``full`` has a random Hasse-bounded a_ell at every prime to a random top
+    (p-ordinary at p); ``gapped`` is the same table less some of its primes
+    with ell = +-1 mod p.  The range lies inside the table.
+    """
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    level = draw(st.sampled_from([1, 6, 17, 35, 77]).filter(lambda n: n % p))
+    top = draw(st.integers(p + 1, 5000))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = {ell: rng.randint(-isqrt(4 * ell), isqrt(4 * ell)) for ell in PrimeRange(2, top)}
+    if rows[p] % p == 0:
+        rows[p] = 1
+    gaps = {ell for ell in rows if ell % p in (1, p - 1) and rng.random() < 0.3}
+    lo = draw(st.integers(2, top - 1))
+    contexts = [
+        FormContext(level=level, p=p, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                    backend=CoefficientTable(table, level=level))
+        for table in (rows, {ell: a for ell, a in rows.items() if ell not in gaps})
+    ]
+    return (*contexts, PrimeRange(lo, draw(st.integers(lo + 1, top))))
+
+
+class TestSelfSweep:
+    """The sweep of empirical_density fetches fewer a_ell, and counts the same."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hasse_tables())
+    def test_equals_the_counts_of_the_classification(self, tables):
+        full, gapped, prime_range = tables
+        classified = empirical_density(full, prime_range, chunks=classify_chunks(full, prime_range))
+        assert empirical_density(full, prime_range) == classified
+        # no verdict depends on a_ell at ell = +-1 mod p, so gaps there change nothing
+        assert empirical_density(gapped, prime_range) == classified

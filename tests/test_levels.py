@@ -1,4 +1,3 @@
-import os
 from pathlib import Path
 
 import numpy as np
@@ -176,10 +175,9 @@ class TestPlan:
 
 
 @pytest.mark.parametrize("config", ["default.cfg", "curve37a.cfg", "curve389a.cfg"])
-def test_plans_start_no_pool(config, monkeypatch, pools_started):
+def test_plans_start_no_pool(config, two_cores, pools_started):
     # every request of the benchmark's plan mix finds its primes in the first
     # chunk of the sweep, which is fetched in-process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ctx = build_context(load_config(Path(__file__).resolve().parents[1] / "configs" / config))
     for target in range(ctx.lambda_g + 1, ctx.lambda_g + 4):
         for r in (0, 1, 2):

@@ -137,6 +137,19 @@ class TestClassifyChunk:
         ]
         assert list(classify_mapping(ells, coefficients, p).classes()) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_chunks())
+    def test_only_the_mod_p_class_test_fixes_a_verdict_before_a_ell(self, chunk):
+        # a row that fails it is Neither at the Pi and Omega traces (at any other trace
+        # every row is Neither), and a row that passes it is Omega at its Omega trace
+        ells, _, p = chunk
+        passes = (residual.mod_p_class(np.array(ells, dtype=object) % p, p) == 0).tolist()
+        for trace in (1, -1):
+            coefficients = {ell: trace * (1 + ell) % p for ell in ells}
+            verdicts = [fc.verdict for fc in classify_mapping(ells, coefficients, p).classes()]
+            assert all(v is Verdict.NEITHER for v, ok in zip(verdicts, passes) if not ok)
+        assert [v is Verdict.OMEGA for v in verdicts] == passes
+
     def test_columns_switch_to_objects_past_the_bound(self):
         assert _INT64_P_LIMIT**4 < 2**63 <= (_INT64_P_LIMIT + 1) ** 4
         assert classify_mapping([2, 3], {2: 1, 3: 0}, P_INT64).ells.dtype == "int64"
@@ -370,11 +383,8 @@ def stream_until(error, first: int, ctx: FormContext, to: int, workers: int):
     return str(info.value), seen
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestSweepPipeline:
-    @pytest.fixture(autouse=True)
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
     def test_early_stop_in_parallel(self, ctx_default, pools_started):
         t0 = time.perf_counter()
         stream = classify_range(ctx_default, PrimeRange(2, 10**6), workers=2)
@@ -511,12 +521,9 @@ class TestColumnLookups:
             assert getattr(raised, "ell", None) == getattr(error, "ell", None)
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestPoolTraffic:
     """Pool workers only fetch coefficients; every class is built in the parent."""
-
-    @pytest.fixture(autouse=True)
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def test_parent_classifies_every_prime_once(self, ctx_default, monkeypatch):
         classified = Counter()
