@@ -6,8 +6,8 @@ and the config's asserted hypotheses echoed under ``assertions``; repeated
 runs with identical config and flags produce byte-identical output (no
 timestamps unless --timestamps).  ``--out`` is opened before any work
 starts, so an unwritable path is refused at once and a command that fails
-leaves it empty.  Exit codes: 0 success, 2 configuration or usage error,
-3 computation error.
+leaves it empty, as it leaves ``verify-density --csv``.  Exit codes:
+0 success, 2 configuration or usage error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -190,7 +190,13 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) 
         # the CSV has a row a prime, so this sweep fetches and checks every a_ell
         with open(args.csv_path, "w", encoding="utf-8") as csv_file:
             chunks = tee_to_csv(classify_chunks(ctx, prime_range, workers=workers), csv_file)
-            pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
+            try:
+                pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
+            except BaseException:
+                # written chunk by chunk, so memory stays flat; a failed sweep
+                # leaves it empty, as it leaves --out
+                csv_file.truncate(0)
+                raise
     else:
         pi_report, omega_report = empirical_density(ctx, prime_range, workers=workers)
     _emit_report(
@@ -243,6 +249,8 @@ def _cmd_screen_p(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> Non
 
 
 def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
+    if args.ell and (args.lo is not None or args.hi is not None):
+        raise ConfigError("a-ell takes --ell or --from and --to, not both")
     ctx = build_context(cfg)
     if args.ell:
         ells = sorted(set(args.ell))

@@ -14,12 +14,16 @@ strategies are provided and cross-validated against each other:
 and the walks of all their sampled points run in lock-step as the lanes of
 numpy arrays, the walks in Jacobian coordinates with one inversion per lane
 per block of steps (Montgomery's simultaneous inversion) over a baby table
-keyed by x alone, in batches capped at 2 MB of temporaries.  In a large
-batch a walk costs about 13-26 us a lane near 1e4-1e6 (40 us near 1e7) and
-a point draw 15-20 us, half of it seeding the prime's generator; a count
-alone costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole
-chunks; :func:`count_points_bsgs` and :func:`trace_of_frobenius` are
-batches of one.
+keyed by x alone, in batches capped at 2 MB of temporaries.  The draws
+read each prime's stream as bulk 32-bit words, and the first point of
+every prime is settled on columns.  In a batch of 4,096 primes a walk
+costs about 10-20 us a lane near 1e4-1e6 (39 us near 1e7) and a point
+draw 11-13 us.  7-9 us of the draw is seeding the prime's generator:
+the seed string is hashed (SHA-512) and mixed into MT19937's 624-word
+state twice, and that seed fixes the prime's points, so this floor
+stays.  A count alone costs 2-6 ms, nearly all numpy call overhead, so
+sweeps pass whole chunks; :func:`count_points_bsgs` and
+:func:`trace_of_frobenius` are batches of one.
 
 Every counter takes ell on trust as a prime: checking is the caller's job.
 :func:`arith.is_prime` costs about 9 us a prime (0.72 s over the 78,498
@@ -32,7 +36,6 @@ composite ell gives a meaningless number, not an error:
 from __future__ import annotations
 
 import random
-from itertools import repeat
 from dataclasses import dataclass, field
 from math import gcd as math_gcd, isqrt, lcm
 from typing import Sequence
@@ -191,8 +194,10 @@ def _non_residue(ell: int) -> int:
 # of residues fits in int64; lanes of a larger prime run the same code on
 # dtype=object arrays.
 _INT64_PRIME_LIMIT = 1 << 31
-# x values a lane draws from its stream per pass of :func:`_random_points`:
+# x values a lane keeps from its stream per pass of :func:`_random_points`:
 # about half of all x give a point, so one pass in 2^_DRAWS needs another.
+# A pass reads twice as many candidates, since randrange rejects fewer than
+# half of them.
 _DRAWS = 4
 
 
@@ -205,20 +210,56 @@ def _pow(z, e, p):
     return result
 
 
+def _candidates(seeds, skips, p, count, dtype):
+    """``count`` successive getrandbits(k) values of each lane's stream, k the bit length of p.
+
+    Lane i's stream is ``random.Random(seeds[i])`` from its 32-bit word
+    ``skips[i]`` on.  CPython's randrange(p) is the first of these values
+    below p: getrandbits(k) takes ceil(k / 32) words, low word first, and
+    shifts the top one right to leave k bits in all.  So one
+    getrandbits call a lane yields all its words, read in bulk.  Returns
+    the values as a (lanes, count) array and the words a value takes in
+    each lane.
+    """
+    words = [(ell.bit_length() + 31) // 32 for ell in p]
+    # one generator re-seeded for each lane: rng.seed(s) leaves the state of
+    # random.Random(s), without building a 2.9 KB object a prime
+    rng = random.Random(0)
+    blobs = []
+    for seed, skip, w in zip(seeds, skips, words):
+        rng.seed(seed)
+        n = skip + w * count
+        blobs.append(rng.getrandbits(32 * n).to_bytes(4 * n, "little")[4 * skip:])
+    if max(words) == 1:
+        raw = np.frombuffer(b"".join(blobs), "<u4").reshape(len(p), count).astype(np.int64)
+        raw >>= np.array([32 - ell.bit_length() for ell in p])[:, None]
+        return raw.astype(dtype, copy=False), np.ones(len(p), np.int64)
+    raw = np.empty((len(p), count), object)
+    for i, (blob, w, ell) in enumerate(zip(blobs, words, p)):
+        shift, top = 32 * w - ell.bit_length(), 4 * w - 4
+        raw[i] = [
+            int.from_bytes(blob[j:j + top], "little")
+            | int.from_bytes(blob[j + top:j + top + 4], "little") >> shift << 8 * top
+            for j in range(0, len(blob), top + 4)
+        ]
+    return raw, np.array(words)
+
+
 def _random_points(seeds, skips, a, b, p) -> tuple[list, list[int]]:
     """The next point of each lane's stream on y^2 = x^3 + ax + b over F_p.
 
     Lane i draws x = rng.randrange(p[i]) from ``random.Random(seeds[i])``
-    after ``skips[i]`` earlier draws, until x^3 + ax + b is 0 or a square:
-    the x the scalar loop ``while True: x = rng.randrange(p); ...`` would
-    take.  Returns the points and each stream's draws used so far.  y is
-    one of the two roots, always the same one for the same lane; which one
-    does not matter to the walk, since ord(P) = ord(-P).
+    after ``skips[i]`` 32-bit words of its stream, until x^3 + ax + b is 0
+    or a square: the x the scalar loop ``while True: x = rng.randrange(p);
+    ...`` would take.  Returns the points and the words each stream has used
+    so far.  y is one of the two roots, always the same one for the same
+    lane; which one does not matter to the walk, since ord(P) = ord(-P).
 
-    The draws are tested _DRAWS at a time per lane in numpy; a lane whose
-    draws all fail replays its stream from the seed for twice as many.
-    Square roots are Tonelli-Shanks in lock-step, with p - 1 = q * 2^s and
-    a non-residue's q-th power taken from a failed draw where there is one.
+    A pass keeps a lane's first _DRAWS accepted draws (:func:`_candidates`)
+    and tests them in numpy; a lane whose draws all fail replays its stream
+    from the seed for twice as many.  Square roots are Tonelli-Shanks in
+    lock-step, with p - 1 = q * 2^s and a non-residue's q-th power taken
+    from a failed draw where there is one.
     """
     lanes, ells = len(seeds), p
     dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
@@ -232,14 +273,23 @@ def _random_points(seeds, skips, a, b, p) -> tuple[list, list[int]]:
     pending = np.arange(lanes)
     per_lane = _DRAWS
     while len(pending):
-        draws: list[int] = []
-        for i, skip in zip(pending.tolist(), used[pending].tolist()):
-            draw, ell = random.Random(seeds[i]).randrange, ells[i]
-            for _ in range(skip):
-                draw(ell)
-            draws += map(draw, repeat(ell, per_lane))
-        X = np.array(draws, dtype).reshape(len(pending), per_lane)
         P, A, B, S = (v[pending, None] for v in (p, a, b, s))
+        raw, words = _candidates(
+            [seeds[i] for i in pending.tolist()], used[pending].tolist(),
+            [ells[i] for i in pending.tolist()], 2 * per_lane, dtype,
+        )
+        # the first per_lane accepted draws, and the candidates read up to each;
+        # an empty slot, in a lane with fewer, stands for all of them
+        accepted = raw < P
+        rank = np.cumsum(accepted, axis=1)
+        row, col = np.nonzero(accepted & (rank <= per_lane))
+        slot = rank[row, col] - 1
+        X = np.zeros((len(pending), per_lane), dtype)
+        X[row, slot] = raw[row, col]
+        read = np.full(X.shape, 2 * per_lane)
+        read[row, slot] = col + 1
+        valid = np.zeros(X.shape, bool)
+        valid[row, slot] = True
         F = (X * X % P * X + A * X + B) % P
         W = _pow(F, (q[pending, None] - 1) >> 1, P)  # f^((q - 1)/2)
         T = W * W % P * F % P  # f^q
@@ -247,17 +297,17 @@ def _random_points(seeds, skips, a, b, p) -> tuple[list, list[int]]:
         for k in range(1, int(S.max())):
             row = np.flatnonzero(S > k)
             euler[row] = euler[row] * euler[row] % P[row]
-        ok = (F == 0) | (euler == 1)
+        ok = valid & ((F == 0) | (euler == 1))
         col = ok.argmax(axis=1)
         done = ok.any(axis=1)
         at = (np.flatnonzero(done), col[done])
         lane = pending[done]
         x[lane], f[lane], t[lane] = X[at], F[at], T[at]
         root[lane] = W[at] * F[at] % p[lane]  # f^((q + 1)/2)
-        failed = ~ok[done]
+        failed = (valid & ~ok)[done]
         c[lane] = T[done][np.arange(len(lane)), failed.argmax(axis=1)]
         need_c[lane] = ~failed.any(axis=1)
-        used[pending] += np.where(done, col + 1, per_lane)
+        used[pending] += read[np.arange(len(pending)), np.where(done, col, per_lane - 1)] * words
         pending = pending[~done]
         per_lane *= 2
     for i in np.flatnonzero(need_c & (s > 1) & (f != 0)).tolist():
@@ -614,6 +664,17 @@ def _structure_compatible(n, order_lcm, two_torsion, ell):
     return False
 
 
+def _seed(ell: int, a: int, b: int) -> str:
+    """The seed of the point stream at ell for the short model (a, b)."""
+    return f"ec-order:{ell}:{a}:{b}"
+
+
+def _hasse_window(ell: int) -> tuple[int, int]:
+    """[lo, hi], the integers within 2 sqrt(ell) of ell + 1: the Hasse interval of #E(F_ell)."""
+    s = isqrt(4 * ell)
+    return ell + 1 - s, ell + 1 + s
+
+
 class _OrderSieve:
     """The candidate group orders at one ell, narrowed by one sampled point a trial.
 
@@ -622,9 +683,9 @@ class _OrderSieve:
     on the quadratic twist do the same for 2*ell + 2 - N.  Trials alternate
     sides, curve first, until a single candidate survives.  The points come
     from this ell's own stream ``random.Random(seed)``, so they do not depend
-    on other primes; the sieve keeps only the count of draws used so far,
-    since a generator holds 2.9 KB of state, too much to keep for every
-    prime of a chunk when nearly all settle at the first point.
+    on other primes; the sieve keeps only the count of 32-bit words used so
+    far, since a generator holds 2.9 KB of state, too much to keep for
+    every prime of a chunk when nearly all settle at the first point.
     """
 
     __slots__ = (
@@ -632,19 +693,18 @@ class _OrderSieve:
         "draws",
     )
 
-    def __init__(self, ell: int, a: int, b: int):
+    def __init__(self, ell: int, a: int, b: int, draws: int = 0):
         self.ell, self.a, self.b = ell, a, b
-        s = isqrt(4 * ell)
-        self.lo, self.hi = ell + 1 - s, ell + 1 + s
+        self.lo, self.hi = _hasse_window(ell)
         self.lcm_curve = self.lcm_twist = 1
         self.twist: tuple[int, int] | None = None
         self.two_torsion: int | None = None  # the same on the curve and its twist
         self.count: int | PointCountError | None = None
-        self.draws = 0
+        self.draws = draws  # 32-bit words of the stream used so far
 
     @property
     def seed(self) -> str:
-        return f"ec-order:{self.ell}:{self.a}:{self.b}"
+        return _seed(self.ell, self.a, self.b)
 
     def _twist_model(self) -> tuple[int, int]:
         if self.twist is None:
@@ -702,7 +762,12 @@ def _bsgs_counts(
     Trial t draws (:func:`_random_points`) and walks (:func:`_window_orders`)
     the t-th point of every ell still ambiguous, all in one call each; each
     ell's points come from its own stream, so an entry never depends on
-    which other ells share the call.
+    which other ells share the call.  Trial 0, on the curve, runs on
+    columns: an order n > 0 with a single multiple in the Hasse window
+    settles its ell at that multiple, the one candidate
+    :meth:`_OrderSieve.narrow` would leave while the twist is unsampled.
+    Only the other ells become sieves: on 11a about 1 in 20 near 3e3 and
+    1 in 100 near 1e6.
     """
     c4, c6 = curve.c_invariants()
     entries: list = []
@@ -711,12 +776,29 @@ def _bsgs_counts(
             _require_countable(curve, ell)
             if ell < 5:
                 raise ValueError("BSGS counting needs ell >= 5; use count_points_naive")
-            entries.append(_OrderSieve(ell, *_short_model(c4, c6, ell)))
+            entries.append(None)
         except ValueError as exc:
             entries.append(exc)
-    live = [e for e in entries if isinstance(e, _OrderSieve)]
-    for trial in range(max_points):
-        live = [s for s in live if s.count is None]
+    at = [i for i, entry in enumerate(entries) if entry is None]
+    sieves: list[tuple[int, _OrderSieve]] = []
+    if max_points and at:
+        p = [ells[i] for i in at]
+        a, b = zip(*(_short_model(c4, c6, ell) for ell in p))
+        lo, hi = zip(*map(_hasse_window, p))
+        points, used = _random_points(list(map(_seed, p, a, b)), [0] * len(p), a, b, p)
+        orders = _window_orders(points, a, p, lo, hi)
+        dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
+        n, lo, hi = (np.array(v, dtype) for v in (orders, lo, hi))
+        first = lo + (-lo) % np.where(n > 0, n, 1)
+        settled = (n > 0) & (first <= hi) & (first + n > hi)
+        for i, count in zip(np.flatnonzero(settled).tolist(), first[settled].tolist()):
+            entries[at[i]] = count
+        for i in np.flatnonzero(~settled).tolist():
+            sieve = _OrderSieve(p[i], a[i], b[i], used[i])
+            sieve.narrow(0, orders[i])
+            sieves.append((at[i], sieve))
+    for trial in range(1, max_points):
+        live = [s for _, s in sieves if s.count is None]
         if not live:
             break
         a, b, lo, hi = zip(*(s.model(trial) for s in live))
@@ -725,15 +807,14 @@ def _bsgs_counts(
         for sieve, order, draws in zip(live, _window_orders(points, a, p, lo, hi), used):
             sieve.draws = draws
             sieve.narrow(trial, order)
-    for i, entry in enumerate(entries):
-        if isinstance(entry, _OrderSieve):
-            entries[i] = entry.count
-            if entry.count is None:
-                entries[i] = PointCountError(
-                    f"group order ambiguous at ell={entry.ell} after {max_points} points: "
-                    "refusing to guess"
-                )
-    return entries
+    for i, sieve in sieves:
+        entries[i] = sieve.count
+    return [
+        PointCountError(
+            f"group order ambiguous at ell={ell} after {max_points} points: refusing to guess"
+        ) if entry is None else entry
+        for ell, entry in zip(ells, entries)
+    ]
 
 
 def _unwrap(entries: list) -> int:

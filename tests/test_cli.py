@@ -356,6 +356,19 @@ class TestVerifyDensity:
         assert main([*argv, "--csv", str(tmp_path / "per_prime.csv")]) == EXIT_COMPUTE
         assert "prime 29" in capsys.readouterr().err
 
+    def test_a_failed_sweep_leaves_the_csv_empty(self, p7_table, tmp_path, capsys, two_cores):
+        # the sweep fails at 1999, past rows it has already written to the CSV
+        config, write = p7_table
+        write(1999)
+        csv, rep = tmp_path / "per_prime.csv", tmp_path / "report.json"
+        for workers in ("1", "2"):
+            csv.write_text("stale\n")
+            argv = ["verify-density", "--config", config, "--bound", "3000", "--workers", workers,
+                    "--csv", str(csv), "--out", str(rep)]
+            assert main(argv) == EXIT_COMPUTE
+            assert "prime 1999" in capsys.readouterr().err
+            assert csv.read_bytes() == b"" and rep.read_bytes() == b""
+
     def test_unwritable_csv_exit_2(self, curve_config, tmp_path, capsys):
         dump = tmp_path / "missing" / "per_prime.csv"
         code = main(["verify-density", "--config", curve_config, "--bound", "200",
@@ -450,6 +463,13 @@ class TestAEll:
 
     def test_requires_selection(self, curve_config, capsys):
         assert main(["a-ell", "--config", curve_config]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("selection", [["--from", "2"], ["--to", "20"], ["--from", "2", "--to", "20"]])
+    def test_ells_and_a_range_together_refused(self, curve_config, capsys, selection):
+        assert main(["a-ell", "--config", curve_config, "--ell", "13", *selection]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: a-ell takes --ell or --from and --to, not both" in captured.err
 
     def test_range_equals_per_prime_rows(self, curve_config, capsys):
         # one batched lookup prints the bytes a prime-by-prime a_ell loop would

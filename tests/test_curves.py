@@ -16,6 +16,7 @@ from lambda_forge.curves import (
     _OrderSieve,
     _baby_count,
     _bsgs_counts,
+    _candidates,
     _count_cubic_roots,
     _non_residue,
     _random_points,
@@ -176,9 +177,14 @@ GROUPING_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 300
 # the differential check's primes: refusals are common below 3000 at few points
 DIFFERENTIAL_PRIMES = list(PrimeRange(5, 3000))[::3] + list(PrimeRange(10**6, 10**6 + 1000))
 # the draws' primes: 3 mod 4 and 1 mod 4, p - 1 with a high 2-adic valuation
-# (65537 = 2^16 + 1, 7340033 = 7 * 2^20 + 1), and one above 2^31
+# (65537 = 2^16 + 1, 7340033 = 7 * 2^20 + 1), one above 2^31 and one of two words
 BIG_PRIME = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
-DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME]
+DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME, 2**40 + 15]
+# the stream's primes: each just above a power of two, where randrange rejects
+# nearly half its candidates, up to three 32-bit words a candidate
+STREAM_PRIMES = [5, 17, 257, 65537, BIG_PRIME, 2**32 + 15, 2**40 + 15, 2**64 + 13]
+# the first round's primes: the refusal-prone small ones and a run near 1e6
+FIRST_ROUND_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 3000))
 
 
 def describe(entry):
@@ -333,6 +339,21 @@ class TestBsgs:
         batched = _bsgs_counts(curve, ells, max_points)
         assert list(map(describe, batched)) == list(map(describe, scalar_counts(curve, ells, max_points)))
 
+    @pytest.mark.parametrize("max_points", [0, 1, 2, 40])
+    @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
+    def test_first_round_equals_scalar_reference(self, name, max_points, request, monkeypatch):
+        # trial 0 settles most primes on columns; the rest, the 2-torsion
+        # tie-break among them, go on as sieves
+        curve = request.getfixturevalue(name)
+        ells = [ell for ell in FIRST_ROUND_PRIMES if curve.discriminant % ell]
+        tied = []
+        count_roots = curves._count_cubic_roots
+        monkeypatch.setattr(curves, "_count_cubic_roots",
+                            lambda a, b, ell: tied.append(ell) or count_roots(a, b, ell))
+        batched = _bsgs_counts(curve, ells, max_points)
+        assert bool(tied) == (max_points > 0)
+        assert list(map(describe, batched)) == list(map(describe, scalar_counts(curve, ells, max_points)))
+
     @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
     def test_never_refuses_from_the_limit_to_1e5(self, name, request):
         curve = request.getfixturevalue(name)
@@ -346,13 +367,16 @@ class TestBsgs:
 
 
 class CountingRandom(random.Random):
-    """A random.Random that counts its randrange calls; the stream is unchanged."""
+    """A random.Random that counts the 32-bit words its draws take; the stream is unchanged.
 
-    draws = 0
+    randrange draws through getrandbits, which takes ceil(k / 32) words for k bits.
+    """
 
-    def randrange(self, *args):
-        self.draws += 1
-        return super().randrange(*args)
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += (k + 31) // 32
+        return super().getrandbits(k)
 
 
 def scalar_counts(curve, ells, max_points):
@@ -420,6 +444,7 @@ class TestRandomPoints:
             rng = CountingRandom(f"lane:{seed}")
             for _ in range(skip):
                 rng.randrange(ell)
+            position = rng.words
             if root_first:
                 # make the next draw a root of the cubic: f = 0, so y = 0
                 x0 = random.Random(f"lane:{seed}")
@@ -428,11 +453,11 @@ class TestRandomPoints:
                 b = -(x * x * x + a * x) % ell
             x, _ = _random_point(a, b, ell, rng)
             seeds.append(f"lane:{seed}")
-            skips.append(skip)
+            skips.append(position)
             a_s.append(a)
             b_s.append(b)
             ps.append(ell)
-            expected.append((x, rng.draws))
+            expected.append((x, rng.words))
         points, used = _random_points(seeds, skips, a_s, b_s, ps)
         assert [(x, n) for (x, _), n in zip(points, used)] == expected
         for (x, y), a, b, ell in zip(points, a_s, b_s, ps):
@@ -441,10 +466,37 @@ class TestRandomPoints:
     def test_root_lane_and_high_two_adic_primes_in_one_batch(self):
         ells = [7340033, 65537, 10007, BIG_PRIME]
         seeds = [f"s{i}" for i in range(len(ells))]
-        first = [random.Random(s).randrange(ell) for s, ell in zip(seeds, ells)]
+        streams = [CountingRandom(s) for s in seeds]
+        first = [rng.randrange(ell) for rng, ell in zip(streams, ells)]
         b = [-(x**3 + 3 * x) % ell for x, ell in zip(first, ells)]
         points, used = _random_points(seeds, [0] * 4, [3] * 4, b, ells)
-        assert points == [(x, 0) for x in first] and used == [1] * 4
+        assert points == [(x, 0) for x in first] and used == [rng.words for rng in streams]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.sampled_from(STREAM_PRIMES),
+        seed=st.integers(0, 2**32),
+        taken=st.integers(0, 6),
+        count=st.integers(1, 8),
+    )
+    def test_bulk_candidates_are_the_randrange_stream(self, ell, seed, taken, count):
+        # read from the word position of the first ``taken`` draws, the
+        # candidates below ell are the next ``count`` draws of the stream
+        stream = random.Random(f"lane:{seed}")
+        expected = [stream.randrange(ell) for _ in range(taken + count)][taken:]
+        rng = CountingRandom(f"lane:{seed}")
+        for _ in range(taken):
+            rng.randrange(ell)
+        position = rng.words
+        for _ in range(count):
+            rng.randrange(ell)
+        width = (ell.bit_length() + 31) // 32
+        read = (rng.words - position) // width
+        dtype = np.int64 if ell < 2**31 else object
+        raw, words = _candidates([f"lane:{seed}"], [position], [ell], read, dtype)
+        assert words.tolist() == [width]
+        assert [v for v in raw[0].tolist() if v < ell] == expected
+        assert raw[0, -1] < ell  # the last word read is the last draw's
 
 
 class TestStructureCompatible:
