@@ -4,10 +4,17 @@ Subcommands: classify, plan, verify-density, carayol, sigma, screen-p,
 a-ell.  All reports are JSON with sorted keys, a ``schema_version`` field,
 and the config's asserted hypotheses echoed under ``assertions``; repeated
 runs with identical config and flags produce byte-identical output (no
-timestamps unless --timestamps).  ``--out`` is opened before any work
-starts, so an unwritable path is refused at once and a command that fails
-leaves it empty, as it leaves ``verify-density --csv``.  Exit codes:
-0 success, 2 configuration or usage error, 3 computation error.
+timestamps unless --timestamps).
+
+Every output, stdout, ``--out`` or ``verify-density --csv``, is empty when
+its command fails (:func:`_output`).  A file is opened, and emptied, before
+the work it receives starts, so an unwritable path is refused at once; it
+is written as the command runs, so a sweep's memory stays flat, and emptied
+again on failure.  Text for stdout is held and written only on success.
+Input that asks for two things at once is refused, never half done:
+``a-ell`` takes ``--ell`` or ``--from`` and ``--to``, and ``verify-density``
+takes ``--enumerate-gl2`` or ``--csv``, not both.  Exit codes: 0 success,
+2 configuration or usage error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import io
 import json
 import sys
 from typing import IO, Iterator
@@ -23,7 +29,7 @@ from typing import IO, Iterator
 from .arith import PrimeRange
 from .config import RunConfig, build_context, load_config
 from .density import empirical_density, enumerate_gl2_classes
-from .errors import ComputationError, ConfigError, LambdaForgeError
+from .errors import ComputationError, ConfigError
 from .forms import a_ells
 from .iwasawa import bk_rank_bounds, sigma_columns
 # the traced benchmark (bench/run.py) wraps cli.sigma_ell by name
@@ -47,14 +53,33 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
 
+class _Held(list):
+    """Text for stdout, held as the strings written until the command succeeds."""
+
+    write = list.append
+
+
 @contextlib.contextmanager
-def _opened_out(out_path: str | None) -> Iterator[IO[str]]:
-    """Where the report goes: ``--out``, opened (and emptied) now, else stdout."""
-    if not out_path:
-        yield sys.stdout
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """Where a command writes: the file at ``path``, else stdout.
+
+    A file is opened, and so emptied, at once; it is written as the command
+    runs and emptied again if the command fails.  Text for stdout is held,
+    and written to the ``sys.stdout`` of that moment once the command has
+    succeeded.
+    """
+    if not path:
+        held = _Held()
+        yield held
+        for text in held:
+            sys.stdout.write(text)
         return
-    with open(out_path, "w", encoding="utf-8") as out:
-        yield out
+    with open(path, "w", encoding="utf-8") as out:
+        try:
+            yield out
+        except BaseException:
+            out.truncate(0)
+            raise
 
 
 def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
@@ -149,9 +174,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> Non
     workers = args.workers or resolve_workers()
     prime_range = PrimeRange(args.lo, args.hi)
     if args.format == "csv":
-        buf = io.StringIO()
-        classification_to_csv(classify_chunks(ctx, prime_range, workers=workers), buf)
-        out.write(buf.getvalue())
+        classification_to_csv(classify_chunks(ctx, prime_range, workers=workers), out)
         return
     rows = [fc.as_dict() for fc in classify_range(ctx, prime_range, workers=workers)]
     counts: dict[str, int] = {v.value: 0 for v in Verdict}
@@ -180,6 +203,8 @@ def _cmd_plan(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     if args.enumerate_gl2 is not None:
+        if args.csv_path:
+            raise ConfigError("verify-density takes --enumerate-gl2 or --csv, not both")
         report = enumerate_gl2_classes(args.enumerate_gl2)
         _emit_report(report.as_dict(), cfg, args, out)
         return
@@ -188,15 +213,9 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) 
     prime_range = PrimeRange(2, args.bound)
     if args.csv_path:
         # the CSV has a row a prime, so this sweep fetches and checks every a_ell
-        with open(args.csv_path, "w", encoding="utf-8") as csv_file:
+        with _output(args.csv_path) as csv_file:
             chunks = tee_to_csv(classify_chunks(ctx, prime_range, workers=workers), csv_file)
-            try:
-                pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
-            except BaseException:
-                # written chunk by chunk, so memory stays flat; a failed sweep
-                # leaves it empty, as it leaves --out
-                csv_file.truncate(0)
-                raise
+            pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
     else:
         pi_report, omega_report = empirical_density(ctx, prime_range, workers=workers)
     _emit_report(
@@ -218,14 +237,10 @@ def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     prime_range = PrimeRange(args.lo, args.hi)
     chunks = classify_chunks(ctx, prime_range, workers=resolve_workers())
     if args.format == "csv":
-        # each chunk's rows are written as it arrives, to a buffer, so a sweep that fails
-        # writes nothing
-        buf = io.StringIO()
-        buf.write("ell,s,d,sigma\n")
+        out.write("ell,s,d,sigma\n")
         for chunk in chunks:
             columns = (column.tolist() for column in sigma_columns(chunk))
-            buf.write("".join([f"{e},{s},{d},{sg}\n" for e, s, d, sg in zip(*columns)]))
-        out.write(buf.getvalue())
+            out.write("".join([f"{e},{s},{d},{sg}\n" for e, s, d, sg in zip(*columns)]))
         return
     rows: list[tuple[int, int, int, int]] = []
     for chunk in chunks:
@@ -256,17 +271,12 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
         ells = sorted(set(args.ell))
         values = a_ells(ctx, ells)
     elif args.lo is not None and args.hi is not None:
-        # the sweep's coefficient stream: sieved primes, so only its errors need checking
+        # the sweep's coefficient stream: sieved primes, so a_ells' checks are not needed
         prime_range = PrimeRange(args.lo, args.hi)
         ells, values = [], []
-        with contextlib.closing(
-            coefficient_chunks(ctx, prime_range, workers=resolve_workers())
-        ) as chunks:
-            for chunk in chunks:
-                if chunk.error is not None:
-                    raise chunk.error
-                ells += chunk.ells[chunk.fetched].tolist()
-                values += chunk.a_ells.tolist()
+        for chunk in coefficient_chunks(ctx, prime_range, workers=resolve_workers()):
+            ells += chunk.ells[chunk.fetched].tolist()
+            values += chunk.a_ells.tolist()
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")
     if args.format == "csv":
@@ -293,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        with _opened_out(args.out) as out:
+        with _output(args.out) as out:
             _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -303,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except LambdaForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK
 

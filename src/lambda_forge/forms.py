@@ -341,48 +341,35 @@ class FormContext:
         """
         if isinstance(self.backend, CurveModel):
             return trace_of_frobenius(self.backend, ell)
-        (a,) = self.coefficients([ell])
-        if isinstance(a, Exception):
-            raise a
-        return a
+        column, error = self.coefficient_column([ell])
+        if error is not None:
+            raise error
+        return int(column[0])
 
-    def coefficients(self, ells: Sequence[int]) -> list[int | Exception]:
-        """:meth:`coefficient` at many primes, as one batch.
+    def coefficient_column(
+        self, ells: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, Exception | None]:
+        """a_ell at the primes ``ells``, in order, up to the first one the backend fails at.
 
-        Each entry is a_ell or the error :meth:`coefficient` would raise at
-        that ell (a :class:`CoverageError` at a gap in a table); no entry
-        depends on the other ells.  A curve backend counts the points of all
-        of them in shared walks (:func:`curves.traces_of_frobenius`).
+        Returns the column of the coefficients before that prime and the
+        error :meth:`coefficient` would raise there (a :class:`CoverageError`
+        at a gap in a table), or None when there is none.  No coefficient
+        depends on the other ells.  A table answers with one gather through
+        :meth:`CoefficientTable.rows`; a curve counts the points of all the
+        primes in shared walks (:func:`curves.traces_of_frobenius`).
         """
+        ells = _column(ells)
         if isinstance(self.backend, CurveModel):
-            return traces_of_frobenius(self.backend, ells)
-        at, found = self.backend.rows(_column(ells))
-        values = iter(self.backend.a_ells[at[found]].tolist())
-        return [next(values) if hit else CoverageError(ell)
-                for ell, hit in zip(ells, found.tolist())]
-
-    def coefficient_column(self, ells: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-        """a_ell at ascending primes, up to the first one the backend fails at.
-
-        Returns the column of the coefficients before that prime and its
-        error (None when there is none).  A table answers with one gather
-        through :meth:`CoefficientTable.rows`, a curve as :meth:`coefficients`.
-        """
-        if isinstance(self.backend, CurveModel):
-            return leading_column(self.coefficients(ells.tolist()))
+            values = traces_of_frobenius(self.backend, ells.tolist())
+            for i, value in enumerate(values):
+                if isinstance(value, Exception):
+                    return _column(values[:i]), value
+            return _column(values), None
         at, found = self.backend.rows(ells)
         if found.all():
             return self.backend.a_ells[at], None
         gap = int(np.argmin(found))
         return self.backend.a_ells[at[:gap]], CoverageError(int(ells[gap]))
-
-
-def leading_column(values: Sequence[int | Exception]) -> tuple[np.ndarray, Exception | None]:
-    """The ints of ``values`` before its first exception, as a column, and that exception."""
-    for i, value in enumerate(values):
-        if isinstance(value, Exception):
-            return _column(values[:i]), value
-    return _column(values), None
 
 
 def a_ell(ctx: FormContext, ell: int) -> int:
@@ -405,11 +392,10 @@ def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
     """
     for ell, prime in zip(ells, are_prime(ells)):
         _require_exposed(ctx, ell, prime)
-    values = ctx.coefficients(ells)
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return values
+    column, error = ctx.coefficient_column(ells)
+    if error is not None:
+        raise error
+    return column.tolist()
 
 
 def _require_exposed(ctx: FormContext, ell: int, prime: bool) -> None:

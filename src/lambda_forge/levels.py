@@ -276,21 +276,24 @@ def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:
     p = ctx.p
 
     extra = [ell for ell in sorted(level_factors) if level_factors[ell] > base_factors.get(ell, 0)]
-    counted = [ell for ell in extra if not ctx.divides_ngp(ell)]
-    fetched = iter(ctx.coefficients(counted))
+    # a_ell mod p at the extra primes not dividing N_g * p, one batch up to each
+    # gap in a table; a gap gets no trace, and the batch goes on past it
+    traces: dict[int, int] = {}
+    pending = [ell for ell in extra if not ctx.divides_ngp(ell)]
+    while pending:
+        column, error = ctx.coefficient_column(pending)
+        traces.update(zip(pending, (column % p).tolist()))
+        if error is None:
+            break
+        if not isinstance(error, CoverageError):
+            raise error
+        pending = pending[len(column) + 1:]
 
     reports: list[CarayolPrimeReport] = []
     for ell in extra:
         ord_base = base_factors.get(ell, 0)
         alpha = level_factors[ell] - ord_base
-
-        trace = None if ctx.divides_ngp(ell) else next(fetched)
-        if isinstance(trace, CoverageError):
-            trace = None
-        elif isinstance(trace, Exception):
-            raise trace
-        elif trace is not None:
-            trace %= p
+        trace = traces.get(ell)
 
         satisfied: list[str] = []
         undecided: list[str] = []

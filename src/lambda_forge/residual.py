@@ -45,7 +45,7 @@ from .arith import PrimeRange, count_primes, is_prime, prime_chunks
 from .arith import sieve_primes  # noqa: F401
 from .curves import CurveModel, _pow, trace_of_frobenius
 from .errors import PointCountError
-from .forms import FormContext, a_ell, leading_column
+from .forms import FormContext, a_ell
 
 
 class Verdict(Enum):
@@ -251,8 +251,8 @@ def _set_worker_context(ctx: FormContext) -> None:
     _worker_ctx = ctx
 
 
-def _coefficients_in_worker(ells: Sequence[int]) -> list[int | Exception]:
-    return _worker_ctx.coefficients(ells)
+def _coefficients_in_worker(ells: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+    return _worker_ctx.coefficient_column(ells)
 
 
 def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
@@ -274,25 +274,17 @@ def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
         size = min(2 * size, _MAX_CHUNK)
 
 
-# A chunk's coefficients once they are in: the column and the error that ended it.
-_Fetch = Callable[[], tuple[np.ndarray, Exception | None]]
-
-
 class CoefficientChunk(NamedTuple):
     """Consecutive primes of a sweep, with the coefficients of the rows the consumer reads.
 
     ``ells`` are the sieved primes, ascending, ``fetched`` the indices of
     the rows whose a_ell was fetched (by default every row not dividing
-    N_g * p), and ``a_ells[i]`` is a_ell at ``ells[fetched[i]]``.  When the
-    backend failed at some prime, ``error`` is its exception (which names
-    that prime) and the chunk ends just before it; otherwise ``error`` is
-    None.
+    N_g * p), and ``a_ells[i]`` is a_ell at ``ells[fetched[i]]``.
     """
 
     ells: np.ndarray
     fetched: np.ndarray
     a_ells: np.ndarray
-    error: Exception | None
 
 
 def coefficient_chunks(
@@ -311,24 +303,33 @@ def coefficient_chunks(
     fetch only :func:`verdict_rows`.  Only fetched rows are checked, so a
     backend failure at a row not fetched (a table gap, say) never shows.
 
+    A failure at a fetched prime (a table gap as a :class:`CoverageError`,
+    or a :class:`PointCountError` where a group order stayed ambiguous) cuts
+    the chunk holding it just before that prime: the cut chunk is yielded,
+    and then the error is raised.  This is the one place a sweep raises a
+    backend error, so its rows, and the error that ends them, are the same
+    for every consumer and at every worker count.
+
     The sieved primes are cut into chunks (see :func:`_chunk_lengths`)
-    whatever ``rows`` picks.  The first chunk's coefficients are always
-    fetched in this process with :meth:`FormContext.coefficient_column`, so
-    a consumer that stops inside it (``plan`` at its usual targets) never
-    starts a pool.  Only when the consumer asks for a second chunk are the
-    rest fetched on ``workers`` processes, capped at the cores this process
-    may run on.  A 1-worker
-    sweep, a range that fits in the first chunk, or a table backend fetches
-    every chunk in this process: a table answers a chunk with one
-    ``searchsorted`` gather, cheaper than the pool's start-up and traffic
-    (``BENCH_11.json``), so only a curve, whose coefficients are point
-    counts, is swept on a pool.  Only primes go out to a worker and only its
-    list of coefficients comes back, about 4 bytes a prime pickled.  At most
-    2 * workers chunks are in flight and they are merged in ascending order,
-    so the stream is identical at every worker count.  Closing the
-    generator, explicitly or by dropping it, cancels the chunks no worker
-    has taken yet and shuts the pool down; it waits for the chunks already
-    taken (at most workers + 1 of them, all small early in a sweep).
+    whatever ``rows`` picks.  Every chunk is fetched with
+    :meth:`FormContext.coefficient_column`.  The first chunk is always
+    fetched in this process, so a consumer that stops inside it (``plan`` at
+    its usual targets) never starts a pool.  Only when the consumer asks for
+    a second chunk are the rest fetched on ``workers`` processes, capped at
+    the cores this process may run on.  A 1-worker sweep, a range that fits
+    in the first chunk, or a table backend fetches every chunk in this
+    process: a table answers a chunk with one ``searchsorted`` gather,
+    cheaper than the pool's start-up and traffic (``BENCH_11.json``), so
+    only a curve, whose coefficients are point counts, is swept on a pool.
+    Only primes go out to a worker, as an int64 column, and the column and
+    error it fetched come back as they are: 33 KB pickled each way for a
+    chunk of 4,096 primes, whose point counts take 160-190 ms near 1e5-1e6
+    (one core of a 2-core host, Python 3.11).  At most 2 * workers chunks
+    are in flight and they are merged in ascending order, so the stream is
+    identical at every worker count.  Closing the generator, explicitly or
+    by dropping it, cancels the chunks no worker has taken yet and shuts the
+    pool down; it waits for the chunks already taken (at most workers + 1 of
+    them, all small early in a sweep).
     """
     total = count_primes(prime_range)
     if total <= _FIRST_CHUNK or not isinstance(ctx.backend, CurveModel):
@@ -339,24 +340,24 @@ def coefficient_chunks(
 
     pool = None
 
-    def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Fetch]:
+    def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
         # sieved, so prime: no need for the checks of a_ell
         fetched = np.flatnonzero(~ctx.divides_ngp(ells) if rows is None else rows(ctx, ells))
         if pool is None:
             return ells, fetched, partial(ctx.coefficient_column, ells[fetched])
-        future = pool.submit(_coefficients_in_worker, ells[fetched].tolist())
-        return ells, fetched, lambda: leading_column(future.result())
+        return ells, fetched, pool.submit(_coefficients_in_worker, ells[fetched]).result
 
     # the first chunk is always fetched here: a sweep that stops inside it starts no pool
-    in_flight: deque[tuple[np.ndarray, np.ndarray, _Fetch]] = deque()
-    in_flight.extend(map(submit, islice(chunks, 1)))
+    in_flight = deque(map(submit, islice(chunks, 1)))
     try:
         while in_flight:
             ells, fetched, fetch = in_flight.popleft()
             a_ells, error = fetch()
             if error is not None:
-                ells, fetched = ells[: fetched[len(a_ells)]], fetched[: len(a_ells)]
-            yield CoefficientChunk(ells, fetched, a_ells, error)
+                cut = fetched[len(a_ells)]  # the row the backend failed at
+                yield CoefficientChunk(ells[:cut], fetched[: len(a_ells)], a_ells)
+                raise error
+            yield CoefficientChunk(ells, fetched, a_ells)
             # workers > 1 only where the range outgrows its first chunk, so chunks follow
             if pool is None and workers > 1:
                 # imported here, so that a process that never starts a pool never loads it
@@ -383,19 +384,14 @@ def classify_chunks(
     denominators can count classifiable primes only.
 
     The coefficients come from :func:`coefficient_chunks` on ``workers``
-    processes: primes go out to the pool and coefficients come back, and
-    each chunk is classified here, in this process, as it arrives.  A chunk
-    whose coefficient failed at some prime (a table gap, say, as a
-    CoverageError, or a PointCountError where a group order stayed
-    ambiguous) ends just before that prime, and the error is raised after
-    the cut chunk is yielded.  The rows (an error included) are therefore
-    identical at every worker count, and closing the stream stops the sweep.
+    processes, which also ends the stream at a backend failure: primes go
+    out to the pool and coefficients come back, and each chunk is classified
+    here, in this process, as it arrives.  Closing the stream stops the
+    sweep.
     """
     with closing(coefficient_chunks(ctx, prime_range, workers=workers)) as chunks:
-        for ells, fetched, a_ells, error in chunks:
+        for ells, fetched, a_ells in chunks:
             yield classify_chunk(ells, fetched, a_ells, ctx.p)
-            if error is not None:
-                raise error
 
 
 def verdict_counts(
@@ -411,19 +407,16 @@ def verdict_counts(
     A prime dividing N_g * p counts as Skipped and one with ell = +-1 mod p
     as Neither, with no a_ell computed, so a backend failure there (a table
     gap, or a point count refused or outside the Hasse bound) cannot stop
-    the sweep.  A failure at a fetched prime is raised after its cut chunk's
-    counts, as in :func:`classify_chunks`.
+    the sweep.
     """
     stream = coefficient_chunks(ctx, prime_range, workers=workers, rows=verdict_rows)
     with closing(stream) as chunks:
-        for ells, fetched, a_ells, error in chunks:
+        for ells, fetched, a_ells in chunks:
             counts = classify_chunk(ells[fetched], np.arange(len(fetched)), a_ells, ctx.p).counts()
             skipped = int(np.count_nonzero(ctx.divides_ngp(ells)))
             counts[Verdict.SKIPPED] += skipped
             counts[Verdict.NEITHER] += len(ells) - len(fetched) - skipped
             yield counts
-            if error is not None:
-                raise error
 
 
 def classify_range(

@@ -61,6 +61,27 @@ def table_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def p7_table(table_config):
+    """The table config at p = 7 with surjectivity asserted, and a writer of its table.
+
+    The writer puts down random Hasse-bounded rows for the primes to 3000,
+    less the ``gaps``.
+    """
+    path = Path(table_config)
+    text = path.read_text().replace("p = 5", "p = 7")
+    path.write_text(text.replace("surjective_mod_p = false", "surjective_mod_p = true"))
+    rng = random.Random(17)
+    rows = {ell: 3 if ell == 7 else rng.randint(-isqrt(4 * ell), isqrt(4 * ell))
+            for ell in PrimeRange(2, 3000)}
+
+    def write(*gaps):
+        lines = "".join(f"{ell},{a}\n" for ell, a in rows.items() if ell not in gaps)
+        (path.parent / "coeffs.csv").write_text("ell,a_ell\n" + lines)
+
+    return table_config, write
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -304,26 +325,6 @@ class TestVerifyDensity:
         assert list(fetched) == [ell for ell in PrimeRange(2, 20000)
                                  if ell not in (7, 11) and ell % 7 not in (1, 6)]
 
-    @pytest.fixture()
-    def p7_table(self, table_config):
-        """The table config at p = 7 with surjectivity asserted, and a writer of its table.
-
-        The writer puts down random Hasse-bounded rows for the primes to 3000,
-        less the ``gaps``.
-        """
-        path = Path(table_config)
-        text = path.read_text().replace("p = 5", "p = 7")
-        path.write_text(text.replace("surjective_mod_p = false", "surjective_mod_p = true"))
-        rng = random.Random(17)
-        rows = {ell: 3 if ell == 7 else rng.randint(-isqrt(4 * ell), isqrt(4 * ell))
-                for ell in PrimeRange(2, 3000)}
-
-        def write(*gaps):
-            lines = "".join(f"{ell},{a}\n" for ell, a in rows.items() if ell not in gaps)
-            (path.parent / "coeffs.csv").write_text("ell,a_ell\n" + lines)
-
-        return table_config, write
-
     def test_a_gap_that_decides_no_verdict(self, p7_table, tmp_path, capsys, two_cores):
         # 2003 = 1 mod 7: no a_2003 changes a verdict, so only --csv needs it
         config, write = p7_table
@@ -356,19 +357,6 @@ class TestVerifyDensity:
         assert main([*argv, "--csv", str(tmp_path / "per_prime.csv")]) == EXIT_COMPUTE
         assert "prime 29" in capsys.readouterr().err
 
-    def test_a_failed_sweep_leaves_the_csv_empty(self, p7_table, tmp_path, capsys, two_cores):
-        # the sweep fails at 1999, past rows it has already written to the CSV
-        config, write = p7_table
-        write(1999)
-        csv, rep = tmp_path / "per_prime.csv", tmp_path / "report.json"
-        for workers in ("1", "2"):
-            csv.write_text("stale\n")
-            argv = ["verify-density", "--config", config, "--bound", "3000", "--workers", workers,
-                    "--csv", str(csv), "--out", str(rep)]
-            assert main(argv) == EXIT_COMPUTE
-            assert "prime 1999" in capsys.readouterr().err
-            assert csv.read_bytes() == b"" and rep.read_bytes() == b""
-
     def test_unwritable_csv_exit_2(self, curve_config, tmp_path, capsys):
         dump = tmp_path / "missing" / "per_prime.csv"
         code = main(["verify-density", "--config", curve_config, "--bound", "200",
@@ -381,6 +369,42 @@ class TestVerifyDensity:
     def test_surjectivity_required(self, table_config, capsys):
         code = main(["verify-density", "--config", table_config, "--bound", "100"])
         assert code == EXIT_CONFIG  # hypothesis violation is a config-level refusal
+
+
+class TestFailedSweep:
+    """A sweep that fails at a fetched prime exits 3 and leaves every output empty."""
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "--from", "2", "--to", "3000", "--format", "csv"],
+        ["classify", "--from", "2", "--to", "3000"],
+        ["sigma", "--from", "2", "--to", "3000", "--format", "csv"],
+        ["sigma", "--from", "2", "--to", "3000"],
+        ["a-ell", "--from", "2", "--to", "3000"],
+        ["verify-density", "--bound", "3000", "--csv", "{dir}/per_prime.csv"],
+    ], ids=["classify-csv", "classify-json", "sigma-csv", "sigma-json", "a-ell",
+            "verify-density-csv"])
+    @pytest.mark.parametrize("report", ["stdout", "out"])
+    def test_leaves_every_output_empty(self, p7_table, tmp_path, capsys, monkeypatch,
+                                       two_cores, command, report):
+        # every one of these sweeps fetches a_1999 (1999 = 4 mod 7) and fails there,
+        # past rows it has already written
+        config, write = p7_table
+        write(1999)
+        argv = [arg.format(dir=tmp_path) for arg in command] + ["--config", config]
+        files = [tmp_path / "per_prime.csv"] if "--csv" in command else []
+        if report == "out":
+            files.append(tmp_path / "report")
+            argv += ["--out", str(files[-1])]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LAMBDA_FORGE_THREADS", threads)
+            for path in files:
+                path.write_text("stale\n")
+            assert main(argv) == EXIT_COMPUTE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("computation error: "
+                                    "backend supplies no coefficient for prime 1999\n")
+            assert [path.read_bytes() for path in files] == [b""] * len(files)
 
 
 class TestCarayol:
@@ -464,12 +488,21 @@ class TestAEll:
     def test_requires_selection(self, curve_config, capsys):
         assert main(["a-ell", "--config", curve_config]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("selection", [["--from", "2"], ["--to", "20"], ["--from", "2", "--to", "20"]])
-    def test_ells_and_a_range_together_refused(self, curve_config, capsys, selection):
-        assert main(["a-ell", "--config", curve_config, "--ell", "13", *selection]) == EXIT_CONFIG
+    @pytest.mark.parametrize("selection", [
+        ["a-ell", "--ell", "13", "--from", "2"],
+        ["a-ell", "--ell", "13", "--to", "20"],
+        ["a-ell", "--ell", "13", "--from", "2", "--to", "20"],
+        # the census has no per-prime rows to write
+        ["verify-density", "--enumerate-gl2", "7", "--csv", "{dir}/per_prime.csv"],
+    ])
+    def test_ells_and_a_range_together_refused(self, curve_config, tmp_path, capsys, selection):
+        command, *flags = [arg.format(dir=tmp_path) for arg in selection]
+        assert main([command, "--config", curve_config, *flags]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "config error: a-ell takes --ell or --from and --to, not both" in captured.err
+        either = {"a-ell": "--ell or --from and --to", "verify-density": "--enumerate-gl2 or --csv"}
+        assert captured.err == f"config error: {command} takes {either[command]}, not both\n"
+        assert not (tmp_path / "per_prime.csv").exists()
 
     def test_range_equals_per_prime_rows(self, curve_config, capsys):
         # one batched lookup prints the bytes a prime-by-prime a_ell loop would

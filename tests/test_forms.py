@@ -245,7 +245,9 @@ class TestLoaderParity:
         ctx = FormContext(level=level, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                           backend=table)
         assert ctx.divides_ngp(table.ells).tolist() == [False, True, True, False]
-        assert ctx.coefficients([2, 11, 17]) [:2] == [1, 99]
+        column, error = ctx.coefficient_column([2, 11, 17])
+        assert column.tolist() == [1, 99]
+        assert isinstance(error, CoverageError) and error.ell == 17
 
     @settings(max_examples=100, deadline=None)
     @given(text=faulty_tables(), level=st.sampled_from([1, 11, 30, 77]),

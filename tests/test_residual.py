@@ -496,7 +496,10 @@ class TestColumnLookups:
         ctx, rows, hi = table
         ells = list(sieve_primes(PrimeRange(2, hi))) + [2**64 + 13]
         reference = [rows[ell] if ell in rows else CoverageError(ell) for ell in ells]
-        assert entries(ctx.coefficients(ells)) == entries(reference)
+        gap = next(i for i, a in enumerate(reference) if isinstance(a, Exception))
+        column, error = ctx.coefficient_column(ells)
+        assert entries([*column.tolist(), error]) == entries(reference[: gap + 1])
+        assert error.ell == ells[gap]
 
         expected, error = [], None
         for ell in ells[:-1]:
@@ -552,11 +555,13 @@ class TestPoolTraffic:
             assert pooled == list(classify_range(ctx, PrimeRange(2, 5000), workers=1))
 
     def test_worker_returns_a_few_bytes_a_prime(self, ctx_default, monkeypatch):
-        chunk = list(islice(sieve_primes(PrimeRange(10**6, 2 * 10**6)), residual._MAX_CHUNK))
+        # the worker's reply is the int64 column and error of coefficient_column, as they are
+        chunk = np.fromiter(islice(sieve_primes(PrimeRange(10**6, 2 * 10**6)), residual._MAX_CHUNK),
+                            np.int64)
         monkeypatch.setattr(residual, "_worker_ctx", ctx_default)
-        returned = residual._coefficients_in_worker(chunk)
-        assert all(type(a) is int for a in returned)
-        assert len(pickle.dumps(returned)) < 8 * len(chunk)
+        column, error = returned = residual._coefficients_in_worker(chunk)
+        assert (column.dtype, len(column), error) == (np.int64, len(chunk), None)
+        assert len(pickle.dumps(returned)) < 8 * len(chunk) + 256
 
 
 class TestResolveWorkers:
