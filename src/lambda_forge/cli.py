@@ -4,7 +4,10 @@ Subcommands: classify, plan, verify-density, carayol, sigma, screen-p,
 a-ell.  All reports are JSON with sorted keys, a ``schema_version`` field,
 and the config's asserted hypotheses echoed under ``assertions``; repeated
 runs with identical config and flags produce byte-identical output (no
-timestamps unless --timestamps).
+timestamps unless --timestamps).  The reports with a row a prime
+(``classify``, ``sigma``, ``a-ell``) render their rows from the sweep's
+columns, one string a chunk, with the text ``json.dumps`` would print
+(:func:`_emit_report`).
 
 Every output, stdout, ``--out`` or ``verify-density --csv``, is empty when
 its command fails (:func:`_output`).  A file is opened, and emptied, before
@@ -24,6 +27,7 @@ import contextlib
 import datetime
 import json
 import sys
+from collections import Counter
 from typing import IO, Iterator
 
 from .arith import PrimeRange
@@ -36,21 +40,29 @@ from .iwasawa import bk_rank_bounds, sigma_columns
 from .iwasawa import sigma_ell  # noqa: F401
 from .levels import carayol_check, plan_target_lambda
 from .residual import (
+    JSON_FIELD,
+    JSON_ROW_SEPARATOR,
     Verdict,
     classification_to_csv,
     classify_chunks,
-    classify_range,
     coefficient_chunks,
+    json_row_pieces,
     resolve_workers,
     screen_p,
     tee_to_csv,
 )
+# the traced benchmark (bench/run.py) wraps cli.classify_range by name
+from .residual import classify_range  # noqa: F401
 
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
+
+# The JSON rows of sigma and a-ell, cut at their fields (in key order).
+_SIGMA_JSON = json_row_pieces(dict.fromkeys(("d", "ell", "s", "sigma"), JSON_FIELD))
+_A_ELL_JSON = json_row_pieces(dict.fromkeys(("a_ell", "ell"), JSON_FIELD))
 
 
 class _Held(list):
@@ -82,13 +94,39 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             raise
 
 
+class _JsonRows(list):
+    """A report's list of rows as JSON text: a string a chunk, its rows joined
+    by :data:`~lambda_forge.residual.JSON_ROW_SEPARATOR` ("" for no rows)."""
+
+
 def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
+    """Write the report as ``json.dumps(report, sort_keys=True, indent=2)`` prints it.
+
+    A value of ``payload`` that is :class:`_JsonRows` (a report has at most
+    one) is already JSON text: the rest of the report is dumped with an
+    empty list at its key, and the pieces are written into that list one
+    at a time, never joined.
+    """
     report = dict(payload)
     report["schema_version"] = SCHEMA_VERSION
     report["assertions"] = cfg.assertions()
     if getattr(args, "timestamps", False):
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    key = next((key for key, value in report.items() if isinstance(value, _JsonRows)), None)
+    pieces = [piece for piece in report.get(key, ()) if piece]
+    if key is not None:
+        report[key] = []
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if pieces:
+        # only the lines of top-level keys are indented by exactly two spaces
+        head, _, text = text.partition(f"\n  {json.dumps(key)}: []")
+        out.write(f"{head}\n  {json.dumps(key)}: [\n    ")
+        out.write(pieces[0])
+        for piece in pieces[1:]:
+            out.write(JSON_ROW_SEPARATOR)
+            out.write(piece)
+        out.write("\n  ]")
+    out.write(text)
 
 
 def nonnegative_int(text: str) -> int:
@@ -172,16 +210,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers()
-    prime_range = PrimeRange(args.lo, args.hi)
+    chunks = classify_chunks(ctx, PrimeRange(args.lo, args.hi), workers=workers)
     if args.format == "csv":
-        classification_to_csv(classify_chunks(ctx, prime_range, workers=workers), out)
+        classification_to_csv(chunks, out)
         return
-    rows = [fc.as_dict() for fc in classify_range(ctx, prime_range, workers=workers)]
-    counts: dict[str, int] = {v.value: 0 for v in Verdict}
-    for row in rows:
-        counts[row["verdict"]] += 1
+    rows = _JsonRows()
+    counts = Counter(dict.fromkeys(Verdict, 0))
+    for chunk in chunks:
+        rows.append(chunk.json_rows())
+        counts.update(chunk.counts())
     _emit_report(
-        {"range": {"from": args.lo, "to": args.hi}, "counts": counts, "classification": rows},
+        {
+            "range": {"from": args.lo, "to": args.hi},
+            "counts": {verdict.value: n for verdict, n in counts.items()},
+            "classification": rows,
+        },
         cfg,
         args,
         out,
@@ -236,24 +279,18 @@ def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     prime_range = PrimeRange(args.lo, args.hi)
     chunks = classify_chunks(ctx, prime_range, workers=resolve_workers())
+    tables = (zip(*(column.tolist() for column in sigma_columns(chunk))) for chunk in chunks)
     if args.format == "csv":
         out.write("ell,s,d,sigma\n")
-        for chunk in chunks:
-            columns = (column.tolist() for column in sigma_columns(chunk))
-            out.write("".join([f"{e},{s},{d},{sg}\n" for e, s, d, sg in zip(*columns)]))
+        for table in tables:
+            out.write("".join([f"{e},{s},{d},{sg}\n" for e, s, d, sg in table]))
         return
-    rows: list[tuple[int, int, int, int]] = []
-    for chunk in chunks:
-        rows += zip(*(column.tolist() for column in sigma_columns(chunk)))
-    _emit_report(
-        {
-            "range": {"from": args.lo, "to": args.hi},
-            "sigma": [{"ell": e, "s": s, "d": d, "sigma": sg} for e, s, d, sg in rows],
-        },
-        cfg,
-        args,
-        out,
+    p0, p1, p2, p3, p4 = _SIGMA_JSON
+    rows = _JsonRows(
+        JSON_ROW_SEPARATOR.join([f"{p0}{d}{p1}{e}{p2}{s}{p3}{sg}{p4}" for e, s, d, sg in table])
+        for table in tables
     )
+    _emit_report({"range": {"from": args.lo, "to": args.hi}, "sigma": rows}, cfg, args, out)
 
 
 def _cmd_screen_p(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
@@ -269,21 +306,25 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     if args.ell:
         ells = sorted(set(args.ell))
-        values = a_ells(ctx, ells)
+        tables = [zip(ells, a_ells(ctx, ells))]
     elif args.lo is not None and args.hi is not None:
         # the sweep's coefficient stream: sieved primes, so a_ells' checks are not needed
         prime_range = PrimeRange(args.lo, args.hi)
-        ells, values = [], []
-        for chunk in coefficient_chunks(ctx, prime_range, workers=resolve_workers()):
-            ells += chunk.ells[chunk.fetched].tolist()
-            values += chunk.a_ells.tolist()
+        tables = (
+            zip(chunk.ells[chunk.fetched].tolist(), chunk.a_ells.tolist())
+            for chunk in coefficient_chunks(ctx, prime_range, workers=resolve_workers())
+        )
     else:
         raise ConfigError("a-ell needs --ell or both --from and --to")
     if args.format == "csv":
-        lines = ["ell,a_ell"] + [f"{ell},{a}" for ell, a in zip(ells, values)]
-        out.write("\n".join(lines) + "\n")
+        out.write("ell,a_ell\n")
+        for table in tables:
+            out.write("".join([f"{ell},{a}\n" for ell, a in table]))
         return
-    rows = [{"ell": ell, "a_ell": a} for ell, a in zip(ells, values)]
+    p0, p1, p2 = _A_ELL_JSON
+    rows = _JsonRows(
+        JSON_ROW_SEPARATOR.join([f"{p0}{a}{p1}{ell}{p2}" for ell, a in table]) for table in tables
+    )
     _emit_report({"coefficients": rows}, cfg, args, out)
 
 

@@ -19,15 +19,17 @@ at once (:func:`classify_chunk`): a :class:`ClassifiedChunk` holds the
 columns ell, a_ell mod p and a code naming the outcome of each test, all
 computed in numpy.  The chunks come from :func:`coefficient_chunks` as
 columns too (:class:`CoefficientChunk`): the sieved primes, the rows whose
-a_ell was fetched and those a_ell.  Consumers that stream (the CSV export,
-density counts, sigma columns) read the columns; :func:`classify_range`
-flattens the same chunks into one :class:`FrobeniusClass` a prime for the
-reports that list them.  Only the density counts (:func:`verdict_counts`)
+a_ell was fetched and those a_ell.  Every report reads the columns: the CSV
+export, the JSON rows (:meth:`ClassifiedChunk.json_rows`), the density
+counts and the sigma columns.  :func:`classify_range` flattens the same
+chunks into one :class:`FrobeniusClass` a prime for ``plan``, which picks
+primes one at a time.  Only the density counts (:func:`verdict_counts`)
 fetch fewer rows: those that can change a verdict (:func:`verdict_rows`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from contextlib import closing
@@ -113,6 +115,38 @@ _VERDICT_INDEX = np.array([list(Verdict).index(v) for v in _VERDICTS])
 # What follows the trace in a row of the CSV export, by code.
 _CSV_TAILS = tuple(f",{v.value}\n" for v in _VERDICTS)
 
+# A report value that json_row_pieces cuts the row's JSON text at.
+JSON_FIELD = "\0"
+# What comes between two rows of a list at the top level of a report.
+JSON_ROW_SEPARATOR = ",\n    "
+
+
+def json_row_pieces(row: dict) -> list[str]:
+    """The JSON text of a report row, cut at each value that is :data:`JSON_FIELD`.
+
+    The text is the row's as ``json.dumps(report, sort_keys=True, indent=2)``
+    prints it in a list at the top level of the report.  Its fields come in
+    key order, so the row with the integers v0, v1, ... in those fields is
+    ``pieces[0] + str(v0) + pieces[1] + str(v1) + ... + pieces[-1]``.
+    """
+    text = json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+    return text.split(json.dumps(JSON_FIELD))
+
+
+def _json_row_pieces(code: int) -> list[str]:
+    """A row of this code in JSON, cut at det, ell and trace; a Skipped row at ell alone."""
+    field = JSON_FIELD if code else None
+    klass = FrobeniusClass(JSON_FIELD, field, field, _VERDICTS[code], _REASONS[code])
+    return json_row_pieces(klass.as_dict())
+
+
+# The JSON of a row by code, cut at its fields.  Every classified row starts
+# alike, as det_mod_p and ell sort first; only the pieces around its trace
+# depend on its code.
+_JSON_PIECES = tuple(map(_json_row_pieces, range(len(_REASONS))))
+_JSON_DET, _JSON_ELL = _JSON_PIECES[1][:2]
+_JSON_TRACES, _JSON_TAILS = zip(*(pieces[-2:] for pieces in _JSON_PIECES))
+
 
 def mod_p_class(det: np.ndarray, p: int) -> np.ndarray:
     """The mod-p-class test at each det = ell mod p, as an index into ``_MOD_P_CLASS``.
@@ -182,6 +216,19 @@ class ClassifiedChunk:
         return "".join([
             f"{ell},{t}{_CSV_TAILS[code]}" if code else f"{ell},,Skipped\n"
             for ell, t, code in self._rows()
+        ])
+
+    def json_rows(self) -> str:
+        """The rows as :meth:`FrobeniusClass.as_dict` in a report's list, joined by
+        :data:`JSON_ROW_SEPARATOR`: the text ``json.dumps(sort_keys=True, indent=2)``
+        prints for them.
+        """
+        rows = zip(self.ells.tolist(), (self.ells % self.p).tolist(),
+                   self.trace_mod_p.tolist(), self.codes.tolist())
+        return JSON_ROW_SEPARATOR.join([
+            f"{_JSON_DET}{d}{_JSON_ELL}{ell}{_JSON_TRACES[code]}{t}{_JSON_TAILS[code]}" if code
+            else f"{_JSON_PIECES[0][0]}{ell}{_JSON_PIECES[0][1]}"
+            for ell, d, t, code in rows
         ])
 
 
@@ -264,11 +311,16 @@ def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
     starts no pool at all.  Each chunk also holds at most 1 / (2 * workers)
     of the primes still left (guided self-scheduling, Polychronopoulos and
     Kuck 1987), so the last, most expensive primes (point counting slows as
-    ell grows) are spread over all workers instead of landing on one.
+    ell grows) are spread over all workers instead of landing on one.  No
+    chunk but the final remainder is cut below ``_FIRST_CHUNK``, though: a
+    chunk has a fixed cost (a pool round trip, a batch of point counts and
+    its classification): 1 to 16 primes near 3e4 take 1.8-2.3 ms to count
+    and classify against 5.0 ms for 64 (least of 30 repeats, one core of a
+    2-core host, Python 3.11).
     """
     size = _FIRST_CHUNK
     while total > 0:
-        n = min(size, -(-total // (2 * workers)))
+        n = min(total, max(_FIRST_CHUNK, min(size, -(-total // (2 * workers)))))
         yield n
         total -= n
         size = min(2 * size, _MAX_CHUNK)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from lambda_forge import FormContext, PrimeRange, a_ell, cli, load_coefficients, residual
+from lambda_forge import (
+    FormContext,
+    PrimeRange,
+    Verdict,
+    a_ell,
+    classify_chunks,
+    classify_range,
+    cli,
+    load_coefficients,
+    residual,
+    sigma_columns,
+)
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from lambda_forge.config import build_context, load_config
 
@@ -593,21 +605,92 @@ class TestNoPerPrimeObjects:
 
     @pytest.mark.parametrize("argv, last", [
         (["classify", "--from", "2", "--to", "20000", "--format", "csv"], "19997,"),
+        (["classify", "--from", "2", "--to", "20000"], '"ell": 19997,'),
         (["sigma", "--from", "2", "--to", "20000", "--format", "csv"], "19997,"),
+        (["sigma", "--from", "2", "--to", "20000"], '"ell": 19997,'),
+        (["a-ell", "--from", "2", "--to", "20000"], '"ell": 19997\n'),
         (["verify-density", "--bound", "20000"], '"sample_primes": 2260'),
         (["verify-density", "--bound", "20000", "--csv", "{dir}/per_prime.csv"],
          '"sample_primes": 2260'),
-    ], ids=["classify-csv", "sigma-csv", "verify-density", "verify-density-csv"])
+    ], ids=["classify-csv", "classify-json", "sigma-csv", "sigma-json", "a-ell-json",
+            "verify-density", "verify-density-csv"])
     def test_streaming_commands(self, wide_table_config, built, capsys, argv, last):
         argv = [arg.format(dir=Path(wide_table_config).parent) for arg in argv]
         assert main([*argv, "--config", wide_table_config]) == EXIT_OK
         assert last in capsys.readouterr().out  # the whole range went through
         assert built == {}
 
-    def test_the_spy_sees_the_json_report(self, wide_table_config, built, capsys):
-        argv = ["classify", "--config", wide_table_config, "--from", "2", "--to", "100"]
+    def test_the_spy_sees_the_json_report(self, curve_config, built, capsys):
+        # plan picks its primes from FrobeniusClass objects, one a prime up to the
+        # first Pi prime of 11a at p = 7, where its scan stops
+        report = run_json(capsys, ["plan", "--config", curve_config, "--target-lambda", "1",
+                                   "--scan-bound", "500"])
+        assert report["pi_primes"] == [37]
+        assert built == {"FrobeniusClass": sum(1 for _ in PrimeRange(2, 37))}
+
+
+def dict_path_report(command: str, config: str, lo: int, hi: int) -> dict:
+    """The reference: a row report as one dict a row, before json.dumps."""
+    cfg = load_config(config)
+    ctx = build_context(cfg)
+    span = {"from": lo, "to": hi}
+    if command == "classify":
+        rows = [fc.as_dict() for fc in classify_range(ctx, PrimeRange(lo, hi))]
+        counts = {v.value: 0 for v in Verdict}
+        for row in rows:
+            counts[row["verdict"]] += 1
+        payload = {"range": span, "counts": counts, "classification": rows}
+    elif command == "sigma":
+        table = []
+        for chunk in classify_chunks(ctx, PrimeRange(lo, hi)):
+            table += zip(*(column.tolist() for column in sigma_columns(chunk)))
+        rows = [{"ell": e, "s": s, "d": d, "sigma": sg} for e, s, d, sg in table]
+        payload = {"range": span, "sigma": rows}
+    else:
+        ells = [ell for ell in PrimeRange(lo, hi) if not ctx.divides_ngp(ell)]
+        payload = {"coefficients": [{"ell": ell, "a_ell": a_ell(ctx, ell)} for ell in ells]}
+    return {**payload, "schema_version": 1, "assertions": cfg.assertions()}
+
+
+@pytest.mark.usefixtures("two_cores")
+class TestJsonRowsFromColumns:
+    """The row reports print, from columns, the bytes of the dict path through json.dumps."""
+
+    @staticmethod
+    def argv(command: str, config: str, lo: int, hi: int) -> list[str]:
+        argv = [command.split()[0], "--config", config]
+        if command == "a-ell --ell":
+            ctx = build_context(load_config(config))
+            return argv + [f"--ell={ell}" for ell in PrimeRange(lo, hi)
+                           if not ctx.divides_ngp(ell)]
+        return argv + ["--from", str(lo), "--to", str(hi)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, lo, hi", [
+        ("classify", 2, 5000), ("classify", 24, 28),
+        ("sigma", 2, 5000), ("sigma", 24, 28),
+        ("a-ell", 2, 5000), ("a-ell", 24, 28),
+        ("a-ell --ell", 2, 5000),
+    ], ids=["classify", "classify-empty", "sigma", "sigma-empty", "a-ell", "a-ell-empty",
+            "a-ell-ells"])
+    def test_bytes_of_the_dict_path(self, curve_config, capsys, monkeypatch, command, lo, hi,
+                                    workers):
+        monkeypatch.setenv("LAMBDA_FORGE_THREADS", workers)
+        argv = self.argv(command, curve_config, lo, hi)
+        if command == "classify":
+            argv += ["--workers", workers]
         assert main(argv) == EXIT_OK
-        assert built == {"FrobeniusClass": sum(1 for _ in PrimeRange(2, 100))}
+        reference = dict_path_report(command.split()[0], curve_config, lo, hi)
+        assert capsys.readouterr().out == json.dumps(reference, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("command", ["classify", "sigma", "a-ell"])
+    def test_timestamps(self, curve_config, capsys, command):
+        assert main([*self.argv(command, curve_config, 2, 300), "--timestamps"]) == EXIT_OK
+        out = capsys.readouterr().out
+        masked = re.sub(r'"generated_at": "[^"]+"', '"generated_at": "T"', out)
+        reference = dict_path_report(command, curve_config, 2, 300) | {"generated_at": "T"}
+        assert masked != out
+        assert masked == json.dumps(reference, sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminism:

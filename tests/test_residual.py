@@ -1,4 +1,5 @@
 import io
+import json
 import multiprocessing
 import os
 import pickle
@@ -177,6 +178,15 @@ class TestClassifyChunk:
         columns = [np.array(pi), np.zeros(3, bool), ell, np.array(t), ell % 5]
         with pytest.raises(AssertionError, match=re.escape(message)):
             residual._check_split_factorizations(*columns, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_chunks())
+    def test_json_rows_are_the_dumped_classes(self, chunk):
+        # the reference: each row as a FrobeniusClass dict, dumped in a report's list
+        classified = classify_mapping(*chunk)
+        rows = [fc.as_dict() for fc in classified.classes()]
+        reference = json.dumps({"rows": rows}, sort_keys=True, indent=2)
+        assert '{\n  "rows": [\n    ' + classified.json_rows() + "\n  ]\n}" == reference
 
     def test_counts_and_csv_rows(self):
         chunk = classify_mapping([2, 3, 5, 13, 17], {2: 3, 3: 1, 13: 4, 17: 0}, 5)
@@ -564,6 +574,20 @@ class TestPoolTraffic:
         assert len(pickle.dumps(returned)) < 8 * len(chunk) + 256
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 64))
+@example(0, 1)
+@example(64, 2)
+@example(65, 2)
+def test_chunk_lengths(total, workers):
+    # the first chunk alone decides whether a sweep that stops early starts a pool
+    lengths = list(residual._chunk_lengths(total, workers))
+    assert sum(lengths) == total
+    assert lengths[:1] == ([min(total, residual._FIRST_CHUNK)] if total else [])
+    assert all(n >= residual._FIRST_CHUNK for n in lengths[:-1])
+    assert all(0 < n <= residual._MAX_CHUNK for n in lengths)
+
+
 class TestResolveWorkers:
     @pytest.fixture(autouse=True)
     def three_cores(self, monkeypatch):
@@ -581,13 +605,13 @@ class TestResolveWorkers:
     def test_workers_flag_wins_over_env(self, monkeypatch, capsys):
         monkeypatch.setenv("LAMBDA_FORGE_THREADS", "2")
         seen = []
-        sweep = cli.classify_range
+        sweep = cli.classify_chunks
 
         def spy(ctx, prime_range, *, workers):
             seen.append(workers)
             return sweep(ctx, prime_range, workers=workers)
 
-        monkeypatch.setattr(cli, "classify_range", spy)
+        monkeypatch.setattr(cli, "classify_chunks", spy)
         for flag in (["--workers", "1"], []):
             assert cli.main(["classify", "--config", str(DEFAULT_CFG),
                              "--from", "2", "--to", "50", *flag]) == cli.EXIT_OK
