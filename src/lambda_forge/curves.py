@@ -14,8 +14,9 @@ strategies are provided and cross-validated against each other:
 and the walks of all their sampled points run in lock-step as the lanes of
 numpy arrays, the walks in Jacobian coordinates with one inversion per lane
 per block of steps (Montgomery's simultaneous inversion) over a baby table
-keyed by x alone, in batches capped at 2 MB of temporaries.  The draws
-read each prime's stream as bulk 32-bit words, and the first point of
+keyed by x alone, in batches capped at 2 MB of temporaries and equal to
+within one lane, so that no batch is a small remainder.  The draws read
+each prime's stream as bulk 32-bit words, and the first point of
 every prime is settled on columns.  In a batch of 4,096 primes a walk
 costs about 10-20 us a lane near 1e4-1e6 (39 us near 1e7) and a point
 draw 11-13 us.  7-9 us of the draw is seeding the prime's generator:
@@ -449,16 +450,19 @@ def _window_orders(points, a, p, lo, hi) -> list[int]:
 
     The walk is Shanks' baby-step giant-step with a baby table keyed by x
     alone, so that one entry stands for both jP and -jP (see :func:`_walk`).
-    Lanes may mix primes and window sizes; they are walked in batches sized
-    so that a batch holds about ``_WALK_BYTES`` of temporaries.
+    Lanes may mix primes and window sizes; they are walked in the fewest
+    batches that each hold at most about ``_WALK_BYTES`` of temporaries,
+    equal to within one lane, so that no batch is a small remainder paying
+    a whole walk's fixed cost.
     """
     width = [h - l for l, h in zip(lo, hi)]
     babies = _baby_count(max(width))
     steps = babies + 1 + min(max(width) // (2 * babies + 1) + 1, _GIANT_BLOCK)
     per_batch = max(1, _WALK_BYTES // (8 * _WORDS_PER_STEP * steps))
+    batches = -(-len(points) // per_batch)
     out: list[int] = []
-    for start in range(0, len(points), per_batch):
-        batch = slice(start, start + per_batch)
+    for i in range(batches):
+        batch = slice(i * len(points) // batches, (i + 1) * len(points) // batches)
         out += _walk(points[batch], a[batch], p[batch], lo[batch], width[batch])
     return out
 

@@ -695,6 +695,33 @@ class TestWindowOrder:
             batch.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell)))
         assert _window_orders(*zip(*batch)) == [_window_order(*lane) for lane in batch]
 
+    @pytest.mark.parametrize("lanes", [1, 4, 9, 13])
+    def test_batches_are_equal(self, lanes, monkeypatch):
+        # at most 4 lanes a batch: 9 lanes walk as 3 + 3 + 3, not as 4 + 4 + 1
+        rng = random.Random(lanes)
+        batch = []
+        while len(batch) < lanes:
+            ell = rng.choice((1009, 10007))
+            a, b = rng.randrange(ell), rng.randrange(ell)
+            if (4 * a**3 + 27 * b * b) % ell:
+                batch.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell)))
+        whole = _window_orders(*zip(*batch))  # one batch at the default budget
+        width = max(hi - lo for *_, lo, hi in batch)
+        babies = _baby_count(width)
+        steps = babies + 1 + min(width // (2 * babies + 1) + 1, curves._GIANT_BLOCK)
+        monkeypatch.setattr(curves, "_WALK_BYTES", 4 * 8 * curves._WORDS_PER_STEP * steps)
+        sizes = []
+        walk = curves._walk
+
+        def spy(points, *rest):
+            sizes.append(len(points))
+            return walk(points, *rest)
+
+        monkeypatch.setattr(curves, "_walk", spy)
+        assert _window_orders(*zip(*batch)) == whole
+        assert len(sizes) == -(-lanes // 4)
+        assert sum(sizes) == lanes and max(sizes) - min(sizes) <= 1
+
 
 class TestTrace:
     def test_minus_three_at_five(self, curve_x3x1):

@@ -453,6 +453,18 @@ class TestSweepPipeline:
         assert stream_until(PointCountError, 101, ctx, 20000, 2) == serial
         assert pools_started == []
 
+    @pytest.mark.parametrize("short, pools", [(1, []), (0, [2])])
+    def test_a_pool_starts_when_every_worker_gets_a_full_chunk(
+        self, ctx_default, pools_started, short, pools
+    ):
+        # one prime short of the first chunk plus a full chunk a worker, the sweep stays here
+        total = residual._FIRST_CHUNK + 2 * residual._MIN_CHUNK - short
+        last = next(islice(sieve_primes(PrimeRange(2, 10**5)), total - 1, None))
+        prime_range = PrimeRange(2, last)
+        pooled = list(classify_range(ctx_default, prime_range, workers=2))
+        assert pools_started == pools
+        assert pooled == list(classify_range(ctx_default, prime_range, workers=1))
+
     def test_a_failing_chunk_is_cut_before_its_prime(self):
         # 1999 is missing from the table: the chunk holding it ends at 1997, then the error
         coeffs = {ell: 1 for ell in sieve_primes(PrimeRange(2, 4000)) if ell != 1999}
@@ -547,22 +559,23 @@ class TestPoolTraffic:
             return chunk_classifier(ells, exposed, a_ells, p)
 
         monkeypatch.setattr(residual, "classify_chunk", counting)
-        stream = list(classify_range(ctx_default, PrimeRange(2, 5000), workers=2))
+        # 2,262 primes: enough for a pool at 2 workers
+        stream = list(classify_range(ctx_default, PrimeRange(2, 20000), workers=2))
         assert set(classified.values()) == {1}
         assert sorted(classified) == [fc.ell for fc in stream if fc.verdict is not Verdict.SKIPPED]
-        assert len(classified) == sum(1 for _ in PrimeRange(2, 5000)) - 2  # 7 and 11 skipped
+        assert len(classified) == sum(1 for _ in PrimeRange(2, 20000)) - 2  # 7 and 11 skipped
 
     def test_only_a_curve_is_swept_on_a_pool(self, ctx_default, pools_started):
         # a table's coefficients are one searchsorted gather a chunk: a pool would
         # only add its traffic
-        table = CoefficientTable(coefficients=dict.fromkeys(PrimeRange(2, 5000), 1), level=11)
+        table = CoefficientTable(coefficients=dict.fromkeys(PrimeRange(2, 20000), 1), level=11)
         ctx_table = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                                 backend=table)
         for ctx, pools in ((ctx_table, []), (ctx_default, [2])):
             pools_started.clear()
-            pooled = list(classify_range(ctx, PrimeRange(2, 5000), workers=2))
+            pooled = list(classify_range(ctx, PrimeRange(2, 20000), workers=2))
             assert pools_started == pools
-            assert pooled == list(classify_range(ctx, PrimeRange(2, 5000), workers=1))
+            assert pooled == list(classify_range(ctx, PrimeRange(2, 20000), workers=1))
 
     def test_worker_returns_a_few_bytes_a_prime(self, ctx_default, monkeypatch):
         # the worker's reply is the int64 column and error of coefficient_column, as they are
@@ -579,13 +592,17 @@ class TestPoolTraffic:
 @example(0, 1)
 @example(64, 2)
 @example(65, 2)
+@example(residual._FIRST_CHUNK + 2 * residual._MIN_CHUNK - 1, 2)  # the pool boundary
+@example(residual._FIRST_CHUNK + 2 * residual._MIN_CHUNK, 2)
 def test_chunk_lengths(total, workers):
     # the first chunk alone decides whether a sweep that stops early starts a pool
     lengths = list(residual._chunk_lengths(total, workers))
     assert sum(lengths) == total
     assert lengths[:1] == ([min(total, residual._FIRST_CHUNK)] if total else [])
-    assert all(n >= residual._FIRST_CHUNK for n in lengths[:-1])
+    assert all(residual._MIN_CHUNK <= n <= residual._MAX_CHUNK for n in lengths[1:-1])
     assert all(0 < n <= residual._MAX_CHUNK for n in lengths)
+    if workers == 1:  # nothing to balance: no chunk shrinks but the last
+        assert lengths[1:-1] == sorted(lengths[1:-1])
 
 
 class TestResolveWorkers:
