@@ -285,8 +285,8 @@ def _check_split_factorizations(pi, omega, ell, t, d, p: int) -> None:
     raise AssertionError(f"claimed eigenvalue {r} is not a root of X^2-{t[i]}X+{d[i]} mod {p}")
 
 
-# Primes in the first chunk of a sweep; later chunks start at _MIN_CHUNK and
-# double up to _MAX_CHUNK.
+# Primes in the first chunk of a sweep; later chunks double up to _MAX_CHUNK,
+# and the guided tail cuts none of them below _MIN_CHUNK but the last.
 _FIRST_CHUNK = 64
 _MIN_CHUNK = 1024
 _MAX_CHUNK = 4096
@@ -307,20 +307,23 @@ def _coefficients_in_worker(ells: np.ndarray) -> tuple[np.ndarray, Exception | N
 def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
     """Chunk lengths covering ``total`` primes.
 
-    The first chunk holds ``_FIRST_CHUNK`` primes, so a consumer that stops
-    inside it, which is fetched in-process, starts no pool at all.  Later
-    chunks start at ``_MIN_CHUNK`` and double up to ``_MAX_CHUNK``, and none
-    but the final remainder is cut below ``_MIN_CHUNK``, because a chunk has
-    a fixed cost (a pool round trip, BSGS rounds of a few lanes, the
-    classification of its columns).  On 11a near 3e4 a chunk's coefficients
-    cost 80-130 us a prime at 64 primes, 40-60 at 256, 28-40 at 1,024 and
-    26-37 at 4,096 (best of 5 in each of 6 runs, one core of a 2-core host,
-    Python 3.11, ``BENCH_22.json``).  With 2 or more workers each chunk also
-    holds at most 1 / (2 * workers) of the primes still left (guided
-    self-scheduling, Polychronopoulos and Kuck 1987), so the last, most
-    expensive primes (point counting slows as ell grows) are spread over
-    all workers instead of landing on one.  One worker has nothing to
-    balance, so its chunks never shrink but for the last.
+    Chunks start at ``_FIRST_CHUNK`` primes and double up to ``_MAX_CHUNK``.
+    The first is fetched in-process, so a consumer that stops inside it
+    starts no pool at all, and the ramp keeps small what a consumer that
+    stops soon after it waits for: ``plan --target-lambda 7`` on 11a stops
+    at the 73rd prime, inside the 128-prime second chunk (a 1,024-prime
+    second chunk took its sweep from 6 to 46 ms, ``BENCH_22.json``).  With
+    2 or more workers each chunk also holds at most 1 / (2 * workers) of the
+    primes still left (guided self-scheduling, Polychronopoulos and Kuck
+    1987), so the last, most expensive primes (point counting slows as ell
+    grows) are spread over all workers instead of landing on one.  That cap
+    cuts no chunk below ``_MIN_CHUNK`` but the final remainder, because a
+    chunk has a fixed cost (a pool round trip, BSGS rounds of a few lanes,
+    the classification of its columns).  On 11a near 3e4 a chunk's
+    coefficients cost 80-130 us a prime at 64 primes, 40-60 at 256, 28-40 at
+    1,024 and 26-37 at 4,096 (best of 5 in each of 6 runs, one core of a
+    2-core host, Python 3.11, ``BENCH_22.json``).  One worker has nothing to
+    balance, so its chunks follow the ramp to the end.
     """
     size = _FIRST_CHUNK
     while total > 0:
@@ -329,7 +332,7 @@ def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
             n = min(n, max(_MIN_CHUNK, -(-total // (2 * workers))))
         yield n
         total -= n
-        size = min(max(2 * size, _MIN_CHUNK), _MAX_CHUNK)
+        size = min(2 * size, _MAX_CHUNK)
 
 
 class CoefficientChunk(NamedTuple):
@@ -374,28 +377,31 @@ def coefficient_chunks(
     fetched in this process, so a consumer that stops inside it (``plan`` at
     its usual targets) never starts a pool.  Only when the consumer asks for
     a second chunk are the rest fetched on ``workers`` processes, capped at
-    the cores this process may run on.  A pool starts only for a curve, and
-    only when the primes past the first chunk give every worker a full
-    chunk of ``_MIN_CHUNK`` primes (64 + 2 * 1,024 primes at 2 workers):
-    a smaller range cannot repay the pool's start-up.  Every other sweep
-    fetches every chunk in this process.  A table answers a chunk with one
-    ``searchsorted`` gather, cheaper than the pool's start-up and traffic
-    (``BENCH_11.json``), so only a curve, whose coefficients are point
-    counts, is swept on a pool.  Only primes go out to a worker, as an int64
-    column, and the column and error it fetched come back as they are:
-    33 KB pickled each way for a chunk of 4,096 primes, whose point counts
-    take 160-190 ms near 1e5-1e6 (one core of a 2-core host, Python 3.11).
+    the cores this process may run on and at one worker for every
+    ``_MIN_CHUNK`` primes past the first chunk, since fewer primes a worker
+    cannot repay its start-up.  A pool starts only for a curve, and only
+    when that leaves two or more workers (from 64 + 2 * 1,024 primes on);
+    every other sweep fetches every chunk in this process.  A table answers
+    a chunk with one ``searchsorted`` gather, cheaper than the pool's
+    start-up and traffic (``BENCH_11.json``), so only a curve, whose
+    coefficients are point counts, is swept on a pool.  Only primes go out
+    to a worker, as an int64 column, and the column and error it fetched
+    come back as they are: 33 KB pickled each way for a chunk of 4,096
+    primes, whose point counts take 160-190 ms near 1e5-1e6 (one core of a
+    2-core host, Python 3.11).
     At most 2 * workers chunks are in flight and they are merged in
     ascending order, so the stream is identical at every worker count.
     Closing the generator, explicitly or by dropping it, cancels the chunks
     no worker has taken yet and shuts the pool down; it waits for the
-    chunks already taken (at most workers + 1 of them, each of at least
-    ``_MIN_CHUNK`` primes but for the last).
+    chunks already taken (at most workers + 1 of them: 128, 256 and 512
+    primes at 2 workers for a consumer that stops in the second chunk).
     """
     total = count_primes(prime_range)
-    workers = max(1, min(workers or 1, len(os.sched_getaffinity(0))))
-    if not isinstance(ctx.backend, CurveModel) or total - _FIRST_CHUNK < workers * _MIN_CHUNK:
+    workers = min(workers or 1, len(os.sched_getaffinity(0)))
+    if not isinstance(ctx.backend, CurveModel):
         workers = 1
+    # no more workers than full chunks past the first: a pool of 1 is no pool
+    workers = max(1, min(workers, (total - _FIRST_CHUNK) // _MIN_CHUNK))
     chunks = prime_chunks(prime_range, _chunk_lengths(total, workers))
 
     pool = None
@@ -418,7 +424,7 @@ def coefficient_chunks(
                 yield CoefficientChunk(ells[:cut], fetched[: len(a_ells)], a_ells)
                 raise error
             yield CoefficientChunk(ells, fetched, a_ells)
-            # workers > 1 only where every worker gets a full chunk past the first
+            # workers > 1 only where the range past the first chunk fills two full chunks
             if pool is None and workers > 1:
                 # imported here, so that a process that never starts a pool never loads it
                 from concurrent.futures import ProcessPoolExecutor

@@ -453,15 +453,21 @@ class TestSweepPipeline:
         assert stream_until(PointCountError, 101, ctx, 20000, 2) == serial
         assert pools_started == []
 
-    @pytest.mark.parametrize("short, pools", [(1, []), (0, [2])])
-    def test_a_pool_starts_when_every_worker_gets_a_full_chunk(
-        self, ctx_default, pools_started, short, pools
+    @pytest.mark.parametrize("past_first, workers, pools", [
+        (2 * 1024 - 1, 2, []),  # one prime short of two full chunks: the sweep stays here
+        (2 * 1024, 2, [2]),
+        (2 * 1024 - 1, 8, []),
+        (3 * 1024, 8, [3]),  # 8 workers asked for, a worker per full chunk started
+    ])
+    def test_a_pool_gets_a_worker_per_full_chunk(
+        self, ctx_default, pools_started, monkeypatch, past_first, workers, pools
     ):
-        # one prime short of the first chunk plus a full chunk a worker, the sweep stays here
-        total = residual._FIRST_CHUNK + 2 * residual._MIN_CHUNK - short
+        assert residual._MIN_CHUNK == 1024
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        total = residual._FIRST_CHUNK + past_first
         last = next(islice(sieve_primes(PrimeRange(2, 10**5)), total - 1, None))
         prime_range = PrimeRange(2, last)
-        pooled = list(classify_range(ctx_default, prime_range, workers=2))
+        pooled = list(classify_range(ctx_default, prime_range, workers=workers))
         assert pools_started == pools
         assert pooled == list(classify_range(ctx_default, prime_range, workers=1))
 
@@ -592,17 +598,18 @@ class TestPoolTraffic:
 @example(0, 1)
 @example(64, 2)
 @example(65, 2)
-@example(residual._FIRST_CHUNK + 2 * residual._MIN_CHUNK - 1, 2)  # the pool boundary
-@example(residual._FIRST_CHUNK + 2 * residual._MIN_CHUNK, 2)
+@example(20000, 2)  # the guided cap cuts 3,992, 2,994, ... and stops at _MIN_CHUNK
 def test_chunk_lengths(total, workers):
     # the first chunk alone decides whether a sweep that stops early starts a pool
     lengths = list(residual._chunk_lengths(total, workers))
+    ramp = [min(residual._FIRST_CHUNK << i, residual._MAX_CHUNK) for i in range(len(lengths))]
     assert sum(lengths) == total
     assert lengths[:1] == ([min(total, residual._FIRST_CHUNK)] if total else [])
-    assert all(residual._MIN_CHUNK <= n <= residual._MAX_CHUNK for n in lengths[1:-1])
-    assert all(0 < n <= residual._MAX_CHUNK for n in lengths)
-    if workers == 1:  # nothing to balance: no chunk shrinks but the last
-        assert lengths[1:-1] == sorted(lengths[1:-1])
+    # the guided cap cuts no chunk but the last below the ramp or _MIN_CHUNK
+    assert all(min(r, residual._MIN_CHUNK) <= n <= r for n, r in zip(lengths[:-1], ramp))
+    assert all(0 < n <= r for n, r in zip(lengths, ramp))
+    if workers == 1:  # nothing to balance: every chunk but the last follows the ramp
+        assert lengths[:-1] == ramp[:-1]
 
 
 class TestResolveWorkers:
