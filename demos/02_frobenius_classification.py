@@ -14,25 +14,34 @@ Raising the level by a Pi prime bumps the lambda-invariant by one; an
 Omega prime leaves it unchanged.
 """
 
+import json
 from collections import Counter
 
-from lambda_forge import PrimeRange, Verdict, classify_prime, classify_range
+import numpy as np
+
+from lambda_forge import PrimeRange, Verdict, classify_chunks
 from lambda_forge.config import build_context, load_config
 
 ctx = build_context(load_config("configs/default.cfg"))
 print(f"form: level {ctx.level}, p = {ctx.p}, a_p = {ctx.a_p} (ordinary)")
 print()
 
+# a sweep classifies whole chunks of primes at once, as numpy columns
+bound = 20_000
+chunks = list(classify_chunks(ctx, PrimeRange(2, bound)))
+
 print("the first few primes, with the congruence tests that decided them:")
+# the rows of the first chunk as the classify command prints them
+rows = {row["ell"]: row for row in json.loads(f"[{chunks[0].json_rows()}]")}
 for ell in [2, 3, 5, 13, 29, 37, 43, 47]:
-    fc = classify_prime(ctx, ell)
-    print(f"  ell = {ell:>3}: trace = {fc.trace_mod_p}, det = {fc.det_mod_p}  "
-          f"-> {fc.verdict.value:<12} [{', '.join(fc.reasons)}]")
+    row = rows[ell]
+    print(f"  ell = {ell:>3}: trace = {row['trace_mod_p']}, det = {row['det_mod_p']}  "
+          f"-> {row['verdict']:<12} [{', '.join(row['reasons'])}]")
 print()
 
-bound = 20_000
-stream = list(classify_range(ctx, PrimeRange(2, bound)))
-counts = Counter(fc.verdict for fc in stream)
+counts = Counter()
+for chunk in chunks:
+    counts.update(chunk.counts())
 classifiable = sum(v for k, v in counts.items() if k is not Verdict.SKIPPED)
 print(f"classification of all primes up to {bound}:")
 for verdict in (Verdict.PI, Verdict.OMEGA, Verdict.NEITHER, Verdict.SKIPPED):
@@ -47,7 +56,7 @@ print(f"  Pi:    {pi_frac:.4f}   vs (p-3)/(p(p-1)) = {(p - 3) / (p * (p - 1)):.4
 print(f"  Omega: {omega_frac:.4f}   vs (p-3)/(p-1)^2  = {(p - 3) / (p - 1) ** 2:.4f}")
 print()
 
-pi_primes = [fc.ell for fc in stream if fc.verdict is Verdict.PI]
-print(f"first ten Pi primes:    {pi_primes[:10]}")
-omega_primes = [fc.ell for fc in stream if fc.verdict is Verdict.OMEGA]
-print(f"first ten Omega primes: {omega_primes[:10]}")
+ells = np.concatenate([chunk.ells for chunk in chunks])
+verdicts = np.concatenate([chunk.verdicts() for chunk in chunks])
+print(f"first ten Pi primes:    {ells[verdicts == Verdict.PI][:10].tolist()}")
+print(f"first ten Omega primes: {ells[verdicts == Verdict.OMEGA][:10].tolist()}")

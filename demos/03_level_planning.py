@@ -15,11 +15,10 @@ lambda-invariant is converted into Bloch-Kato Selmer rank information.
 import json
 
 from lambda_forge import (
-    PrimeRange,
+    a_ell,
     bk_rank_bounds,
+    build_level_set,
     carayol_check,
-    classify_range,
-    enumerate_level_sets,
     plan_target_lambda,
 )
 from lambda_forge.config import build_context, load_config
@@ -39,8 +38,12 @@ for target in range(5):
 print()
 
 print("several level sets predicting the same invariant (n = 2, any Omega prime):")
-stream = list(classify_range(ctx, PrimeRange(2, 700)))
-for level_set in enumerate_level_sets(ctx, stream, n=2, r=1, limit=4):
+# the two smallest Pi primes with each of the four smallest Omega primes; a
+# level set is built from each family's columns of primes and coefficients
+planned = plan_target_lambda(ctx, 2, 4, scan_bound=700)
+pi = (planned.pi_primes, [a_ell(ctx, ell) for ell in planned.pi_primes])
+for omega in planned.omega_primes:
+    level_set = build_level_set(ctx, pi, ([omega], [a_ell(ctx, omega)]))
     print(f"  Pi {level_set.pi_primes} + Omega {level_set.omega_primes}: "
           f"N_f = {level_set.n_f}, predicted lambda = {level_set.predicted_lambda}")
 print()

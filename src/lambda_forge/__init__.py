@@ -3,7 +3,7 @@ Iwasawa lambda-invariants.
 
 Starting from a fixed p-ordinary newform g (backed by an elliptic curve or
 a coefficient table) with certified lambda/mu data, the package classifies
-primes by Frobenius conjugacy class, enumerates admissible raised levels,
+primes by Frobenius conjugacy class, plans admissible raised levels,
 predicts the lambda-invariant of the congruent newforms living there, and
 verifies the exact Chebotarev densities of the admissible prime families
 both by exhaustive GL2(F_p) enumeration and by empirical sampling.
@@ -42,7 +42,6 @@ from .levels import (
     LevelSet,
     build_level_set,
     carayol_check,
-    enumerate_level_sets,
     plan_target_lambda,
 )
 from .residual import (
@@ -83,7 +82,6 @@ __all__ = [
     "count_points_naive",
     "empirical_density",
     "enumerate_gl2_classes",
-    "enumerate_level_sets",
     "exact_densities",
     "is_ordinary",
     "lambda_transfer",

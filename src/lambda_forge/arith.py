@@ -112,13 +112,19 @@ def sieve_primes(prime_range: PrimeRange) -> Iterator[int]:
 def prime_chunks(prime_range: PrimeRange, lengths: Iterable[int]) -> Iterator[np.ndarray]:
     """The primes in ``prime_range``, ascending, as int64 arrays of the given lengths.
 
-    The lengths must not add up to more than the range holds.
+    A length past the primes still left gets those left, and the chunks end
+    with the range.  Each length is read only when its chunk is asked for.
     """
     segments = _sieve_segments(prime_range)
     pending = np.empty(0, dtype=np.int64)
     for n in lengths:
         while len(pending) < n:
-            pending = np.concatenate((pending, next(segments)))
+            segment = next(segments, None)
+            if segment is None:
+                break
+            pending = np.concatenate((pending, segment))
+        if not len(pending):
+            return
         yield pending[:n]
         pending = pending[n:]
 

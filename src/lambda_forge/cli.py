@@ -43,7 +43,6 @@ from .residual import (
     JSON_FIELD,
     JSON_ROW_SEPARATOR,
     Verdict,
-    classification_to_csv,
     classify_chunks,
     coefficient_chunks,
     json_row_pieces,
@@ -212,7 +211,8 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> Non
     workers = args.workers or resolve_workers()
     chunks = classify_chunks(ctx, PrimeRange(args.lo, args.hi), workers=workers)
     if args.format == "csv":
-        classification_to_csv(chunks, out)
+        for _ in tee_to_csv(chunks, out):
+            pass
         return
     rows = _JsonRows()
     counts = Counter(dict.fromkeys(Verdict, 0))

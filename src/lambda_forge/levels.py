@@ -1,19 +1,20 @@
-"""Admissible level sets: enumeration, Carayol admissibility, and planning.
+"""Admissible level sets: building and planning them, and Carayol admissibility.
 
 A level set picks n primes from the Pi family and r from the Omega family;
 the congruent newform then lives at level N_f = N_g * (product of the
 chosen primes) and its predicted lambda-invariant is lambda_g + n,
 independent of which specific primes were chosen.  Existence of the form at
 each admissible level is the Diamond-Taylor level-raising theorem and is
-attached as an asserted certificate, never recomputed.
+attached as an asserted certificate, never recomputed.  A level set is
+built from each family's (ell, a_ell) columns, and a plan picks its primes
+from the sweep's classified chunks, so no object is built a prime.
 """
 
 from __future__ import annotations
 
-import itertools
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .density import exact_densities
 from .errors import CoverageError, ResourceLimitError, ScarcityError
 from .forms import FormContext
 from .iwasawa import lambda_transfer, sigma_ell
-from .residual import FrobeniusClass, Verdict, classify_range, column_dtype
+from .residual import Verdict, classify_chunk, classify_chunks
+# the traced benchmark (bench/run.py) wraps levels.classify_range by name
+from .residual import classify_range  # noqa: F401
 
 MAX_LEVEL = 2**63
 CARAYOL_TRIAL_BOUND = 10**6
@@ -70,90 +73,64 @@ def _case1_identity_holds(ell: int, trace: int, p: int) -> bool:
 
 def build_level_set(
     ctx: FormContext,
-    pi_classes: tuple[FrobeniusClass, ...],
-    omega_classes: tuple[FrobeniusClass, ...],
+    pi: tuple[Sequence[int], Sequence[int]],
+    omega: tuple[Sequence[int], Sequence[int]],
 ) -> LevelSet:
-    """Assemble a LevelSet from classified primes, running the full pipeline.
+    """Assemble a LevelSet from chosen primes, running the full pipeline.
 
-    The predicted lambda is obtained by actually evaluating the transfer sum
-    over the chosen primes (generic Euler factors for g, degenerate ramified
-    factors for the new form), not by shortcutting to lambda_g + n.  A prime
-    dividing N_g * p has no Frobenius class to transfer and is refused.
+    ``pi`` and ``omega`` hold each family's primes as (ells, a_ells)
+    columns; only a_ell mod p matters.  A prime dividing N_g * p has no
+    Frobenius class to transfer and is refused, as are a prime chosen twice
+    and a level past 2^63.  Each row's verdict is then derived again with
+    :func:`residual.classify_chunk`, the one definition of the Pi and Omega
+    families, and a prime outside its family is refused.  The predicted
+    lambda is obtained by actually evaluating the transfer sum over the
+    chosen primes (generic Euler factors for g, degenerate ramified factors
+    for the new form), not by shortcutting to lambda_g + n.
     """
-    chosen = [(c, Verdict.PI) for c in pi_classes] + [(c, Verdict.OMEGA) for c in omega_classes]
-    for klass, _ in chosen:
-        if ctx.divides_ngp(klass.ell):
-            raise ValueError(f"level-raising prime {klass.ell} divides N_g * p")
-    for klass, want in chosen:
-        if klass.verdict is not want:
-            raise ValueError(f"prime {klass.ell} has verdict {klass.verdict}, expected {want}")
-        if not _case1_identity_holds(klass.ell, klass.trace_mod_p, ctx.p):
-            raise AssertionError(
-                f"level-raising prime {klass.ell} fails the Carayol case-1 identity; bug"
-            )
-
-    primes = [c.ell for c, _ in chosen]
+    primes = [int(ell) for ell in (*pi[0], *omega[0])]
+    for ell in primes:
+        if ctx.divides_ngp(ell):
+            raise ValueError(f"level-raising prime {ell} divides N_g * p")
     if len(set(primes)) != len(primes):
         raise ValueError(f"duplicate primes in level set: {sorted(primes)}")
     n_sigma = _checked_product(primes)
     n_f = _checked_product([ctx.level], start=n_sigma)
 
-    dtype = column_dtype(ctx.p, max(primes, default=0))
-    ells = np.array(primes, dtype)
-    traces = np.array([c.trace_mod_p for c, _ in chosen], dtype)
+    # every prime lies below 2^63 / N_g, so in any order the columns take the
+    # dtype p alone picks (int64, or object past the int64 bound)
+    pi_chunk, omega_chunk = (
+        classify_chunk(ells, np.arange(len(ells)), np.asarray(a_ells), ctx.p)
+        for ells, a_ells in (pi, omega)
+    )
+    for want, chunk in ((Verdict.PI, pi_chunk), (Verdict.OMEGA, omega_chunk)):
+        for ell, t, verdict in zip(chunk.ells.tolist(), chunk.trace_mod_p.tolist(),
+                                   chunk.verdicts()):
+            if verdict is not want:
+                raise ValueError(f"prime {ell} has verdict {verdict}, expected {want}")
+            if not _case1_identity_holds(ell, t, ctx.p):
+                raise AssertionError(
+                    f"level-raising prime {ell} fails the Carayol case-1 identity; bug"
+                )
+
+    ells = np.concatenate((pi_chunk.ells, omega_chunk.ells))
+    traces = np.concatenate((pi_chunk.trace_mod_p, omega_chunk.trace_mod_p))
     # Newly ramified at a Pi (Omega) prime, f has inertia acting by a nontrivial
     # unipotent; its inertia coinvariants are a line on which Frobenius acts by
     # +1 (-1), so the quadratic factor degenerates to 1 - X (1 + X).
-    signs = np.array([-1 if want is Verdict.PI else 1 for _, want in chosen], dtype)
+    signs = np.array([-1] * len(pi_chunk.ells) + [1] * len(omega_chunk.ells), ells.dtype)
     _, _, sigma_g = sigma_ell(ctx.p, ells, -traces, ells)
     _, _, sigma_f = sigma_ell(ctx.p, ells, signs, np.zeros_like(ells))
 
     return LevelSet(
-        pi_primes=tuple(c.ell for c in pi_classes),
-        omega_primes=tuple(c.ell for c in omega_classes),
+        pi_primes=tuple(pi_chunk.ells.tolist()),
+        omega_primes=tuple(omega_chunk.ells.tolist()),
         n_sigma=n_sigma,
         n_f=n_f,
         predicted_lambda=lambda_transfer(ctx, sigma_g, sigma_f),
         predicted_mu=0,
-        existence=EXISTENCE_ASSERTED if chosen else EXISTENCE_IDENTITY,
+        existence=EXISTENCE_ASSERTED if primes else EXISTENCE_IDENTITY,
     )
-
-
-def enumerate_level_sets(
-    ctx: FormContext,
-    classified: Iterable[FrobeniusClass],
-    n: int,
-    r: int,
-    limit: int = 10,
-) -> list[LevelSet]:
-    """The lexicographically first ``limit`` level sets with n Pi and r Omega primes.
-
-    ``classified`` is any classification stream (ascending ell).  n = r = 0
-    yields the identity set describing the base form itself.
-    """
-    if n < 0 or r < 0:
-        raise ValueError(f"n and r must be >= 0, got n={n}, r={r}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    pi_pool: list[FrobeniusClass] = []
-    omega_pool: list[FrobeniusClass] = []
-    for klass in classified:
-        if klass.verdict is Verdict.PI:
-            pi_pool.append(klass)
-        elif klass.verdict is Verdict.OMEGA:
-            omega_pool.append(klass)
-    if len(pi_pool) < n or len(omega_pool) < r:
-        raise ScarcityError(
-            f"need {n} Pi and {r} Omega primes but the scan supplied "
-            f"{len(pi_pool)} and {len(omega_pool)}"
-        )
-    out: list[LevelSet] = []
-    for pi_choice in itertools.combinations(pi_pool, n):
-        for omega_choice in itertools.combinations(omega_pool, r):
-            out.append(build_level_set(ctx, pi_choice, omega_choice))
-            if len(out) >= limit:
-                return out
-    return out
 
 
 def plan_target_lambda(
@@ -167,8 +144,8 @@ def plan_target_lambda(
     """Smallest level set predicted to hit ``target`` as the lambda-invariant.
 
     Picks the n = target - lambda_g smallest Pi primes and the r smallest
-    Omega primes below ``scan_bound``.  The scan stops as soon as enough
-    primes are found.
+    Omega primes below ``scan_bound``, reading each classified chunk's
+    columns.  The scan stops as soon as enough primes are found.
     """
     if r < 0:
         raise ValueError(f"omega count must be >= 0, got {r}")
@@ -183,24 +160,26 @@ def plan_target_lambda(
             "target = lambda_g and omega count 0 would leave the level unchanged; "
             "request at least one Omega prime for a stability set"
         )
-    pi_found: list[FrobeniusClass] = []
-    omega_found: list[FrobeniusClass] = []
-    with closing(classify_range(ctx, PrimeRange(2, scan_bound), workers=workers)) as stream:
-        for klass in stream:
-            if klass.verdict is Verdict.PI and len(pi_found) < n:
-                pi_found.append(klass)
-            elif klass.verdict is Verdict.OMEGA and len(omega_found) < r:
-                omega_found.append(klass)
-            if len(pi_found) >= n and len(omega_found) >= r:
+    need = {Verdict.PI: n, Verdict.OMEGA: r}
+    found = {verdict: ([], []) for verdict in need}  # each family's (ells, traces)
+    with closing(classify_chunks(ctx, PrimeRange(2, scan_bound), workers=workers)) as chunks:
+        for chunk in chunks:
+            verdicts = chunk.verdicts()
+            for verdict, (ells, traces) in found.items():
+                rows = np.flatnonzero(verdicts == verdict)[: need[verdict] - len(ells)]
+                ells += chunk.ells[rows].tolist()
+                traces += chunk.trace_mod_p[rows].tolist()
+            if all(len(found[verdict][0]) == need[verdict] for verdict in need):
                 break
-    if len(pi_found) < n or len(omega_found) < r:
+    pi, omega = found[Verdict.PI], found[Verdict.OMEGA]
+    if len(pi[0]) < n or len(omega[0]) < r:
         pi_density, omega_density = exact_densities(ctx.p)
         raise ScarcityError(
-            f"scan to {scan_bound} found {len(pi_found)}/{n} Pi and "
-            f"{len(omega_found)}/{r} Omega primes; expected supply rates are "
+            f"scan to {scan_bound} found {len(pi[0])}/{n} Pi and "
+            f"{len(omega[0])}/{r} Omega primes; expected supply rates are "
             f"{pi_density} (Pi) and {omega_density} (Omega) of all primes"
         )
-    return build_level_set(ctx, tuple(pi_found), tuple(omega_found))
+    return build_level_set(ctx, pi, omega)
 
 
 # --- Carayol admissibility -------------------------------------------------

@@ -21,10 +21,12 @@ computed in numpy.  The chunks come from :func:`coefficient_chunks` as
 columns too (:class:`CoefficientChunk`): the sieved primes, the rows whose
 a_ell was fetched and those a_ell.  Every report reads the columns: the CSV
 export, the JSON rows (:meth:`ClassifiedChunk.json_rows`), the density
-counts and the sigma columns.  :func:`classify_range` flattens the same
-chunks into one :class:`FrobeniusClass` a prime for ``plan``, which picks
-primes one at a time.  Only the density counts (:func:`verdict_counts`)
-fetch fewer rows: those that can change a verdict (:func:`verdict_rows`).
+counts, the sigma columns and the primes ``plan`` picks
+(:meth:`ClassifiedChunk.verdicts`).  No command builds one
+:class:`FrobeniusClass` a prime: :func:`classify_range` still flattens the
+chunks that way, for tests and for the benchmark's tracer, which wraps it
+by name.  Only the density counts (:func:`verdict_counts`) fetch fewer
+rows: those that can change a verdict (:func:`verdict_rows`).
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ _VERDICTS = (Verdict.SKIPPED,) + tuple(
     for m, t, w in product(range(3), repeat=3)
 )
 _VERDICT_INDEX = np.array([list(Verdict).index(v) for v in _VERDICTS])
+_VERDICT_COLUMN = np.array(_VERDICTS, dtype=object)
 
 # What follows the trace in a row of the CSV export, by code.
 _CSV_TAILS = tuple(f",{v.value}\n" for v in _VERDICTS)
@@ -205,6 +208,10 @@ class ClassifiedChunk:
                 yield FrobeniusClass(ell, t, ell % self.p, _VERDICTS[code], _REASONS[code])
             else:
                 yield FrobeniusClass(ell, None, None, Verdict.SKIPPED, _REASONS[0])
+
+    def verdicts(self) -> np.ndarray:
+        """Each row's :class:`Verdict`, as a column of dtype object."""
+        return _VERDICT_COLUMN[self.codes]
 
     def counts(self) -> dict[Verdict, int]:
         """The number of rows of each verdict."""
@@ -374,10 +381,12 @@ def coefficient_chunks(
     The sieved primes are cut into chunks (see :func:`_chunk_lengths`)
     whatever ``rows`` picks.  Every chunk is fetched with
     :meth:`FormContext.coefficient_column`.  The first chunk is always
-    fetched in this process, so a consumer that stops inside it (``plan`` at
-    its usual targets) never starts a pool.  Only when the consumer asks for
-    a second chunk are the rest fetched on ``workers`` processes, capped at
-    the cores this process may run on and at one worker for every
+    fetched in this process, before the range is counted, so a consumer that
+    stops inside it (``plan`` at its usual targets) neither counts the
+    range's primes nor starts a pool: counting the 5,761,455 primes below
+    1e8 takes 0.5-0.7 s.  Only when the consumer asks for a second chunk is
+    the range counted and the rest fetched on ``workers`` processes, capped
+    at the cores this process may run on and at one worker for every
     ``_MIN_CHUNK`` primes past the first chunk, since fewer primes a worker
     cannot repay its start-up.  A pool starts only for a curve, and only
     when that leaves two or more workers (from 64 + 2 * 1,024 primes on);
@@ -396,14 +405,17 @@ def coefficient_chunks(
     chunks already taken (at most workers + 1 of them: 128, 256 and 512
     primes at 2 workers for a consumer that stops in the second chunk).
     """
-    total = count_primes(prime_range)
     workers = min(workers or 1, len(os.sched_getaffinity(0)))
     if not isinstance(ctx.backend, CurveModel):
         workers = 1
-    # no more workers than full chunks past the first: a pool of 1 is no pool
-    workers = max(1, min(workers, (total - _FIRST_CHUNK) // _MIN_CHUNK))
-    chunks = prime_chunks(prime_range, _chunk_lengths(total, workers))
+    total = None  # the primes in the range, counted when a second chunk is asked for
 
+    def lengths() -> Iterator[int]:
+        yield _FIRST_CHUNK  # or all the range holds, if fewer
+        # read when the second chunk is asked for, once the loop below has set both
+        yield from islice(_chunk_lengths(total, workers), 1, None)
+
+    chunks = prime_chunks(prime_range, lengths())
     pool = None
 
     def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
@@ -413,7 +425,8 @@ def coefficient_chunks(
             return ells, fetched, partial(ctx.coefficient_column, ells[fetched])
         return ells, fetched, pool.submit(_coefficients_in_worker, ells[fetched]).result
 
-    # the first chunk is always fetched here: a sweep that stops inside it starts no pool
+    # the first chunk is always fetched here: a sweep that stops inside it
+    # counts no primes and starts no pool
     in_flight = deque(map(submit, islice(chunks, 1)))
     try:
         while in_flight:
@@ -424,14 +437,17 @@ def coefficient_chunks(
                 yield CoefficientChunk(ells[:cut], fetched[: len(a_ells)], a_ells)
                 raise error
             yield CoefficientChunk(ells, fetched, a_ells)
-            # workers > 1 only where the range past the first chunk fills two full chunks
-            if pool is None and workers > 1:
-                # imported here, so that a process that never starts a pool never loads it
-                from concurrent.futures import ProcessPoolExecutor
+            if total is None:  # a second chunk is asked for
+                total = count_primes(prime_range)
+                # no more workers than full chunks past the first: a pool of 1 is no pool
+                workers = max(1, min(workers, (total - _FIRST_CHUNK) // _MIN_CHUNK))
+                if workers > 1:
+                    # imported here, so that a process that never starts a pool never loads it
+                    from concurrent.futures import ProcessPoolExecutor
 
-                pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
-                )
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
+                    )
             in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
     finally:
         if pool is not None:
@@ -507,12 +523,6 @@ def tee_to_csv(chunks: Iterable[ClassifiedChunk], out: IO[str]) -> Iterator[Clas
     for chunk in chunks:
         out.write(chunk.csv_rows())
         yield chunk
-
-
-def classification_to_csv(chunks: Iterable[ClassifiedChunk], out: IO[str]) -> None:
-    """Write all the chunks to ``out`` in the export format of :func:`tee_to_csv`."""
-    for _ in tee_to_csv(chunks, out):
-        pass
 
 
 @dataclass(frozen=True)

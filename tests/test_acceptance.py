@@ -8,6 +8,7 @@ takes a few minutes; everything else is fast.
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, islice, product
 from math import isqrt
 
 import numpy as np
@@ -18,14 +19,13 @@ from lambda_forge import (
     FormContext,
     Verdict,
     bk_rank_bounds,
+    build_level_set,
     carayol_check,
     classify_chunks,
-    classify_range,
     count_points_bsgs,
     count_points_naive,
     empirical_density,
     enumerate_gl2_classes,
-    enumerate_level_sets,
     exact_densities,
     lambda_transfer,
     sigma_ell,
@@ -252,9 +252,19 @@ def _synthesize_scenario(rng, p, residue_pools):
 
 
 def test_criterion_6_carayol_consistency(ctx_default):
-    # part 1: every prime placed by the planner/enumerator passes case (1)
-    stream = list(classify_range(ctx_default, PrimeRange(2, 700)))
-    for level_set in enumerate_level_sets(ctx_default, stream, n=2, r=1, limit=8):
+    # part 1: every prime placed in a level set passes case (1), in the first 8
+    # sets of 2 Pi and 1 Omega prime below 700, in lexicographic order
+    rows = {Verdict.PI: [], Verdict.OMEGA: []}  # (ell, a_ell mod p) pairs
+    for chunk in classify_chunks(ctx_default, PrimeRange(2, 700)):
+        verdicts = chunk.verdicts()
+        for verdict, family in rows.items():
+            picked = verdicts == verdict
+            family += zip(chunk.ells[picked].tolist(), chunk.trace_mod_p[picked].tolist())
+    choices = product(combinations(rows[Verdict.PI], 2), combinations(rows[Verdict.OMEGA], 1))
+    level_sets = [build_level_set(ctx_default, tuple(zip(*pi)), tuple(zip(*omega)))
+                  for pi, omega in islice(choices, 8)]
+    assert len(level_sets) == 8
+    for level_set in level_sets:
         check = carayol_check(ctx_default, level_set.n_f)
         assert check.verdict == "admissible"
         for prime in check.primes:

@@ -306,7 +306,7 @@ class TestVerifyDensity:
         assert len(lines) == 1 + sum(1 for _ in PrimeRange(2, 200))
         ctx = build_context(load_config(curve_config))
         expected = io.StringIO()
-        residual.classification_to_csv(residual.classify_chunks(ctx, PrimeRange(2, 200)), expected)
+        list(residual.tee_to_csv(residual.classify_chunks(ctx, PrimeRange(2, 200)), expected))
         assert dump.read_text() == expected.getvalue()
 
     def test_csv_changes_no_report_byte(self, curve_config, tmp_path, capsys, two_cores):
@@ -621,12 +621,15 @@ class TestNoPerPrimeObjects:
         assert built == {}
 
     def test_the_spy_sees_the_json_report(self, curve_config, built, capsys):
-        # plan picks its primes from FrobeniusClass objects, one a prime up to the
-        # first Pi prime of 11a at p = 7, where its scan stops
+        # plan picks the first Pi prime of 11a at p = 7 from the sweep's columns
         report = run_json(capsys, ["plan", "--config", curve_config, "--target-lambda", "1",
                                    "--scan-bound", "500"])
         assert report["pi_primes"] == [37]
-        assert built == {"FrobeniusClass": sum(1 for _ in PrimeRange(2, 37))}
+        assert built == {}
+        # the spy counts an object built a prime where one is built
+        ctx = build_context(load_config(curve_config))
+        assert next(classify_range(ctx, PrimeRange(2, 500))).ell == 2
+        assert built == {"FrobeniusClass": 1}
 
 
 def dict_path_report(command: str, config: str, lo: int, hi: int) -> dict:

@@ -1,8 +1,9 @@
 """Smoke test: the demo scripts run to completion.
 
 The demos are the only callers outside the tests of some library names
-(``is_ordinary``, ``enumerate_level_sets``, ``FormContext.a_p``), so they
-guard those names against removal.  The slowest,
+(``is_ordinary``, ``FormContext.a_p``), so they guard those names against
+removal.  Demo 02 reads the sweep's classified columns and demo 03 builds
+level sets from (ell, a_ell) columns, as the library does.  The slowest,
 ``demos/04_density_verification.py``, sweeps to 300,000 in about 5 s on one
 worker.
 """

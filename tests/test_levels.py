@@ -1,7 +1,10 @@
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lambda_forge import (
     CoefficientTable,
@@ -9,8 +12,7 @@ from lambda_forge import (
     Verdict,
     build_level_set,
     carayol_check,
-    classify_range,
-    enumerate_level_sets,
+    classify_chunks,
     levels,
     plan_target_lambda,
 )
@@ -19,12 +21,31 @@ from lambda_forge.config import build_context, load_config
 from lambda_forge.errors import ResourceLimitError, ScarcityError
 from lambda_forge.iwasawa import sigma_ell
 from lambda_forge.levels import EXISTENCE_ASSERTED, EXISTENCE_IDENTITY
-from lambda_forge.residual import FrobeniusClass, column_dtype
+from lambda_forge.residual import classify_chunk, column_dtype, resolve_workers
+
+
+def columns(rows) -> tuple[list[int], list[int]]:
+    """(ell, trace) pairs as the (ells, a_ells) columns build_level_set takes."""
+    return [ell for ell, _ in rows], [t for _, t in rows]
+
+
+def level_sets(ctx: FormContext, rows: dict, n: int, r: int, limit: int) -> list:
+    """The lexicographically first ``limit`` level sets with n Pi and r Omega primes."""
+    choices = product(combinations(rows[Verdict.PI], n), combinations(rows[Verdict.OMEGA], r))
+    return [build_level_set(ctx, columns(pi), columns(omega))
+            for pi, omega in islice(choices, limit)]
 
 
 @pytest.fixture(scope="module")
-def stream_500(ctx_default):
-    return list(classify_range(ctx_default, PrimeRange(2, 500)))
+def rows_500(ctx_default) -> dict[Verdict, list[tuple[int, int]]]:
+    """The Pi and Omega primes below 500 as (ell, a_ell mod p) pairs, ascending."""
+    rows = {Verdict.PI: [], Verdict.OMEGA: []}
+    for chunk in classify_chunks(ctx_default, PrimeRange(2, 500)):
+        for ell, t, verdict in zip(chunk.ells.tolist(), chunk.trace_mod_p.tolist(),
+                                   chunk.verdicts()):
+            if verdict in rows:
+                rows[verdict].append((ell, t))
+    return rows
 
 
 def carayol_ctx() -> FormContext:
@@ -37,74 +58,87 @@ def carayol_ctx() -> FormContext:
 
 
 class TestEnumerate:
-    def test_first_set_uses_smallest_pi_prime(self, ctx_default, stream_500):
-        pi_pool = [fc.ell for fc in stream_500 if fc.verdict is Verdict.PI]
-        sets = enumerate_level_sets(ctx_default, stream_500, n=1, r=0, limit=3)
+    """Level sets enumerated here, over the classified columns, and each built
+    by build_level_set from its (ell, a_ell) columns."""
+
+    def test_first_set_uses_smallest_pi_prime(self, ctx_default, rows_500):
+        pi_pool, _ = columns(rows_500[Verdict.PI])
+        sets = level_sets(ctx_default, rows_500, n=1, r=0, limit=3)
         assert sets[0].pi_primes == (pi_pool[0],)
         assert sets[0].n_f == 11 * pi_pool[0]
         assert [s.pi_primes[0] for s in sets] == pi_pool[:3]
+        assert plan_target_lambda(ctx_default, 1, 0, 500) == sets[0]
 
-    def test_identity_set(self, ctx_default, stream_500):
-        (identity,) = enumerate_level_sets(ctx_default, stream_500, n=0, r=0, limit=1)
+    def test_identity_set(self, ctx_default):
+        identity = build_level_set(ctx_default, ([], []), ([], []))
+        assert identity.pi_primes == identity.omega_primes == ()
         assert identity.n_sigma == 1
         assert identity.n_f == 11
         assert identity.predicted_lambda == ctx_default.lambda_g
         assert identity.existence == EXISTENCE_IDENTITY
 
-    def test_lambda_independent_of_omega_choice(self, ctx_default, stream_500):
-        sets = enumerate_level_sets(ctx_default, stream_500, n=2, r=1, limit=5)
+    def test_lambda_independent_of_omega_choice(self, ctx_default, rows_500):
+        sets = level_sets(ctx_default, rows_500, n=2, r=1, limit=5)
         assert len({s.predicted_lambda for s in sets}) == 1
         assert sets[0].predicted_lambda == ctx_default.lambda_g + 2
         assert len({s.omega_primes for s in sets}) == 5
         assert all(s.existence == EXISTENCE_ASSERTED for s in sets)
         assert all(s.predicted_mu == 0 for s in sets)
 
-    def test_level_arithmetic(self, ctx_default, stream_500):
-        for level_set in enumerate_level_sets(ctx_default, stream_500, n=2, r=2, limit=4):
+    def test_level_arithmetic(self, ctx_default, rows_500):
+        for level_set in level_sets(ctx_default, rows_500, n=2, r=2, limit=4):
             prod = 1
             for q in level_set.pi_primes + level_set.omega_primes:
                 prod *= q
             assert level_set.n_sigma == prod
             assert level_set.n_f == 11 * prod
 
-    def test_scarcity(self, ctx_default, stream_500):
-        with pytest.raises(ScarcityError, match="supplied"):
-            enumerate_level_sets(ctx_default, stream_500, n=200, r=0)
-
     def test_overflow_past_2_to_63(self, ctx_default):
         # three Pi-type primes near 4.3e6 push N_f past 2^63
-        fabricated = []
+        ells = []
         for q in sieve_primes(PrimeRange(4_300_000, 4_400_000)):
             if q % 7 in (0, 1, 6) or pow(q, 6, 49) == 1:
                 continue
-            fabricated.append(
-                FrobeniusClass(ell=q, trace_mod_p=(1 + q) % 7, det_mod_p=q % 7,
-                               verdict=Verdict.PI, reasons=()))
-            if len(fabricated) == 3:
+            ells.append(q)
+            if len(ells) == 3:
                 break
+        traces = [(1 + q) % 7 for q in ells]
+        chunk = classify_chunk(ells, range(3), np.array(traces), 7)
+        assert chunk.verdicts().tolist() == [Verdict.PI] * 3  # refused for the level alone
         with pytest.raises(ResourceLimitError, match="2\\^63"):
-            enumerate_level_sets(ctx_default, fabricated, n=3, r=0, limit=1)
+            build_level_set(ctx_default, (ells, traces), ([], []))
 
-    def test_wrong_verdict_rejected(self, ctx_default, stream_500):
-        omega = next(fc for fc in stream_500 if fc.verdict is Verdict.OMEGA)
-        with pytest.raises(ValueError, match="verdict"):
-            build_level_set(ctx_default, (omega,), ())
+    def test_wrong_verdict_rejected(self, ctx_default, rows_500):
+        (omega,), (pi,) = rows_500[Verdict.OMEGA][:1], rows_500[Verdict.PI][:1]
+        with pytest.raises(ValueError, match=f"prime {omega[0]} has verdict Verdict.OMEGA, "
+                                             "expected Verdict.PI"):
+            build_level_set(ctx_default, columns([omega]), ([], []))
+        with pytest.raises(ValueError, match=f"prime {pi[0]} has verdict Verdict.PI"):
+            build_level_set(ctx_default, ([], []), columns([pi]))
+        # 2 is Neither on 11a at p = 7 (a_2 = -2): a trace no family has
+        with pytest.raises(ValueError, match="prime 2 has verdict Verdict.NEITHER"):
+            build_level_set(ctx_default, ([2], [-2]), ([], []))
 
-    @pytest.mark.parametrize("klass", [
-        FrobeniusClass(11, 5, 4, Verdict.PI, ()),  # ell = N_g: no lambda increase to predict
-        FrobeniusClass(7, 1, 0, Verdict.PI, ()),  # ell = p: s_ell is undefined
+    @pytest.mark.parametrize("ell, trace", [
+        (11, 5),  # ell = N_g: no lambda increase to predict
+        (7, 1),  # ell = p: s_ell is undefined
     ], ids=["ell-divides-level", "ell-equals-p"])
-    def test_prime_dividing_ngp_refused(self, ctx_default, klass):
-        with pytest.raises(ValueError, match=f"level-raising prime {klass.ell} divides N_g \\* p"):
-            build_level_set(ctx_default, (klass,), ())
-        with pytest.raises(ValueError, match=f"prime {klass.ell} divides"):
-            build_level_set(ctx_default, (), (klass,))
+    def test_prime_dividing_ngp_refused(self, ctx_default, ell, trace):
+        with pytest.raises(ValueError, match=f"level-raising prime {ell} divides N_g \\* p"):
+            build_level_set(ctx_default, ([ell], [trace]), ([], []))
+        with pytest.raises(ValueError, match=f"prime {ell} divides"):
+            build_level_set(ctx_default, ([], []), ([ell], [trace]))
+
+    def test_duplicate_prime_refused(self, ctx_default, rows_500):
+        pi = columns(rows_500[Verdict.PI][:1] * 2)
+        with pytest.raises(ValueError, match="duplicate primes"):
+            build_level_set(ctx_default, pi, ([], []))
 
 
-def hand_made_classes(p: int) -> tuple[tuple[FrobeniusClass, ...], tuple[FrobeniusClass, ...]]:
-    """Pi classes at 5, 13, 17 and an Omega class at 19, with the traces of their types."""
-    pi = tuple(FrobeniusClass(ell, (1 + ell) % p, ell % p, Verdict.PI, ()) for ell in (5, 13, 17))
-    return pi, (FrobeniusClass(19, -20 % p, 19 % p, Verdict.OMEGA, ()),)
+def hand_made_columns(p: int) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+    """Pi primes 5, 17, 23 and the Omega prime 19, with the traces of their families."""
+    pi = [5, 17, 23]
+    return (pi, [(1 + ell) % p for ell in pi]), ([19], [-20 % p])
 
 
 class TestTransferPastTheInt64Bound:
@@ -121,13 +155,15 @@ class TestTransferPastTheInt64Bound:
             return sigma_ell(p, ells, c1, c2)
 
         monkeypatch.setattr(levels, "sigma_ell", spy)
-        level_set = build_level_set(ctx, *hand_made_classes(p))
-        assert column_dtype(p, 19) is dtype
+        level_set = build_level_set(ctx, *hand_made_columns(p))
+        assert column_dtype(p, 23) is dtype
         assert seen == [np.dtype(dtype)] * 2  # sigma(g), then sigma(f)
         assert level_set.predicted_lambda == 5
         assert type(level_set.predicted_lambda) is int
         assert level_set.predicted_mu == 0
-        assert level_set.n_f == 6 * 5 * 13 * 17 * 19
+        assert level_set.n_f == 6 * 5 * 17 * 19 * 23
+        assert level_set.pi_primes == (5, 17, 23)
+        assert type(level_set.pi_primes[0]) is int
 
 
 class TestPlan:
@@ -165,13 +201,67 @@ class TestPlan:
         assert "2/21" in str(exc.value)
         assert "1/9" in str(exc.value)
 
-    def test_planned_primes_are_smallest(self, ctx_default, stream_500=None):
+    def test_planned_primes_are_smallest(self, ctx_default, rows_500):
         level_set = plan_target_lambda(ctx_default, 2, 1, 500)
-        pool = list(classify_range(ctx_default, PrimeRange(2, 500)))
-        pi_pool = [fc.ell for fc in pool if fc.verdict is Verdict.PI]
-        omega_pool = [fc.ell for fc in pool if fc.verdict is Verdict.OMEGA]
-        assert level_set.pi_primes == tuple(pi_pool[:2])
-        assert level_set.omega_primes == tuple(omega_pool[:1])
+        assert level_set.pi_primes == tuple(columns(rows_500[Verdict.PI][:2])[0])
+        assert level_set.omega_primes == tuple(columns(rows_500[Verdict.OMEGA][:1])[0])
+
+
+# Holds 2,262 primes: past the first chunk a 2-worker sweep of it starts a pool.
+PICK_SCAN = 20_000
+
+
+@pytest.fixture(scope="module", params=[7, 41], ids=["p7", "p41"])
+def one_classification(request, curve_11a1):
+    """11a at p, and one classify_chunk of every prime below PICK_SCAN.
+
+    The sweep's chunks hold the primes from the 1st, 65th, 193rd and 449th
+    on.  At p = 7 the first Pi primes are the 12th, 21st, 43rd, 51st, 59th,
+    61st and 73rd; at p = 41 the 48th, 117th, 235th, 256th and 277th, and
+    the first Omega primes the 12th, 30th, 49th, 160th and 167th.
+    """
+    ctx = FormContext(level=11, p=request.param, lambda_g=0, mu_zero=True,
+                      surjective_mod_p=True, backend=curve_11a1)
+    ells = np.fromiter(PrimeRange(2, PICK_SCAN), np.int64)
+    fetched = np.flatnonzero(~ctx.divides_ngp(ells))
+    a_ells, error = ctx.coefficient_column(ells[fetched])
+    assert error is None
+    return ctx, classify_chunk(ells, fetched, a_ells, ctx.p)
+
+
+def first_rows(chunk, verdict: Verdict, k: int) -> tuple[list[int], list[int]]:
+    """The first k rows of this verdict, as (ells, traces) columns."""
+    rows = np.flatnonzero(chunk.verdicts() == verdict)[:k]
+    return chunk.ells[rows].tolist(), chunk.trace_mod_p[rows].tolist()
+
+
+def level_set_or_refusal(build):
+    try:
+        return build()
+    except ResourceLimitError as exc:  # a level past 2^63, reached at the same prime
+        return str(exc)
+
+
+@pytest.mark.usefixtures("two_cores")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(0, 5), r=st.integers(0, 5))
+@example(n=7, r=0)  # p = 7: stops at the 73rd prime, in the second chunk
+@example(n=3, r=0)  # p = 41: the third chunk
+@example(n=0, r=4)  # p = 41: the second chunk
+@example(n=4, r=3)
+def test_plan_picks_across_chunks(one_classification, monkeypatch, threads, n, r):
+    # plan's primes are the first n Pi and r Omega rows of one classification
+    ctx, chunk = one_classification
+    if max(n, r) == 0:
+        return
+    monkeypatch.setenv("LAMBDA_FORGE_THREADS", threads)
+    planned = level_set_or_refusal(lambda: plan_target_lambda(
+        ctx, ctx.lambda_g + n, r, PICK_SCAN, workers=resolve_workers()))
+    expected = level_set_or_refusal(lambda: build_level_set(
+        ctx, first_rows(chunk, Verdict.PI, n), first_rows(chunk, Verdict.OMEGA, r)))
+    assert planned == expected
 
 
 @pytest.mark.parametrize("config", ["default.cfg", "curve37a.cfg", "curve389a.cfg"])

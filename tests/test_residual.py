@@ -26,6 +26,7 @@ from lambda_forge import (
     classify_range,
     cli,
     curves,
+    plan_target_lambda,
     residual,
     screen_p,
 )
@@ -35,10 +36,10 @@ from lambda_forge.errors import CoverageError, PointCountError
 from lambda_forge.forms import _column, a_ells
 from lambda_forge.residual import (
     _INT64_P_LIMIT,
-    classification_to_csv,
     classify_chunk,
     classify_chunks,
     resolve_workers,
+    tee_to_csv,
 )
 
 from conftest import short_curve
@@ -192,6 +193,8 @@ class TestClassifyChunk:
         chunk = classify_mapping([2, 3, 5, 13, 17], {2: 3, 3: 1, 13: 4, 17: 0}, 5)
         assert chunk.counts() == {Verdict.PI: 2, Verdict.OMEGA: 1, Verdict.NEITHER: 1,
                                   Verdict.SKIPPED: 1}
+        assert chunk.verdicts().tolist() == [Verdict.PI, Verdict.OMEGA, Verdict.SKIPPED,
+                                             Verdict.PI, Verdict.NEITHER]
         assert chunk.csv_rows() == (
             "2,3,PiMember\n3,1,OmegaMember\n5,,Skipped\n13,4,PiMember\n17,0,Neither\n"
         )
@@ -377,7 +380,7 @@ class TestClassifyRange:
 
     def test_csv_export_shape(self, ctx_default):
         buf = io.StringIO()
-        classification_to_csv(classify_chunks(ctx_default, PrimeRange(2, 50)), buf)
+        list(tee_to_csv(classify_chunks(ctx_default, PrimeRange(2, 50)), buf))
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "ell,trace_mod_p,verdict"
         assert lines[1] == "2,5,Neither"
@@ -407,6 +410,32 @@ class TestSweepPipeline:
         stream.close()
         assert time.perf_counter() - t0 < 5.0  # the whole sweep takes about 25 s
         assert multiprocessing.active_children() == []
+
+    def test_a_stop_in_the_first_chunk_counts_no_primes(
+        self, ctx_default, monkeypatch, pools_started
+    ):
+        counted = []
+        count = residual.count_primes
+
+        def counting(prime_range):
+            counted.append(prime_range)
+            return count(prime_range)
+
+        monkeypatch.setattr(residual, "count_primes", counting)
+        stream = residual.coefficient_chunks(ctx_default, PrimeRange(2, 10**8), workers=2)
+        assert len(next(stream).ells) == residual._FIRST_CHUNK
+        stream.close()
+        # plan at its usual targets stops inside the first chunk too
+        assert plan_target_lambda(ctx_default, 2, 0, 10**8, workers=2).pi_primes == (37, 73)
+        assert counted == [] and pools_started == []
+        # the range is counted once, when a second chunk is asked for
+        prime_range = PrimeRange(2, 2000)
+        chunks = residual.coefficient_chunks(ctx_default, prime_range, workers=2)
+        assert [len(chunk.ells) for chunk in chunks] == list(residual._chunk_lengths(303, 1))
+        assert counted == [prime_range]
+        # a range of fewer primes than the first chunk is one chunk
+        chunks = residual.coefficient_chunks(ctx_default, PrimeRange(2, 100), workers=2)
+        assert [len(chunk.ells) for chunk in chunks] == [25]
 
     @pytest.mark.parametrize("gaps", [
         (3001,), (1999, 3001), pytest.param(None, id="ambiguous-bsgs"), (101,),
