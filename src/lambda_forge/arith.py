@@ -3,13 +3,18 @@
 Everything here is pure and deterministic.  Moduli in this project stay
 below 2**63 (p <= ~10**3, ell <= ~10**8, p**2 <= ~10**6), so Python ints
 never become a bottleneck and no external bignum support is needed.
+
+A range's primes come from one segmented sieve: one at a time
+(:func:`sieve_primes`), or as int64 arrays of any length taken from a
+:class:`PrimeStream`, which also says how many primes lie ahead without
+sieving any segment twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -109,29 +114,31 @@ def sieve_primes(prime_range: PrimeRange) -> Iterator[int]:
         yield from segment.tolist()
 
 
-def prime_chunks(prime_range: PrimeRange, lengths: Iterable[int]) -> Iterator[np.ndarray]:
-    """The primes in ``prime_range``, ascending, as int64 arrays of the given lengths.
+class PrimeStream:
+    """The primes of a range, ascending, taken a few at a time.
 
-    A length past the primes still left gets those left, and the chunks end
-    with the range.  Each length is read only when its chunk is asked for.
+    The range is sieved a segment at a time, only as far as the primes
+    asked for reach, so each segment is sieved once however they are taken.
     """
-    segments = _sieve_segments(prime_range)
-    pending = np.empty(0, dtype=np.int64)
-    for n in lengths:
-        while len(pending) < n:
-            segment = next(segments, None)
+
+    def __init__(self, prime_range: PrimeRange) -> None:
+        self._segments = _sieve_segments(prime_range)
+        self._pending = np.empty(0, dtype=np.int64)
+
+    def ahead(self, n: int) -> int:
+        """How many primes are left: at least n while that many remain, else exactly."""
+        while len(self._pending) < n:
+            segment = next(self._segments, None)
             if segment is None:
                 break
-            pending = np.concatenate((pending, segment))
-        if not len(pending):
-            return
-        yield pending[:n]
-        pending = pending[n:]
+            self._pending = np.concatenate((self._pending, segment))
+        return len(self._pending)
 
-
-def count_primes(prime_range: PrimeRange) -> int:
-    """How many primes ``prime_range`` holds, sieved without keeping them."""
-    return sum(len(segment) for segment in _sieve_segments(prime_range))
+    def take(self, n: int) -> np.ndarray:
+        """The next n primes as an int64 array, or all those left if fewer."""
+        self.ahead(n)
+        chunk, self._pending = self._pending[:n], self._pending[n:]
+        return chunk
 
 
 def is_prime(n: int) -> bool:

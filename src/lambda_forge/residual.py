@@ -38,13 +38,13 @@ from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from math import isqrt
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import PrimeRange, count_primes, is_prime, prime_chunks
+from .arith import PrimeRange, PrimeStream, is_prime
 # the traced benchmark (bench/run.py) wraps residual.sieve_primes by name
 from .arith import sieve_primes  # noqa: F401
 from .curves import CurveModel, _pow, trace_of_frobenius
@@ -292,8 +292,22 @@ def _check_split_factorizations(pi, omega, ell, t, d, p: int) -> None:
     raise AssertionError(f"claimed eigenvalue {r} is not a root of X^2-{t[i]}X+{d[i]} mod {p}")
 
 
-# Primes in the first chunk of a sweep; later chunks double up to _MAX_CHUNK,
-# and the guided tail cuts none of them below _MIN_CHUNK but the last.
+# Primes in the first chunk of a sweep; later chunks double up to _MAX_CHUNK.
+# The first is fetched in-process, so a consumer that stops inside it starts
+# no pool, and the ramp keeps small what a consumer that stops soon after it
+# waits for: `plan --target-lambda 7` on 11a stops at the 73rd prime, inside
+# the 128-prime second chunk (a 1,024-prime second chunk took its sweep from
+# 6 to 46 ms, BENCH_22.json).  With 2 or more workers each chunk also holds at
+# most 1 / (2 * workers) of the primes still left (guided self-scheduling,
+# Polychronopoulos and Kuck 1987), so the last, most expensive primes (point
+# counting slows as ell grows) are spread over all workers instead of landing
+# on one.  That cap cuts no chunk below _MIN_CHUNK but the final remainder,
+# because a chunk has a fixed cost (a pool round trip, BSGS rounds of a few
+# lanes, the classification of its columns): on 11a near 3e4 a chunk's
+# coefficients cost 80-130 us a prime at 64 primes, 40-60 at 256, 28-40 at
+# 1,024 and 26-37 at 4,096 (best of 5 in each of 6 runs, one core of a 2-core
+# host, Python 3.11, BENCH_22.json).  One worker has nothing to balance, so
+# its chunks follow the ramp to the end.
 _FIRST_CHUNK = 64
 _MIN_CHUNK = 1024
 _MAX_CHUNK = 4096
@@ -309,37 +323,6 @@ def _set_worker_context(ctx: FormContext) -> None:
 
 def _coefficients_in_worker(ells: np.ndarray) -> tuple[np.ndarray, Exception | None]:
     return _worker_ctx.coefficient_column(ells)
-
-
-def _chunk_lengths(total: int, workers: int) -> Iterator[int]:
-    """Chunk lengths covering ``total`` primes.
-
-    Chunks start at ``_FIRST_CHUNK`` primes and double up to ``_MAX_CHUNK``.
-    The first is fetched in-process, so a consumer that stops inside it
-    starts no pool at all, and the ramp keeps small what a consumer that
-    stops soon after it waits for: ``plan --target-lambda 7`` on 11a stops
-    at the 73rd prime, inside the 128-prime second chunk (a 1,024-prime
-    second chunk took its sweep from 6 to 46 ms, ``BENCH_22.json``).  With
-    2 or more workers each chunk also holds at most 1 / (2 * workers) of the
-    primes still left (guided self-scheduling, Polychronopoulos and Kuck
-    1987), so the last, most expensive primes (point counting slows as ell
-    grows) are spread over all workers instead of landing on one.  That cap
-    cuts no chunk below ``_MIN_CHUNK`` but the final remainder, because a
-    chunk has a fixed cost (a pool round trip, BSGS rounds of a few lanes,
-    the classification of its columns).  On 11a near 3e4 a chunk's
-    coefficients cost 80-130 us a prime at 64 primes, 40-60 at 256, 28-40 at
-    1,024 and 26-37 at 4,096 (best of 5 in each of 6 runs, one core of a
-    2-core host, Python 3.11, ``BENCH_22.json``).  One worker has nothing to
-    balance, so its chunks follow the ramp to the end.
-    """
-    size = _FIRST_CHUNK
-    while total > 0:
-        n = min(total, size)
-        if workers > 1:
-            n = min(n, max(_MIN_CHUNK, -(-total // (2 * workers))))
-        yield n
-        total -= n
-        size = min(2 * size, _MAX_CHUNK)
 
 
 class CoefficientChunk(NamedTuple):
@@ -378,17 +361,16 @@ def coefficient_chunks(
     backend error, so its rows, and the error that ends them, are the same
     for every consumer and at every worker count.
 
-    The sieved primes are cut into chunks (see :func:`_chunk_lengths`)
-    whatever ``rows`` picks.  Every chunk is fetched with
+    The sieved primes are cut into chunks (see ``_FIRST_CHUNK``) whatever
+    ``rows`` picks, all taken from one :class:`PrimeStream`, so each segment
+    of the range is sieved once.  Every chunk is fetched with
     :meth:`FormContext.coefficient_column`.  The first chunk is always
-    fetched in this process, before the range is counted, so a consumer that
-    stops inside it (``plan`` at its usual targets) neither counts the
-    range's primes nor starts a pool: counting the 5,761,455 primes below
-    1e8 takes 0.5-0.7 s.  Only when the consumer asks for a second chunk is
-    the range counted and the rest fetched on ``workers`` processes, capped
-    at the cores this process may run on and at one worker for every
-    ``_MIN_CHUNK`` primes past the first chunk, since fewer primes a worker
-    cannot repay its start-up.  A pool starts only for a curve, and only
+    fetched in this process, so a consumer that stops inside it (``plan`` at
+    its usual targets) sieves one segment and starts no pool.  Only when the
+    consumer asks for a second chunk is the rest fetched on ``workers``
+    processes, capped at the cores this process may run on and at one worker
+    for every ``_MIN_CHUNK`` primes past the first chunk, since fewer primes
+    a worker cannot repay its start-up.  A pool starts only for a curve, and only
     when that leaves two or more workers (from 64 + 2 * 1,024 primes on);
     every other sweep fetches every chunk in this process.  A table answers
     a chunk with one ``searchsorted`` gather, cheaper than the pool's
@@ -408,14 +390,7 @@ def coefficient_chunks(
     workers = min(workers or 1, len(os.sched_getaffinity(0)))
     if not isinstance(ctx.backend, CurveModel):
         workers = 1
-    total = None  # the primes in the range, counted when a second chunk is asked for
-
-    def lengths() -> Iterator[int]:
-        yield _FIRST_CHUNK  # or all the range holds, if fewer
-        # read when the second chunk is asked for, once the loop below has set both
-        yield from islice(_chunk_lengths(total, workers), 1, None)
-
-    chunks = prime_chunks(prime_range, lengths())
+    primes = PrimeStream(prime_range)
     pool = None
 
     def submit(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
@@ -426,8 +401,10 @@ def coefficient_chunks(
         return ells, fetched, pool.submit(_coefficients_in_worker, ells[fetched]).result
 
     # the first chunk is always fetched here: a sweep that stops inside it
-    # counts no primes and starts no pool
-    in_flight = deque(map(submit, islice(chunks, 1)))
+    # sieves one segment and starts no pool
+    first = primes.take(_FIRST_CHUNK)
+    in_flight = deque([submit(first)] if len(first) else [])
+    size = _FIRST_CHUNK  # the ramp: chunks double up to _MAX_CHUNK
     try:
         while in_flight:
             ells, fetched, fetch = in_flight.popleft()
@@ -437,10 +414,13 @@ def coefficient_chunks(
                 yield CoefficientChunk(ells[:cut], fetched[: len(a_ells)], a_ells)
                 raise error
             yield CoefficientChunk(ells, fetched, a_ells)
-            if total is None:  # a second chunk is asked for
-                total = count_primes(prime_range)
+            # Past 2 * workers * _MAX_CHUNK primes left the pool gets every worker
+            # and the guided cap cuts no chunk, so the stream sieves no further
+            # ahead; short of that the range has ended and ``left`` is exact.
+            left = primes.ahead(2 * workers * _MAX_CHUNK)
+            if size == _FIRST_CHUNK:  # a second chunk is asked for
                 # no more workers than full chunks past the first: a pool of 1 is no pool
-                workers = max(1, min(workers, (total - _FIRST_CHUNK) // _MIN_CHUNK))
+                workers = max(1, min(workers, left // _MIN_CHUNK))
                 if workers > 1:
                     # imported here, so that a process that never starts a pool never loads it
                     from concurrent.futures import ProcessPoolExecutor
@@ -448,7 +428,13 @@ def coefficient_chunks(
                     pool = ProcessPoolExecutor(
                         max_workers=workers, initializer=_set_worker_context, initargs=(ctx,)
                     )
-            in_flight.extend(map(submit, islice(chunks, 2 * workers - len(in_flight))))
+            while left and len(in_flight) < 2 * workers:
+                size = min(2 * size, _MAX_CHUNK)
+                n = size
+                if workers > 1:  # at most 1 / (2 * workers) of the primes left
+                    n = min(n, max(_MIN_CHUNK, -(-left // (2 * workers))))
+                in_flight.append(submit(primes.take(n)))
+                left = primes.ahead(2 * workers * _MAX_CHUNK)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

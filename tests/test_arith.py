@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from lambda_forge import arith
 from lambda_forge.arith import (
     MAX_SIEVE_BOUND,
     PrimeRange,
+    PrimeStream,
     are_prime,
     factorize,
     is_prime,
@@ -77,6 +79,38 @@ class TestSieve:
             PrimeRange(1, 10)
         with pytest.raises(ValueError):
             PrimeRange(10, 10)
+
+
+class TestPrimeStream:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, MAX_SIEVE_BOUND - 1),
+        st.integers(1, 3 * WINDOW),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 50000)), max_size=12),
+    )
+    def test_takes_concatenate_to_the_range(self, lo, width, calls):
+        prime_range = PrimeRange(lo, min(lo + width, MAX_SIEVE_BOUND))
+        primes = list(prime_range)
+        stream = PrimeStream(prime_range)
+        taken = []
+        for take, n in calls:
+            left = len(primes) - len(taken)
+            if take:
+                chunk = stream.take(n)
+                assert chunk.dtype == np.int64 and len(chunk) == min(n, left)
+                taken += chunk.tolist()
+            elif left < n:  # fewer remain: exactly those
+                assert stream.ahead(n) == left
+            else:
+                assert n <= stream.ahead(n) <= left
+        taken += stream.take(len(primes)).tolist()
+        assert taken == primes
+        assert (len(stream.take(1)), stream.ahead(1)) == (0, 0)
+
+    def test_resource_limit_at_the_first_take(self):
+        stream = PrimeStream(PrimeRange(2, MAX_SIEVE_BOUND + 1))
+        with pytest.raises(ResourceLimitError):
+            stream.take(1)
 
 
 class TestIsPrime:

@@ -1,14 +1,19 @@
-"""The package's public surface: ``__all__`` names exactly what ``__init__`` imports."""
+"""The package's public surface: ``__all__`` names exactly what ``__init__`` imports,
+and no module imports a name it does not use."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 import lambda_forge
+from lambda_forge import cli, config, curves, density, forms, levels, residual
+
+from test_bench_names import RecordingTracer, bench_run  # noqa: F401  (a fixture)
 
 
 def imported_public_names() -> set[str]:
@@ -28,6 +33,51 @@ def test_every_exported_name_resolves():
 def test_all_is_exactly_the_imported_public_names():
     assert len(lambda_forge.__all__) == len(set(lambda_forge.__all__))
     assert set(lambda_forge.__all__) == imported_public_names()
+
+
+def imported_names(tree: ast.Module) -> Iterator[tuple[str, int]]:
+    """Each name an import statement binds, with the line it is named on."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.lineno
+
+
+def listed_in_all(tree: ast.Module) -> set[str]:
+    return {
+        name
+        for node in tree.body if isinstance(node, ast.Assign)
+        if any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def test_every_import_is_used_or_traced(bench_run):
+    # No linter runs on this package.  A name imported only for the benchmark's
+    # tracer, which wraps it by name on the importing module, sits on a
+    # "# noqa: F401" line, and must be one the tracer wraps there.
+    tracer = RecordingTracer()
+    bench_run.install_full_trace(tracer, cli, config, curves, density, forms, levels, residual)
+    traced = {(module.__name__, attr) for module, attr in tracer.patched}
+    unused, untraced = [], []
+    for path in sorted(Path(lambda_forge.__file__).parent.glob("*.py")):
+        module = "lambda_forge" if path.stem == "__init__" else f"lambda_forge.{path.stem}"
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= listed_in_all(tree)
+        for name, line in imported_names(tree):
+            if "# noqa: F401" in lines[line - 1]:
+                if (module, name) not in traced:
+                    untraced.append(f"{module}.{name}")
+            elif name not in used:
+                unused.append(f"{module}.{name}")
+    assert unused == []
+    assert untraced == []
 
 
 @pytest.mark.parametrize("preset, first_import, expected", [

@@ -1,3 +1,5 @@
+import concurrent.futures
+import functools
 import io
 import json
 import multiprocessing
@@ -22,6 +24,7 @@ from lambda_forge import (
     FormContext,
     FrobeniusClass,
     Verdict,
+    arith,
     classify_prime,
     classify_range,
     cli,
@@ -387,6 +390,26 @@ class TestClassifyRange:
         assert "7,,Skipped" in lines
 
 
+def fetch_nothing(ctx: FormContext, ells: np.ndarray) -> np.ndarray:
+    """A sweep's ``rows`` that fetches no coefficient, so that only the primes move."""
+    return np.zeros(len(ells), dtype=bool)
+
+
+@pytest.fixture
+def sieved(monkeypatch) -> list[int]:
+    """The least value of each segment of primes the sieve yields during the test, in order."""
+    seen = []
+    sieve = arith._sieve_segments
+
+    def spy(prime_range):
+        for segment in sieve(prime_range):
+            seen.append(int(segment[0]))
+            yield segment
+
+    monkeypatch.setattr(arith, "_sieve_segments", spy)
+    return seen
+
+
 def stream_until(error, first: int, ctx: FormContext, to: int, workers: int):
     """The message of the error a sweep raises at ``first``, and the rows before it."""
     seen = []
@@ -411,28 +434,27 @@ class TestSweepPipeline:
         assert time.perf_counter() - t0 < 5.0  # the whole sweep takes about 25 s
         assert multiprocessing.active_children() == []
 
-    def test_a_stop_in_the_first_chunk_counts_no_primes(
-        self, ctx_default, monkeypatch, pools_started
-    ):
-        counted = []
-        count = residual.count_primes
-
-        def counting(prime_range):
-            counted.append(prime_range)
-            return count(prime_range)
-
-        monkeypatch.setattr(residual, "count_primes", counting)
+    def test_each_segment_is_sieved_once(self, ctx_default, pools_started, sieved):
         stream = residual.coefficient_chunks(ctx_default, PrimeRange(2, 10**8), workers=2)
         assert len(next(stream).ells) == residual._FIRST_CHUNK
         stream.close()
+        # the lone 2, then one segment of odds: the rest of the range is never sieved
+        assert sieved == [2, 3]
+        sieved.clear()
         # plan at its usual targets stops inside the first chunk too
         assert plan_target_lambda(ctx_default, 2, 0, 10**8, workers=2).pi_primes == (37, 73)
-        assert counted == [] and pools_started == []
-        # the range is counted once, when a second chunk is asked for
-        prime_range = PrimeRange(2, 2000)
-        chunks = residual.coefficient_chunks(ctx_default, prime_range, workers=2)
-        assert [len(chunk.ells) for chunk in chunks] == list(residual._chunk_lengths(303, 1))
-        assert counted == [prime_range]
+        assert sieved == [2, 3] and pools_started == []
+        # a whole sweep sieves each segment once, at any worker count
+        sieved.clear()
+        primes = list(PrimeRange(2, 10**6))  # the range's segments, each sieved once here
+        segments = sieved.copy()
+        assert len(segments) == 5
+        for workers, pools in ((1, []), (2, [2])):
+            sieved.clear()
+            chunks = residual.coefficient_chunks(ctx_default, PrimeRange(2, 10**6),
+                                                 workers=workers, rows=fetch_nothing)
+            assert [ell for chunk in chunks for ell in chunk.ells.tolist()] == primes
+            assert sieved == segments and pools_started == pools
         # a range of fewer primes than the first chunk is one chunk
         chunks = residual.coefficient_chunks(ctx_default, PrimeRange(2, 100), workers=2)
         assert [len(chunk.ells) for chunk in chunks] == [25]
@@ -622,23 +644,89 @@ class TestPoolTraffic:
         assert len(pickle.dumps(returned)) < 8 * len(chunk) + 256
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 64))
+def reference_chunk_lengths(total: int, workers: int) -> tuple[list[int], list[int]]:
+    """Oracle: the chunk lengths and pools of a curve sweep of ``total`` primes.
+
+    This is how the sweep cut its chunks when it counted the whole range
+    before its second chunk: a pool of one worker for every full
+    ``_MIN_CHUNK`` primes past the first chunk, if that leaves two or more,
+    and chunks that double from ``_FIRST_CHUNK`` up to ``_MAX_CHUNK``, each
+    holding at most 1 / (2 * workers) of the primes left, but none below
+    ``_MIN_CHUNK`` except the last.
+    """
+    workers = max(1, min(workers, (total - residual._FIRST_CHUNK) // residual._MIN_CHUNK))
+    lengths = []
+    size = residual._FIRST_CHUNK
+    while total > 0:
+        n = min(total, size)
+        if workers > 1:
+            n = min(n, max(residual._MIN_CHUNK, -(-total // (2 * workers))))
+        lengths.append(n)
+        total -= n
+        size = min(2 * size, residual._MAX_CHUNK)
+    return lengths, [workers] if workers > 1 else []
+
+
+def swept_chunk_lengths(ctx, prime_range, workers) -> tuple[list[int], list[int]]:
+    """The chunk lengths and pools of a sweep on 64 cores that fetches no coefficient.
+
+    The pool is a stand-in that runs each chunk at once, in this process.
+    """
+    pools = []
+
+    class SerialPool:
+        def __init__(self, *, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, *, wait, cancel_futures):
+            pass
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        mp.setattr(residual, "_worker_ctx", None)
+        chunks = residual.coefficient_chunks(ctx, prime_range, workers=workers, rows=fetch_nothing)
+        return [len(chunk.ells) for chunk in chunks], pools
+
+
+@functools.cache
+def primes_past_90() -> list[int]:
+    return list(PrimeRange(90, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 75000), st.integers(1, 64))
 @example(0, 1)
 @example(64, 2)
 @example(65, 2)
 @example(20000, 2)  # the guided cap cuts 3,992, 2,994, ... and stops at _MIN_CHUNK
-def test_chunk_lengths(total, workers):
-    # the first chunk alone decides whether a sweep that stops early starts a pool
-    lengths = list(residual._chunk_lengths(total, workers))
+def test_chunk_lengths(ctx_default, total, workers):
+    # the first total primes past 90 (89 and 97 are prime), so that one holds none too
+    prime_range = PrimeRange(90, primes_past_90()[total - 1] if total else 96)
+    swept = swept_chunk_lengths(ctx_default, prime_range, workers)
+    assert swept == reference_chunk_lengths(total, workers)
+    lengths = swept[0]
     ramp = [min(residual._FIRST_CHUNK << i, residual._MAX_CHUNK) for i in range(len(lengths))]
-    assert sum(lengths) == total
+    # the first chunk alone decides whether a sweep that stops early starts a pool
     assert lengths[:1] == ([min(total, residual._FIRST_CHUNK)] if total else [])
     # the guided cap cuts no chunk but the last below the ramp or _MIN_CHUNK
     assert all(min(r, residual._MIN_CHUNK) <= n <= r for n, r in zip(lengths[:-1], ramp))
     assert all(0 < n <= r for n, r in zip(lengths, ramp))
     if workers == 1:  # nothing to balance: every chunk but the last follows the ramp
         assert lengths[:-1] == ramp[:-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_chunk_lengths_to_the_sieve_cap(ctx_default, workers):
+    # the look-ahead stays short of the range's end for most of the sweep
+    swept = swept_chunk_lengths(ctx_default, PrimeRange(2, 10**8), workers)
+    assert swept == reference_chunk_lengths(5_761_455, workers)  # the primes below 1e8
 
 
 class TestResolveWorkers:
