@@ -22,6 +22,7 @@ from lambda_forge import (
     plan_target_lambda,
 )
 from lambda_forge.config import build_context, load_config
+from lambda_forge.residual import json_value
 
 ctx = build_context(load_config("configs/default.cfg"))
 print(f"base form: level {ctx.level}, p = {ctx.p}, certified lambda_g = {ctx.lambda_g}")
@@ -32,9 +33,12 @@ for target in range(5):
     omega_count = 1 if target == ctx.lambda_g else 0  # keep max(n, r) > 0
     level_set = plan_target_lambda(ctx, target, omega_count, scan_bound=5000)
     rank = bk_rank_bounds(level_set.predicted_lambda)
-    rank_text = f"rank = {rank.exact}" if rank.exact is not None else f"rank in {rank.candidates}"
+    if "exact" in rank:
+        rank_text = f"rank = {rank['exact']}"
+    else:
+        rank_text = f"rank in {tuple(rank['candidates'])}"
     print(f"  target {target}: Pi {str(level_set.pi_primes):<18} "
-          f"Omega {str(level_set.omega_primes):<8} N_f = {level_set.n_f:<12} {rank_text}")
+          f"Omega {str(level_set.omega_primes):<8} N_f = {level_set.N_f:<12} {rank_text}")
 print()
 
 print("several level sets predicting the same invariant (n = 2, any Omega prime):")
@@ -45,13 +49,13 @@ pi = (planned.pi_primes, [a_ell(ctx, ell) for ell in planned.pi_primes])
 for omega in planned.omega_primes:
     level_set = build_level_set(ctx, pi, ([omega], [a_ell(ctx, omega)]))
     print(f"  Pi {level_set.pi_primes} + Omega {level_set.omega_primes}: "
-          f"N_f = {level_set.n_f}, predicted lambda = {level_set.predicted_lambda}")
+          f"N_f = {level_set.N_f}, predicted lambda = {level_set.predicted_lambda}")
 print()
 
 level_set = plan_target_lambda(ctx, 2, 0, scan_bound=5000)
-print(f"admissibility of the planned level {level_set.n_f} = 11 * "
+print(f"admissibility of the planned level {level_set.N_f} = 11 * "
       f"{' * '.join(str(q) for q in level_set.pi_primes)}:")
-print(json.dumps(carayol_check(ctx, level_set.n_f).as_dict(), indent=2, sort_keys=True))
+print(json.dumps(carayol_check(ctx, level_set.N_f), indent=2, sort_keys=True, default=json_value))
 print()
 
 print("an inadmissible level for contrast (13 is neither a Pi nor an Omega prime here):")

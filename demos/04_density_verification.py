@@ -20,8 +20,8 @@ from lambda_forge.residual import resolve_workers
 print("exhaustive GL2(F_p) census (all p^4 matrices):")
 for p in (5, 7, 11, 13):
     census = enumerate_gl2_classes(p)
-    print(f"  p = {p:>2}: |GL2| = {census.gl2_order:>6}, #Y = #Y' = {census.count_y:>5}, "
-          f"ratio = {census.ratio_y} = (p-3)/(p-1)^2")
+    print(f"  p = {p:>2}: |GL2| = {census.gl2_order:>6}, #Y = #Y' = {census.count_Y:>5}, "
+          f"ratio = {census.ratio_Y} = (p-3)/(p-1)^2")
 print()
 
 print("exact Dirichlet densities (Pi, Omega):")

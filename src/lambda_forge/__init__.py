@@ -36,7 +36,7 @@ from .density import (
     exact_densities,
 )
 from .forms import CoefficientTable, FormContext, a_ell, load_coefficients
-from .iwasawa import RankBound, bk_rank_bounds, lambda_transfer, sigma_columns, sigma_ell
+from .iwasawa import bk_rank_bounds, lambda_transfer, sigma_columns, sigma_ell
 from .levels import (
     CarayolReport,
     LevelSet,
@@ -68,7 +68,6 @@ __all__ = [
     "FrobeniusClass",
     "LevelSet",
     "PrimeRange",
-    "RankBound",
     "ScreenReport",
     "Verdict",
     "a_ell",

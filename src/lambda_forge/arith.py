@@ -33,8 +33,11 @@ _SEGMENT_ODDS = 1 << 17
 # on a 2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
 _MIN_SIEVED_VALUES = 1000
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the primes to 41 decide every n below
+# _MR_BOUND = psi_13, the least strong pseudoprime to them all (Sorenson and
+# Webster 2017; OEIS A014233).  Those to 37 alone pass psi_12 ~ 3.2 * 10**23.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 # The bases 2, 3, 5, 7 suffice below 3,215,031,751, the least strong
 # pseudoprime to all four (Jaeschke 1993, Math. Comp. 61).
 _MR_SMALL_WITNESSES = (2, 3, 5, 7)
@@ -142,9 +145,14 @@ class PrimeStream:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24 (psi_13).
+
+    A larger n is refused with :class:`ResourceLimitError`, never guessed.
+    """
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ResourceLimitError(f"primality of {n} is not decided at or above {_MR_BOUND}")
     witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES
     for p in witnesses:
         if n % p == 0:
@@ -173,8 +181,9 @@ def are_prime(values: Collection[int] | np.ndarray) -> np.ndarray:
     Values in [2, MAX_SIEVE_BOUND] are looked up in a sieve of just the
     sieve segments (2**18-wide windows) that hold at least
     ``_MIN_SIEVED_VALUES`` of them; the values of a sparser window, and
-    values above the cap, go to :func:`is_prime` one at a time.  An int64
-    array is split into those parts without a loop over its values.
+    values above the cap, go to :func:`is_prime` one at a time, which
+    refuses one it cannot decide.  An int64 array is split into those parts
+    without a loop over its values.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         above = values > MAX_SIEVE_BOUND

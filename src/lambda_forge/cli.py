@@ -16,8 +16,9 @@ is written as the command runs, so a sweep's memory stays flat, and emptied
 again on failure.  Text for stdout is held and written only on success.
 Input that asks for two things at once is refused, never half done:
 ``a-ell`` takes ``--ell`` or ``--from`` and ``--to``, and ``verify-density``
-takes ``--enumerate-gl2`` or ``--csv``, not both.  Exit codes: 0 success,
-2 configuration or usage error, 3 computation error.
+takes ``--enumerate-gl2`` or ``--csv``, not both, and its ``--out`` and
+``--csv`` must name two files.  Exit codes: 0 success, 2 configuration or
+usage error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import datetime
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 from typing import IO, Iterator
 
 from .arith import PrimeRange
@@ -46,6 +48,7 @@ from .residual import (
     classify_chunks,
     coefficient_chunks,
     json_row_pieces,
+    json_value,
     resolve_workers,
     screen_p,
     tee_to_csv,
@@ -99,7 +102,9 @@ class _JsonRows(list):
 
 
 def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
-    """Write the report as ``json.dumps(report, sort_keys=True, indent=2)`` prints it.
+    """Write the report as ``json.dumps(report, sort_keys=True, indent=2,
+    default=json_value)`` prints it: a report object in ``payload`` is
+    written through :func:`~lambda_forge.residual.json_value`.
 
     A value of ``payload`` that is :class:`_JsonRows` (a report has at most
     one) is already JSON text: the rest of the report is dumped with an
@@ -109,13 +114,13 @@ def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: I
     report = dict(payload)
     report["schema_version"] = SCHEMA_VERSION
     report["assertions"] = cfg.assertions()
-    if getattr(args, "timestamps", False):
+    if args.timestamps:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     key = next((key for key, value in report.items() if isinstance(value, _JsonRows)), None)
     pieces = [piece for piece in report.get(key, ()) if piece]
     if key is not None:
         report[key] = []
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=json_value) + "\n"
     if pieces:
         # only the lines of top-level keys are indented by exactly two spaces
         head, _, text = text.partition(f"\n  {json.dumps(key)}: []")
@@ -237,10 +242,9 @@ def _cmd_plan(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
         ctx, args.target, args.omega_count, args.scan_bound,
         workers=resolve_workers(),
     )
-    payload = level_set.as_dict()
-    payload["bk_rank"] = bk_rank_bounds(level_set.predicted_lambda).as_dict()
-    carayol = carayol_check(ctx, level_set.n_f)
-    payload["carayol_cases"] = [p.as_dict() for p in carayol.primes]
+    payload = json_value(level_set)
+    payload["bk_rank"] = bk_rank_bounds(level_set.predicted_lambda)
+    payload["carayol_cases"] = carayol_check(ctx, level_set.N_f).primes
     _emit_report(payload, cfg, args, out)
 
 
@@ -249,8 +253,10 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) 
         if args.csv_path:
             raise ConfigError("verify-density takes --enumerate-gl2 or --csv, not both")
         report = enumerate_gl2_classes(args.enumerate_gl2)
-        _emit_report(report.as_dict(), cfg, args, out)
+        _emit_report(json_value(report), cfg, args, out)
         return
+    if args.csv_path and args.out and Path(args.csv_path).resolve() == Path(args.out).resolve():
+        raise ConfigError("verify-density --out and --csv name the same file")
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers()
     prime_range = PrimeRange(2, args.bound)
@@ -261,18 +267,13 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) 
             pi_report, omega_report = empirical_density(ctx, prime_range, chunks=chunks)
     else:
         pi_report, omega_report = empirical_density(ctx, prime_range, workers=workers)
-    _emit_report(
-        {"bound": args.bound, "pi": pi_report.as_dict(), "omega": omega_report.as_dict()},
-        cfg,
-        args,
-        out,
-    )
+    _emit_report({"bound": args.bound, "pi": pi_report, "omega": omega_report}, cfg, args, out)
 
 
 def _cmd_carayol(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     ctx = build_context(cfg)
     report = carayol_check(ctx, args.level)
-    _emit_report(report.as_dict(), cfg, args, out)
+    _emit_report(json_value(report), cfg, args, out)
 
 
 def _cmd_sigma(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
@@ -297,7 +298,7 @@ def _cmd_screen_p(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> Non
     if cfg.backend != "curve" or cfg.curve is None:
         raise ConfigError("screen-p needs a curve backend")
     report = screen_p(cfg.curve, args.candidate)
-    _emit_report(report.as_dict(), cfg, args, out)
+    _emit_report(json_value(report), cfg, args, out)
 
 
 def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:

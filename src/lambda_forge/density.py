@@ -34,21 +34,10 @@ class ClassCountReport:
     p: int
     gl2_order: int
     torus_order: int
-    count_y: int
-    count_y_prime: int
-    ratio_y: Fraction
-    ratio_y_prime: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "gl2_order": self.gl2_order,
-            "torus_order": self.torus_order,
-            "count_Y": self.count_y,
-            "count_Y_prime": self.count_y_prime,
-            "ratio_Y": str(self.ratio_y),
-            "ratio_Y_prime": str(self.ratio_y_prime),
-        }
+    count_Y: int
+    count_Y_prime: int
+    ratio_Y: Fraction
+    ratio_Y_prime: Fraction
 
 
 def enumerate_gl2_classes(p: int) -> ClassCountReport:
@@ -94,10 +83,10 @@ def enumerate_gl2_classes(p: int) -> ClassCountReport:
         p=p,
         gl2_order=gl2,
         torus_order=(p - 1) ** 2,
-        count_y=count_y,
-        count_y_prime=count_y_prime,
-        ratio_y=Fraction(count_y, gl2),
-        ratio_y_prime=Fraction(count_y_prime, gl2),
+        count_Y=count_y,
+        count_Y_prime=count_y_prime,
+        ratio_Y=Fraction(count_y, gl2),
+        ratio_Y_prime=Fraction(count_y_prime, gl2),
     )
 
 
@@ -118,18 +107,6 @@ class DensityReport:
     standard_error: float
     z_score: float
     verdict: str  # "Consistent" | "Inconsistent" | "Underpowered"
-
-    def as_dict(self) -> dict:
-        return {
-            "set_name": self.set_name,
-            "exact_density": str(self.exact_density),
-            "sample_primes": self.sample_primes,
-            "hits": self.hits,
-            "empirical": str(self.empirical),
-            "standard_error": self.standard_error,
-            "z_score": self.z_score,
-            "verdict": self.verdict,
-        }
 
 
 def _make_report(name: str, density: Fraction, n: int, hits: int) -> DensityReport:

@@ -292,6 +292,7 @@ class FormContext:
     they come from the literature or prior computation, are asserted in the
     configuration, and are echoed (never claimed as verified) in reports.
     The backend must be at ``level``: a curve's conductor or a table's level.
+    ``a_p`` is read from the backend on construction, never passed in.
     """
 
     level: int
@@ -300,7 +301,7 @@ class FormContext:
     mu_zero: bool
     surjective_mod_p: bool
     backend: CurveModel | CoefficientTable
-    a_p: int = field(default=0)
+    a_p: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.level < 1:

@@ -16,8 +16,6 @@ sweep (:func:`sigma_columns`) and the level planner call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curves import _pow
@@ -113,28 +111,15 @@ def lambda_transfer(ctx: FormContext, sigma_g: np.ndarray, sigma_f: np.ndarray) 
     return ctx.lambda_g + int((sigma_g - sigma_f).sum())
 
 
-@dataclass(frozen=True)
-class RankBound:
+def bk_rank_bounds(lambda_f: int) -> dict[str, int | list[int]]:
     """Bloch-Kato Selmer corank information derived from a lambda-invariant.
 
     The corank is at most lambda with the same parity, and equals lambda
-    whenever lambda <= 1; otherwise only the candidate set is known.
+    whenever lambda <= 1 (``{"exact": lambda}``); otherwise only the
+    candidate set is known (``{"candidates": [...]}``, ascending).
     """
-
-    lambda_f: int
-    exact: int | None
-    candidates: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        if self.exact is not None:
-            return {"exact": self.exact}
-        return {"candidates": list(self.candidates)}
-
-
-def bk_rank_bounds(lambda_f: int) -> RankBound:
     if lambda_f < 0:
         raise ValueError(f"lambda must be >= 0, got {lambda_f}")
-    candidates = tuple(range(lambda_f % 2, lambda_f + 1, 2))
     if lambda_f <= 1:
-        return RankBound(lambda_f=lambda_f, exact=lambda_f, candidates=candidates)
-    return RankBound(lambda_f=lambda_f, exact=None, candidates=candidates)
+        return {"exact": lambda_f}
+    return {"candidates": list(range(lambda_f % 2, lambda_f + 1, 2))}

@@ -39,22 +39,11 @@ class LevelSet:
 
     pi_primes: tuple[int, ...]
     omega_primes: tuple[int, ...]
-    n_sigma: int
-    n_f: int
+    N_sigma: int
+    N_f: int
     predicted_lambda: int
     predicted_mu: int
     existence: str
-
-    def as_dict(self) -> dict:
-        return {
-            "pi_primes": list(self.pi_primes),
-            "omega_primes": list(self.omega_primes),
-            "N_sigma": self.n_sigma,
-            "N_f": self.n_f,
-            "predicted_lambda": self.predicted_lambda,
-            "predicted_mu": self.predicted_mu,
-            "existence": self.existence,
-        }
 
 
 def _checked_product(factors: Iterable[int], start: int = 1) -> int:
@@ -125,8 +114,8 @@ def build_level_set(
     return LevelSet(
         pi_primes=tuple(pi_chunk.ells.tolist()),
         omega_primes=tuple(omega_chunk.ells.tolist()),
-        n_sigma=n_sigma,
-        n_f=n_f,
+        N_sigma=n_sigma,
+        N_f=n_f,
         predicted_lambda=lambda_transfer(ctx, sigma_g, sigma_f),
         predicted_mu=0,
         existence=EXISTENCE_ASSERTED if primes else EXISTENCE_IDENTITY,
@@ -202,16 +191,6 @@ class CarayolPrimeReport:
     ambiguous: bool
     detail: str
 
-    def as_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "alpha": self.alpha,
-            "satisfied_cases": list(self.satisfied_cases),
-            "status": self.status,
-            "ambiguous": self.ambiguous,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class CarayolReport:
@@ -219,14 +198,6 @@ class CarayolReport:
     base_level: int
     verdict: str  # "admissible" | "inadmissible" | "unknown" | "inadmissible_structural"
     primes: tuple[CarayolPrimeReport, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "base_level": self.base_level,
-            "verdict": self.verdict,
-            "primes": [p.as_dict() for p in self.primes],
-        }
 
 
 def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:

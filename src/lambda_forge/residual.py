@@ -35,8 +35,9 @@ import json
 import os
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import isqrt
@@ -48,7 +49,7 @@ from .arith import PrimeRange, PrimeStream, is_prime
 # the traced benchmark (bench/run.py) wraps residual.sieve_primes by name
 from .arith import sieve_primes  # noqa: F401
 from .curves import CurveModel, _pow, trace_of_frobenius
-from .errors import PointCountError
+from .errors import PointCountError, ResourceLimitError
 from .forms import FormContext, a_ell
 
 
@@ -73,15 +74,6 @@ class FrobeniusClass:
     det_mod_p: int | None
     verdict: Verdict
     reasons: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "trace_mod_p": self.trace_mod_p,
-            "det_mod_p": self.det_mod_p,
-            "verdict": self.verdict.value,
-            "reasons": list(self.reasons),
-        }
 
 
 def classify_prime(ctx: FormContext, ell: int) -> FrobeniusClass:
@@ -124,23 +116,40 @@ JSON_FIELD = "\0"
 JSON_ROW_SEPARATOR = ",\n    "
 
 
-def json_row_pieces(row: dict) -> list[str]:
+def json_value(value: object) -> object:
+    """The JSON form of a report object: the ``default`` every report is dumped with.
+
+    A dataclass is written as the dict of its fields, an :class:`Enum` as
+    its value and a :class:`Fraction` as its ``str``.  Any other type is
+    refused with TypeError, as ``json.dumps`` refuses it.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_row_pieces(row: object) -> list[str]:
     """The JSON text of a report row, cut at each value that is :data:`JSON_FIELD`.
 
-    The text is the row's as ``json.dumps(report, sort_keys=True, indent=2)``
-    prints it in a list at the top level of the report.  Its fields come in
-    key order, so the row with the integers v0, v1, ... in those fields is
-    ``pieces[0] + str(v0) + pieces[1] + str(v1) + ... + pieces[-1]``.
+    The text is the row's as ``json.dumps(report, sort_keys=True, indent=2,
+    default=json_value)`` prints it in a list at the top level of the
+    report.  Its fields come in key order, so the row with the integers v0,
+    v1, ... in those fields is ``pieces[0] + str(v0) + pieces[1] + str(v1)
+    + ... + pieces[-1]``.
     """
-    text = json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
-    return text.split(json.dumps(JSON_FIELD))
+    text = json.dumps(row, sort_keys=True, indent=2, default=json_value)
+    return text.replace("\n", "\n    ").split(json.dumps(JSON_FIELD))
 
 
 def _json_row_pieces(code: int) -> list[str]:
     """A row of this code in JSON, cut at det, ell and trace; a Skipped row at ell alone."""
-    field = JSON_FIELD if code else None
-    klass = FrobeniusClass(JSON_FIELD, field, field, _VERDICTS[code], _REASONS[code])
-    return json_row_pieces(klass.as_dict())
+    value = JSON_FIELD if code else None
+    klass = FrobeniusClass(JSON_FIELD, value, value, _VERDICTS[code], _REASONS[code])
+    return json_row_pieces(klass)
 
 
 # The JSON of a row by code, cut at its fields.  Every classified row starts
@@ -226,9 +235,9 @@ class ClassifiedChunk:
         ])
 
     def json_rows(self) -> str:
-        """The rows as :meth:`FrobeniusClass.as_dict` in a report's list, joined by
-        :data:`JSON_ROW_SEPARATOR`: the text ``json.dumps(sort_keys=True, indent=2)``
-        prints for them.
+        """The rows as :class:`FrobeniusClass` objects in a report's list, joined by
+        :data:`JSON_ROW_SEPARATOR`: the text ``json.dumps(sort_keys=True, indent=2,
+        default=json_value)`` prints for them.
         """
         rows = zip(self.ells.tolist(), (self.ells % self.p).tolist(),
                    self.trace_mod_p.tolist(), self.codes.tolist())
@@ -523,26 +532,17 @@ class ScreenReport:
     """Mechanizable eligibility checks for a candidate working prime p.
 
     ``asserted_only`` lists the hypotheses this tool can never check and
-    which therefore require config attestation.
+    which therefore require config attestation.  ``eligible_mechanically``
+    is set from the checks: whether every one passed.
     """
 
     p: int
     checks: tuple[CheckResult, ...]
     asserted_only: tuple[str, ...]
+    eligible_mechanically: bool = field(init=False)
 
-    @property
-    def mechanical_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
-            "asserted_only": list(self.asserted_only),
-            "eligible_mechanically": self.mechanical_pass,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eligible_mechanically", all(c.passed for c in self.checks))
 
 
 ASSERTED_ONLY_ITEMS = (
@@ -560,16 +560,20 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     the conductor, ordinariness); everything else is reported as requiring
     attestation.  Always returns a report, never raises on a failing check.
     A check that cannot be evaluated fails with a "not evaluated (...)"
-    detail naming what stopped it.  Ordinariness is evaluated exactly where
+    detail naming what stopped it: a p too large for :func:`arith.is_prime`
+    to decide fails all three.  Ordinariness is evaluated exactly where
     :func:`curves.is_ordinary` answers: a_p comes from the point counter,
     which refuses a prime p >= 5 of bad reduction, and whose
     :class:`PointCountError` (a group order it could not pin down) is
     reported with its message.
     """
-    p_ok = p >= 5 and is_prime(p)
-    checks = [CheckResult("p>=5-and-prime", p_ok, f"p = {p}")]
-    if not p_ok:
+    try:
+        checks = [CheckResult("p>=5-and-prime", p >= 5 and is_prime(p), f"p = {p}")]
         skipped = "not evaluated (p is not a prime >= 5)"
+    except ResourceLimitError as exc:
+        skipped = f"not evaluated ({exc})"
+        checks = [CheckResult("p>=5-and-prime", False, skipped)]
+    if not checks[0].passed:
         checks += [
             CheckResult("good-reduction-at-p", False, skipped),
             CheckResult("ordinary-at-p", False, skipped),

@@ -48,11 +48,11 @@ def test_criterion_1_gl2_class_density_identity():
     for p in (5, 7, 11, 13):
         census = enumerate_gl2_classes(p)
         target = Fraction(p - 3, (p - 1) ** 2)
-        assert census.ratio_y == target
-        assert census.ratio_y_prime == target
-        assert census.count_y == census.count_y_prime
+        assert census.ratio_Y == target
+        assert census.ratio_Y_prime == target
+        assert census.count_Y == census.count_Y_prime
         if p in expected_counts:
-            assert (census.gl2_order, census.count_y) == expected_counts[p]
+            assert (census.gl2_order, census.count_Y) == expected_counts[p]
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"census took {elapsed:.2f}s, budget is 2s"
     report("criterion 1 (GL2 class-density identity, p in {5,7,11,13})",
@@ -265,7 +265,7 @@ def test_criterion_6_carayol_consistency(ctx_default):
                   for pi, omega in islice(choices, 8)]
     assert len(level_sets) == 8
     for level_set in level_sets:
-        check = carayol_check(ctx_default, level_set.n_f)
+        check = carayol_check(ctx_default, level_set.N_f)
         assert check.verdict == "admissible"
         for prime in check.primes:
             assert prime.alpha == 1
@@ -351,10 +351,8 @@ def test_criterion_8_point_count_cross_validation():
 
 
 def test_criterion_9_bk_rank_bounds():
-    assert bk_rank_bounds(0).exact == 0
-    assert bk_rank_bounds(1).exact == 1
-    four = bk_rank_bounds(4)
-    assert four.exact is None and four.candidates == (0, 2, 4)
-    five = bk_rank_bounds(5)
-    assert five.exact is None and five.candidates == (1, 3, 5)
+    assert bk_rank_bounds(0) == {"exact": 0}
+    assert bk_rank_bounds(1) == {"exact": 1}
+    assert bk_rank_bounds(4) == {"candidates": [0, 2, 4]}
+    assert bk_rank_bounds(5) == {"candidates": [1, 3, 5]}
     report("criterion 9 (Bloch-Kato rank bounds)")

@@ -142,6 +142,25 @@ class TestIsPrime:
         assert is_prime(2**32 - 5)  # above it
         assert not is_prime((2**16 + 1) * (2**16 + 3))
 
+    def test_twelve_base_bound(self):
+        # psi_12 is a strong pseudoprime to the twelve prime bases up to 37, so
+        # base 41 must catch it; psi_13 passes all thirteen, so it is refused
+        psi12 = 318_665_857_834_031_151_167_461
+        psi13 = 3_317_044_064_679_887_385_961_981
+        assert 399_165_290_221 * 798_330_580_441 == psi12
+        assert 1_287_836_182_261 * 2_575_672_364_521 == psi13
+        twelve = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        assert all(strong_probable_prime(psi12, a) for a in twelve)
+        assert not strong_probable_prime(psi12, 41)
+        assert all(strong_probable_prime(psi13, a) for a in (*twelve, 41))
+        assert not is_prime(psi12)
+        assert are_prime([7, psi12, 2**61 - 1]).tolist() == [True, False, True]
+        for refused in (psi13, psi13 + 2, 2**89 - 1):
+            with pytest.raises(ResourceLimitError, match=f"primality of {refused}"):
+                is_prime(refused)
+            with pytest.raises(ResourceLimitError, match=f"primality of {refused}"):
+                are_prime([7, refused])
+
 
 class TestArePrime:
     @settings(max_examples=100, deadline=None)

@@ -378,6 +378,22 @@ class TestVerifyDensity:
         assert captured.out == ""
         assert str(dump) in captured.err
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_out_and_csv_on_one_file_refused(self, curve_config, tmp_path, capsys, link):
+        # the report would overwrite the head of the CSV
+        path = tmp_path / "both"
+        path.write_text("stale\n")
+        out = tmp_path / "link" if link else path
+        if link:
+            out.symlink_to(path)
+        code = main(["verify-density", "--config", curve_config, "--bound", "3000",
+                     "--csv", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: verify-density --out and --csv name the same file\n"
+        assert path.read_bytes() == b""
+
     def test_surjectivity_required(self, table_config, capsys):
         code = main(["verify-density", "--config", table_config, "--bound", "100"])
         assert code == EXIT_CONFIG  # hypothesis violation is a config-level refusal
@@ -447,6 +463,15 @@ class TestCarayol:
         assert captured.out == ""
         assert ("cofactor 1000036000099 of 11000396001089 not factorable by trial "
                 "division below 1000000") in captured.err
+
+    def test_a_level_past_the_miller_rabin_bases_exit_3(self, curve_config, capsys):
+        # psi_12, a strong pseudoprime to every base up to 37, is no prime factor
+        psi12 = 318_665_857_834_031_151_167_461
+        code = main(["carayol", "--config", curve_config, "--level", str(11 * psi12)])
+        assert code == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cofactor {psi12} of {11 * psi12} not factorable" in captured.err
 
 
 class TestSigma:
@@ -562,6 +587,18 @@ class TestAEll:
         assert main(argv) == EXIT_CONFIG
         assert f"usage error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ell, code, message", [
+        (318_665_857_834_031_151_167_461, EXIT_CONFIG,
+         "usage error: ell = 318665857834031151167461 is not prime"),
+        (3_317_044_064_679_887_385_961_981, EXIT_COMPUTE,
+         "computation error: primality of 3317044064679887385961981 is not decided"),
+    ], ids=["psi12", "psi13"])
+    def test_ells_past_the_miller_rabin_bases(self, curve_config, capsys, ell, code, message):
+        assert main(["a-ell", "--config", curve_config, "--ell", str(ell)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
 
 def test_a_table_sweep_never_imports_the_process_pool(table_config):
     # the pool module is imported where a pool starts, and a table never starts one
@@ -638,7 +675,11 @@ def dict_path_report(command: str, config: str, lo: int, hi: int) -> dict:
     ctx = build_context(cfg)
     span = {"from": lo, "to": hi}
     if command == "classify":
-        rows = [fc.as_dict() for fc in classify_range(ctx, PrimeRange(lo, hi))]
+        rows = [
+            dict(ell=fc.ell, trace_mod_p=fc.trace_mod_p, det_mod_p=fc.det_mod_p,
+                 verdict=fc.verdict.value, reasons=list(fc.reasons))
+            for fc in classify_range(ctx, PrimeRange(lo, hi))
+        ]
         counts = {v.value: 0 for v in Verdict}
         for row in rows:
             counts[row["verdict"]] += 1

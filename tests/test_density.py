@@ -52,31 +52,31 @@ class TestGl2Enumeration:
         report = enumerate_gl2_classes(5)
         assert report.gl2_order == 480
         assert report.torus_order == 16
-        assert report.count_y == 60
-        assert report.count_y_prime == 60
-        assert report.ratio_y == Fraction(1, 8)
-        assert report.ratio_y_prime == Fraction(1, 8)
+        assert report.count_Y == 60
+        assert report.count_Y_prime == 60
+        assert report.ratio_Y == Fraction(1, 8)
+        assert report.ratio_Y_prime == Fraction(1, 8)
 
     def test_p7_exact_values(self):
         report = enumerate_gl2_classes(7)
         assert report.gl2_order == 2016
-        assert report.count_y == 224
-        assert report.ratio_y == Fraction(1, 9)
+        assert report.count_Y == 224
+        assert report.ratio_Y == Fraction(1, 9)
 
     def test_against_independent_census(self):
         for p in (5, 7):
             gl2, y, yp = brute_gl2_census(p)
             report = enumerate_gl2_classes(p)
-            assert (report.gl2_order, report.count_y, report.count_y_prime) == (gl2, y, yp)
+            assert (report.gl2_order, report.count_Y, report.count_Y_prime) == (gl2, y, yp)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_identity(self, p):
         report = enumerate_gl2_classes(p)
         assert report.gl2_order == (p * p - 1) * (p * p - p)
         # count = (p-3) * |GL2| / |T| as an exact integer identity
-        assert report.count_y * (p - 1) ** 2 == (p - 3) * report.gl2_order
-        assert report.count_y == report.count_y_prime
-        assert report.ratio_y == Fraction(p - 3, (p - 1) ** 2)
+        assert report.count_Y * (p - 1) ** 2 == (p - 3) * report.gl2_order
+        assert report.count_Y == report.count_Y_prime
+        assert report.ratio_Y == Fraction(p - 3, (p - 1) ** 2)
 
     def test_range_limits(self):
         with pytest.raises(ResourceLimitError):

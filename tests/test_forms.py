@@ -18,7 +18,12 @@ from lambda_forge import (
     trace_of_frobenius,
 )
 from lambda_forge.arith import MAX_SIEVE_BOUND, PrimeRange, is_prime
-from lambda_forge.errors import CoverageError, HypothesisViolation, TableFormatError
+from lambda_forge.errors import (
+    CoverageError,
+    HypothesisViolation,
+    ResourceLimitError,
+    TableFormatError,
+)
 
 
 def write_table(tmp_path, text, name="coeffs.csv"):
@@ -301,6 +306,18 @@ class TestLoaderParity:
         path = write_table(tmp_path, "ell,a_ell\n2,1\n2147483647,5\n")
         assert as_dict(load_coefficients(path, level=11)) == {2: 1, 2_147_483_647: 5}
 
+    def test_rows_past_the_miller_rabin_bases(self, tmp_path):
+        # psi_12 passes the bases up to 37 and is composite; psi_13 passes up to
+        # 41, so its primality is refused, not guessed
+        psi12 = 318_665_857_834_031_151_167_461
+        path = write_table(tmp_path, f"ell,a_ell\n2,1\n{psi12},0\n")
+        with pytest.raises(TableFormatError, match=f":3: index {psi12} is not prime"):
+            load_coefficients(path, level=11)
+        psi13 = 3_317_044_064_679_887_385_961_981
+        path = write_table(tmp_path, f"ell,a_ell\n2,1\n{psi13},0\n")
+        with pytest.raises(ResourceLimitError, match=f"primality of {psi13}"):
+            load_coefficients(path, level=11)
+
     def test_dense_table_makes_no_per_row_miller_rabin_calls(self, tmp_path, monkeypatch):
         calls = []
 
@@ -351,6 +368,14 @@ class TestFormContext:
         with pytest.raises(ValueError, match="table level 37 != stated level 11"):
             FormContext(level=11, p=5, lambda_g=0, mu_zero=True,
                         surjective_mod_p=True, backend=table)
+
+    def test_a_p_is_read_not_passed(self, curve_11a1):
+        ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True,
+                          surjective_mod_p=True, backend=curve_11a1)
+        assert ctx.a_p == -2
+        with pytest.raises(TypeError, match="a_p"):
+            FormContext(level=11, p=7, lambda_g=0, mu_zero=True,
+                        surjective_mod_p=True, backend=curve_11a1, a_p=-2)
 
     def test_missing_a_p_is_coverage_error(self):
         table = CoefficientTable(coefficients={2: -2}, level=11)

@@ -308,16 +308,17 @@ class TestLambdaTransfer:
 
 class TestRankBounds:
     def test_exact_for_small_lambda(self):
-        assert bk_rank_bounds(0).exact == 0
-        assert bk_rank_bounds(1).exact == 1
+        assert bk_rank_bounds(0) == {"exact": 0}
+        assert bk_rank_bounds(1) == {"exact": 1}
 
     def test_candidate_sets(self):
-        assert bk_rank_bounds(4).exact is None
-        assert bk_rank_bounds(4).candidates == (0, 2, 4)
-        assert bk_rank_bounds(5).candidates == (1, 3, 5)
+        assert "exact" not in bk_rank_bounds(4)
+        assert bk_rank_bounds(4)["candidates"] == [0, 2, 4]
+        assert bk_rank_bounds(5)["candidates"] == [1, 3, 5]
 
     def test_parity(self):
         for lam in range(12):
-            bound = bk_rank_bounds(lam)
-            assert all(c % 2 == lam % 2 for c in bound.candidates)
-            assert max(bound.candidates) == lam
+            rank = bk_rank_bounds(lam)
+            candidates = rank["candidates"] if lam > 1 else [rank["exact"]]
+            assert all(c % 2 == lam % 2 for c in candidates)
+            assert max(candidates) == lam

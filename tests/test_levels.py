@@ -65,15 +65,15 @@ class TestEnumerate:
         pi_pool, _ = columns(rows_500[Verdict.PI])
         sets = level_sets(ctx_default, rows_500, n=1, r=0, limit=3)
         assert sets[0].pi_primes == (pi_pool[0],)
-        assert sets[0].n_f == 11 * pi_pool[0]
+        assert sets[0].N_f == 11 * pi_pool[0]
         assert [s.pi_primes[0] for s in sets] == pi_pool[:3]
         assert plan_target_lambda(ctx_default, 1, 0, 500) == sets[0]
 
     def test_identity_set(self, ctx_default):
         identity = build_level_set(ctx_default, ([], []), ([], []))
         assert identity.pi_primes == identity.omega_primes == ()
-        assert identity.n_sigma == 1
-        assert identity.n_f == 11
+        assert identity.N_sigma == 1
+        assert identity.N_f == 11
         assert identity.predicted_lambda == ctx_default.lambda_g
         assert identity.existence == EXISTENCE_IDENTITY
 
@@ -90,8 +90,8 @@ class TestEnumerate:
             prod = 1
             for q in level_set.pi_primes + level_set.omega_primes:
                 prod *= q
-            assert level_set.n_sigma == prod
-            assert level_set.n_f == 11 * prod
+            assert level_set.N_sigma == prod
+            assert level_set.N_f == 11 * prod
 
     def test_overflow_past_2_to_63(self, ctx_default):
         # three Pi-type primes near 4.3e6 push N_f past 2^63
@@ -161,7 +161,7 @@ class TestTransferPastTheInt64Bound:
         assert level_set.predicted_lambda == 5
         assert type(level_set.predicted_lambda) is int
         assert level_set.predicted_mu == 0
-        assert level_set.n_f == 6 * 5 * 17 * 19 * 23
+        assert level_set.N_f == 6 * 5 * 17 * 19 * 23
         assert level_set.pi_primes == (5, 17, 23)
         assert type(level_set.pi_primes[0]) is int
 
@@ -355,7 +355,7 @@ class TestCarayol:
 
     def test_every_planned_level_is_admissible(self, ctx_default):
         level_set = plan_target_lambda(ctx_default, 2, 1, 500)
-        report = carayol_check(ctx_default, level_set.n_f)
+        report = carayol_check(ctx_default, level_set.N_f)
         assert report.verdict == "admissible"
         for prime in report.primes:
             assert "1" in prime.satisfied_cases

@@ -1,5 +1,5 @@
 """The package's public surface: ``__all__`` names exactly what ``__init__`` imports,
-and no module imports a name it does not use."""
+no module imports a name it does not use, and no class writes its own JSON."""
 
 import ast
 import os
@@ -78,6 +78,21 @@ def test_every_import_is_used_or_traced(bench_run):
                 unused.append(f"{module}.{name}")
     assert unused == []
     assert untraced == []
+
+
+def test_no_class_defines_as_dict():
+    # a report is its dataclass, written through residual.json_value: an
+    # as_dict method would be a second schema, and a field it missed would be
+    # dropped from the report
+    offenders = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(Path(lambda_forge.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "as_dict"
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("preset, first_import, expected", [

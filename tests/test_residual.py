@@ -186,9 +186,14 @@ class TestClassifyChunk:
     @settings(max_examples=200, deadline=None)
     @given(mixed_chunks())
     def test_json_rows_are_the_dumped_classes(self, chunk):
-        # the reference: each row as a FrobeniusClass dict, dumped in a report's list
+        # the reference: each row as a FrobeniusClass dict, spelled out here, dumped
+        # in a report's list
         classified = classify_mapping(*chunk)
-        rows = [fc.as_dict() for fc in classified.classes()]
+        rows = [
+            dict(ell=fc.ell, trace_mod_p=fc.trace_mod_p, det_mod_p=fc.det_mod_p,
+                 verdict=fc.verdict.value, reasons=list(fc.reasons))
+            for fc in classified.classes()
+        ]
         reference = json.dumps({"rows": rows}, sort_keys=True, indent=2)
         assert '{\n  "rows": [\n    ' + classified.json_rows() + "\n  ]\n}" == reference
 
@@ -765,25 +770,34 @@ class TestResolveWorkers:
 class TestScreenP:
     def test_mechanical_pass(self, curve_x3x1):
         report = screen_p(curve_x3x1, 5)  # a_5 = -3, conductor 496 coprime to 5
-        assert report.mechanical_pass
+        assert report.eligible_mechanically
         assert "surjective_mod_p" in report.asserted_only
         assert "mu_zero" in report.asserted_only
 
     def test_supersingular_fails_ordinarity(self):
         curve = CurveModel(0, 0, 0, 0, 1, conductor=36)
         report = screen_p(curve, 5)
-        assert not report.mechanical_pass
+        assert not report.eligible_mechanically
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["ordinary-at-p"]
 
     def test_p_dividing_level_fails(self, curve_11a1):
         report = screen_p(curve_11a1, 11)
-        assert not report.mechanical_pass
+        assert not report.eligible_mechanically
         failing = [c.name for c in report.checks if not c.passed]
         assert "good-reduction-at-p" in failing
 
     def test_always_returns_report(self, curve_11a1):
         assert screen_p(curve_11a1, 4).checks  # not prime, still a report
+
+    def test_undecided_primality_is_not_evaluated(self, curve_11a1):
+        psi13 = 3_317_044_064_679_887_385_961_981  # passes every Miller-Rabin base to 41
+        report = screen_p(curve_11a1, psi13)
+        assert not report.eligible_mechanically
+        assert [c.passed for c in report.checks] == [False, False, False]
+        detail = report.checks[0].detail
+        assert detail.startswith(f"not evaluated (primality of {psi13} is not decided")
+        assert all(c.detail == detail for c in report.checks)
 
     def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
         # one point a prime leaves the group order at 3001 ambiguous: a PointCountError
