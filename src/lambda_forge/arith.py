@@ -1,8 +1,10 @@
 """Exact integer and modular arithmetic, plus fast prime generation.
 
-Everything here is pure and deterministic.  Moduli in this project stay
-below 2**63 (p <= ~10**3, ell <= ~10**8, p**2 <= ~10**6), so Python ints
-never become a bottleneck and no external bignum support is needed.
+Everything here is pure and deterministic, and exact at any size.  Sieved
+primes stay below :data:`MAX_SIEVE_BOUND`, so they fit int64 columns; the
+working prime p, a single ell and a level are Python ints of any size (a
+planned level N_f passes 2**63 within a dozen primes), and need no external
+bignum support.
 
 A range's primes come from one segmented sieve: one at a time
 (:func:`sieve_primes`), or as int64 arrays of any length taken from a

@@ -32,7 +32,7 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, Iterator
 
-from .arith import PrimeRange
+from .arith import PrimeRange, factorize
 from .config import RunConfig, build_context, load_config
 from .density import empirical_density, enumerate_gl2_classes
 from .errors import ComputationError, ConfigError
@@ -40,7 +40,7 @@ from .forms import a_ells
 from .iwasawa import bk_rank_bounds, sigma_columns
 # the traced benchmark (bench/run.py) wraps cli.sigma_ell by name
 from .iwasawa import sigma_ell  # noqa: F401
-from .levels import carayol_check, plan_target_lambda
+from .levels import CARAYOL_TRIAL_BOUND, carayol_check, plan_target_lambda
 from .residual import (
     JSON_FIELD,
     JSON_ROW_SEPARATOR,
@@ -120,7 +120,12 @@ def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: I
     pieces = [piece for piece in report.get(key, ()) if piece]
     if key is not None:
         report[key] = []
-    text = json.dumps(report, sort_keys=True, indent=2, default=json_value) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a level of any size is written exactly
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, default=json_value) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     if pieces:
         # only the lines of top-level keys are indented by exactly two spaces
         head, _, text = text.partition(f"\n  {json.dumps(key)}: []")
@@ -244,7 +249,10 @@ def _cmd_plan(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     )
     payload = json_value(level_set)
     payload["bk_rank"] = bk_rank_bounds(level_set.predicted_lambda)
-    payload["carayol_cases"] = carayol_check(ctx, level_set.N_f).primes
+    # the level's factors are known: N_g's, and each chosen prime once
+    factors = factorize(ctx.level, trial_bound=CARAYOL_TRIAL_BOUND)
+    factors += [(ell, 1) for ell in level_set.pi_primes + level_set.omega_primes]
+    payload["carayol_cases"] = carayol_check(ctx, level_set.N_f, factors=factors).primes
     _emit_report(payload, cfg, args, out)
 
 

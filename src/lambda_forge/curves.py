@@ -44,10 +44,14 @@ from typing import Sequence
 import numpy as np
 
 from .arith import is_prime
-from .errors import PointCountError
+from .errors import PointCountError, ResourceLimitError
 
 NAIVE_COUNT_LIMIT = 3000  # the measured naive/BSGS crossover, rounded
 BSGS_MAX_POINTS = 40
+# The largest ell the counter accepts: a count grows like ell^(1/4), and one
+# of 11a at the largest prime below 2^62 took 6.2-6.6 s (2-core x86-64 host,
+# Python 3.11, numpy 2.4); past it a count is refused, never left to run.
+MAX_COUNTED_ELL = 2**62
 
 
 @dataclass(frozen=True)
@@ -780,8 +784,10 @@ def _bsgs_counts(
             _require_countable(curve, ell)
             if ell < 5:
                 raise ValueError("BSGS counting needs ell >= 5; use count_points_naive")
+            if ell > MAX_COUNTED_ELL:
+                raise ResourceLimitError(f"point counting is capped at ell <= 2^62, got {ell}")
             entries.append(None)
-        except ValueError as exc:
+        except (ValueError, ResourceLimitError) as exc:
             entries.append(exc)
     at = [i for i, entry in enumerate(entries) if entry is None]
     sieves: list[tuple[int, _OrderSieve]] = []
@@ -833,7 +839,7 @@ def count_points_bsgs(curve: CurveModel, ell: int) -> int:
 
     Sampling is deterministic per (curve, ell) (see :class:`_OrderSieve`),
     and ambiguity after :data:`BSGS_MAX_POINTS` points raises instead of
-    guessing.
+    guessing, as does an ell past :data:`MAX_COUNTED_ELL`.
     A batch of one: sweeps count many primes at once through
     :func:`traces_of_frobenius`, since one count alone costs 2-6 ms of
     numpy overhead.  ell must be a prime; the caller checks that (see the
@@ -847,8 +853,9 @@ def traces_of_frobenius(curve: CurveModel, ells: Sequence[int]) -> list[int | Ex
 
     Primes up to :data:`NAIVE_COUNT_LIMIT` are counted naively, the others
     by BSGS in shared walks.  Each entry is a_ell or the exception the
-    count raised at that ell: a :class:`PointCountError`, or a ValueError
-    at a prime of bad reduction.  No entry depends on the other ells.
+    count raised at that ell: a :class:`PointCountError`, a ValueError at
+    a prime of bad reduction, or a :class:`ResourceLimitError` past
+    :data:`MAX_COUNTED_ELL`.  No entry depends on the other ells.
     Every ell must be a prime; the caller checks that (see the module notes).
     """
     limit = NAIVE_COUNT_LIMIT

@@ -51,7 +51,7 @@ class ScarcityError(ComputationError):
 
 
 class ResourceLimitError(ComputationError):
-    """A configured bound (sieve size, factor bound, exponent cap) was exceeded."""
+    """A bound (sieve size, factor bound, exponent cap, point-count size) was exceeded."""
 
 
 class PointCountError(ComputationError):

@@ -12,9 +12,10 @@ from the sweep's classified chunks, so no object is built a prime.
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .residual import Verdict, classify_chunk, classify_chunks
 # the traced benchmark (bench/run.py) wraps levels.classify_range by name
 from .residual import classify_range  # noqa: F401
 
-MAX_LEVEL = 2**63
 CARAYOL_TRIAL_BOUND = 10**6
 EXISTENCE_ASSERTED = "DiamondTaylorAsserted"
 EXISTENCE_IDENTITY = "IdentityOfBaseForm"
@@ -46,15 +46,6 @@ class LevelSet:
     existence: str
 
 
-def _checked_product(factors: Iterable[int], start: int = 1) -> int:
-    out = start
-    for f in factors:
-        out *= f
-        if out > MAX_LEVEL:
-            raise ResourceLimitError(f"level product exceeds 2^63 (reached {out})")
-    return out
-
-
 def _case1_identity_holds(ell: int, trace: int, p: int) -> bool:
     """Carayol case 1: ell * t^2 = (1 + ell)^2 * det mod p, with det = ell mod p."""
     return (ell * trace * trace - (1 + ell) ** 2 * ell) % p == 0
@@ -69,13 +60,14 @@ def build_level_set(
 
     ``pi`` and ``omega`` hold each family's primes as (ells, a_ells)
     columns; only a_ell mod p matters.  A prime dividing N_g * p has no
-    Frobenius class to transfer and is refused, as are a prime chosen twice
-    and a level past 2^63.  Each row's verdict is then derived again with
-    :func:`residual.classify_chunk`, the one definition of the Pi and Omega
-    families, and a prime outside its family is refused.  The predicted
-    lambda is obtained by actually evaluating the transfer sum over the
-    chosen primes (generic Euler factors for g, degenerate ramified factors
-    for the new form), not by shortcutting to lambda_g + n.
+    Frobenius class to transfer and is refused, as is a prime chosen twice.
+    Each family is sorted ascending, and each row's verdict is then derived
+    again with :func:`residual.classify_chunk`, the one definition of the Pi
+    and Omega families, and a prime outside its family is refused.  The
+    ``LevelSet`` lists each family ascending.  The predicted lambda is
+    obtained by actually evaluating the transfer sum over the chosen primes
+    (generic Euler factors for g, degenerate ramified factors for the new
+    form), not by shortcutting to lambda_g + n.
     """
     primes = [int(ell) for ell in (*pi[0], *omega[0])]
     for ell in primes:
@@ -83,14 +75,14 @@ def build_level_set(
             raise ValueError(f"level-raising prime {ell} divides N_g * p")
     if len(set(primes)) != len(primes):
         raise ValueError(f"duplicate primes in level set: {sorted(primes)}")
-    n_sigma = _checked_product(primes)
-    n_f = _checked_product([ctx.level], start=n_sigma)
+    n_sigma = math.prod(primes)
 
-    # every prime lies below 2^63 / N_g, so in any order the columns take the
-    # dtype p alone picks (int64, or object past the int64 bound)
+    # classify_chunk picks the dtype of its columns from its last row, so each
+    # family goes in ascending, for that row to be its largest prime
     pi_chunk, omega_chunk = (
-        classify_chunk(ells, np.arange(len(ells)), np.asarray(a_ells), ctx.p)
-        for ells, a_ells in (pi, omega)
+        classify_chunk([ell for ell, _ in rows], np.arange(len(rows)),
+                       np.asarray([a for _, a in rows]), ctx.p)
+        for rows in (sorted(zip(map(int, ells), a_ells)) for ells, a_ells in (pi, omega))
     )
     for want, chunk in ((Verdict.PI, pi_chunk), (Verdict.OMEGA, omega_chunk)):
         for ell, t, verdict in zip(chunk.ells.tolist(), chunk.trace_mod_p.tolist(),
@@ -115,7 +107,7 @@ def build_level_set(
         pi_primes=tuple(pi_chunk.ells.tolist()),
         omega_primes=tuple(omega_chunk.ells.tolist()),
         N_sigma=n_sigma,
-        N_f=n_f,
+        N_f=ctx.level * n_sigma,
         predicted_lambda=lambda_transfer(ctx, sigma_g, sigma_f),
         predicted_mu=0,
         existence=EXISTENCE_ASSERTED if primes else EXISTENCE_IDENTITY,
@@ -200,14 +192,24 @@ class CarayolReport:
     primes: tuple[CarayolPrimeReport, ...]
 
 
-def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:
+def carayol_check(
+    ctx: FormContext,
+    proposed_level: int,
+    *,
+    factors: Sequence[tuple[int, int]] | None = None,
+) -> CarayolReport:
     """Check a proposed level against the per-prime admissibility conditions.
 
     The optimal level always divides an admissible one, so a level that is
     not a multiple of N_g is rejected structurally.  For each extra prime
     power the satisfied cases are all reported; more than one satisfied case
     is flagged ambiguous rather than silently resolved.  A prime whose trace
-    the backend cannot supply is marked unknown, never guessed.
+    the backend cannot supply (a gap in a table, or a prime past what the
+    point counter accepts) is marked unknown, never guessed.
+
+    The level is factored by trial division up to
+    :data:`CARAYOL_TRIAL_BOUND` unless ``factors``, its (prime, exponent)
+    pairs, are given; they must multiply to the level.
     """
     if proposed_level < 1:
         raise ValueError(f"level must be positive, got {proposed_level}")
@@ -222,12 +224,17 @@ def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:
         )
 
     base_factors = dict(factorize(ctx.level, trial_bound=CARAYOL_TRIAL_BOUND))
-    level_factors = dict(factorize(proposed_level, trial_bound=CARAYOL_TRIAL_BOUND))
+    if factors is None:
+        factors = factorize(proposed_level, trial_bound=CARAYOL_TRIAL_BOUND)
+    level_factors = dict(factors)
+    if math.prod(q**e for q, e in level_factors.items()) != proposed_level:
+        raise ValueError(f"the factors given do not multiply to the level {proposed_level}")
     p = ctx.p
 
     extra = [ell for ell in sorted(level_factors) if level_factors[ell] > base_factors.get(ell, 0)]
     # a_ell mod p at the extra primes not dividing N_g * p, one batch up to each
-    # gap in a table; a gap gets no trace, and the batch goes on past it
+    # prime the backend fails at (a gap in a table, or a prime too large to
+    # count points at); that prime gets no trace, and the batch goes on past it
     traces: dict[int, int] = {}
     pending = [ell for ell in extra if not ctx.divides_ngp(ell)]
     while pending:
@@ -235,7 +242,7 @@ def carayol_check(ctx: FormContext, proposed_level: int) -> CarayolReport:
         traces.update(zip(pending, (column % p).tolist()))
         if error is None:
             break
-        if not isinstance(error, CoverageError):
+        if not isinstance(error, (CoverageError, ResourceLimitError)):
             raise error
         pending = pending[len(column) + 1:]
 

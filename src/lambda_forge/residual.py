@@ -564,8 +564,9 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
     to decide fails all three.  Ordinariness is evaluated exactly where
     :func:`curves.is_ordinary` answers: a_p comes from the point counter,
     which refuses a prime p >= 5 of bad reduction, and whose
-    :class:`PointCountError` (a group order it could not pin down) is
-    reported with its message.
+    :class:`PointCountError` (a group order it could not pin down) or
+    :class:`ResourceLimitError` (a p past :data:`curves.MAX_COUNTED_ELL`)
+    is reported with its message.
     """
     try:
         checks = [CheckResult("p>=5-and-prime", p >= 5 and is_prime(p), f"p = {p}")]
@@ -587,7 +588,7 @@ def screen_p(curve: CurveModel, p: int) -> ScreenReport:
         ap = trace_of_frobenius(curve, p)
     except ValueError:
         checks.append(CheckResult("ordinary-at-p", False, "not evaluated (bad reduction)"))
-    except PointCountError as exc:
+    except (PointCountError, ResourceLimitError) as exc:
         checks.append(CheckResult("ordinary-at-p", False, f"not evaluated ({exc})"))
     else:
         checks.append(

@@ -1,15 +1,20 @@
+import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lambda_forge import (
     FormContext,
@@ -19,10 +24,12 @@ from lambda_forge import (
     classify_chunks,
     classify_range,
     cli,
+    levels,
     load_coefficients,
     residual,
     sigma_columns,
 )
+from lambda_forge.arith import MAX_SIEVE_BOUND, factorize
 from lambda_forge.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from lambda_forge.config import build_context, load_config
 
@@ -257,6 +264,103 @@ class TestPlan:
         code = main(["plan", "--config", curve_config, "--target-lambda", "6",
                      "--scan-bound", "60"])
         assert code == EXIT_COMPUTE
+
+
+@contextlib.contextmanager
+def exact_int_text():
+    """Python's int <-> str conversions, unlimited in digits, within the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestPlanAnyTarget:
+    """plan reaches every n >= lambda_g: its level is an exact int of any size."""
+
+    @pytest.mark.parametrize("config, target", [
+        ("default", 8), ("curve37a", 10), ("curve389a", 11),  # once refused past 2^63
+        ("default", 40), ("curve37a", 41), ("curve389a", 42),  # lambda_g + 40
+    ])
+    def test_level_is_exact_and_admissible(self, capsys, monkeypatch, config, target):
+        path = str(ROOT / "configs" / f"{config}.cfg")
+        ctx = build_context(load_config(path))
+        factored = []
+        monkeypatch.setattr(levels, "factorize",
+                            lambda n, **kw: factored.append(n) or factorize(n, **kw))
+        report = run_json(capsys, ["plan", "--config", path, "--target-lambda", str(target)])
+        assert factored == [ctx.level]  # the plan's carayol cases never factor N_f
+        primes = report["pi_primes"] + report["omega_primes"]
+        assert report["N_f"] == ctx.level * math.prod(primes) > 2**63
+        assert report["predicted_lambda"] == target
+        assert len(report["pi_primes"]) == target - ctx.lambda_g
+        assert {case["status"] for case in report["carayol_cases"]} == {"admissible"}
+        carayol = run_json(capsys, ["carayol", "--config", path, "--level", str(report["N_f"])])
+        assert carayol["verdict"] == "admissible"
+        assert [prime["ell"] for prime in carayol["primes"]] == sorted(primes)
+
+    def test_a_level_past_python_int_text_limit(self, curve_config, capsys):
+        # 1,000 Pi primes below 2e5 make a level of over 4,300 digits, the
+        # default limit of Python's int-to-text conversion
+        argv = ["plan", "--config", curve_config, "--target-lambda", "1000",
+                "--scan-bound", "200000"]
+        limit = sys.get_int_max_str_digits()
+        assert main(argv) == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit  # lifted only to write the report
+        with exact_int_text():
+            report = json.loads(capsys.readouterr().out)
+            assert len(str(report["N_f"])) > 4300
+        assert report["N_f"] == 11 * math.prod(report["pi_primes"])
+        assert report["predicted_lambda"] == 1000
+        assert len(report["carayol_cases"]) == 1000
+
+
+class TestPointCountBound:
+    """A prime past the point counter's bound is refused at once, never counted."""
+
+    BIG = 10**21 + 117  # prime, 4 mod 7
+
+    def run_quickly(self, capsys, argv) -> tuple[int, str, str]:
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_a_ell_exit_3(self, curve_config, capsys):
+        code, out, err = self.run_quickly(capsys, ["a-ell", "--config", curve_config,
+                                                   "--ell", "13", "--ell", str(self.BIG)])
+        assert (code, out) == (EXIT_COMPUTE, "")
+        assert err == ("computation error: point counting is capped at ell <= 2^62, "
+                       f"got {self.BIG}\n")
+
+    def test_config_p_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "big_p.cfg"
+        path.write_text(CURVE_CFG.replace("p = 7\n", f"p = {self.BIG}\n"), encoding="utf-8")
+        code, out, err = self.run_quickly(capsys, ["plan", "--config", str(path),
+                                                   "--target-lambda", "1"])
+        assert (code, out) == (EXIT_COMPUTE, "")
+        assert "point counting is capped at ell <= 2^62" in err
+
+    def test_screen_p_reports(self, curve_config, capsys):
+        code, out, _ = self.run_quickly(capsys, ["screen-p", "--config", curve_config,
+                                                 "--p", str(self.BIG)])
+        assert code == EXIT_OK
+        checks = {check["name"]: check for check in json.loads(out)["checks"]}
+        assert checks["p>=5-and-prime"]["passed"] and checks["good-reduction-at-p"]["passed"]
+        assert checks["ordinary-at-p"]["detail"] == (
+            f"not evaluated (point counting is capped at ell <= 2^62, got {self.BIG})")
+
+    def test_carayol_marks_the_prime_unknown(self, curve_config, capsys):
+        code, out, _ = self.run_quickly(capsys, ["carayol", "--config", curve_config,
+                                                 "--level", str(11 * 13 * self.BIG)])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["verdict"] == "inadmissible"  # a_13 = 4 fails case 1 at p = 7
+        assert [(row["ell"], row["status"]) for row in report["primes"]] == [
+            (13, "violation"), (self.BIG, "unknown")]
 
 
 class TestVerifyDensity:
@@ -750,3 +854,49 @@ class TestDeterminism:
         report = run_json(capsys, ["screen-p", "--config", curve_config, "--p", "7",
                                    "--timestamps"])
         assert "generated_at" in report
+
+
+# Integer flag values from negative to 10^30, with the edges of the bounds the
+# commands enforce; a sweep bound is tiny or past the sieve cap, so no draw
+# sweeps far.
+BIG_INTS = st.integers(-10**30, 10**30) | st.sampled_from([
+    -1, 0, 1, 2, 4, 5, 7, 11, 13, 14, 2**62 + 169, 2**63, 2**63 + 99, 10**21 + 117,
+    3_317_044_064_679_887_385_961_981, 10**30,
+])
+SWEEP_BOUNDS = st.integers(-10, 400) | st.integers(MAX_SIEVE_BOUND + 1, 10**30)
+
+
+@st.composite
+def integer_argv(draw) -> list[str]:
+    """A command with each of its integer flags drawn."""
+    command = draw(st.sampled_from(["plan", "carayol", "a-ell", "screen-p", "verify-density"]))
+    if command == "plan":
+        return [command, f"--target-lambda={draw(BIG_INTS)}",
+                f"--omega-count={draw(BIG_INTS)}", f"--scan-bound={draw(SWEEP_BOUNDS)}"]
+    if command == "a-ell":
+        return [command, *(f"--ell={ell}" for ell in draw(st.lists(BIG_INTS, min_size=1, max_size=3)))]
+    if command == "carayol":  # a multiple of N_g = 11 has its factors checked
+        return [command, f"--level={draw(BIG_INTS | BIG_INTS.map(lambda n: 11 * n))}"]
+    flag = {"screen-p": "--p", "verify-density": "--enumerate-gl2"}
+    return [command, f"{flag[command]}={draw(BIG_INTS)}"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=integer_argv())
+def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
+    # every draw exits 0, 2 or 3 without a traceback, and writes nothing to
+    # stdout unless it succeeds
+    command, *flags = argv
+    start = time.perf_counter()
+    try:
+        code = main([command, "--config", curve_config, *flags])
+    except SystemExit as exc:  # argparse refuses a value its type rejects
+        code = exc.code
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE), captured.err
+    assert "Traceback" not in captured.err
+    if code != EXIT_OK:
+        assert captured.out == ""
+        assert captured.err

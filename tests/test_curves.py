@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from math import isqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ from lambda_forge import curves
 from lambda_forge.arith import PrimeRange, is_prime
 from lambda_forge.curves import (
     BSGS_MAX_POINTS,
+    MAX_COUNTED_ELL,
     NAIVE_COUNT_LIMIT,
     CurveModel,
     _OrderSieve,
@@ -29,7 +31,7 @@ from lambda_forge.curves import (
     trace_of_frobenius,
     traces_of_frobenius,
 )
-from lambda_forge.errors import PointCountError
+from lambda_forge.errors import PointCountError, ResourceLimitError
 from lambda_forge.residual import screen_p
 
 from conftest import CURVE_11A1, CURVE_37A1, CURVE_389A1, short_curve
@@ -296,6 +298,26 @@ class TestBsgs:
                 continue
             curve = short_curve(a, b)
             assert count_points_bsgs(curve, ell) == count_points_naive(curve, ell)
+
+    def test_refused_past_the_count_bound(self, curve_11a1):
+        # a count near 2^62 takes seconds; one past it is refused at once
+        start = time.perf_counter()
+        for ell in (2**62 + 169, 10**21 + 117):
+            with pytest.raises(ResourceLimitError,
+                               match=f"point counting is capped at ell <= 2\\^62, got {ell}$"):
+                count_points_bsgs(curve_11a1, ell)
+        batch = traces_of_frobenius(curve_11a1, [13, 2**62 + 169, 101])
+        assert batch[0] == 4 and batch[2] == 2
+        assert isinstance(batch[1], ResourceLimitError)
+        assert time.perf_counter() - start < 2
+
+    def test_the_count_bound_is_inclusive(self, curve_11a1):
+        # with no points to draw, an accepted ell is left ambiguous, not refused
+        below, above = 2**62 - 57, 2**62 + 169  # the primes next to 2^62
+        assert MAX_COUNTED_ELL == 2**62
+        accepted, refused = _bsgs_counts(curve_11a1, [below, above], 0)
+        assert isinstance(accepted, PointCountError)
+        assert isinstance(refused, ResourceLimitError)
 
     def test_ambiguity_is_an_error_not_a_guess(self, curve_389a1):
         # with the structure refinement unavailable (one point is a single

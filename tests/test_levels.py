@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from lambda_forge import (
     levels,
     plan_target_lambda,
 )
-from lambda_forge.arith import PrimeRange, sieve_primes
+from lambda_forge.arith import PrimeRange, factorize, sieve_primes
 from lambda_forge.config import build_context, load_config
 from lambda_forge.errors import ResourceLimitError, ScarcityError
 from lambda_forge.iwasawa import sigma_ell
@@ -93,8 +94,8 @@ class TestEnumerate:
             assert level_set.N_sigma == prod
             assert level_set.N_f == 11 * prod
 
-    def test_overflow_past_2_to_63(self, ctx_default):
-        # three Pi-type primes near 4.3e6 push N_f past 2^63
+    def test_exact_level_past_2_to_63(self, ctx_default):
+        # three Pi-type primes near 4.3e6 push N_f past 2^63, and it stays exact
         ells = []
         for q in sieve_primes(PrimeRange(4_300_000, 4_400_000)):
             if q % 7 in (0, 1, 6) or pow(q, 6, 49) == 1:
@@ -104,9 +105,23 @@ class TestEnumerate:
                 break
         traces = [(1 + q) % 7 for q in ells]
         chunk = classify_chunk(ells, range(3), np.array(traces), 7)
-        assert chunk.verdicts().tolist() == [Verdict.PI] * 3  # refused for the level alone
-        with pytest.raises(ResourceLimitError, match="2\\^63"):
-            build_level_set(ctx_default, (ells, traces), ([], []))
+        assert chunk.verdicts().tolist() == [Verdict.PI] * 3
+        level_set = build_level_set(ctx_default, (ells, traces), ([], []))
+        assert level_set.N_f == 11 * ells[0] * ells[1] * ells[2] > 2**63
+        assert level_set.N_sigma == ells[0] * ells[1] * ells[2]
+        assert level_set.predicted_lambda == 3
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["ascending", "descending"])
+    def test_a_family_past_2_to_63_in_any_order(self, ctx_default, order):
+        # Pi primes at p = 7: 101 and the least such prime above 2^63.  The
+        # chunk's dtype comes from its last row, so the family is sorted first.
+        family = [(101, 102 % 7), (2**63 + 99, (2**63 + 100) % 7)]
+        pi = columns([family[i] for i in order])
+        level_set = build_level_set(ctx_default, pi, ([], []))
+        assert level_set.pi_primes == (101, 2**63 + 99)
+        assert all(type(ell) is int for ell in level_set.pi_primes)
+        assert level_set.N_f == 11 * 101 * (2**63 + 99)
+        assert level_set.predicted_lambda == 2
 
     def test_wrong_verdict_rejected(self, ctx_default, rows_500):
         (omega,), (pi,) = rows_500[Verdict.OMEGA][:1], rows_500[Verdict.PI][:1]
@@ -235,13 +250,6 @@ def first_rows(chunk, verdict: Verdict, k: int) -> tuple[list[int], list[int]]:
     return chunk.ells[rows].tolist(), chunk.trace_mod_p[rows].tolist()
 
 
-def level_set_or_refusal(build):
-    try:
-        return build()
-    except ResourceLimitError as exc:  # a level past 2^63, reached at the same prime
-        return str(exc)
-
-
 @pytest.mark.usefixtures("two_cores")
 @pytest.mark.parametrize("threads", ["1", "2"])
 @settings(max_examples=8, deadline=None,
@@ -257,11 +265,31 @@ def test_plan_picks_across_chunks(one_classification, monkeypatch, threads, n, r
     if max(n, r) == 0:
         return
     monkeypatch.setenv("LAMBDA_FORGE_THREADS", threads)
-    planned = level_set_or_refusal(lambda: plan_target_lambda(
-        ctx, ctx.lambda_g + n, r, PICK_SCAN, workers=resolve_workers()))
-    expected = level_set_or_refusal(lambda: build_level_set(
-        ctx, first_rows(chunk, Verdict.PI, n), first_rows(chunk, Verdict.OMEGA, r)))
+    planned = plan_target_lambda(ctx, ctx.lambda_g + n, r, PICK_SCAN, workers=resolve_workers())
+    expected = build_level_set(
+        ctx, first_rows(chunk, Verdict.PI, n), first_rows(chunk, Verdict.OMEGA, r))
     assert planned == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(0, 60), r=st.integers(0, 5))
+@example(n=60, r=5)
+def test_lambda_rises_by_one_a_pi_prime(one_classification, n, r):
+    # the first n Pi and r Omega rows of one classification, each family given
+    # in descending order: every Pi prime adds exactly one, and N_f is exact
+    ctx, chunk = one_classification
+    pi = first_rows(chunk, Verdict.PI, n)
+    omega = first_rows(chunk, Verdict.OMEGA, r)
+    level_set = build_level_set(ctx, *(tuple(column[::-1] for column in family)
+                                       for family in (pi, omega)))
+    assert level_set.pi_primes == tuple(pi[0])
+    assert level_set.omega_primes == tuple(omega[0])
+    assert level_set.predicted_lambda == ctx.lambda_g + len(pi[0])
+    assert level_set.N_f == 11 * math.prod(pi[0] + omega[0])
+    if pi[0]:
+        one_fewer = build_level_set(ctx, tuple(column[:-1] for column in pi), omega)
+        assert level_set.predicted_lambda - one_fewer.predicted_lambda == 1
+        assert level_set.N_f == one_fewer.N_f * pi[0][-1]
 
 
 @pytest.mark.parametrize("config", ["default.cfg", "curve37a.cfg", "curve389a.cfg"])
@@ -337,6 +365,44 @@ class TestCarayol:
         assert [prime.status for prime in report.primes] == ["unknown", "admissible"]
         assert set(report.primes[1].satisfied_cases) == {"1", "3b"}
         assert report.verdict == "unknown"
+
+    def test_a_prime_the_counter_refuses_is_unknown(self, ctx_default):
+        # the least prime above 2^62 that is 2-5 mod 7: only case 1 could apply,
+        # and it needs the a_ell the point counter refuses to compute
+        q = 2**62 + 169
+        report = carayol_check(ctx_default, 11 * q)
+        (prime,) = report.primes
+        assert (prime.ell, prime.status) == (q, "unknown")
+        assert prime.detail == f"cases 1 undecidable: no coefficient for {q}"
+        assert report.verdict == "unknown"
+
+    def test_given_factors_spare_trial_division(self, ctx_default, monkeypatch):
+        # two Pi primes above the trial bound: N_f has no factorization by trial
+        # division to 1e6, and the factors the plan holds decide every case
+        chunk = next(classify_chunks(ctx_default, PrimeRange(10**6, 10**6 + 3000)))
+        rows = np.flatnonzero(chunk.verdicts() == Verdict.PI)[:2]
+        pi = chunk.ells[rows].tolist(), chunk.trace_mod_p[rows].tolist()
+        level_set = build_level_set(ctx_default, pi, ([], []))
+        assert len(level_set.pi_primes) == 2 and min(level_set.pi_primes) > 10**6
+        with pytest.raises(ResourceLimitError, match="not factorable by trial division"):
+            carayol_check(ctx_default, level_set.N_f)
+        factored = []
+        monkeypatch.setattr(levels, "factorize",
+                            lambda n, **kw: factored.append(n) or factorize(n, **kw))
+        factors = [(11, 1)] + [(ell, 1) for ell in level_set.pi_primes]
+        report = carayol_check(ctx_default, level_set.N_f, factors=factors)
+        assert factored == [11]
+        assert report.verdict == "admissible"
+        assert tuple(prime.ell for prime in report.primes) == level_set.pi_primes
+
+    @pytest.mark.parametrize("level, factors", [
+        (11 * 31, [(11, 1), (29, 1)]),
+        (11 * 31 * 31, [(11, 1), (31, 1), (31, 1)]),
+        (11 * 31, [(11, 1)]),
+    ], ids=["wrong-prime", "repeated-pair", "missing-prime"])
+    def test_given_factors_must_multiply_to_the_level(self, level, factors):
+        with pytest.raises(ValueError, match=f"do not multiply to the level {level}$"):
+            carayol_check(carayol_ctx(), level, factors=factors)
 
     def test_structural_rejection(self):
         ctx = carayol_ctx()

@@ -799,6 +799,14 @@ class TestScreenP:
         assert detail.startswith(f"not evaluated (primality of {psi13} is not decided")
         assert all(c.detail == detail for c in report.checks)
 
+    def test_p_past_the_count_bound_is_not_evaluated(self, curve_11a1):
+        start = time.perf_counter()
+        report = screen_p(curve_11a1, 10**21 + 117)
+        assert time.perf_counter() - start < 2
+        assert [c.passed for c in report.checks] == [True, True, False]
+        assert report.checks[-1].detail == (
+            f"not evaluated (point counting is capped at ell <= 2^62, got {10**21 + 117})")
+
     def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
         # one point a prime leaves the group order at 3001 ambiguous: a PointCountError
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
