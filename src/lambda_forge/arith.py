@@ -146,6 +146,20 @@ class PrimeStream:
         return chunk
 
 
+def int_text(n: int) -> str:
+    """n in decimal up to 100 digits, else its digit count: "<a 4,401-digit integer>".
+
+    For messages, which must not echo a level of any size; past 4,300
+    digits, Python refuses the conversion by default.
+    """
+    m = abs(n)
+    if m < 10**100:
+        return str(n)
+    digits = int(m.bit_length() * 0.30102999566398120) + 1  # log10(2), then made exact
+    digits += (m >= 10**digits) - (m < 10 ** (digits - 1))
+    return f"<a {digits:,}-digit integer>"
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24 (psi_13).
 
@@ -154,7 +168,9 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= _MR_BOUND:
-        raise ResourceLimitError(f"primality of {n} is not decided at or above {_MR_BOUND}")
+        raise ResourceLimitError(
+            f"primality of {int_text(n)} is not decided at or above {_MR_BOUND}"
+        )
     witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES
     for p in witnesses:
         if n % p == 0:
@@ -248,7 +264,8 @@ def factorize(n: int, *, trial_bound: int | None = None) -> list[tuple[int, int]
     if rem > 1:
         if trial_bound is not None and rem > limit * limit and not is_prime(rem):
             raise ResourceLimitError(
-                f"cofactor {rem} of {n} not factorable by trial division below {trial_bound}"
+                f"cofactor {int_text(rem)} of {int_text(n)} not factorable by trial division "
+                f"below {trial_bound}"
             )
         out.append((rem, 1))
     return out

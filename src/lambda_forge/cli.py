@@ -101,6 +101,17 @@ class _JsonRows(list):
     by :data:`~lambda_forge.residual.JSON_ROW_SEPARATOR` ("" for no rows)."""
 
 
+@contextlib.contextmanager
+def _exact_int_text() -> Iterator[None]:
+    """Python's int <-> str conversions, unlimited in digits, within the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     """Write the report as ``json.dumps(report, sort_keys=True, indent=2,
     default=json_value)`` prints it: a report object in ``payload`` is
@@ -120,12 +131,8 @@ def _emit_report(payload: dict, cfg: RunConfig, args: argparse.Namespace, out: I
     pieces = [piece for piece in report.get(key, ()) if piece]
     if key is not None:
         report[key] = []
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # a level of any size is written exactly
-    try:
+    with _exact_int_text():  # a level of any size is written exactly
         text = json.dumps(report, sort_keys=True, indent=2, default=json_value) + "\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
     if pieces:
         # only the lines of top-level keys are indented by exactly two spaces
         head, _, text = text.partition(f"\n  {json.dumps(key)}: []")
@@ -144,6 +151,18 @@ def nonnegative_int(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
+
+
+def level_int(text: str) -> int:
+    """argparse type for a level: an integer of any number of digits, as ``plan`` prints."""
+    with _exact_int_text():
+        try:
+            return int(text)
+        except ValueError:
+            shown = repr(text)
+            if len(text) > 100:
+                shown = f"{shown[:21]}...' ({len(text):,} characters)"
+            raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -194,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_carayol = sub.add_parser("carayol", help="check a proposed level for admissibility")
     _add_common(p_carayol)
-    p_carayol.add_argument("--level", type=int, required=True)
+    p_carayol.add_argument("--level", type=level_int, required=True)
 
     p_sigma = sub.add_parser("sigma", help="local transfer invariants over a prime range")
     _add_common(p_sigma)

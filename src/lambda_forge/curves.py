@@ -15,16 +15,15 @@ and the walks of all their sampled points run in lock-step as the lanes of
 numpy arrays, the walks in Jacobian coordinates with one inversion per lane
 per block of steps (Montgomery's simultaneous inversion) over a baby table
 keyed by x alone, in batches capped at 2 MB of temporaries and equal to
-within one lane, so that no batch is a small remainder.  The draws read
-each prime's stream as bulk 32-bit words, and the first point of
-every prime is settled on columns.  In a batch of 4,096 primes a walk
-costs about 10-20 us a lane near 1e4-1e6 (39 us near 1e7) and a point
-draw 11-13 us.  7-9 us of the draw is seeding the prime's generator:
-the seed string is hashed (SHA-512) and mixed into MT19937's 624-word
-state twice, and that seed fixes the prime's points, so this floor
-stays.  A count alone costs 2-6 ms, nearly all numpy call overhead, so
-sweeps pass whole chunks; :func:`count_points_bsgs` and
-:func:`trace_of_frobenius` are batches of one.
+within one lane, so that no batch is a small remainder.  Each prime draws
+its x values from its own counter-based stream (splitmix64, Steele, Lea &
+Flood 2014), keyed by its short model and computed for all lanes at once,
+and the first point of every prime is settled on columns.  In a batch of
+4,096 primes a whole count costs about 15-25 us a prime near 3e3-9e5,
+some 70% of it the walk and 12% the draws (``BENCH_28.json``).  A count
+alone costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole
+chunks; :func:`count_points_bsgs` and :func:`trace_of_frobenius` are
+batches of one.
 
 Every counter takes ell on trust as a prime: checking is the caller's job.
 :func:`arith.is_prime` costs about 9 us a prime (0.72 s over the 78,498
@@ -36,7 +35,6 @@ composite ell gives a meaningless number, not an error:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import gcd as math_gcd, isqrt, lcm
 from typing import Sequence
@@ -46,7 +44,7 @@ import numpy as np
 from .arith import is_prime
 from .errors import PointCountError, ResourceLimitError
 
-NAIVE_COUNT_LIMIT = 3000  # the measured naive/BSGS crossover, rounded
+NAIVE_COUNT_LIMIT = 3000  # at or above the measured naive/BSGS crossover (BENCH_28.json)
 BSGS_MAX_POINTS = 40
 # The largest ell the counter accepts: a count grows like ell^(1/4), and one
 # of 11a at the largest prime below 2^62 took 6.2-6.6 s (2-core x86-64 host,
@@ -201,9 +199,10 @@ def _non_residue(ell: int) -> int:
 _INT64_PRIME_LIMIT = 1 << 31
 # x values a lane keeps from its stream per pass of :func:`_random_points`:
 # about half of all x give a point, so one pass in 2^_DRAWS needs another.
-# A pass reads twice as many candidates, since randrange rejects fewer than
-# half of them.
+# A pass reads twice as many candidates, since fewer than half are rejected.
 _DRAWS = 4
+# splitmix64's counter stride, the odd 64-bit fraction of the golden ratio
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _pow(z, e, p):
@@ -215,74 +214,74 @@ def _pow(z, e, p):
     return result
 
 
-def _candidates(seeds, skips, p, count, dtype):
-    """``count`` successive getrandbits(k) values of each lane's stream, k the bit length of p.
+def _mix(z):
+    """splitmix64's output function on a uint64 array, mod 2^64: a bijection of 64-bit words."""
+    z = z ^ (z >> 30)
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
-    Lane i's stream is ``random.Random(seeds[i])`` from its 32-bit word
-    ``skips[i]`` on.  CPython's randrange(p) is the first of these values
-    below p: getrandbits(k) takes ceil(k / 32) words, low word first, and
-    shifts the top one right to leave k bits in all.  So one
-    getrandbits call a lane yields all its words, read in bulk.  Returns
-    the values as a (lanes, count) array and the words a value takes in
-    each lane.
+
+def _stream_keys(ells, a, b):
+    """The key of each prime's point stream, a uint64 mix of its short model (ell, a, b)."""
+    key = _mix(np.array(ells, np.uint64))
+    key ^= np.array(a, np.uint64)
+    key = _mix(key)
+    key ^= np.array(b, np.uint64)
+    return _mix(key)
+
+
+def _candidates(keys, skips, bits, count, dtype):
+    """``count`` candidates of each lane i's stream from its candidate ``skips[i]`` on, as rows.
+
+    Candidate k (from 0) of a lane is the top ``bits`` bits of splitmix64's
+    output at the counter ``key + (k + 1) * _GAMMA``, bits the bit length
+    of the lane's prime p; a draw of x is the first candidate below p, as
+    randrange takes one, so x is uniform on [0, p).  Each candidate is
+    computed from its position alone, so a lane reads on from any offset.
+    Every p <= :data:`MAX_COUNTED_ELL` fits one word; the values become
+    ``dtype`` only after the shift.
     """
-    words = [(ell.bit_length() + 31) // 32 for ell in p]
-    # one generator re-seeded for each lane: rng.seed(s) leaves the state of
-    # random.Random(s), without building a 2.9 KB object a prime
-    rng = random.Random(0)
-    blobs = []
-    for seed, skip, w in zip(seeds, skips, words):
-        rng.seed(seed)
-        n = skip + w * count
-        blobs.append(rng.getrandbits(32 * n).to_bytes(4 * n, "little")[4 * skip:])
-    if max(words) == 1:
-        raw = np.frombuffer(b"".join(blobs), "<u4").reshape(len(p), count).astype(np.int64)
-        raw >>= np.array([32 - ell.bit_length() for ell in p])[:, None]
-        return raw.astype(dtype, copy=False), np.ones(len(p), np.int64)
-    raw = np.empty((len(p), count), object)
-    for i, (blob, w, ell) in enumerate(zip(blobs, words, p)):
-        shift, top = 32 * w - ell.bit_length(), 4 * w - 4
-        raw[i] = [
-            int.from_bytes(blob[j:j + top], "little")
-            | int.from_bytes(blob[j + top:j + top + 4], "little") >> shift << 8 * top
-            for j in range(0, len(blob), top + 4)
-        ]
-    return raw, np.array(words)
+    counter = np.add.outer(skips.astype(np.uint64) + 1, np.arange(count, dtype=np.uint64))
+    counter *= _GAMMA
+    counter += keys[:, None]
+    z = _mix(counter)
+    z >>= 64 - bits[:, None]
+    return z.astype(dtype)
 
 
-def _random_points(seeds, skips, a, b, p) -> tuple[list, list[int]]:
+def _random_points(keys, skips, a, b, p) -> tuple[list, list[int]]:
     """The next point of each lane's stream on y^2 = x^3 + ax + b over F_p.
 
-    Lane i draws x = rng.randrange(p[i]) from ``random.Random(seeds[i])``
-    after ``skips[i]`` 32-bit words of its stream, until x^3 + ax + b is 0
-    or a square: the x the scalar loop ``while True: x = rng.randrange(p);
-    ...`` would take.  Returns the points and the words each stream has used
+    Lane i draws x from the stream of key ``keys[i]`` (:func:`_candidates`)
+    from its candidate ``skips[i]`` on, until x^3 + ax + b is 0 or a
+    square: the x the scalar loop ``while True: x = randrange(p); ...``
+    would take.  Returns the points and the candidates each stream has used
     so far.  y is one of the two roots, always the same one for the same
     lane; which one does not matter to the walk, since ord(P) = ord(-P).
 
-    A pass keeps a lane's first _DRAWS accepted draws (:func:`_candidates`)
-    and tests them in numpy; a lane whose draws all fail replays its stream
-    from the seed for twice as many.  Square roots are Tonelli-Shanks in
-    lock-step, with p - 1 = q * 2^s and a non-residue's q-th power taken
-    from a failed draw where there is one.
+    A pass tests a lane's first _DRAWS draws in numpy; a lane whose draws
+    all fail reads on from where it stopped, for twice as many.  Square
+    roots are Tonelli-Shanks in lock-step, with p - 1 = q * 2^s and a
+    non-residue's q-th power taken from a failed draw where there is one.
     """
-    lanes, ells = len(seeds), p
+    lanes, ells = len(keys), p
     dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
     two_adic = [((ell - 1) & (1 - ell)).bit_length() - 1 for ell in p]
     s = np.array(two_adic)
     q = np.array([(ell - 1) >> k for ell, k in zip(p, two_adic)], dtype)
+    bits = np.array([ell.bit_length() for ell in p], np.uint64)
     a, b, p = (np.array(v, dtype) for v in (a, b, p))
-    used = np.array(skips)
+    used = np.array(skips, np.int64)
     x, f, root, t, c = (np.zeros(lanes, dtype) for _ in range(5))
     need_c = np.zeros(lanes, bool)
     pending = np.arange(lanes)
     per_lane = _DRAWS
     while len(pending):
         P, A, B, S = (v[pending, None] for v in (p, a, b, s))
-        raw, words = _candidates(
-            [seeds[i] for i in pending.tolist()], used[pending].tolist(),
-            [ells[i] for i in pending.tolist()], 2 * per_lane, dtype,
-        )
+        raw = _candidates(keys[pending], used[pending], bits[pending], 2 * per_lane, dtype)
         # the first per_lane accepted draws, and the candidates read up to each;
         # an empty slot, in a lane with fewer, stands for all of them
         accepted = raw < P
@@ -312,7 +311,7 @@ def _random_points(seeds, skips, a, b, p) -> tuple[list, list[int]]:
         failed = (valid & ~ok)[done]
         c[lane] = T[done][np.arange(len(lane)), failed.argmax(axis=1)]
         need_c[lane] = ~failed.any(axis=1)
-        used[pending] += read[np.arange(len(pending)), np.where(done, col, per_lane - 1)] * words
+        used[pending] += read[np.arange(len(pending)), np.where(done, col, per_lane - 1)]
         pending = pending[~done]
         per_lane *= 2
     for i in np.flatnonzero(need_c & (s > 1) & (f != 0)).tolist():
@@ -672,11 +671,6 @@ def _structure_compatible(n, order_lcm, two_torsion, ell):
     return False
 
 
-def _seed(ell: int, a: int, b: int) -> str:
-    """The seed of the point stream at ell for the short model (a, b)."""
-    return f"ec-order:{ell}:{a}:{b}"
-
-
 def _hasse_window(ell: int) -> tuple[int, int]:
     """[lo, hi], the integers within 2 sqrt(ell) of ell + 1: the Hasse interval of #E(F_ell)."""
     s = isqrt(4 * ell)
@@ -690,10 +684,9 @@ class _OrderSieve:
     Orders of random points on E force N into multiples of their lcm; orders
     on the quadratic twist do the same for 2*ell + 2 - N.  Trials alternate
     sides, curve first, until a single candidate survives.  The points come
-    from this ell's own stream ``random.Random(seed)``, so they do not depend
-    on other primes; the sieve keeps only the count of 32-bit words used so
-    far, since a generator holds 2.9 KB of state, too much to keep for
-    every prime of a chunk when nearly all settle at the first point.
+    from this ell's own stream, keyed by its short model (:func:`_stream_keys`),
+    so they do not depend on other primes; the sieve keeps only the count
+    of candidates used so far, from which the next trial reads on.
     """
 
     __slots__ = (
@@ -708,11 +701,7 @@ class _OrderSieve:
         self.twist: tuple[int, int] | None = None
         self.two_torsion: int | None = None  # the same on the curve and its twist
         self.count: int | PointCountError | None = None
-        self.draws = draws  # 32-bit words of the stream used so far
-
-    @property
-    def seed(self) -> str:
-        return _seed(self.ell, self.a, self.b)
+        self.draws = draws  # candidates of the stream used so far
 
     def _twist_model(self) -> tuple[int, int]:
         if self.twist is None:
@@ -795,7 +784,7 @@ def _bsgs_counts(
         p = [ells[i] for i in at]
         a, b = zip(*(_short_model(c4, c6, ell) for ell in p))
         lo, hi = zip(*map(_hasse_window, p))
-        points, used = _random_points(list(map(_seed, p, a, b)), [0] * len(p), a, b, p)
+        points, used = _random_points(_stream_keys(p, a, b), [0] * len(p), a, b, p)
         orders = _window_orders(points, a, p, lo, hi)
         dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
         n, lo, hi = (np.array(v, dtype) for v in (orders, lo, hi))
@@ -811,9 +800,10 @@ def _bsgs_counts(
         live = [s for _, s in sieves if s.count is None]
         if not live:
             break
-        a, b, lo, hi = zip(*(s.model(trial) for s in live))
         p = [s.ell for s in live]
-        points, used = _random_points([s.seed for s in live], [s.draws for s in live], a, b, p)
+        keys = _stream_keys(p, [s.a for s in live], [s.b for s in live])
+        a, b, lo, hi = zip(*(s.model(trial) for s in live))
+        points, used = _random_points(keys, [s.draws for s in live], a, b, p)
         for sieve, order, draws in zip(live, _window_orders(points, a, p, lo, hi), used):
             sieve.draws = draws
             sieve.narrow(trial, order)

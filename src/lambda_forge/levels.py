@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import PrimeRange, factorize
+from .arith import PrimeRange, factorize, int_text
 from .density import exact_densities
 from .errors import CoverageError, ResourceLimitError, ScarcityError
 from .forms import FormContext
@@ -212,9 +212,9 @@ def carayol_check(
     pairs, are given; they must multiply to the level.
     """
     if proposed_level < 1:
-        raise ValueError(f"level must be positive, got {proposed_level}")
+        raise ValueError(f"level must be positive, got {int_text(proposed_level)}")
     if proposed_level % ctx.p == 0:
-        raise ValueError(f"proposed level {proposed_level} is divisible by p = {ctx.p}")
+        raise ValueError(f"proposed level {int_text(proposed_level)} is divisible by p = {ctx.p}")
     if proposed_level % ctx.level != 0:
         return CarayolReport(
             level=proposed_level,
@@ -228,7 +228,9 @@ def carayol_check(
         factors = factorize(proposed_level, trial_bound=CARAYOL_TRIAL_BOUND)
     level_factors = dict(factors)
     if math.prod(q**e for q, e in level_factors.items()) != proposed_level:
-        raise ValueError(f"the factors given do not multiply to the level {proposed_level}")
+        raise ValueError(
+            f"the factors given do not multiply to the level {int_text(proposed_level)}"
+        )
     p = ctx.p
 
     extra = [ell for ell in sorted(level_factors) if level_factors[ell] > base_factors.get(ell, 0)]

@@ -249,3 +249,24 @@ def test_factorize_trial_bound():
         factorize(n, trial_bound=1000)
     # but a prime cofactor is accepted
     assert factorize(2 * 1000003, trial_bound=1000) == [(2, 1), (1000003, 1)]
+
+
+def test_int_text_counts_the_digits_past_100():
+    assert arith.int_text(10**100 - 1) == "9" * 100
+    assert arith.int_text(-(10**99)) == "-1" + "0" * 99
+    for k in (100, 101, 4400, 50_000):
+        assert arith.int_text(10**k) == f"<a {k + 1:,}-digit integer>"
+        assert arith.int_text(-(10**k)) == f"<a {k + 1:,}-digit integer>"
+        if k > 100:
+            assert arith.int_text(10**k - 1) == f"<a {k:,}-digit integer>"
+
+
+def test_refusals_of_a_huge_n_give_its_digit_count():
+    # past 4,300 digits Python will not print n; the messages count its digits
+    n = 10**4400 * 1000003 * 1000033
+    with pytest.raises(ResourceLimitError, match=(
+            "^cofactor 1000036000099 of <a 4,413-digit integer> not factorable by trial "
+            "division below 1000$")):
+        factorize(n, trial_bound=1000)
+    with pytest.raises(ResourceLimitError, match="^primality of <a 4,401-digit integer> is not"):
+        is_prime(10**4400 + 1)

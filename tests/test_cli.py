@@ -578,6 +578,38 @@ class TestCarayol:
         assert f"cofactor {psi12} of {11 * psi12} not factorable" in captured.err
 
 
+    def test_a_level_past_python_int_text_limit(self, curve_config, capsys):
+        # the N_f of 1,000 Pi primes below 2e5, over 4,300 digits, with every
+        # prime below the trial-division bound: parsed whole and admissible
+        ctx = build_context(load_config(curve_config))
+        level_set = levels.plan_target_lambda(ctx, 1000, 0, 200_000)
+        assert max(level_set.pi_primes) < levels.CARAYOL_TRIAL_BOUND
+        with exact_int_text():
+            level = str(level_set.N_f)
+            report = run_json(capsys, ["carayol", "--config", curve_config, "--level", level])
+        assert len(level) > 4300
+        assert report["verdict"] == "admissible"
+        assert [prime["ell"] for prime in report["primes"]] == list(level_set.pi_primes)
+
+    @pytest.mark.parametrize("text", ["11" + "0" * 4400 + "x", "abc", "", "1.5"])
+    def test_a_non_integer_level_exit_2(self, curve_config, capsys, text):
+        # argparse names the value, cut to 20 characters and a count past 100
+        with pytest.raises(SystemExit) as info:
+            main(["carayol", "--config", curve_config, "--level", text])
+        assert info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()[-1]
+        shown = repr(text) if len(text) <= 100 else "'11000000000000000000...' (4,403 characters)"
+        assert err.endswith(f"argument --level: invalid int value: {shown}")
+
+    def test_a_refusal_names_a_huge_level_by_its_digits(self, curve_config, capsys):
+        # 77 * 10^4400 is divisible by p = 7
+        with exact_int_text():
+            level = str(77 * 10**4400)
+        assert main(["carayol", "--config", curve_config, "--level", level]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "usage error: proposed level <a 4,402-digit integer> is divisible by p = 7\n")
+
+
 class TestSigma:
     def test_csv_schema(self, curve_config, capsys):
         code = main(["sigma", "--config", curve_config, "--from", "2", "--to", "50",

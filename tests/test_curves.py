@@ -23,6 +23,7 @@ from lambda_forge.curves import (
     _non_residue,
     _random_points,
     _short_model,
+    _stream_keys,
     _structure_compatible,
     _window_orders,
     count_points_bsgs,
@@ -78,6 +79,42 @@ def sqrt_mod(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix(z: int) -> int:
+    """splitmix64's output function on one 64-bit word."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
+def stream_key(ell: int, a: int, b: int) -> int:
+    """The key of the point stream at ell for the short model (a, b)."""
+    return splitmix(splitmix(splitmix(ell) ^ a) ^ b)
+
+
+class SplitMixStream:
+    """A point stream one candidate at a time: candidate k is splitmix64 at key + (k + 1) * gamma.
+
+    ``used`` counts the candidates taken; randrange(p) takes the top
+    p.bit_length() bits of each in turn until one is below p.
+    """
+
+    def __init__(self, key: int, used: int = 0):
+        self.key, self.used = key, used
+
+    def candidate(self, p: int) -> int:
+        self.used += 1
+        return splitmix((self.key + self.used * GAMMA) & MASK) >> (64 - p.bit_length())
+
+    def randrange(self, p: int) -> int:
+        while (x := self.candidate(p)) >= p:
+            pass
+        return x
 
 
 def _random_point(a, b, p, rng):
@@ -183,8 +220,8 @@ DIFFERENTIAL_PRIMES = list(PrimeRange(5, 3000))[::3] + list(PrimeRange(10**6, 10
 BIG_PRIME = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
 DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME, 2**40 + 15]
 # the stream's primes: each just above a power of two, where randrange rejects
-# nearly half its candidates, up to three 32-bit words a candidate
-STREAM_PRIMES = [5, 17, 257, 65537, BIG_PRIME, 2**32 + 15, 2**40 + 15, 2**64 + 13]
+# nearly half its candidates, up to the largest counted prime below 2^62
+STREAM_PRIMES = [5, 17, 257, 65537, BIG_PRIME, 2**32 + 15, 2**40 + 15, 2**62 - 57]
 # the first round's primes: the refusal-prone small ones and a run near 1e6
 FIRST_ROUND_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 3000))
 
@@ -321,16 +358,21 @@ class TestBsgs:
 
     def test_ambiguity_is_an_error_not_a_guess(self, curve_389a1):
         # with the structure refinement unavailable (one point is a single
-        # sample) the order at this prime stays ambiguous
-        (entry,) = _bsgs_counts(curve_389a1, [11], 1)
+        # sample) the order at this prime stays ambiguous: 5 is the least
+        # prime where one point leaves 389a ambiguous
+        (entry,) = _bsgs_counts(curve_389a1, [5], 1)
         assert isinstance(entry, PointCountError)
 
-    def test_ambiguity_above_the_naive_limit(self, curve_11a1):
-        # two points leave 3499 ambiguous on 11a; more points settle it
-        (entry,) = _bsgs_counts(curve_11a1, [3499], 2)
+    def test_ambiguity_above_the_naive_limit(self):
+        # two points leave 3533 ambiguous on y^2 = x^3 + 12, the least prime
+        # above the naive limit where two points leave any y^2 = x^3 + ax + b
+        # with 0 <= a, b < 16 ambiguous (none of 11a, 37a and 389a has one
+        # below 1e6); more points settle it
+        curve = short_curve(0, 12)
+        (entry,) = _bsgs_counts(curve, [3533], 2)
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
-        assert count_points_bsgs(curve_11a1, 3499) == 3400
-        assert count_points_naive(curve_11a1, 3499, limit=3499) == 3400
+        assert count_points_bsgs(curve, 3533) == 3534
+        assert count_points_naive(curve, 3533, limit=3533) == 3534
 
     @settings(max_examples=150, deadline=None)
     @given(ell=st.sampled_from(list(PrimeRange(5, 20000))), a=st.integers(0), b=st.integers(0))
@@ -388,25 +430,12 @@ class TestBsgs:
                 assert n == count_points_naive(curve, ell, limit=ell)
 
 
-class CountingRandom(random.Random):
-    """A random.Random that counts the 32-bit words its draws take; the stream is unchanged.
-
-    randrange draws through getrandbits, which takes ceil(k / 32) words for k bits.
-    """
-
-    words = 0
-
-    def getrandbits(self, k):
-        self.words += (k + 31) // 32
-        return super().getrandbits(k)
-
-
 def scalar_counts(curve, ells, max_points):
     """_bsgs_counts with each point drawn by _random_point and walked by _window_order."""
     entries = []
     for ell in ells:
         sieve = _OrderSieve(ell, *_short_model(*curve.c_invariants(), ell))
-        rng = random.Random(sieve.seed)
+        rng = SplitMixStream(stream_key(ell, sieve.a, sieve.b))
         for trial in range(max_points):
             if sieve.count is not None:
                 break
@@ -451,7 +480,7 @@ class TestRandomPoints:
                 st.sampled_from(DRAW_PRIMES),
                 st.integers(0, 2**64),
                 st.integers(0, 2**64),
-                st.integers(0, 2**32),
+                st.integers(0, MASK),
                 st.integers(0, 6),
                 st.booleans(),
             ),
@@ -460,65 +489,88 @@ class TestRandomPoints:
         )
     )
     def test_batched_draws_equal_scalar_reference(self, lanes):
-        seeds, skips, a_s, b_s, ps, expected = [], [], [], [], [], []
-        for ell, a, b, seed, skip, root_first in lanes:
+        keys, skips, a_s, b_s, ps, expected = [], [], [], [], [], []
+        for ell, a, b, key, skip, root_first in lanes:
             a, b = a % ell, b % ell
-            rng = CountingRandom(f"lane:{seed}")
+            rng = SplitMixStream(key)
             for _ in range(skip):
                 rng.randrange(ell)
-            position = rng.words
+            position = rng.used
             if root_first:
                 # make the next draw a root of the cubic: f = 0, so y = 0
-                x0 = random.Random(f"lane:{seed}")
-                for _ in range(skip + 1):
-                    x = x0.randrange(ell)
+                x = SplitMixStream(key, position).randrange(ell)
                 b = -(x * x * x + a * x) % ell
             x, _ = _random_point(a, b, ell, rng)
-            seeds.append(f"lane:{seed}")
+            keys.append(key)
             skips.append(position)
             a_s.append(a)
             b_s.append(b)
             ps.append(ell)
-            expected.append((x, rng.words))
-        points, used = _random_points(seeds, skips, a_s, b_s, ps)
+            expected.append((x, rng.used))
+        points, used = _random_points(np.array(keys, np.uint64), skips, a_s, b_s, ps)
         assert [(x, n) for (x, _), n in zip(points, used)] == expected
         for (x, y), a, b, ell in zip(points, a_s, b_s, ps):
             assert 0 <= y < ell and (y * y - (x**3 + a * x + b)) % ell == 0
 
     def test_root_lane_and_high_two_adic_primes_in_one_batch(self):
         ells = [7340033, 65537, 10007, BIG_PRIME]
-        seeds = [f"s{i}" for i in range(len(ells))]
-        streams = [CountingRandom(s) for s in seeds]
+        streams = [SplitMixStream(key) for key in range(len(ells))]
         first = [rng.randrange(ell) for rng, ell in zip(streams, ells)]
         b = [-(x**3 + 3 * x) % ell for x, ell in zip(first, ells)]
-        points, used = _random_points(seeds, [0] * 4, [3] * 4, b, ells)
-        assert points == [(x, 0) for x in first] and used == [rng.words for rng in streams]
+        points, used = _random_points(np.arange(4, dtype=np.uint64), [0] * 4, [3] * 4, b, ells)
+        assert points == [(x, 0) for x in first] and used == [rng.used for rng in streams]
 
     @settings(max_examples=80, deadline=None)
     @given(
         ell=st.sampled_from(STREAM_PRIMES),
-        seed=st.integers(0, 2**32),
-        taken=st.integers(0, 6),
+        key=st.integers(0, MASK),
+        taken=st.integers(0, 40),
         count=st.integers(1, 8),
     )
-    def test_bulk_candidates_are_the_randrange_stream(self, ell, seed, taken, count):
-        # read from the word position of the first ``taken`` draws, the
-        # candidates below ell are the next ``count`` draws of the stream
-        stream = random.Random(f"lane:{seed}")
-        expected = [stream.randrange(ell) for _ in range(taken + count)][taken:]
-        rng = CountingRandom(f"lane:{seed}")
-        for _ in range(taken):
-            rng.randrange(ell)
-        position = rng.words
-        for _ in range(count):
-            rng.randrange(ell)
-        width = (ell.bit_length() + 31) // 32
-        read = (rng.words - position) // width
+    def test_bulk_candidates_are_the_randrange_stream(self, ell, key, taken, count):
+        # read from any offset, the candidates are the tail of those read from
+        # 0, and those below ell are the scalar stream's randrange draws
         dtype = np.int64 if ell < 2**31 else object
-        raw, words = _candidates([f"lane:{seed}"], [position], [ell], read, dtype)
-        assert words.tolist() == [width]
-        assert [v for v in raw[0].tolist() if v < ell] == expected
-        assert raw[0, -1] < ell  # the last word read is the last draw's
+        keys, bits = np.array([key], np.uint64), np.array([ell.bit_length()], np.uint64)
+        whole = _candidates(keys, np.array([0]), bits, taken + count, dtype)
+        tail = _candidates(keys, np.array([taken]), bits, count, dtype)
+        assert tail.tolist() == whole[:, taken:].tolist()
+        rng = SplitMixStream(key)
+        assert whole[0].tolist() == [rng.candidate(ell) for _ in range(taken + count)]
+        rng = SplitMixStream(key, taken)
+        below = [v for v in tail[0].tolist() if v < ell]
+        assert below == [rng.randrange(ell) for _ in below]
+        assert all(type(v) is int for v in tail[0].tolist())
+
+    def test_every_short_model_below_1e6_has_its_own_key(self):
+        models = set()
+        for curve in (CURVE_11A1, CURVE_37A1, CURVE_389A1):
+            c4, c6 = CurveModel(**curve).c_invariants()
+            models.update((ell, *_short_model(c4, c6, ell)) for ell in PrimeRange(5, 10**6)
+                          if curve["conductor"] % ell)
+        ells, a, b = zip(*models)
+        keys = _stream_keys(ells, a, b)
+        assert len(set(keys.tolist())) == len(models) > 3 * 78_000
+        for model, key in list(zip(models, keys.tolist()))[::5000]:
+            assert key == stream_key(*model)
+
+    @pytest.mark.parametrize("ell", [5, 17, 10007, 65537, BIG_PRIME, 2**40 + 15, 2**62 - 57])
+    def test_candidates_below_ell_are_uniform(self, ell):
+        # chi-squared over 16 bins (5 at ell = 5) of the draws of 64 streams;
+        # at 15 degrees of freedom P(chi^2 > 50) < 1e-5
+        dtype = np.int64 if ell < 2**31 else object
+        keys = _stream_keys([ell] * 64, range(64), [1] * 64)
+        raw = _candidates(keys, np.zeros(64, np.int64), np.full(64, ell.bit_length(), np.uint64),
+                          512, dtype)
+        draws = [v for v in raw.ravel().tolist() if v < ell]
+        assert len(draws) > 64 * 512 // 2
+        bins = min(ell, 16)
+        seen = np.bincount([v * bins // ell for v in draws], minlength=bins)
+        # bin j holds the v with j <= v * bins / ell < j + 1
+        width = np.diff([-(-j * ell // bins) for j in range(bins + 1)]).astype(float)
+        expected = len(draws) * width / ell
+        chi2 = float(((seen - expected) ** 2 / expected).sum())
+        assert chi2 < (50 if bins == 16 else 25)
 
 
 class TestStructureCompatible:
@@ -768,14 +820,16 @@ class TestTrace:
                 continue
             assert ell + 1 - trace_of_frobenius(curve_11a1, ell) >= 1
 
-    def test_batch_entries_match_single_calls(self, curve_11a1, monkeypatch):
-        # both engines, a bad prime and a refusal in one batch
+    def test_batch_entries_match_single_calls(self, monkeypatch):
+        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 12
+        # has bad reduction at 3, and two points leave 3533 ambiguous
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 2)
-        ells = [2, 3, 5, 11, 2999, 3001, 3499, 100_003]
-        batch = traces_of_frobenius(curve_11a1, ells)
+        curve = short_curve(0, 12)
+        ells = [2, 5, 11, 3, 2999, 3001, 3533, 100_003]
+        batch = traces_of_frobenius(curve, ells)
         for ell, entry in zip(ells, batch):
             try:
-                expected = trace_of_frobenius(curve_11a1, ell)
+                expected = trace_of_frobenius(curve, ell)
             except (ValueError, PointCountError) as exc:
                 expected = exc
             assert describe(entry) == describe(expected)

@@ -472,14 +472,14 @@ class TestSweepPipeline:
 
         ``gaps`` are primes missing from a coefficient table (a CoverageError;
         at 101 it falls in the first chunk); None is 11a1 counted with one BSGS
-        point a prime, which leaves the group order ambiguous at 3001 (a
+        point a prime, which leaves the group order ambiguous at 3041 first (a
         PointCountError, raised in a pool worker at 2 workers).
         """
         to = 4000
         if gaps is None:
             monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
             backend = CurveModel(0, -1, 1, -10, -20, conductor=11)
-            first, error, to = 3001, PointCountError, 20000
+            first, error, to = 3041, PointCountError, 20000
         else:
             rng = random.Random(7)
             coeffs = {}
@@ -808,12 +808,13 @@ class TestScreenP:
             f"not evaluated (point counting is capped at ell <= 2^62, got {10**21 + 117})")
 
     def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
-        # one point a prime leaves the group order at 3001 ambiguous: a PointCountError
+        # one point a prime leaves the group order at 3041 ambiguous, the least
+        # such prime above the naive limit: a PointCountError
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
-        report = screen_p(curve_11a1, 3001)
+        report = screen_p(curve_11a1, 3041)
         ordinary = report.checks[-1]
         assert (ordinary.name, ordinary.passed) == ("ordinary-at-p", False)
-        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3001")
+        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3041")
         assert [c.passed for c in report.checks[:2]] == [True, True]
 
 
