@@ -15,7 +15,7 @@ sieving any segment twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Collection, Iterator
 
 import numpy as np
@@ -44,6 +44,12 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 # pseudoprime to all four (Jaeschke 1993, Math. Comp. 61).
 _MR_SMALL_WITNESSES = (2, 3, 5, 7)
 _MR_SMALL_BOUND = 3_215_031_751
+
+# factorize tries the primes in blocks of up to this many, one gcd of what is
+# left of n a block.  The primes to 10**6 make 44 blocks, and factorize takes
+# 0.4-0.5 s on a 139,998-bit level with no factor among them (a 2-vCPU x86-64
+# VM, Python 3.11).
+_TRIAL_BLOCK = 2000
 
 
 @dataclass(frozen=True)
@@ -240,29 +246,40 @@ def are_prime(values: Collection[int] | np.ndarray) -> np.ndarray:
     return prime
 
 
-def factorize(n: int, *, trial_bound: int | None = None) -> list[tuple[int, int]]:
+def factorize(n: int, *, trial_bound: int) -> list[tuple[int, int]]:
     """Factor n >= 1 by trial division, as sorted (prime, exponent) pairs.
 
-    If ``trial_bound`` is given and a composite cofactor survives division by
-    everything <= trial_bound, raise :class:`ResourceLimitError`; a surviving
-    cofactor that is itself prime is accepted.
+    n is divided by the primes <= min(trial_bound, isqrt(n)), sieved by a
+    :class:`PrimeStream` and taken in blocks of up to ``_TRIAL_BLOCK``: a
+    block is tried one prime at a time only when it shares a factor with
+    what is left of n, so a level of any length costs one gcd a block.  If
+    a composite cofactor survives, raise :class:`ResourceLimitError`; a
+    surviving cofactor that is itself prime is accepted.  The sieve refuses
+    a bound past :data:`MAX_SIEVE_BOUND` the same way.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: list[tuple[int, int]] = []
     rem = n
-    d = 2
-    limit = trial_bound if trial_bound is not None else n
-    while d * d <= rem and d <= limit:
-        if rem % d == 0:
-            e = 0
-            while rem % d == 0:
-                rem //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
+    bound = min(trial_bound, isqrt(n))
+    primes = PrimeStream(PrimeRange(2, max(bound, 3)))  # a range holds at least [2, 3]
+    size = 64  # doubled to _TRIAL_BLOCK: a small level stops within its first block
+    while True:
+        block = primes.take(size)
+        size = min(2 * size, _TRIAL_BLOCK)
+        block = block[block <= bound].tolist()
+        if not block or block[0] * block[0] > rem:
+            break
+        common = gcd(rem, prod(block))
+        for d in block:
+            if common % d == 0:
+                e = 0
+                while rem % d == 0:
+                    rem //= d
+                    e += 1
+                out.append((d, e))
     if rem > 1:
-        if trial_bound is not None and rem > limit * limit and not is_prime(rem):
+        if rem > trial_bound * trial_bound and not is_prime(rem):
             raise ResourceLimitError(
                 f"cofactor {int_text(rem)} of {int_text(n)} not factorable by trial division "
                 f"below {trial_bound}"

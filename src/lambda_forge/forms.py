@@ -3,9 +3,10 @@
 A :class:`FormContext` bundles the level N_g, the working prime p, the
 certified Iwasawa inputs (lambda_g, mu-vanishing) and a coefficient
 backend, which is either an elliptic curve (a_ell by point counting) or a
-table loaded from CSV.  A table is two columns, ell ascending and a_ell,
-and answers a batch of ells with one ``searchsorted`` gather
-(:meth:`FormContext.coefficient_column`).  The certified fields are
+table loaded from CSV (:func:`load_coefficients`: ``np.loadtxt``, with a
+``csv`` row scan that names the bad line).  A table is two columns, ell
+ascending and a_ell, and answers a batch of ells with one ``searchsorted``
+gather (:meth:`FormContext.coefficient_column`).  The certified fields are
 *attestations* carried in configuration; nothing in this package verifies
 them.
 """
@@ -13,10 +14,11 @@ them.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -62,38 +64,27 @@ def _hasse_violations(ells: np.ndarray, a_ells: np.ndarray, level: int) -> np.nd
     return over & ~_divides(level, ells)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Finite map ell -> a_ell as two columns, ascending in ell.
 
-    Built from a mapping, ``CoefficientTable({2: -2, 3: -1}, level=11)``, or
-    from two columns (:meth:`from_columns`).  Either way the weight-2 Hasse
-    bound |a_ell| <= 2*sqrt(ell) is checked once, over the whole columns, at
-    every ell not dividing the level; the first violating row, in the order
-    given, raises :class:`TableFormatError`.  The columns are read-only, and
-    int64 unless a value lies outside (-2^60, 2^60): then that column holds
-    exact Python ints (dtype=object).
+    Built from two columns, ``CoefficientTable([2, 3], [-2, -1], level=11)``:
+    the rows (ells[i], a_ells[i]), with distinct ells in any order.  The
+    weight-2 Hasse bound |a_ell| <= 2*sqrt(ell) is checked once, over the
+    whole columns, at every ell not dividing the level; the first violating
+    row, in the order given, raises :class:`TableFormatError`.  The columns
+    are then sorted by ell and made read-only, and are int64 unless a value
+    lies outside (-2^60, 2^60): then that column holds exact Python ints
+    (dtype=object).
     """
 
     ells: np.ndarray
     a_ells: np.ndarray
     level: int
 
-    def __init__(self, coefficients: Mapping[int, int], level: int) -> None:
-        self._set_columns(list(coefficients), list(coefficients.values()), level)
-
-    @classmethod
-    def from_columns(
-        cls, ells: Sequence[int] | np.ndarray, a_ells: Sequence[int] | np.ndarray, level: int
-    ) -> CoefficientTable:
-        """The table of the rows (ells[i], a_ells[i]); the ells are distinct, in any order."""
-        table = cls.__new__(cls)
-        table._set_columns(ells, a_ells, level)
-        return table
-
-    def _set_columns(self, ells, a_ells, level: int) -> None:
-        ells, a_ells = _column(ells), _column(a_ells)
-        bad = _hasse_violations(ells, a_ells, level)
+    def __post_init__(self) -> None:
+        ells, a_ells = _column(self.ells), _column(self.a_ells)
+        bad = _hasse_violations(ells, a_ells, self.level)
         if bad.any():
             i = int(np.argmax(bad))
             raise TableFormatError(
@@ -106,7 +97,6 @@ class CoefficientTable:
             column = column.view()  # read-only here, whoever else holds the data
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "level", level)
 
     def rows(self, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each of ``ells``, the index of its row and whether the table has that row.
@@ -130,25 +120,28 @@ def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
     non-integer field comes first, then ``not prime``, then ordering, then
     the Hasse bound.
 
-    A file in the plain form (:func:`_plain_rows`) is parsed into columns
-    in one numpy pass; any other file is read row by row with ``csv`` and
-    ``int()`` (:func:`_scanned_rows`).  Either way, primality (one sieve
-    pass, :func:`arith.are_prime`), ordering and the Hasse bound are then
-    checked over the columns, and the line of the first fault is named.
+    A file is first read by ``np.loadtxt`` (:func:`_loaded_columns`).  When
+    that read is refused, or its columns fail a check, the file is read
+    again row by row with ``csv`` and ``int()`` (:func:`_scanned_rows`),
+    the one reader that keeps line numbers, and the line of the first fault
+    is named.  Either way, primality (one sieve pass, :func:`arith.are_prime`),
+    ordering and the Hasse bound are checked over the columns.
     """
     path = Path(path)
-    rows = _plain_rows(path)
-    if rows is None:
-        rows = _scanned_rows(path)
-    ells, a_ells, lines, stop = rows
+    columns = _loaded_columns(path)
+    if columns is not None and not _index_faults(columns[0]).any():
+        try:
+            return CoefficientTable(*columns, level)
+        except TableFormatError:
+            pass
+    ells, a_ells, lines, stop = _scanned_rows(path)
     ells, a_ells = _column(ells), _column(a_ells)
-    previous = np.concatenate((np.zeros(1, ells.dtype), ells))[:-1]
-    bad = ~are_prime(ells) | (ells <= previous)
+    bad = _index_faults(ells)
     fault = int(np.argmax(bad)) if bad.any() else len(ells)
     try:
         # the rows above the first composite or out-of-order one: a Hasse violation
         # among them is the first fault in the file
-        table = CoefficientTable.from_columns(ells[:fault], a_ells[:fault], level)
+        table = CoefficientTable(ells[:fault], a_ells[:fault], level)
     except TableFormatError:
         i = int(np.argmax(_hasse_violations(ells[:fault], a_ells[:fault], level)))
         ell, a = int(ells[i]), int(a_ells[i])
@@ -161,86 +154,48 @@ def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
             raise TableFormatError(f"{path}:{lines[fault]}: index {ell} is not prime")
         raise TableFormatError(
             f"{path}:{lines[fault]}: ell={ell} not strictly increasing"
-            f" (previous {int(previous[fault])})"
+            f" (previous {int(ells[fault - 1])})"
         )
     if stop is not None:
         raise stop
     return table
 
 
-# The bytes of the plain form: digits, '-', ',' and '\n'.
-_PLAIN_BYTES = np.zeros(256, dtype=bool)
-_PLAIN_BYTES[list(b"0123456789-,\n")] = True
-# Digits a plain field may have: fewer than 19, so every value is below 2^60.
-_PLAIN_DIGITS = 18
+def _index_faults(ells: np.ndarray) -> np.ndarray:
+    """The rows whose ell is not prime, or not above the ell of the row before."""
+    previous = np.concatenate((np.zeros(1, ells.dtype), ells))[:-1]
+    return ~are_prime(ells) | (ells <= previous)
 
 
-def _plain_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, None] | None:
-    """The rows of a plain-form table as int64 columns with their line numbers.
+# numpy's loadtxt reads these bytes differently from int(): it strips the ASCII
+# separators 0x1C-0x1F as whitespace, and numpy 2.4 reads some non-ASCII
+# characters as digits ("13,\u01fe" as a_13 = 462).
+_MISREAD_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-    The plain form is the header line ``ell,a_ell`` and then lines of two
-    fields joined by one comma, each field an optional ``-`` and 1 to 18
-    decimal digits (:func:`_field_values`).  Lines end in LF or CRLF, the
-    last one may lack its end, and empty lines are skipped.  ``csv`` and
-    ``int()`` read such a file to the same rows, so line numbers are
-    physical lines.  Any other file gives None.
+
+def _loaded_columns(path: Path) -> np.ndarray | None:
+    """The rows of a table as a (2, n) int64 array, read by ``np.loadtxt``.
+
+    None when the first line is not exactly ``ell,a_ell``, when the file has
+    a byte loadtxt may misread (:data:`_MISREAD_BYTES`, non-ASCII), when
+    loadtxt refuses the file or warns, or when a row is not two fields.
+    Whatever loadtxt accepts past that, ``csv`` and ``int()`` read to the
+    same rows.
     """
     data = path.read_bytes()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")  # a lone CR is not plain, and stays
-    header = data.split(b"\n", 1)[0]
-    if header != b"ell,a_ell":
+    header = data.partition(b"\n")[0].removesuffix(b"\r")
+    if header != b"ell,a_ell" or not data.isascii() or any(b in data for b in _MISREAD_BYTES):
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=min(len(header) + 1, len(data)))
-    if not _PLAIN_BYTES[body].all():
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 reads "1.5" as an int64 with a warning
+            rows = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, comments=None,
+                              ndmin=2, encoding="utf-8")
+    except (ValueError, DeprecationWarning, UserWarning):
         return None
-    ends = np.flatnonzero(body == ord("\n"))
-    if len(body) and body[-1] != ord("\n"):
-        ends = np.append(ends, len(body))
-    starts = np.concatenate(([0], ends + 1))[: len(ends)]
-    lines = np.flatnonzero(ends > starts)
-    starts, ends = starts[lines], ends[lines]
-    commas = np.flatnonzero(body == ord(","))
-    # every line holds one comma, with a field on each side
-    if len(commas) != len(starts) or not ((starts < commas) & (commas + 1 < ends)).all():
+    if rows.shape[1] != 2:
         return None
-    signs = np.count_nonzero(body[np.concatenate((starts, commas + 1))] == ord("-"))
-    if np.count_nonzero(body == ord("-")) != signs:
-        return None  # a '-' inside a field
-    ells = _field_values(body, starts, commas)
-    a_ells = _field_values(body, commas + 1, ends)
-    if ells is None or a_ells is None:
-        return None
-    return ells, a_ells, lines + 2, None
-
-
-def _field_values(body: np.ndarray, firsts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The integers ``body[firsts[i]:ends[i]]`` as int64, or None if one is not plain.
-
-    A plain field is an optional ``-`` (the caller has checked there is no
-    other) and then 1 to 18 digits.  The fields are read a digit place at a
-    time, from the place of the widest field's first digit, in place.
-    """
-    negative = body[firsts] == ord("-")
-    lows = firsts + negative
-    widths = ends - lows
-    if len(widths) and (widths.min() < 1 or widths.max() > _PLAIN_DIGITS):
-        return None
-    width = int(widths.max(initial=0))
-    values = np.zeros(len(lows), dtype=np.int64)
-    at = ends - width  # each field's place k digits from its end, k = width down to 1
-    index = np.empty_like(at)
-    digit = np.empty(len(at), dtype=np.uint8)
-    for _ in range(width):
-        np.maximum(at, 0, out=index)
-        np.take(body, index, out=digit)
-        digit -= ord("0")
-        digit *= at >= lows  # a place before the field's first digit reads as 0
-        values *= 10
-        values += digit
-        at += 1
-    np.negative(values, out=values, where=negative)
-    return values
+    return rows.T.copy()  # contiguous columns, as searchsorted wants them
 
 
 def _scanned_rows(path: Path) -> tuple[list[int], list[int], list[int], Exception | None]:

@@ -93,8 +93,7 @@ def ctx_p5(curve_11a1) -> FormContext:
 def table_11_p5() -> FormContext:
     """Table-backed twin of ctx_p5 over the first few primes."""
     table = CoefficientTable(
-        coefficients={2: -2, 3: -1, 5: 1, 7: -2, 13: 4, 17: -2, 19: 0, 23: -1},
-        level=11,
+        [2, 3, 5, 7, 13, 17, 19, 23], [-2, -1, 1, -2, 4, -2, 0, -1], level=11
     )
     return FormContext(
         level=11,

@@ -121,7 +121,7 @@ def _transfer_ctx(lambda_g: int, cache={}) -> FormContext:
     if lambda_g not in cache:
         cache[lambda_g] = FormContext(
             level=6, p=7, lambda_g=lambda_g, mu_zero=True, surjective_mod_p=False,
-            backend=CoefficientTable(coefficients={7: 1}, level=6),
+            backend=CoefficientTable([7], [1], level=6),
         )
     return cache[lambda_g]
 
@@ -287,7 +287,7 @@ def test_criterion_6_carayol_consistency(ctx_default):
         level, coeffs, intents, proposed = _synthesize_scenario(rng, p, pools_by_p[p])
         ctx = FormContext(
             level=level, p=p, lambda_g=0, mu_zero=True, surjective_mod_p=False,
-            backend=CoefficientTable(coefficients=coeffs, level=level),
+            backend=CoefficientTable(list(coeffs), list(coeffs.values()), level=level),
         )
         result = carayol_check(ctx, proposed)
         by_ell = {pr.ell: pr for pr in result.primes}

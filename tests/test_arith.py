@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ def test_factorize_roundtrip():
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randrange(2, 10**7)
-        fac = factorize(n)
+        fac = factorize(n, trial_bound=n)
         prod = 1
         for p, e in fac:
             assert is_prime(p)
@@ -249,6 +250,27 @@ def test_factorize_trial_bound():
         factorize(n, trial_bound=1000)
     # but a prime cofactor is accepted
     assert factorize(2 * 1000003, trial_bound=1000) == [(2, 1), (1000003, 1)]
+
+
+def test_factorize_divides_by_blocks_of_sieved_primes(monkeypatch):
+    ranges, products = [], []
+    sieve = arith._sieve_segments
+    monkeypatch.setattr(arith, "_sieve_segments", lambda r: ranges.append(r) or sieve(r))
+    monkeypatch.setattr(arith, "gcd", lambda rem, block: products.append(block) or gcd(rem, block))
+    # a small level sieves the primes to its square root, in one segment
+    assert factorize(407, trial_bound=10**6) == [(11, 1), (37, 1)]
+    assert factorize(1_649_236_298, trial_bound=10**6) == [
+        (2, 1), (23, 1), (37, 1), (47, 1), (53, 1), (389, 1)]
+    assert ranges == [PrimeRange(2, 20), PrimeRange(2, 40610)]
+    # 11 times the 7,000 primes from 1,000,003 on, a 139,998-bit level: the 11 is
+    # divided out and the cofactor refused, after one gcd of the whole remainder a
+    # block of primes, not a division by every odd number to the bound
+    n = 11 * prod(PrimeStream(PrimeRange(1_000_003, 2_000_000)).take(7000).tolist())
+    products.clear()
+    with pytest.raises(ResourceLimitError,
+                       match=f"^primality of {arith.int_text(n // 11)} is not decided"):
+        factorize(n, trial_bound=10**6)
+    assert len(products) <= 50  # 78,498 primes to 10**6
 
 
 def test_int_text_counts_the_digits_past_100():

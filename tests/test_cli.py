@@ -890,27 +890,51 @@ class TestDeterminism:
 
 # Integer flag values from negative to 10^30, with the edges of the bounds the
 # commands enforce; a sweep bound is tiny or past the sieve cap, so no draw
-# sweeps far.
+# sweeps far.  A quarter of the draws give one flag a value that is not an
+# integer.
 BIG_INTS = st.integers(-10**30, 10**30) | st.sampled_from([
     -1, 0, 1, 2, 4, 5, 7, 11, 13, 14, 2**62 + 169, 2**63, 2**63 + 99, 10**21 + 117,
     3_317_044_064_679_887_385_961_981, 10**30,
 ])
 SWEEP_BOUNDS = st.integers(-10, 400) | st.integers(MAX_SIEVE_BOUND + 1, 10**30)
+NON_INTEGERS = st.sampled_from(["1.5", "1e3", "0x10", "abc", ""])
+
+
+def is_integer(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 @st.composite
 def integer_argv(draw) -> list[str]:
     """A command with each of its integer flags drawn."""
-    command = draw(st.sampled_from(["plan", "carayol", "a-ell", "screen-p", "verify-density"]))
+    command = draw(st.sampled_from(["plan", "carayol", "a-ell", "screen-p", "verify-density",
+                                    "classify", "sigma"]))
+    sweep_range = [f"--from={draw(SWEEP_BOUNDS)}", f"--to={draw(SWEEP_BOUNDS)}"]
     if command == "plan":
-        return [command, f"--target-lambda={draw(BIG_INTS)}",
-                f"--omega-count={draw(BIG_INTS)}", f"--scan-bound={draw(SWEEP_BOUNDS)}"]
-    if command == "a-ell":
-        return [command, *(f"--ell={ell}" for ell in draw(st.lists(BIG_INTS, min_size=1, max_size=3)))]
-    if command == "carayol":  # a multiple of N_g = 11 has its factors checked
-        return [command, f"--level={draw(BIG_INTS | BIG_INTS.map(lambda n: 11 * n))}"]
-    flag = {"screen-p": "--p", "verify-density": "--enumerate-gl2"}
-    return [command, f"{flag[command]}={draw(BIG_INTS)}"]
+        flags = [f"--target-lambda={draw(BIG_INTS)}",
+                 f"--omega-count={draw(BIG_INTS)}", f"--scan-bound={draw(SWEEP_BOUNDS)}"]
+    elif command == "a-ell" and draw(st.booleans()):
+        flags = sweep_range
+    elif command == "a-ell":
+        flags = [f"--ell={ell}" for ell in draw(st.lists(BIG_INTS, min_size=1, max_size=3))]
+    elif command == "carayol":  # a multiple of N_g = 11 has its factors checked
+        flags = [f"--level={draw(BIG_INTS | BIG_INTS.map(lambda n: 11 * n))}"]
+    elif command == "classify":
+        flags = [*sweep_range, f"--workers={draw(BIG_INTS)}"]
+    elif command == "sigma":
+        flags = sweep_range
+    elif command == "verify-density":
+        flags = [f"--enumerate-gl2={draw(BIG_INTS)}", f"--workers={draw(BIG_INTS)}"]
+    else:
+        flags = [f"--p={draw(BIG_INTS)}"]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(flags) - 1))
+        flags[i] = f"{flags[i].split('=')[0]}={draw(NON_INTEGERS)}"
+    return [command, *flags]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True,
@@ -918,7 +942,7 @@ def integer_argv(draw) -> list[str]:
 @given(argv=integer_argv())
 def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     # every draw exits 0, 2 or 3 without a traceback, and writes nothing to
-    # stdout unless it succeeds
+    # stdout unless it succeeds; a flag that is not an integer exits 2
     command, *flags = argv
     start = time.perf_counter()
     try:
@@ -929,6 +953,8 @@ def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     captured = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE), captured.err
     assert "Traceback" not in captured.err
+    if not all(is_integer(flag.split("=", 1)[1]) for flag in flags):
+        assert code == EXIT_CONFIG, captured.err
     if code != EXIT_OK:
         assert captured.out == ""
         assert captured.err

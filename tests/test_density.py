@@ -165,7 +165,7 @@ def hasse_tables(draw):
     lo = draw(st.integers(2, top - 1))
     contexts = [
         FormContext(level=level, p=p, lambda_g=0, mu_zero=True, surjective_mod_p=True,
-                    backend=CoefficientTable(table, level=level))
+                    backend=CoefficientTable(list(table), list(table.values()), level=level))
         for table in (rows, {ell: a for ell, a in rows.items() if ell not in gaps})
     ]
     return (*contexts, PrimeRange(lo, draw(st.integers(lo + 1, top))))

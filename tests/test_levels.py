@@ -51,9 +51,7 @@ def rows_500(ctx_default) -> dict[Verdict, list[tuple[int, int]]]:
 
 def carayol_ctx() -> FormContext:
     """Table-backed context at p = 5 crafted for the admissibility cases."""
-    table = CoefficientTable(
-        coefficients={2: -2, 5: 1, 13: 0, 19: 0, 31: 2}, level=11
-    )
+    table = CoefficientTable([2, 5, 13, 19, 31], [-2, 1, 0, 0, 2], level=11)
     return FormContext(level=11, p=5, lambda_g=0, mu_zero=True,
                        surjective_mod_p=False, backend=table)
 
@@ -162,7 +160,7 @@ class TestTransferPastTheInt64Bound:
     @pytest.mark.parametrize("p, dtype", [(55109, object), (7, np.int64)])
     def test_three_pi_primes_raise_lambda_by_three(self, monkeypatch, p, dtype):
         ctx = FormContext(level=6, p=p, lambda_g=2, mu_zero=True, surjective_mod_p=False,
-                          backend=CoefficientTable({p: 1}, level=6))
+                          backend=CoefficientTable([p], [1], level=6))
         seen = []
 
         def spy(p, ells, c1, c2):
@@ -329,7 +327,7 @@ class TestCarayol:
 
     def test_case_2b(self):
         # ell = 19 exactly divides the base level and 19 = -1 mod 5
-        table = CoefficientTable(coefficients={5: 1}, level=38)
+        table = CoefficientTable([5], [1], level=38)
         ctx = FormContext(level=38, p=5, lambda_g=0, mu_zero=True,
                           surjective_mod_p=False, backend=table)
         report = carayol_check(ctx, 38 * 19)

@@ -209,7 +209,8 @@ class TestClassifyChunk:
 
 
 def single_prime_ctx(p: int, ell: int, a: int, level: int, a_p: int) -> FormContext:
-    table = CoefficientTable(coefficients=dict(sorted({ell: a, p: a_p}.items())), level=level)
+    rows = dict(sorted({ell: a, p: a_p}.items()))
+    table = CoefficientTable(list(rows), list(rows.values()), level=level)
     return FormContext(level=level, p=p, lambda_g=0, mu_zero=True,
                        surjective_mod_p=False, backend=table)
 
@@ -487,7 +488,7 @@ class TestSweepPipeline:
                 if ell not in gaps:
                     bound = isqrt(4 * ell)
                     coeffs[ell] = 3 if ell == 7 else rng.randint(-bound, bound)
-            backend = CoefficientTable(coefficients=coeffs, level=11)
+            backend = CoefficientTable(list(coeffs), list(coeffs.values()), level=11)
             first, error = gaps[0], CoverageError
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                           backend=backend)
@@ -531,7 +532,7 @@ class TestSweepPipeline:
         # 1999 is missing from the table: the chunk holding it ends at 1997, then the error
         coeffs = {ell: 1 for ell in sieve_primes(PrimeRange(2, 4000)) if ell != 1999}
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
-                          backend=CoefficientTable(coefficients=coeffs, level=11))
+                          backend=CoefficientTable(list(coeffs), list(coeffs.values()), level=11))
         rows = []
         with pytest.raises(CoverageError, match=r"\b1999\b"):
             for chunk in classify_chunks(ctx, PrimeRange(2, 4000)):
@@ -563,7 +564,7 @@ def gapped_tables(draw):
             while ell == p and rows[ell] % p == 0:
                 rows[ell] = rng.randint(-bound, bound)
     ctx = FormContext(level=level, p=p, lambda_g=0, mu_zero=True, surjective_mod_p=True,
-                      backend=CoefficientTable(rows, level=level))
+                      backend=CoefficientTable(list(rows), list(rows.values()), level=level))
     return ctx, rows, draw(st.integers(3, top + 200))
 
 
@@ -630,7 +631,8 @@ class TestPoolTraffic:
     def test_only_a_curve_is_swept_on_a_pool(self, ctx_default, pools_started):
         # a table's coefficients are one searchsorted gather a chunk: a pool would
         # only add its traffic
-        table = CoefficientTable(coefficients=dict.fromkeys(PrimeRange(2, 20000), 1), level=11)
+        ells = list(PrimeRange(2, 20000))
+        table = CoefficientTable(ells, [1] * len(ells), level=11)
         ctx_table = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                                 backend=table)
         for ctx, pools in ((ctx_table, []), (ctx_default, [2])):
