@@ -18,9 +18,11 @@ keyed by x alone, in batches capped at 2 MB of temporaries and equal to
 within one lane, so that no batch is a small remainder.  Each prime draws
 its x values from its own counter-based stream (splitmix64, Steele, Lea &
 Flood 2014), keyed by its short model and computed for all lanes at once,
-and the first point of every prime is settled on columns.  In a batch of
-4,096 primes a whole count costs about 15-25 us a prime near 3e3-9e5,
-some 70% of it the walk and 12% the draws (``BENCH_28.json``).  A count
+and takes a point of the curve or of its twist from x alone, with no
+square root (:func:`_random_points`); the first point of every prime is
+settled on columns.  In a batch of 4,096 primes a whole count costs about
+14-24 us a prime near 3e3-9e5, some 55-78% of it the walk and 8-13% the
+draws (``BENCH_30.json``).  A count
 alone costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole
 chunks; :func:`count_points_bsgs` and :func:`trace_of_frobenius` are
 batches of one.
@@ -179,18 +181,7 @@ def count_points_naive(curve: CurveModel, ell: int, *, limit: int = NAIVE_COUNT_
     return int(ell + 1 + chi.sum())
 
 
-# --- baby-step giant-step machinery (short model, char >= 5) ---------------
-
-
-def _non_residue(ell: int) -> int:
-    """The least quadratic non-residue mod the odd prime ell."""
-    c = 2
-    while pow(c, (ell - 1) // 2, ell) != ell - 1:
-        c += 1
-    return c
-
-
-# --- lane-batched arithmetic mod per-lane primes ------------------------------
+# --- lane-batched arithmetic mod per-lane primes (short model, char >= 5) -----
 #
 # Arrays hold one lane per column (per row in the draws), and every operation
 # reduces modulo the per-lane array p.  Below this bound a sum of two products
@@ -252,35 +243,33 @@ def _candidates(keys, skips, bits, count, dtype):
     return z.astype(dtype)
 
 
-def _random_points(keys, skips, a, b, p) -> tuple[list, list[int]]:
-    """The next point of each lane's stream on y^2 = x^3 + ax + b over F_p.
+def _random_points(keys, skips, a, b, p, trial) -> tuple[list, list, list[int]]:
+    """The next point of each lane's stream on this trial's side, with its coefficient A.
 
     Lane i draws x from the stream of key ``keys[i]`` (:func:`_candidates`)
-    from its candidate ``skips[i]`` on, until x^3 + ax + b is 0 or a
-    square: the x the scalar loop ``while True: x = randrange(p); ...``
-    would take.  Returns the points and the candidates each stream has used
-    so far.  y is one of the two roots, always the same one for the same
-    lane; which one does not matter to the walk, since ord(P) = ord(-P).
+    from its candidate ``skips[i]`` on, until d = x^3 + ax + b is 0 or, on
+    a curve trial (even), a square, on a twist trial (odd), a non-square
+    (Euler's criterion): the x the scalar loop ``while True: x =
+    randrange(p); ...`` would take.  The point is (dx, d^2), on
+    y^2 = x^3 + ad^2 x + bd^3 with A = ad^2: the curve scaled by sqrt(d)
+    when d is a square, its twist by d when it is not.  At d = 0 it is
+    (x, 0) on the curve with A = a, of order 2, which divides the twist's
+    order too, as the twist's cubic has as many roots.  Returns the points,
+    their A and the candidates each stream has used so far.
 
     A pass tests a lane's first _DRAWS draws in numpy; a lane whose draws
-    all fail reads on from where it stopped, for twice as many.  Square
-    roots are Tonelli-Shanks in lock-step, with p - 1 = q * 2^s and a
-    non-residue's q-th power taken from a failed draw where there is one.
+    all fail reads on from where it stopped, for twice as many.
     """
-    lanes, ells = len(keys), p
+    lanes = len(keys)
     dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
-    two_adic = [((ell - 1) & (1 - ell)).bit_length() - 1 for ell in p]
-    s = np.array(two_adic)
-    q = np.array([(ell - 1) >> k for ell, k in zip(p, two_adic)], dtype)
     bits = np.array([ell.bit_length() for ell in p], np.uint64)
     a, b, p = (np.array(v, dtype) for v in (a, b, p))
     used = np.array(skips, np.int64)
-    x, f, root, t, c = (np.zeros(lanes, dtype) for _ in range(5))
-    need_c = np.zeros(lanes, bool)
+    x, d = np.zeros(lanes, dtype), np.zeros(lanes, dtype)
     pending = np.arange(lanes)
     per_lane = _DRAWS
     while len(pending):
-        P, A, B, S = (v[pending, None] for v in (p, a, b, s))
+        P, A, B = (v[pending, None] for v in (p, a, b))
         raw = _candidates(keys[pending], used[pending], bits[pending], 2 * per_lane, dtype)
         # the first per_lane accepted draws, and the candidates read up to each;
         # an empty slot, in a lane with fewer, stands for all of them
@@ -294,42 +283,21 @@ def _random_points(keys, skips, a, b, p) -> tuple[list, list[int]]:
         read[row, slot] = col + 1
         valid = np.zeros(X.shape, bool)
         valid[row, slot] = True
-        F = (X * X % P * X + A * X + B) % P
-        W = _pow(F, (q[pending, None] - 1) >> 1, P)  # f^((q - 1)/2)
-        T = W * W % P * F % P  # f^q
-        euler = T.copy()  # f^((p - 1)/2)
-        for k in range(1, int(S.max())):
-            row = np.flatnonzero(S > k)
-            euler[row] = euler[row] * euler[row] % P[row]
-        ok = valid & ((F == 0) | (euler == 1))
+        D = (X * X % P * X + A * X + B) % P
+        euler = _pow(D, (P - 1) >> 1, P)
+        ok = valid & ((D == 0) | (euler == (P - 1 if trial % 2 else 1)))
         col = ok.argmax(axis=1)
         done = ok.any(axis=1)
         at = (np.flatnonzero(done), col[done])
         lane = pending[done]
-        x[lane], f[lane], t[lane] = X[at], F[at], T[at]
-        root[lane] = W[at] * F[at] % p[lane]  # f^((q + 1)/2)
-        failed = (valid & ~ok)[done]
-        c[lane] = T[done][np.arange(len(lane)), failed.argmax(axis=1)]
-        need_c[lane] = ~failed.any(axis=1)
+        x[lane], d[lane] = X[at], D[at]
         used[pending] += read[np.arange(len(pending)), np.where(done, col, per_lane - 1)]
         pending = pending[~done]
         per_lane *= 2
-    for i in np.flatnonzero(need_c & (s > 1) & (f != 0)).tolist():
-        c[i] = pow(_non_residue(ells[i]), int(q[i]), ells[i])
-    # Tonelli-Shanks: root^2 = f * t throughout; at step k, t has order
-    # dividing 2^k and c has order 2^(k + 1), and the step leaves t of order
-    # dividing 2^(k - 1), down to t = 1
-    for k in range(int(s.max()) - 1, 0, -1):
-        lane = np.flatnonzero(s > k)
-        ell = p[lane]
-        e = t[lane]
-        for _ in range(k - 1):
-            e = e * e % ell
-        flip = lane[e != 1]
-        root[flip] = root[flip] * c[flip] % p[flip]
-        c[lane] = c[lane] * c[lane] % ell
-        t[flip] = t[flip] * c[flip] % p[flip]
-    return list(zip(x.tolist(), root.tolist())), used.tolist()
+    root = d == 0
+    dd = d * d % p
+    points = zip(np.where(root, x, d * x % p).tolist(), dd.tolist())
+    return list(points), np.where(root, a, a * dd % p).tolist(), used.tolist()
 
 
 # --- the lane-batched walk ----------------------------------------------------
@@ -682,46 +650,34 @@ class _OrderSieve:
 
     The group order N lies in the Hasse interval [lo, hi] around ell + 1.
     Orders of random points on E force N into multiples of their lcm; orders
-    on the quadratic twist do the same for 2*ell + 2 - N.  Trials alternate
-    sides, curve first, until a single candidate survives.  The points come
-    from this ell's own stream, keyed by its short model (:func:`_stream_keys`),
+    on the quadratic twist do the same for 2*ell + 2 - N, whose Hasse
+    interval is [lo, hi] again, so one window serves both sides.  Trials
+    alternate sides, curve first, until a single candidate survives.  The
+    points come from this ell's own stream, keyed by its short model
+    (:func:`_stream_keys`), which reaches both sides (:func:`_random_points`),
     so they do not depend on other primes; the sieve keeps only the count
     of candidates used so far, from which the next trial reads on.
     """
 
     __slots__ = (
-        "ell", "a", "b", "lo", "hi", "lcm_curve", "lcm_twist", "twist", "two_torsion", "count",
-        "draws",
+        "ell", "a", "b", "lo", "hi", "lcm_curve", "lcm_twist", "two_torsion", "count", "draws",
     )
 
     def __init__(self, ell: int, a: int, b: int, draws: int = 0):
         self.ell, self.a, self.b = ell, a, b
         self.lo, self.hi = _hasse_window(ell)
         self.lcm_curve = self.lcm_twist = 1
-        self.twist: tuple[int, int] | None = None
         self.two_torsion: int | None = None  # the same on the curve and its twist
         self.count: int | PointCountError | None = None
         self.draws = draws  # candidates of the stream used so far
-
-    def _twist_model(self) -> tuple[int, int]:
-        if self.twist is None:
-            ell, c = self.ell, _non_residue(self.ell)
-            self.twist = self.a * c * c % ell, self.b * c % ell * c % ell * c % ell
-        return self.twist
-
-    def model(self, trial: int) -> tuple[int, int, int, int]:
-        """(a, b, lo, hi): the short model this trial's point lies on, and its Hasse window."""
-        if trial % 2 == 0:
-            return self.a, self.b, self.lo, self.hi
-        total = 2 * self.ell + 2
-        return (*self._twist_model(), total - self.hi, total - self.lo)
 
     def narrow(self, trial: int, order: int) -> None:
         """Fold in the walk result of this trial's point; sets ``count`` once it is settled."""
         ell, lo, hi = self.ell, self.lo, self.hi
         if order == 0:
-            _, _, l, h = self.model(trial)
-            self.count = PointCountError(f"no annihilator of a point in [{l}, {h}] mod {ell}; bug")
+            self.count = PointCountError(
+                f"no annihilator of a point in [{lo}, {hi}] mod {ell}; bug"
+            )
             return
         if trial % 2 == 0:
             self.lcm_curve = lcm(self.lcm_curve, order)
@@ -784,8 +740,8 @@ def _bsgs_counts(
         p = [ells[i] for i in at]
         a, b = zip(*(_short_model(c4, c6, ell) for ell in p))
         lo, hi = zip(*map(_hasse_window, p))
-        points, used = _random_points(_stream_keys(p, a, b), [0] * len(p), a, b, p)
-        orders = _window_orders(points, a, p, lo, hi)
+        points, A, used = _random_points(_stream_keys(p, a, b), [0] * len(p), a, b, p, 0)
+        orders = _window_orders(points, A, p, lo, hi)
         dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
         n, lo, hi = (np.array(v, dtype) for v in (orders, lo, hi))
         first = lo + (-lo) % np.where(n > 0, n, 1)
@@ -800,11 +756,10 @@ def _bsgs_counts(
         live = [s for _, s in sieves if s.count is None]
         if not live:
             break
-        p = [s.ell for s in live]
-        keys = _stream_keys(p, [s.a for s in live], [s.b for s in live])
-        a, b, lo, hi = zip(*(s.model(trial) for s in live))
-        points, used = _random_points(keys, [s.draws for s in live], a, b, p)
-        for sieve, order, draws in zip(live, _window_orders(points, a, p, lo, hi), used):
+        p, a, b, lo, hi = zip(*((s.ell, s.a, s.b, s.lo, s.hi) for s in live))
+        keys, skips = _stream_keys(p, a, b), [s.draws for s in live]
+        points, A, used = _random_points(keys, skips, a, b, p, trial)
+        for sieve, order, draws in zip(live, _window_orders(points, A, p, lo, hi), used):
             sieve.draws = draws
             sieve.narrow(trial, order)
     for i, sieve in sieves:

@@ -13,7 +13,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lambda_forge import (
@@ -898,6 +898,9 @@ BIG_INTS = st.integers(-10**30, 10**30) | st.sampled_from([
 ])
 SWEEP_BOUNDS = st.integers(-10, 400) | st.integers(MAX_SIEVE_BOUND + 1, 10**30)
 NON_INTEGERS = st.sampled_from(["1.5", "1e3", "0x10", "abc", ""])
+FORMATS = st.sampled_from(["json", "csv", "xml"])
+# an output path no command can write: in a missing directory, or a directory
+UNWRITABLE = st.sampled_from(["{tmp}/missing/report", "{tmp}"])
 
 
 def is_integer(text: str) -> bool:
@@ -908,12 +911,21 @@ def is_integer(text: str) -> bool:
     return True
 
 
+def refused(flag: str) -> bool:
+    """Does this flag's value alone make a command exit 2?"""
+    name, value = flag.split("=", 1)
+    if name == "--format":
+        return value not in ("json", "csv")
+    return name in ("--out", "--csv") or not is_integer(value)
+
+
 @st.composite
-def integer_argv(draw) -> list[str]:
-    """A command with each of its integer flags drawn."""
+def cli_argv(draw) -> list[str]:
+    """A command with each of its integer flags drawn, then its --format and output paths."""
     command = draw(st.sampled_from(["plan", "carayol", "a-ell", "screen-p", "verify-density",
                                     "classify", "sigma"]))
     sweep_range = [f"--from={draw(SWEEP_BOUNDS)}", f"--to={draw(SWEEP_BOUNDS)}"]
+    sweeps_density = command == "verify-density" and draw(st.booleans())
     if command == "plan":
         flags = [f"--target-lambda={draw(BIG_INTS)}",
                  f"--omega-count={draw(BIG_INTS)}", f"--scan-bound={draw(SWEEP_BOUNDS)}"]
@@ -927,6 +939,8 @@ def integer_argv(draw) -> list[str]:
         flags = [*sweep_range, f"--workers={draw(BIG_INTS)}"]
     elif command == "sigma":
         flags = sweep_range
+    elif sweeps_density:
+        flags = [f"--bound={draw(SWEEP_BOUNDS)}", f"--workers={draw(BIG_INTS)}"]
     elif command == "verify-density":
         flags = [f"--enumerate-gl2={draw(BIG_INTS)}", f"--workers={draw(BIG_INTS)}"]
     else:
@@ -934,26 +948,35 @@ def integer_argv(draw) -> list[str]:
     if draw(st.integers(0, 3)) == 0:
         i = draw(st.integers(0, len(flags) - 1))
         flags[i] = f"{flags[i].split('=')[0]}={draw(NON_INTEGERS)}"
+    if command in ("classify", "sigma", "a-ell"):
+        flags.append(f"--format={draw(FORMATS)}")
+    if sweeps_density and draw(st.integers(0, 3)) == 0:
+        flags.append(f"--csv={draw(UNWRITABLE)}")
+    if draw(st.integers(0, 7)) == 0:
+        flags.append(f"--out={draw(UNWRITABLE)}")
     return [command, *flags]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=integer_argv())
+@given(argv=cli_argv())
+@example(argv=["verify-density", "--bound=300", "--workers=1", "--csv={tmp}"])
 def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     # every draw exits 0, 2 or 3 without a traceback, and writes nothing to
-    # stdout unless it succeeds; a flag that is not an integer exits 2
+    # stdout unless it succeeds; a flag that is not an integer, an unknown
+    # format or an unwritable output path exits 2
     command, *flags = argv
+    flags = [flag.replace("{tmp}", str(Path(curve_config).parent)) for flag in flags]
     start = time.perf_counter()
     try:
         code = main([command, "--config", curve_config, *flags])
-    except SystemExit as exc:  # argparse refuses a value its type rejects
+    except SystemExit as exc:  # argparse refuses a value its type or choices reject
         code = exc.code
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE), captured.err
     assert "Traceback" not in captured.err
-    if not all(is_integer(flag.split("=", 1)[1]) for flag in flags):
+    if any(map(refused, flags)):
         assert code == EXIT_CONFIG, captured.err
     if code != EXIT_OK:
         assert captured.out == ""

@@ -20,7 +20,6 @@ from lambda_forge.curves import (
     _bsgs_counts,
     _candidates,
     _count_cubic_roots,
-    _non_residue,
     _random_points,
     _short_model,
     _stream_keys,
@@ -50,35 +49,6 @@ def exhaustive_count(curve: CurveModel, ell: int) -> int:
 
 
 # --- the scalar draws and walk, kept as the reference for the lane-batched ones
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod an odd prime p, or None if a is a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 MASK = 2**64 - 1
@@ -117,14 +87,21 @@ class SplitMixStream:
         return x
 
 
-def _random_point(a, b, p, rng):
-    """The next point of rng's stream on y^2 = x^3 + ax + b over F_p, one x at a time."""
+def _random_point(a, b, p, rng, trial=0):
+    """The next point of rng's stream on this trial's side, one x at a time, and its A.
+
+    x is taken when d = x^3 + ax + b is 0, or a square on a curve trial
+    (even), a non-square on a twist trial (odd); the point is (dx, d^2) on
+    y^2 = x^3 + ad^2 x + bd^3, with A = ad^2, or (x, 0) with A = a at d = 0.
+    """
+    side = p - 1 if trial % 2 else 1
     while True:
         x = rng.randrange(p)
-        f = (x * x % p * x + a * x + b) % p
-        y = sqrt_mod(f, p)
-        if y is not None:
-            return (x, y)
+        d = (x * x % p * x + a * x + b) % p
+        if d == 0:
+            return (x, 0), a
+        if pow(d, (p - 1) // 2, p) == side:
+            return (d * x % p, d * d % p), a * d * d % p
 
 
 # Affine points are (x, y) tuples; None is the point at infinity.
@@ -215,8 +192,8 @@ WALK_PRIMES = (
 GROUPING_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 300))
 # the differential check's primes: refusals are common below 3000 at few points
 DIFFERENTIAL_PRIMES = list(PrimeRange(5, 3000))[::3] + list(PrimeRange(10**6, 10**6 + 1000))
-# the draws' primes: 3 mod 4 and 1 mod 4, p - 1 with a high 2-adic valuation
-# (65537 = 2^16 + 1, 7340033 = 7 * 2^20 + 1), one above 2^31 and one of two words
+# the draws' primes: 3 mod 4 and 1 mod 4, small and near 1e6, one above 2^31
+# and one of two words
 BIG_PRIME = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
 DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME, 2**40 + 15]
 # the stream's primes: each just above a power of two, where randrange rejects
@@ -364,15 +341,15 @@ class TestBsgs:
         assert isinstance(entry, PointCountError)
 
     def test_ambiguity_above_the_naive_limit(self):
-        # two points leave 3533 ambiguous on y^2 = x^3 + 12, the least prime
-        # above the naive limit where two points leave any y^2 = x^3 + ax + b
-        # with 0 <= a, b < 16 ambiguous (none of 11a, 37a and 389a has one
-        # below 1e6); more points settle it
-        curve = short_curve(0, 12)
-        (entry,) = _bsgs_counts(curve, [3533], 2)
+        # two points leave 3119 ambiguous on y^2 = x^3 + 4x + 9, the least
+        # prime above the naive limit where two points leave any
+        # y^2 = x^3 + ax + b with 0 <= a, b < 16 ambiguous (none of 11a, 37a
+        # and 389a has one below 1e6); more points settle it
+        curve = short_curve(4, 9)
+        (entry,) = _bsgs_counts(curve, [3119], 2)
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
-        assert count_points_bsgs(curve, 3533) == 3534
-        assert count_points_naive(curve, 3533, limit=3533) == 3534
+        assert count_points_bsgs(curve, 3119) == 3144
+        assert count_points_naive(curve, 3119, limit=3119) == 3144
 
     @settings(max_examples=150, deadline=None)
     @given(ell=st.sampled_from(list(PrimeRange(5, 20000))), a=st.integers(0), b=st.integers(0))
@@ -439,9 +416,9 @@ def scalar_counts(curve, ells, max_points):
         for trial in range(max_points):
             if sieve.count is not None:
                 break
-            a, b, lo, hi = sieve.model(trial)
+            P, A = _random_point(sieve.a, sieve.b, ell, rng, trial)
             try:
-                order = _window_order(_random_point(a, b, ell, rng), a, ell, lo, hi)
+                order = _window_order(P, A, ell, sieve.lo, sieve.hi)
             except PointCountError:
                 order = 0
             sieve.narrow(trial, order)
@@ -470,11 +447,20 @@ def structure_compatible_by_every_d1(n, order_lcm, two_torsion, ell):
     return False
 
 
+def last_draw(key, skip, used, ell):
+    """The last x a stream of this key took, reading from its candidate skip up to used."""
+    rng = SplitMixStream(key, skip)
+    while rng.used < used:
+        x = rng.randrange(ell)
+    return x
+
+
 class TestRandomPoints:
-    """The batched draws take the scalar loop's x and a square root of its cubic."""
+    """The batched draws take the scalar loop's x and its point on the trial's side."""
 
     @settings(max_examples=60, deadline=None)
     @given(
+        trial=st.integers(0, 3),
         lanes=st.lists(
             st.tuples(
                 st.sampled_from(DRAW_PRIMES),
@@ -486,9 +472,12 @@ class TestRandomPoints:
             ),
             min_size=1,
             max_size=12,
-        )
+        ),
     )
-    def test_batched_draws_equal_scalar_reference(self, lanes):
+    # on a twist trial: a lane whose first draw is a root of its cubic, and
+    # one above 2^31, on object arrays
+    @example(trial=1, lanes=[(10007, 3, 0, 0, 0, True), (BIG_PRIME, 3, 5, 1, 0, False)])
+    def test_batched_draws_equal_scalar_reference(self, trial, lanes):
         keys, skips, a_s, b_s, ps, expected = [], [], [], [], [], []
         for ell, a, b, key, skip, root_first in lanes:
             a, b = a % ell, b % ell
@@ -497,28 +486,53 @@ class TestRandomPoints:
                 rng.randrange(ell)
             position = rng.used
             if root_first:
-                # make the next draw a root of the cubic: f = 0, so y = 0
+                # make the next draw a root of the cubic: d = 0, so (x, 0)
                 x = SplitMixStream(key, position).randrange(ell)
                 b = -(x * x * x + a * x) % ell
-            x, _ = _random_point(a, b, ell, rng)
+            point, A = _random_point(a, b, ell, rng, trial)
             keys.append(key)
             skips.append(position)
             a_s.append(a)
             b_s.append(b)
             ps.append(ell)
-            expected.append((x, rng.used))
-        points, used = _random_points(np.array(keys, np.uint64), skips, a_s, b_s, ps)
-        assert [(x, n) for (x, _), n in zip(points, used)] == expected
-        for (x, y), a, b, ell in zip(points, a_s, b_s, ps):
-            assert 0 <= y < ell and (y * y - (x**3 + a * x + b)) % ell == 0
+            expected.append((point, A, rng.used))
+        points, A_s, used = _random_points(np.array(keys, np.uint64), skips, a_s, b_s, ps, trial)
+        assert list(zip(points, A_s, used)) == expected
+        # (dx, d^2) lies on y^2 = x^3 + ad^2 x + bd^3, d of the trial's character;
+        # at d = 0, (x, 0) lies on the curve
+        for (X, Y), A, key, skip, n, a, b, ell in zip(points, A_s, keys, skips, used, a_s, b_s, ps):
+            x = last_draw(key, skip, n, ell)
+            d = (x**3 + a * x + b) % ell
+            assert d == 0 or pow(d, (ell - 1) // 2, ell) == (ell - 1 if trial % 2 else 1)
+            assert A == (a * d * d % ell if d else a)
+            assert (Y * Y - (X**3 + A * X + (b * d**3 if d else b))) % ell == 0
 
-    def test_root_lane_and_high_two_adic_primes_in_one_batch(self):
-        ells = [7340033, 65537, 10007, BIG_PRIME]
-        streams = [SplitMixStream(key) for key in range(len(ells))]
-        first = [rng.randrange(ell) for rng, ell in zip(streams, ells)]
-        b = [-(x**3 + 3 * x) % ell for x, ell in zip(first, ells)]
-        points, used = _random_points(np.arange(4, dtype=np.uint64), [0] * 4, [3] * 4, b, ells)
-        assert points == [(x, 0) for x in first] and used == [rng.used for rng in streams]
+    def test_every_short_curve_at_5_and_7(self, monkeypatch):
+        # one side can have no x of its character but the roots of its cubic:
+        # #E = 2 at 5, and #E = 4 with three roots at 7; a draw that refused
+        # d = 0 would read on forever there
+        candidates = curves._candidates
+
+        def bounded(keys, skips, bits, count, dtype):
+            assert count <= 1 << 12, "a lane read thousands of candidates for one point"
+            return candidates(keys, skips, bits, count, dtype)
+
+        monkeypatch.setattr(curves, "_candidates", bounded)
+        start = time.perf_counter()
+        seen = set()
+        for ell in (5, 7):
+            for a in range(ell):
+                for b in range(ell):
+                    if (4 * a**3 + 27 * b * b) % ell == 0:
+                        continue
+                    curve = short_curve(a, b)
+                    _bsgs_counts(curve, [ell], 1)
+                    _bsgs_counts(curve, [ell], 2)
+                    n = count_points_naive(curve, ell)
+                    assert _bsgs_counts(curve, [ell], BSGS_MAX_POINTS) == [n]
+                    seen.add((ell, min(n, 2 * ell + 2 - n), _count_cubic_roots(a, b, ell)))
+        assert {(5, 2, 1), (7, 4, 3)} <= seen
+        assert time.perf_counter() - start < 10
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -605,7 +619,7 @@ class TestCubicRoots:
         seen = set()
         for p in PrimeRange(5, 100):
             x = np.arange(p)
-            c = _non_residue(p)
+            c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # a non-residue
             for a in range(p):
                 roots = np.bincount(-(x**3 + a * x) % p, minlength=p)  # roots[b] of x^3 + ax + b
                 for b in range(p):
@@ -650,11 +664,11 @@ class TestWindowOrder:
     def test_sole_multiple_is_the_group_order(self, curve_11a1):
         ell = 1_000_003
         a, b = _short_model(*curve_11a1.c_invariants(), ell)
-        P = _random_point(a, b, ell, random.Random(0))
+        P, A = _random_point(a, b, ell, random.Random(0))
         lo, hi = self.window(ell)
         n = count_points_naive(curve_11a1, ell, limit=ell)
-        assert order_by_addition(P, a, ell) > hi - lo  # so n is the only multiple
-        assert window_order(P, a, ell, lo, hi) == n
+        assert order_by_addition(P, A, ell) > hi - lo  # so n is the only multiple
+        assert window_order(P, A, ell, lo, hi) == n
 
     def test_against_point_orders(self):
         rng = random.Random(5)
@@ -666,11 +680,11 @@ class TestWindowOrder:
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell == 0:
                 continue
-            lanes.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell), b))
+            lanes.append((*_random_point(a, b, ell, rng), ell, *self.window(ell), a, b))
         # one batch of mixed primes
         walked = _window_orders(*zip(*(lane[:5] for lane in lanes)))
-        for (P, a, ell, lo, hi, b), got in zip(lanes, walked):
-            order = order_by_addition(P, a, ell)
+        for (P, A, ell, lo, hi, a, b), got in zip(lanes, walked):
+            order = order_by_addition(P, A, ell)
             multiples = [n for n in range(lo, hi + 1) if n % order == 0]
             if len(multiples) == 1:
                 n = count_points_naive(short_curve(a, b), ell)
@@ -702,7 +716,7 @@ class TestWindowOrder:
             a, b = a % ell, b % ell
             if (4 * a**3 + 27 * b * b) % ell == 0:
                 continue
-            P = _random_point(a, b, ell, random.Random(seed))
+            P, A = _random_point(a, b, ell, random.Random(seed))
             lo, hi = self.window(ell)
             if hit_o and ell < 10**5:
                 # shift the window so that the group order is lo + t*m: the
@@ -711,7 +725,7 @@ class TestWindowOrder:
                 shifted = n - (isqrt(hi - lo) + 1) * (1 + seed % 2)
                 if shifted > 0:
                     lo, hi = shifted, shifted + hi - lo
-            batch.append((P, a, ell, lo, hi))
+            batch.append((P, A, ell, lo, hi))
         assume(batch)
         expected = []
         for lane in batch:
@@ -734,11 +748,11 @@ class TestWindowOrder:
             for _ in range(12):
                 a, b = rng.randrange(ell), rng.randrange(ell)
                 if (4 * a**3 + 27 * b * b) % ell:
-                    lanes.append((_random_point(a, b, ell, rng), a, ell, lo, hi))
+                    lanes.append((*_random_point(a, b, ell, rng), ell, lo, hi))
             expected = [_window_order(*lane) for lane in lanes]
             assert _window_orders(*zip(*lanes)) == expected
-            for P, a, *_ in lanes:
-                n = order_by_addition(P, a, ell)
+            for P, A, *_ in lanes:
+                n = order_by_addition(P, A, ell)
                 if n <= babies:
                     seen.add("O")
                 elif n <= 2 * babies:
@@ -751,13 +765,13 @@ class TestWindowOrder:
         ell = 10007
         a, b = _short_model(*curve_11a1.c_invariants(), ell)
         n = count_points_naive(curve_11a1, ell, limit=ell)
-        P = _random_point(a, b, ell, random.Random(0))
-        assert order_by_addition(P, a, ell) == n
+        P, A = _random_point(a, b, ell, random.Random(0))
+        assert order_by_addition(P, A, ell) == n
         m = isqrt(2 * isqrt(4 * ell)) + 1
         # T_1 = -(lo + m)P = O, then T_2 = O + step and T_3 = step + step
         lo = n - m
         hi = lo + 2 * isqrt(4 * ell)
-        assert _window_order(P, a, ell, lo, hi) == window_order(P, a, ell, lo, hi) == n
+        assert _window_order(P, A, ell, lo, hi) == window_order(P, A, ell, lo, hi) == n
 
     def test_object_path_above_2_to_31(self):
         big = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
@@ -766,7 +780,7 @@ class TestWindowOrder:
         batch = []
         for ell in (big, 101, huge):
             a, b = rng.randrange(ell), rng.randrange(ell)
-            batch.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell)))
+            batch.append((*_random_point(a, b, ell, rng), ell, *self.window(ell)))
         assert _window_orders(*zip(*batch)) == [_window_order(*lane) for lane in batch]
 
     @pytest.mark.parametrize("lanes", [1, 4, 9, 13])
@@ -778,7 +792,7 @@ class TestWindowOrder:
             ell = rng.choice((1009, 10007))
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell:
-                batch.append((_random_point(a, b, ell, rng), a, ell, *self.window(ell)))
+                batch.append((*_random_point(a, b, ell, rng), ell, *self.window(ell)))
         whole = _window_orders(*zip(*batch))  # one batch at the default budget
         width = max(hi - lo for *_, lo, hi in batch)
         babies = _baby_count(width)
@@ -821,11 +835,11 @@ class TestTrace:
             assert ell + 1 - trace_of_frobenius(curve_11a1, ell) >= 1
 
     def test_batch_entries_match_single_calls(self, monkeypatch):
-        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 12
-        # has bad reduction at 3, and two points leave 3533 ambiguous
+        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 4x + 9
+        # has bad reduction at 7, and two points leave 3119 ambiguous
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 2)
-        curve = short_curve(0, 12)
-        ells = [2, 5, 11, 3, 2999, 3001, 3533, 100_003]
+        curve = short_curve(4, 9)
+        ells = [2, 5, 11, 7, 2999, 3001, 3119, 100_003]
         batch = traces_of_frobenius(curve, ells)
         for ell, entry in zip(ells, batch):
             try:
