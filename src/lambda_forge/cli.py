@@ -10,10 +10,13 @@ columns, one string a chunk, with the text ``json.dumps`` would print
 (:func:`_emit_report`).
 
 Every output, stdout, ``--out`` or ``verify-density --csv``, is empty when
-its command fails (:func:`_output`).  A file is opened, and emptied, before
+its command fails (:func:`main`).  A file is opened, and emptied, before
 the work it receives starts, so an unwritable path is refused at once; it
-is written as the command runs, so a sweep's memory stays flat, and emptied
-again on failure.  Text for stdout is held and written only on success.
+is written as the command runs, so a sweep's memory stays flat, and every
+file the command line names is emptied on a nonzero exit, whether or not
+the command got as far as opening it.  Text for stdout is held and written
+only on success.  A command line argparse refuses runs no command and
+touches no file.
 Input that asks for two things at once is refused, never half done:
 ``a-ell`` takes ``--ell`` or ``--from`` and ``--to``, and ``verify-density``
 takes ``--enumerate-gl2`` or ``--csv``, not both, and its ``--out`` and
@@ -77,10 +80,10 @@ class _Held(list):
 def _output(path: str | None) -> Iterator[IO[str]]:
     """Where a command writes: the file at ``path``, else stdout.
 
-    A file is opened, and so emptied, at once; it is written as the command
-    runs and emptied again if the command fails.  Text for stdout is held,
-    and written to the ``sys.stdout`` of that moment once the command has
-    succeeded.
+    A file is opened, and so emptied, at once, and written as the command
+    runs (:func:`main` empties it if the command fails).  Text for stdout is
+    held, and written to the ``sys.stdout`` of that moment once the command
+    has succeeded.
     """
     if not path:
         held = _Held()
@@ -89,11 +92,14 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as out:
-        try:
-            yield out
-        except BaseException:
-            out.truncate(0)
-            raise
+        yield out
+
+
+def _empty(*paths: str | None) -> None:
+    """Empty each file named here that exists and can be written; create none."""
+    for path in filter(None, paths):
+        with contextlib.suppress(OSError), open(path, "r+b") as file:
+            file.truncate()
 
 
 class _JsonRows(list):
@@ -370,10 +376,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    failed = True
     try:
         cfg = load_config(args.config)
         with _output(args.out) as out:
             _COMMANDS[args.command](cfg, args, out)
+        failed = False
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -383,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    finally:
+        if failed:
+            _empty(args.out, getattr(args, "csv_path", None))
     return EXIT_OK
 
 

@@ -7,8 +7,13 @@ strategies are provided and cross-validated against each other:
 * ``count_points_naive`` - quadratic-character summation over x (char > 3),
   or full enumeration of the long Weierstrass equation (char 2, 3);
 * ``count_points_bsgs`` - a baby-step giant-step walk over the Hasse
-  interval for random points of the curve and its quadratic twist, whose
-  point orders narrow the candidate group orders until exactly one survives.
+  interval for random points of the curve and its quadratic twist, until
+  the lcm of one side's point orders has a single multiple there: that
+  multiple is the side's group order.  Mestre's theorem (Schoof 1995,
+  J. Theor. Nombres Bordeaux 7, section 3; Cohen 1993, *A Course in
+  Computational Algebraic Number Theory*, section 7.4) says that above
+  ell = 229 the exponent of the curve or of its twist has a single multiple
+  there; primes up to 229 are counted by summation.
 
 :func:`traces_of_frobenius` counts many primes at once: the point draws
 and the walks of all their sampled points run in lock-step as the lanes of
@@ -19,9 +24,9 @@ within one lane, so that no batch is a small remainder.  Each prime draws
 its x values from its own counter-based stream (splitmix64, Steele, Lea &
 Flood 2014), keyed by its short model and computed for all lanes at once,
 and takes a point of the curve or of its twist from x alone, with no
-square root (:func:`_random_points`); the first point of every prime is
-settled on columns.  In a batch of 4,096 primes a whole count costs about
-14-24 us a prime near 3e3-9e5, some 55-78% of it the walk and 8-13% the
+square root (:func:`_random_points`); every trial is settled on columns
+(:func:`_short_counts`).  In a batch of 4,096 primes a whole count costs
+about 14-24 us a prime near 3e3-9e5, some 55-78% of it the walk and 8-13% the
 draws (``BENCH_30.json``).  A count
 alone costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole
 chunks; :func:`count_points_bsgs` and :func:`trace_of_frobenius` are
@@ -38,7 +43,7 @@ composite ell gives a meaningless number, not an error:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd as math_gcd, isqrt, lcm
+from math import gcd as math_gcd, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +53,10 @@ from .errors import PointCountError, ResourceLimitError
 
 NAIVE_COUNT_LIMIT = 3000  # at or above the measured naive/BSGS crossover (BENCH_28.json)
 BSGS_MAX_POINTS = 40
+# Mestre's theorem holds for every prime above it (Schoof 1995, section 3):
+# the exponent of E or of its quadratic twist has one multiple in the Hasse
+# window.  Primes up to it are counted by summation.
+MESTRE_BOUND = 229
 # The largest ell the counter accepts: a count grows like ell^(1/4), and one
 # of 11a at the largest prime below 2^62 took 6.2-6.6 s (2-core x86-64 host,
 # Python 3.11, numpy 2.4); past it a count is refused, never left to run.
@@ -416,7 +425,7 @@ def _window_orders(points, a, p, lo, hi) -> list[int]:
     ord(P) if ord(P) <= m or the window holds two multiples of it; else the
     one multiple in the window, which is then the group order itself: its
     multiples in the window are exactly those of ord(P), which is all the
-    candidate sieve of :class:`_OrderSieve` needs.  A lane whose window holds
+    lcm rule of :func:`_short_counts` needs.  A lane whose window holds
     no annihilator (a bug upstream) gets 0.
 
     The walk is Shanks' baby-step giant-step with a baby table keyed by x
@@ -579,191 +588,82 @@ def _giant_matches(gx, gy, g_o, keys, baby_y, walk, babies, base):
     return j, miss
 
 
-def _count_cubic_roots(a, b, p):
-    """Number of roots in F_p, p >= 5, of the squarefree cubic x^3 + ax + b.
-
-    Stickelberger: a squarefree cubic over F_p has exactly one root iff its
-    discriminant -4a^3 - 27b^2 is a non-square; otherwise it has three roots
-    when x^p = x modulo the cubic, else none.  The twist x^3 + ac^2 x + bc^3
-    has the roots times c, so the same count.
-    """
-    if pow(-4 * a**3 - 27 * b * b, (p - 1) // 2, p) == p - 1:
-        return 1
-
-    def mul(u, v):
-        # product of two polynomials of degree <= 2, reduced by x^3 = -(ax + b)
-        t0 = u[0] * v[0]
-        t1 = u[0] * v[1] + u[1] * v[0]
-        t2 = u[0] * v[2] + u[1] * v[1] + u[2] * v[0]
-        t3 = u[1] * v[2] + u[2] * v[1]
-        t4 = u[2] * v[2]
-        return (
-            (t0 - b * t3) % p,
-            (t1 - a * t3 - b * t4) % p,
-            (t2 - a * t4) % p,
-        )
-
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    e = p
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return 3 if result == (0, 1, 0) else 0
-
-
-def _structure_compatible(n, order_lcm, two_torsion, ell):
-    """Can a group of order n on a curve over F_ell have this exponent lattice?
-
-    The group is Z/d1 x Z/d2 with d1 | d2 and d1 | ell - 1 (Weil pairing);
-    the lcm of sampled point orders must divide d2, and the rational
-    2-torsion count gcd(d1,2) * gcd(d2,2) must match the measured value.
-    So d1 runs over the divisors of g = gcd(n, ell - 1) with d1^2 | n; g
-    divides n - (ell - 1), which is at most 2 sqrt(ell) + 2 unless it is 0.
-    """
-    if n % order_lcm != 0:
-        return False
-    g = math_gcd(n, ell - 1)
-    for i in range(1, isqrt(g) + 1):
-        if g % i == 0:
-            for d1 in (i, g // i):
-                d2 = n // d1
-                if (
-                    d2 % d1 == 0
-                    and d2 % order_lcm == 0
-                    and math_gcd(d1, 2) * math_gcd(d2, 2) == two_torsion
-                ):
-                    return True
-    return False
-
-
 def _hasse_window(ell: int) -> tuple[int, int]:
     """[lo, hi], the integers within 2 sqrt(ell) of ell + 1: the Hasse interval of #E(F_ell)."""
     s = isqrt(4 * ell)
     return ell + 1 - s, ell + 1 + s
 
 
-class _OrderSieve:
-    """The candidate group orders at one ell, narrowed by one sampled point a trial.
-
-    The group order N lies in the Hasse interval [lo, hi] around ell + 1.
-    Orders of random points on E force N into multiples of their lcm; orders
-    on the quadratic twist do the same for 2*ell + 2 - N, whose Hasse
-    interval is [lo, hi] again, so one window serves both sides.  Trials
-    alternate sides, curve first, until a single candidate survives.  The
-    points come from this ell's own stream, keyed by its short model
-    (:func:`_stream_keys`), which reaches both sides (:func:`_random_points`),
-    so they do not depend on other primes; the sieve keeps only the count
-    of candidates used so far, from which the next trial reads on.
-    """
-
-    __slots__ = (
-        "ell", "a", "b", "lo", "hi", "lcm_curve", "lcm_twist", "two_torsion", "count", "draws",
-    )
-
-    def __init__(self, ell: int, a: int, b: int, draws: int = 0):
-        self.ell, self.a, self.b = ell, a, b
-        self.lo, self.hi = _hasse_window(ell)
-        self.lcm_curve = self.lcm_twist = 1
-        self.two_torsion: int | None = None  # the same on the curve and its twist
-        self.count: int | PointCountError | None = None
-        self.draws = draws  # candidates of the stream used so far
-
-    def narrow(self, trial: int, order: int) -> None:
-        """Fold in the walk result of this trial's point; sets ``count`` once it is settled."""
-        ell, lo, hi = self.ell, self.lo, self.hi
-        if order == 0:
-            self.count = PointCountError(
-                f"no annihilator of a point in [{lo}, {hi}] mod {ell}; bug"
-            )
-            return
-        if trial % 2 == 0:
-            self.lcm_curve = lcm(self.lcm_curve, order)
-        else:
-            self.lcm_twist = lcm(self.lcm_twist, order)
-        total = 2 * ell + 2
-        first = lo + (-lo) % self.lcm_curve
-        cands = [
-            n for n in range(first, hi + 1, self.lcm_curve) if (total - n) % self.lcm_twist == 0
-        ]
-        if len(cands) > 1:
-            # point orders alone cannot separate: both groups have small
-            # exponent; bring in the exact 2-torsion structure.  Every value
-            # folded into the lcms so far is an exact point order: a sole
-            # multiple in a window would have left one candidate.
-            if self.two_torsion is None:
-                self.two_torsion = 1 + _count_cubic_roots(self.a, self.b, ell)
-            cands = [
-                n
-                for n in cands
-                if _structure_compatible(n, self.lcm_curve, self.two_torsion, ell)
-                and _structure_compatible(total - n, self.lcm_twist, self.two_torsion, ell)
-            ]
-        if len(cands) == 1:
-            self.count = cands[0]
-        elif not cands:
-            self.count = PointCountError(f"candidate set empty at ell={ell}; bug")
-
-
 def _bsgs_counts(
     curve: CurveModel, ells: Sequence[int], max_points: int
 ) -> list[int | Exception]:
-    """#E(F_ell) or the exception counting raises at ell, for each ell, by batched BSGS.
+    """#E(F_ell) or the exception counting raises at ell, for each ell.
 
-    Trial t draws (:func:`_random_points`) and walks (:func:`_window_orders`)
-    the t-th point of every ell still ambiguous, all in one call each; each
-    ell's points come from its own stream, so an entry never depends on
-    which other ells share the call.  Trial 0, on the curve, runs on
-    columns: an order n > 0 with a single multiple in the Hasse window
-    settles its ell at that multiple, the one candidate
-    :meth:`_OrderSieve.narrow` would leave while the twist is unsampled.
-    Only the other ells become sieves: on 11a about 1 in 20 near 3e3 and
-    1 in 100 near 1e6.
+    An ell up to :data:`MESTRE_BOUND` is counted by summation, a bad or
+    too large one refused, and the rest by BSGS on their short models
+    (:func:`_short_counts`).
     """
     c4, c6 = curve.c_invariants()
     entries: list = []
     for ell in ells:
         try:
+            if ell <= MESTRE_BOUND:
+                entries.append(count_points_naive(curve, ell, limit=ell))
+                continue
             _require_countable(curve, ell)
-            if ell < 5:
-                raise ValueError("BSGS counting needs ell >= 5; use count_points_naive")
             if ell > MAX_COUNTED_ELL:
                 raise ResourceLimitError(f"point counting is capped at ell <= 2^62, got {ell}")
             entries.append(None)
         except (ValueError, ResourceLimitError) as exc:
             entries.append(exc)
     at = [i for i, entry in enumerate(entries) if entry is None]
-    sieves: list[tuple[int, _OrderSieve]] = []
-    if max_points and at:
-        p = [ells[i] for i in at]
-        a, b = zip(*(_short_model(c4, c6, ell) for ell in p))
-        lo, hi = zip(*map(_hasse_window, p))
-        points, A, used = _random_points(_stream_keys(p, a, b), [0] * len(p), a, b, p, 0)
-        orders = _window_orders(points, A, p, lo, hi)
-        dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
-        n, lo, hi = (np.array(v, dtype) for v in (orders, lo, hi))
-        first = lo + (-lo) % np.where(n > 0, n, 1)
-        settled = (n > 0) & (first <= hi) & (first + n > hi)
-        for i, count in zip(np.flatnonzero(settled).tolist(), first[settled].tolist()):
-            entries[at[i]] = count
-        for i in np.flatnonzero(~settled).tolist():
-            sieve = _OrderSieve(p[i], a[i], b[i], used[i])
-            sieve.narrow(0, orders[i])
-            sieves.append((at[i], sieve))
-    for trial in range(1, max_points):
-        live = [s for _, s in sieves if s.count is None]
-        if not live:
+    models = [_short_model(c4, c6, ells[i]) for i in at]
+    for i, entry in zip(at, _short_counts([ells[i] for i in at], models, max_points)):
+        entries[i] = entry
+    return entries
+
+
+def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
+    """#E(F_ell) of each y^2 = x^3 + ax + b in ``models`` at its ell > :data:`MESTRE_BOUND`, by BSGS.
+
+    Trial t draws (:func:`_random_points`) and walks (:func:`_window_orders`)
+    the t-th point of every lane still open, all in one call each: even
+    trials on the curve, odd ones on its twist.  Each side keeps the lcm L
+    of its walk results, which divides that side's group order, a number in
+    the Hasse window [lo, hi]; once L has a single multiple there, that
+    multiple is the side's order, N on the curve and 2 ell + 2 - N on the
+    twist.  Above :data:`MESTRE_BOUND` the exponent of the curve or of its
+    twist has a single multiple in the window, so one side settles once its
+    points reach that exponent.  A lane still open after ``max_points``
+    trials is refused, never guessed.  Each lane's points come from its own
+    stream, keyed by its model, so an entry never depends on the other lanes.
+    """
+    dtype = np.int64 if max(ells, default=0) < _INT64_PRIME_LIMIT else object
+    p = np.array(ells, dtype)
+    a, b = np.array(models, dtype).reshape(-1, 2).T
+    lo, hi = np.array([_hasse_window(ell) for ell in ells], dtype).reshape(-1, 2).T
+    keys, used = _stream_keys(ells, a.tolist(), b.tolist()), np.zeros(len(ells), np.int64)
+    lcms = np.ones((2, len(ells)), dtype)  # per side: the curve's, the twist's
+    entries: list = [None] * len(ells)
+    live = np.arange(len(ells))
+    for trial in range(max_points):
+        if not len(live):
             break
-        p, a, b, lo, hi = zip(*((s.ell, s.a, s.b, s.lo, s.hi) for s in live))
-        keys, skips = _stream_keys(p, a, b), [s.draws for s in live]
-        points, A, used = _random_points(keys, skips, a, b, p, trial)
-        for sieve, order, draws in zip(live, _window_orders(points, A, p, lo, hi), used):
-            sieve.draws = draws
-            sieve.narrow(trial, order)
-    for i, sieve in sieves:
-        entries[i] = sieve.count
+        P, LO, HI = (v[live].tolist() for v in (p, lo, hi))
+        points, A, used[live] = _random_points(
+            keys[live], used[live], a[live].tolist(), b[live].tolist(), P, trial
+        )
+        n = np.array(_window_orders(points, A, P, LO, HI), dtype)
+        side = lcms[trial % 2]
+        side[live] = L = np.lcm(side[live], np.where(n > 0, n, 1))
+        first = lo[live] + (-lo[live]) % L
+        counts = (first if trial % 2 == 0 else 2 * p[live] + 2 - first).tolist()
+        settled = (first <= hi[live]) & (first + L > hi[live])
+        for j in np.flatnonzero(settled | (n == 0)).tolist():
+            entries[live[j]] = counts[j] if n[j] else PointCountError(
+                f"no annihilator of a point in [{LO[j]}, {HI[j]}] mod {P[j]}; bug"
+            )
+        live = live[~settled & (n > 0)]
     return [
         PointCountError(
             f"group order ambiguous at ell={ell} after {max_points} points: refusing to guess"
@@ -782,9 +682,10 @@ def _unwrap(entries: list) -> int:
 def count_points_bsgs(curve: CurveModel, ell: int) -> int:
     """#E(F_ell) via random point orders on the curve and its quadratic twist.
 
-    Sampling is deterministic per (curve, ell) (see :class:`_OrderSieve`),
+    Sampling is deterministic per (curve, ell) (see :func:`_short_counts`),
     and ambiguity after :data:`BSGS_MAX_POINTS` points raises instead of
-    guessing, as does an ell past :data:`MAX_COUNTED_ELL`.
+    guessing, as does an ell past :data:`MAX_COUNTED_ELL`.  An ell up to
+    :data:`MESTRE_BOUND` is counted by summation.
     A batch of one: sweeps count many primes at once through
     :func:`traces_of_frobenius`, since one count alone costs 2-6 ms of
     numpy overhead.  ell must be a prime; the caller checks that (see the

@@ -900,7 +900,12 @@ SWEEP_BOUNDS = st.integers(-10, 400) | st.integers(MAX_SIEVE_BOUND + 1, 10**30)
 NON_INTEGERS = st.sampled_from(["1.5", "1e3", "0x10", "abc", ""])
 FORMATS = st.sampled_from(["json", "csv", "xml"])
 # an output path no command can write: in a missing directory, or a directory
-UNWRITABLE = st.sampled_from(["{tmp}/missing/report", "{tmp}"])
+UNWRITABLE_PATHS = ["{tmp}/missing/report", "{tmp}"]
+# an output path holding an earlier run's text, which a failed command empties
+STALE_PATHS = ["{tmp}/stale-out", "{tmp}/stale-csv"]
+# a config no command can load: missing, a directory, or not UTF-8 (a config
+# the process cannot read is not drawn: root reads every file)
+BAD_CONFIGS = st.sampled_from(["{tmp}/missing.cfg", "{tmp}", "{tmp}/latin1.cfg"])
 
 
 def is_integer(text: str) -> bool:
@@ -916,12 +921,14 @@ def refused(flag: str) -> bool:
     name, value = flag.split("=", 1)
     if name == "--format":
         return value not in ("json", "csv")
-    return name in ("--out", "--csv") or not is_integer(value)
+    if name in ("--out", "--csv"):
+        return value in UNWRITABLE_PATHS
+    return name == "--config" or not is_integer(value)
 
 
 @st.composite
 def cli_argv(draw) -> list[str]:
-    """A command with each of its integer flags drawn, then its --format and output paths."""
+    """A command with each of its integer flags drawn, then its --format, output paths and config."""
     command = draw(st.sampled_from(["plan", "carayol", "a-ell", "screen-p", "verify-density",
                                     "classify", "sigma"]))
     sweep_range = [f"--from={draw(SWEEP_BOUNDS)}", f"--to={draw(SWEEP_BOUNDS)}"]
@@ -950,10 +957,12 @@ def cli_argv(draw) -> list[str]:
         flags[i] = f"{flags[i].split('=')[0]}={draw(NON_INTEGERS)}"
     if command in ("classify", "sigma", "a-ell"):
         flags.append(f"--format={draw(FORMATS)}")
-    if sweeps_density and draw(st.integers(0, 3)) == 0:
-        flags.append(f"--csv={draw(UNWRITABLE)}")
+    if command == "verify-density" and draw(st.integers(0, 3)) == 0:
+        flags.append(f"--csv={draw(st.sampled_from(UNWRITABLE_PATHS + STALE_PATHS[1:]))}")
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(f"--out={draw(st.sampled_from(UNWRITABLE_PATHS + STALE_PATHS[:1]))}")
     if draw(st.integers(0, 7)) == 0:
-        flags.append(f"--out={draw(UNWRITABLE)}")
+        flags.append(f"--config={draw(BAD_CONFIGS)}")
     return [command, *flags]
 
 
@@ -961,23 +970,37 @@ def cli_argv(draw) -> list[str]:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
 @example(argv=["verify-density", "--bound=300", "--workers=1", "--csv={tmp}"])
+@example(argv=["verify-density", "--enumerate-gl2=5", "--workers=1", "--csv={tmp}/stale-csv",
+               "--out={tmp}/stale-out"])
+@example(argv=["screen-p", "--p=7", "--out={tmp}/stale-out", "--config={tmp}/latin1.cfg"])
 def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     # every draw exits 0, 2 or 3 without a traceback, and writes nothing to
     # stdout unless it succeeds; a flag that is not an integer, an unknown
-    # format or an unwritable output path exits 2
+    # format, an unwritable output path, a config that cannot be loaded, or
+    # --enumerate-gl2 with --csv exits 2.  A pre-filled output is empty after
+    # every nonzero exit of main; a command line argparse refuses leaves it be
     command, *flags = argv
-    flags = [flag.replace("{tmp}", str(Path(curve_config).parent)) for flag in flags]
+    tmp = Path(curve_config).parent
+    flags = [flag.replace("{tmp}", str(tmp)) for flag in flags]
+    (tmp / "latin1.cfg").write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
+    stale = [Path(flag.split("=", 1)[1]) for flag in flags
+             if flag.split("=", 1)[1] in [path.format(tmp=tmp) for path in STALE_PATHS]]
+    for path in stale:
+        path.write_text("stale\n")
     start = time.perf_counter()
+    parsed = True
     try:
         code = main([command, "--config", curve_config, *flags])
     except SystemExit as exc:  # argparse refuses a value its type or choices reject
-        code = exc.code
+        code, parsed = exc.code, False
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE), captured.err
     assert "Traceback" not in captured.err
-    if any(map(refused, flags)):
+    names = [flag.split("=", 1)[0] for flag in flags]
+    if any(map(refused, flags)) or {"--enumerate-gl2", "--csv"} <= set(names):
         assert code == EXIT_CONFIG, captured.err
     if code != EXIT_OK:
         assert captured.out == ""
         assert captured.err
+        assert [path.read_bytes() for path in stale] == [b"" if parsed else b"stale\n"] * len(stale)

@@ -13,17 +13,17 @@ from lambda_forge.arith import PrimeRange, is_prime
 from lambda_forge.curves import (
     BSGS_MAX_POINTS,
     MAX_COUNTED_ELL,
+    MESTRE_BOUND,
     NAIVE_COUNT_LIMIT,
     CurveModel,
-    _OrderSieve,
     _baby_count,
     _bsgs_counts,
     _candidates,
-    _count_cubic_roots,
+    _hasse_window,
     _random_points,
+    _short_counts,
     _short_model,
     _stream_keys,
-    _structure_compatible,
     _window_orders,
     count_points_bsgs,
     count_points_naive,
@@ -334,22 +334,59 @@ class TestBsgs:
         assert isinstance(refused, ResourceLimitError)
 
     def test_ambiguity_is_an_error_not_a_guess(self, curve_389a1):
-        # with the structure refinement unavailable (one point is a single
-        # sample) the order at this prime stays ambiguous: 5 is the least
-        # prime where one point leaves 389a ambiguous
-        (entry,) = _bsgs_counts(curve_389a1, [5], 1)
-        assert isinstance(entry, PointCountError)
+        # one point's order can have several multiples in the Hasse window:
+        # 251 is the least prime where one point leaves 389a ambiguous
+        (entry,) = _bsgs_counts(curve_389a1, [251], 1)
+        assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
+        assert count_points_bsgs(curve_389a1, 251) == count_points_naive(curve_389a1, 251)
 
     def test_ambiguity_above_the_naive_limit(self):
-        # two points leave 3119 ambiguous on y^2 = x^3 + 4x + 9, the least
+        # two points leave 3011 ambiguous on y^2 = x^3 + 3x + 14, the least
         # prime above the naive limit where two points leave any
-        # y^2 = x^3 + ax + b with 0 <= a, b < 16 ambiguous (none of 11a, 37a
-        # and 389a has one below 1e6); more points settle it
-        curve = short_curve(4, 9)
-        (entry,) = _bsgs_counts(curve, [3119], 2)
+        # y^2 = x^3 + ax + b with 0 <= a, b < 16 ambiguous; more points settle it
+        curve = short_curve(3, 14)
+        (entry,) = _bsgs_counts(curve, [3011], 2)
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
-        assert count_points_bsgs(curve, 3119) == 3144
-        assert count_points_naive(curve, 3119, limit=3119) == 3144
+        assert count_points_bsgs(curve, 3011) == count_points_naive(curve, 3011, limit=3011)
+
+    def test_mestre_bound_is_sharp_at_229(self):
+        # on y^2 = x^3 + 1 at 229 the exponents of the curve and of its twist
+        # each have two or more multiples in the Hasse window, so no number of
+        # points settles either side: 229 is counted by summation
+        ell, a, b = 229, 0, 1
+        assert MESTRE_BOUND == ell
+        c = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) == ell - 1)
+        lo, hi = _hasse_window(ell)
+        for A, B in ((a, b), (a * c * c % ell, b * c**3 % ell)):  # the curve, its twist by c
+            points = [(x, y) for x in range(ell) for y in range(ell)
+                      if (y * y - x**3 - A * x - B) % ell == 0]
+            exponent = math.lcm(*(order_by_addition(P, A, ell) for P in points))
+            assert len(range(lo + (-lo) % exponent, hi + 1, exponent)) >= 2
+        (entry,) = _short_counts([ell], [(a, b)], BSGS_MAX_POINTS)
+        assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
+        curve = short_curve(a, b)
+        assert _bsgs_counts(curve, [ell], BSGS_MAX_POINTS) == [count_points_naive(curve, ell)]
+
+    def test_every_short_curve_at_233(self):
+        # 233, the least prime above MESTRE_BOUND: BSGS_MAX_POINTS points
+        # settle every nonsingular y^2 = x^3 + ax + b, in one batch of lanes,
+        # each counted as count_points_naive sums it
+        ell = 233
+        x = np.arange(ell)
+        is_qr = np.zeros(ell, bool)
+        is_qr[x * x % ell] = True
+        models, expected = [], []
+        for a in range(ell):
+            f = (x**3 + a * x + x[:, None]) % ell  # row b: x^3 + ax + b
+            chi = np.where(f == 0, 0, np.where(is_qr[f], 1, -1))
+            for b in range(ell):
+                if (4 * a**3 + 27 * b * b) % ell:
+                    models.append((a, b))
+                    expected.append(ell + 1 + int(chi[b].sum()))
+        assert _short_counts([ell] * len(models), models, BSGS_MAX_POINTS) == expected
+        for a, b in models[::997]:
+            curve = short_curve(a, b)
+            assert _bsgs_counts(curve, [ell], BSGS_MAX_POINTS) == [count_points_naive(curve, ell)]
 
     @settings(max_examples=150, deadline=None)
     @given(ell=st.sampled_from(list(PrimeRange(5, 20000))), a=st.integers(0), b=st.integers(0))
@@ -382,17 +419,11 @@ class TestBsgs:
 
     @pytest.mark.parametrize("max_points", [0, 1, 2, 40])
     @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
-    def test_first_round_equals_scalar_reference(self, name, max_points, request, monkeypatch):
-        # trial 0 settles most primes on columns; the rest, the 2-torsion
-        # tie-break among them, go on as sieves
+    def test_first_round_equals_scalar_reference(self, name, max_points, request):
+        # trial 0 settles most primes on columns, the later trials the rest
         curve = request.getfixturevalue(name)
         ells = [ell for ell in FIRST_ROUND_PRIMES if curve.discriminant % ell]
-        tied = []
-        count_roots = curves._count_cubic_roots
-        monkeypatch.setattr(curves, "_count_cubic_roots",
-                            lambda a, b, ell: tied.append(ell) or count_roots(a, b, ell))
         batched = _bsgs_counts(curve, ells, max_points)
-        assert bool(tied) == (max_points > 0)
         assert list(map(describe, batched)) == list(map(describe, scalar_counts(curve, ells, max_points)))
 
     @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
@@ -408,43 +439,41 @@ class TestBsgs:
 
 
 def scalar_counts(curve, ells, max_points):
-    """_bsgs_counts with each point drawn by _random_point and walked by _window_order."""
+    """_bsgs_counts one ell at a time, each point drawn by _random_point and walked by _window_order.
+
+    Up to 229 ell is counted by summation.  Above it the even trials fold
+    their walk results into the curve's lcm, the odd ones into the twist's;
+    a trial whose lcm has one multiple in the Hasse window settles ell at
+    it, or at 2 ell + 2 minus it on the twist.
+    """
     entries = []
     for ell in ells:
-        sieve = _OrderSieve(ell, *_short_model(*curve.c_invariants(), ell))
-        rng = SplitMixStream(stream_key(ell, sieve.a, sieve.b))
-        for trial in range(max_points):
-            if sieve.count is not None:
-                break
-            P, A = _random_point(sieve.a, sieve.b, ell, rng, trial)
-            try:
-                order = _window_order(P, A, ell, sieve.lo, sieve.hi)
-            except PointCountError:
-                order = 0
-            sieve.narrow(trial, order)
-        entries.append(sieve.count if sieve.count is not None else PointCountError(
+        if ell <= 229:
+            entries.append(count_points_naive(curve, ell, limit=ell))
+            continue
+        a, b = _short_model(*curve.c_invariants(), ell)
+        s = isqrt(4 * ell)
+        lo, hi = ell + 1 - s, ell + 1 + s
+        rng = SplitMixStream(stream_key(ell, a, b))
+        lcms = [1, 1]
+        entry = PointCountError(
             f"group order ambiguous at ell={ell} after {max_points} points: refusing to guess"
-        ))
+        )
+        for trial in range(max_points):
+            P, A = _random_point(a, b, ell, rng, trial)
+            try:
+                order = _window_order(P, A, ell, lo, hi)
+            except PointCountError as exc:
+                entry = exc
+                break
+            side = trial % 2
+            lcms[side] = math.lcm(lcms[side], order)
+            multiples = range(lo + (-lo) % lcms[side], hi + 1, lcms[side])
+            if len(multiples) == 1:
+                entry = multiples[0] if side == 0 else 2 * ell + 2 - multiples[0]
+                break
+        entries.append(entry)
     return entries
-
-
-def structure_compatible_by_every_d1(n, order_lcm, two_torsion, ell):
-    """The exponent-lattice test with d1 running over every integer up to isqrt(n)."""
-    if n % order_lcm != 0:
-        return False
-    d1 = 1
-    while d1 * d1 <= n:
-        if n % d1 == 0:
-            d2 = n // d1
-            if (
-                d2 % d1 == 0
-                and (ell - 1) % d1 == 0
-                and d2 % order_lcm == 0
-                and math.gcd(d1, 2) * math.gcd(d2, 2) == two_torsion
-            ):
-                return True
-        d1 += 1
-    return False
 
 
 def last_draw(key, skip, used, ell):
@@ -510,7 +539,8 @@ class TestRandomPoints:
     def test_every_short_curve_at_5_and_7(self, monkeypatch):
         # one side can have no x of its character but the roots of its cubic:
         # #E = 2 at 5, and #E = 4 with three roots at 7; a draw that refused
-        # d = 0 would read on forever there
+        # d = 0 would read on forever there.  Counts there are sums, so the
+        # draws and walks of trials 0-3 are called directly, all curves at once
         candidates = curves._candidates
 
         def bounded(keys, skips, bits, count, dtype):
@@ -521,16 +551,21 @@ class TestRandomPoints:
         start = time.perf_counter()
         seen = set()
         for ell in (5, 7):
-            for a in range(ell):
-                for b in range(ell):
-                    if (4 * a**3 + 27 * b * b) % ell == 0:
-                        continue
-                    curve = short_curve(a, b)
-                    _bsgs_counts(curve, [ell], 1)
-                    _bsgs_counts(curve, [ell], 2)
-                    n = count_points_naive(curve, ell)
-                    assert _bsgs_counts(curve, [ell], BSGS_MAX_POINTS) == [n]
-                    seen.add((ell, min(n, 2 * ell + 2 - n), _count_cubic_roots(a, b, ell)))
+            models = [(a, b) for a in range(ell) for b in range(ell) if (4 * a**3 + 27 * b * b) % ell]
+            a_s, b_s = zip(*models)
+            lanes = [ell] * len(models)
+            lo, hi = _hasse_window(ell)
+            counts = [count_points_naive(short_curve(a, b), ell) for a, b in models]
+            keys, used = _stream_keys(lanes, a_s, b_s), [0] * len(models)
+            for trial in range(4):
+                points, A, used = _random_points(keys, used, a_s, b_s, lanes, trial)
+                orders = _window_orders(points, A, lanes, [lo] * len(lanes), [hi] * len(lanes))
+                for n, order in zip(counts, orders):
+                    side = 2 * ell + 2 - n if trial % 2 else n
+                    assert order > 0 and side % order == 0, (ell, n, trial, order)
+            for (a, b), n in zip(models, counts):
+                roots = sum((x**3 + a * x + b) % ell == 0 for x in range(ell))
+                seen.add((ell, min(n, 2 * ell + 2 - n), roots))
         assert {(5, 2, 1), (7, 4, 3)} <= seen
         assert time.perf_counter() - start < 10
 
@@ -585,66 +620,6 @@ class TestRandomPoints:
         expected = len(draws) * width / ell
         chi2 = float(((seen - expected) ** 2 / expected).sum())
         assert chi2 < (50 if bins == 16 else 25)
-
-
-class TestStructureCompatible:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_divisors_of_gcd_equal_every_d1(self, data):
-        ell = data.draw(st.sampled_from(GROUPING_PRIMES + [65537, 7340033]))
-        s = isqrt(4 * ell)
-        n = ell + 1 + data.draw(st.integers(-s, s))
-        divisors = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-        divisors += [n // d for d in divisors]
-        order_lcm = data.draw(st.sampled_from(divisors))
-        for two_torsion in (1, 2, 4):
-            assert _structure_compatible(n, order_lcm, two_torsion, ell) == (
-                structure_compatible_by_every_d1(n, order_lcm, two_torsion, ell)
-            )
-
-    def test_group_order_ell_minus_one(self):
-        # n = ell - 1 makes g = n, the one case where g is not small
-        ell = 10007
-        for order_lcm in (1, 2, 5003, 10006):
-            for two_torsion in (1, 2, 4):
-                assert _structure_compatible(ell - 1, order_lcm, two_torsion, ell) == (
-                    structure_compatible_by_every_d1(ell - 1, order_lcm, two_torsion, ell)
-                )
-
-
-class TestCubicRoots:
-    """The 2-torsion count of the BSGS tie-break, by Stickelberger's theorem."""
-
-    def test_every_nonsingular_cubic_below_100(self):
-        seen = set()
-        for p in PrimeRange(5, 100):
-            x = np.arange(p)
-            c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # a non-residue
-            for a in range(p):
-                roots = np.bincount(-(x**3 + a * x) % p, minlength=p)  # roots[b] of x^3 + ax + b
-                for b in range(p):
-                    if (4 * a**3 + 27 * b * b) % p:
-                        assert _count_cubic_roots(a, b, p) == roots[b], (a, b, p)
-                        # the twist's cubic has the roots times c
-                        assert _count_cubic_roots(a * c * c % p, b * c**3 % p, p) == roots[b]
-                        seen.add(int(roots[b]))
-        assert seen == {0, 1, 3}
-
-    def test_against_numpy_brute_force_to_1e5(self):
-        rng = random.Random(3)
-        seen = set()
-        for p in rng.sample(list(PrimeRange(100, 10**5)), 40):
-            x = np.arange(p, dtype=np.int64)
-            r, t = rng.randrange(p), rng.randrange(p)
-            # random cubics, and (x - r)(x - t)(x + r + t), which has three roots unless two meet
-            cubics = [(rng.randrange(p), rng.randrange(p)) for _ in range(3)]
-            cubics.append(((r * t - (r + t) ** 2) % p, r * t * (r + t) % p))
-            for a, b in cubics:
-                if (4 * a**3 + 27 * b * b) % p:
-                    roots = int(np.count_nonzero((x * x % p * x + a * x + b) % p == 0))
-                    assert _count_cubic_roots(a, b, p) == roots, (a, b, p)
-                    seen.add(roots)
-        assert seen == {0, 1, 3}
 
 
 class TestWindowOrder:
@@ -835,11 +810,11 @@ class TestTrace:
             assert ell + 1 - trace_of_frobenius(curve_11a1, ell) >= 1
 
     def test_batch_entries_match_single_calls(self, monkeypatch):
-        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 4x + 9
-        # has bad reduction at 7, and two points leave 3119 ambiguous
+        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 3x + 14
+        # has bad reduction at 5, and two points leave 3011 ambiguous
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 2)
-        curve = short_curve(4, 9)
-        ells = [2, 5, 11, 7, 2999, 3001, 3119, 100_003]
+        curve = short_curve(3, 14)
+        ells = [2, 7, 11, 5, 2999, 3001, 3011, 100_003]
         batch = traces_of_frobenius(curve, ells)
         for ell, entry in zip(ells, batch):
             try:
@@ -869,10 +844,11 @@ class TestTrace:
 
         monkeypatch.setattr(curves, "count_points_naive", spy_naive)
         monkeypatch.setattr(curves, "_bsgs_counts", spy_bsgs)
-        monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 101)
-        ells = [97, 101, 103, 5003]
+        # above MESTRE_BOUND, so that BSGS does not sum them itself
+        monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 307)
+        ells = [293, 307, 311, 5003]
         traces = traces_of_frobenius(curve_11a1, ells)
-        assert calls == {"naive": [97, 101], "bsgs": [103, 5003]}
+        assert calls == {"naive": [293, 307], "bsgs": [311, 5003]}
         assert traces == [ell + 1 - naive(curve_11a1, ell, limit=ell) for ell in ells]
 
 

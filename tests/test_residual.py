@@ -473,14 +473,14 @@ class TestSweepPipeline:
 
         ``gaps`` are primes missing from a coefficient table (a CoverageError;
         at 101 it falls in the first chunk); None is 11a1 counted with one BSGS
-        point a prime, which leaves the group order ambiguous at 3041 first (a
+        point a prime, which leaves the group order ambiguous at 3001 first (a
         PointCountError, raised in a pool worker at 2 workers).
         """
         to = 4000
         if gaps is None:
             monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
             backend = CurveModel(0, -1, 1, -10, -20, conductor=11)
-            first, error, to = 3041, PointCountError, 20000
+            first, error, to = 3001, PointCountError, 20000
         else:
             rng = random.Random(7)
             coeffs = {}
@@ -500,14 +500,15 @@ class TestSweepPipeline:
         assert multiprocessing.active_children() == []
 
     def test_curve_error_in_the_first_chunk_starts_no_pool(self, monkeypatch, pools_started):
-        # counted by BSGS with one point from 100 up, 11a1 is ambiguous at 101 first
-        monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 100)
+        # counted by BSGS with one point above 229, where summation stops, 11a1
+        # is ambiguous at 241 first
+        monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 229)
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                           backend=CurveModel(0, -1, 1, -10, -20, conductor=11))
-        serial = stream_until(PointCountError, 101, ctx, 20000, 1)
-        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, 100)))
-        assert stream_until(PointCountError, 101, ctx, 20000, 2) == serial
+        serial = stream_until(PointCountError, 241, ctx, 20000, 1)
+        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, 240)))
+        assert stream_until(PointCountError, 241, ctx, 20000, 2) == serial
         assert pools_started == []
 
     @pytest.mark.parametrize("past_first, workers, pools", [
@@ -810,13 +811,13 @@ class TestScreenP:
             f"not evaluated (point counting is capped at ell <= 2^62, got {10**21 + 117})")
 
     def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
-        # one point a prime leaves the group order at 3041 ambiguous, the least
+        # one point a prime leaves the group order at 3001 ambiguous, the least
         # such prime above the naive limit: a PointCountError
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
-        report = screen_p(curve_11a1, 3041)
+        report = screen_p(curve_11a1, 3001)
         ordinary = report.checks[-1]
         assert (ordinary.name, ordinary.passed) == ("ordinary-at-p", False)
-        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3041")
+        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3001")
         assert [c.passed for c in report.checks[:2]] == [True, True]
 
 
