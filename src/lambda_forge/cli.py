@@ -10,13 +10,14 @@ columns, one string a chunk, with the text ``json.dumps`` would print
 (:func:`_emit_report`).
 
 Every output, stdout, ``--out`` or ``verify-density --csv``, is empty when
-its command fails (:func:`main`).  A file is opened, and emptied, before
-the work it receives starts, so an unwritable path is refused at once; it
-is written as the command runs, so a sweep's memory stays flat, and every
-file the command line names is emptied on a nonzero exit, whether or not
-the command got as far as opening it.  Text for stdout is held and written
-only on success.  A command line argparse refuses runs no command and
-touches no file.
+its command fails.  A file is opened, and emptied, before the work it
+receives starts, so an unwritable path is refused at once; it is written
+as the command runs, so a sweep's memory stays flat, and emptied again on
+failure (:func:`_output`).  A file the command line names but the command
+never opened is emptied on a nonzero exit too (:func:`main`), unless the
+run reads it: the config, or the table the config names, is left as it
+is.  Text for stdout is held and written only on success.  A command line
+argparse refuses runs no command and touches no file.
 Input that asks for two things at once is refused, never half done:
 ``a-ell`` takes ``--ell`` or ``--from`` and ``--to``, and ``verify-density``
 takes ``--enumerate-gl2`` or ``--csv``, not both, and its ``--out`` and
@@ -80,10 +81,10 @@ class _Held(list):
 def _output(path: str | None) -> Iterator[IO[str]]:
     """Where a command writes: the file at ``path``, else stdout.
 
-    A file is opened, and so emptied, at once, and written as the command
-    runs (:func:`main` empties it if the command fails).  Text for stdout is
-    held, and written to the ``sys.stdout`` of that moment once the command
-    has succeeded.
+    A file is opened, and so emptied, at once; it is written as the command
+    runs and emptied again if the command fails.  Text for stdout is held,
+    and written to the ``sys.stdout`` of that moment once the command has
+    succeeded.
     """
     if not path:
         held = _Held()
@@ -92,14 +93,23 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as out:
-        yield out
+        try:
+            yield out
+        except BaseException:
+            out.truncate(0)
+            raise
 
 
-def _empty(*paths: str | None) -> None:
-    """Empty each file named here that exists and can be written; create none."""
-    for path in filter(None, paths):
-        with contextlib.suppress(OSError), open(path, "r+b") as file:
-            file.truncate()
+def _empty(paths: list[str | None], inputs: list[str | Path | None]) -> None:
+    """Empty each file in ``paths`` that exists, can be written and is none of ``inputs``.
+
+    No file is created, and a file the run reads is kept whole.
+    """
+    kept = {Path(path).resolve() for path in inputs if path}
+    for path in paths:
+        if path and Path(path).resolve() not in kept:
+            with contextlib.suppress(OSError), open(path, "r+b") as file:
+                file.truncate()
 
 
 class _JsonRows(list):
@@ -376,7 +386,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    failed = True
+    cfg, failed = None, True
     try:
         cfg = load_config(args.config)
         with _output(args.out) as out:
@@ -393,7 +403,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
     finally:
         if failed:
-            _empty(args.out, getattr(args, "csv_path", None))
+            _empty([args.out, getattr(args, "csv_path", None)],
+                   inputs=[args.config, cfg and cfg.table_path])
     return EXIT_OK
 
 

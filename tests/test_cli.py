@@ -498,6 +498,23 @@ class TestVerifyDensity:
         assert captured.err == "config error: verify-density --out and --csv name the same file\n"
         assert path.read_bytes() == b""
 
+    def test_failed_run_keeps_the_files_it_reads(self, table_config, tmp_path, capsys):
+        # an output that names the run's config or table is one of its inputs:
+        # a failed run leaves it whole, whether the config failed to load or
+        # the command was refused before it opened the output
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
+        table = tmp_path / "coeffs.csv"
+        before = latin1.read_bytes(), table.read_bytes()
+        assert main(["screen-p", "--p", "7", "--config", str(latin1),
+                     "--out", str(latin1)]) == EXIT_CONFIG
+        assert main(["verify-density", "--enumerate-gl2", "5", "--config", table_config,
+                     "--csv", str(table)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(" error: ") == 2
+        assert (latin1.read_bytes(), table.read_bytes()) == before
+
     def test_surjectivity_required(self, table_config, capsys):
         code = main(["verify-density", "--config", table_config, "--bound", "100"])
         assert code == EXIT_CONFIG  # hypothesis violation is a config-level refusal
@@ -979,12 +996,12 @@ def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     # format, an unwritable output path, a config that cannot be loaded, or
     # --enumerate-gl2 with --csv exits 2.  A pre-filled output is empty after
     # every nonzero exit of main; a command line argparse refuses leaves it be
-    command, *flags = argv
+    command, *drawn = argv
     tmp = Path(curve_config).parent
-    flags = [flag.replace("{tmp}", str(tmp)) for flag in flags]
+    flags = [flag.replace("{tmp}", str(tmp)) for flag in drawn]
     (tmp / "latin1.cfg").write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
-    stale = [Path(flag.split("=", 1)[1]) for flag in flags
-             if flag.split("=", 1)[1] in [path.format(tmp=tmp) for path in STALE_PATHS]]
+    stale = [Path(flag.split("=", 1)[1].format(tmp=tmp)) for flag in drawn
+             if flag.split("=", 1)[1] in STALE_PATHS]
     for path in stale:
         path.write_text("stale\n")
     start = time.perf_counter()
@@ -998,7 +1015,8 @@ def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE), captured.err
     assert "Traceback" not in captured.err
     names = [flag.split("=", 1)[0] for flag in flags]
-    if any(map(refused, flags)) or {"--enumerate-gl2", "--csv"} <= set(names):
+    # refused reads the drawn flags, whose paths are still the templates it knows
+    if any(map(refused, drawn)) or {"--enumerate-gl2", "--csv"} <= set(names):
         assert code == EXIT_CONFIG, captured.err
     if code != EXIT_OK:
         assert captured.out == ""
