@@ -15,13 +15,15 @@ receives starts, so an unwritable path is refused at once; it is written
 as the command runs, so a sweep's memory stays flat, and emptied again on
 failure (:func:`_output`).  A file the command line names but the command
 never opened is emptied on a nonzero exit too (:func:`main`), unless the
-run reads it: the config, or the table the config names, is left as it
-is.  Text for stdout is held and written only on success.  A command line
-argparse refuses runs no command and touches no file.
+run reads it: the config, or a table the config names, is never emptied,
+also when the config does not load.  Once the config has loaded, and
+before any output is opened, an ``--out`` or ``--csv`` that names one of
+those files, or the other output, is refused.  Text for stdout is held and
+written only on success.  A command line argparse refuses runs no command
+and touches no file.
 Input that asks for two things at once is refused, never half done:
 ``a-ell`` takes ``--ell`` or ``--from`` and ``--to``, and ``verify-density``
-takes ``--enumerate-gl2`` or ``--csv``, not both, and its ``--out`` and
-``--csv`` must name two files.  Exit codes: 0 success, 2 configuration or
+takes ``--enumerate-gl2`` or ``--csv``, not both.  Exit codes: 0 success, 2 configuration or
 usage error, 3 computation error.
 """
 
@@ -31,13 +33,14 @@ import argparse
 import contextlib
 import datetime
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 from typing import IO, Iterator
 
 from .arith import PrimeRange, factorize
-from .config import RunConfig, build_context, load_config
+from .config import RunConfig, build_context, input_paths, load_config
 from .density import empirical_density, enumerate_gl2_classes
 from .errors import ComputationError, ConfigError
 from .forms import a_ells
@@ -100,14 +103,27 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             raise
 
 
-def _empty(paths: list[str | None], inputs: list[str | Path | None]) -> None:
+def _refuse_clobbering(outputs: dict[str, str], inputs: list[Path]) -> None:
+    """Refuse outputs (flag -> path) that name one file, or a file of ``inputs``.
+
+    Called before any output is opened, so that no input is emptied.
+    """
+    named = {os.path.realpath(path): flag for flag, path in outputs.items()}
+    if len(named) < len(outputs):
+        raise ConfigError("verify-density --out and --csv name the same file")
+    for path in inputs:
+        if flag := named.get(os.path.realpath(path)):
+            raise ConfigError(f"{flag} names {path}, which this run reads")
+
+
+def _empty(paths: list[str], inputs: list[Path]) -> None:
     """Empty each file in ``paths`` that exists, can be written and is none of ``inputs``.
 
     No file is created, and a file the run reads is kept whole.
     """
-    kept = {Path(path).resolve() for path in inputs if path}
+    kept = {os.path.realpath(path) for path in inputs}
     for path in paths:
-        if path and Path(path).resolve() not in kept:
+        if os.path.realpath(path) not in kept:
             with contextlib.suppress(OSError), open(path, "r+b") as file:
                 file.truncate()
 
@@ -298,8 +314,6 @@ def _cmd_verify_density(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) 
         report = enumerate_gl2_classes(args.enumerate_gl2)
         _emit_report(json_value(report), cfg, args, out)
         return
-    if args.csv_path and args.out and Path(args.csv_path).resolve() == Path(args.out).resolve():
-        raise ConfigError("verify-density --out and --csv name the same file")
     ctx = build_context(cfg)
     workers = args.workers or resolve_workers()
     prime_range = PrimeRange(2, args.bound)
@@ -386,9 +400,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg, failed = None, True
+    named = {"--out": args.out, "--csv": getattr(args, "csv_path", None)}
+    outputs = {flag: path for flag, path in named.items() if path}
+    failed = True
     try:
         cfg = load_config(args.config)
+        _refuse_clobbering(outputs, input_paths(args.config))
         with _output(args.out) as out:
             _COMMANDS[args.command](cfg, args, out)
         failed = False
@@ -403,8 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
     finally:
         if failed:
-            _empty([args.out, getattr(args, "csv_path", None)],
-                   inputs=[args.config, cfg and cfg.table_path])
+            _empty(list(outputs.values()), inputs=input_paths(args.config))
     return EXIT_OK
 
 

@@ -58,8 +58,12 @@ class RunConfig:
 
 
 def _parse_entries(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -135,9 +139,7 @@ def load_config(path: str | Path) -> RunConfig:
         for key in ("table_path", "level"):
             if key not in entries:
                 raise ConfigError(f"{path}: missing config key `{key}`")
-        table_path = Path(entries["table_path"])
-        if not table_path.is_absolute():
-            table_path = path.parent / table_path
+        table_path = path.parent / entries["table_path"]  # an absolute path stands alone
         level = _get_int(entries, "level", path)
 
     optimal = "optimal_level_asserted" not in entries or _get_bool(
@@ -154,6 +156,22 @@ def load_config(path: str | Path) -> RunConfig:
         table_path=table_path,
         optimal_level_asserted=optimal,
     )
+
+
+def input_paths(path: str | Path) -> list[Path]:
+    """The config at ``path`` and each table it names: the files a run on it reads.
+
+    The file is read line by line past any fault :func:`load_config`
+    refuses, so that a run whose config does not load still knows them.
+    """
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8", "replace")
+    except OSError:
+        return [path]
+    fields = (line.split("#", 1)[0].partition("=") for line in text.splitlines())
+    return [path, *(path.parent / value.strip() for key, _, value in fields
+                    if key.strip() == "table_path" and value.strip())]
 
 
 def build_context(cfg: RunConfig) -> FormContext:

@@ -15,22 +15,21 @@ strategies are provided and cross-validated against each other:
   ell = 229 the exponent of the curve or of its twist has a single multiple
   there; primes up to 229 are counted by summation.
 
-:func:`traces_of_frobenius` counts many primes at once: the point draws
-and the walks of all their sampled points run in lock-step as the lanes of
-numpy arrays, the walks in Jacobian coordinates with one inversion per lane
-per block of steps (Montgomery's simultaneous inversion) over a baby table
-keyed by x alone, in batches capped at 2 MB of temporaries and equal to
-within one lane, so that no batch is a small remainder.  Each prime draws
-its x values from its own counter-based stream (splitmix64, Steele, Lea &
-Flood 2014), keyed by its short model and computed for all lanes at once,
-and takes a point of the curve or of its twist from x alone, with no
-square root (:func:`_random_points`); every trial is settled on columns
-(:func:`_short_counts`).  In a batch of 4,096 primes a whole count costs
-about 14-24 us a prime near 3e3-9e5, some 55-78% of it the walk and 8-13% the
-draws (``BENCH_30.json``).  A count
-alone costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole
-chunks; :func:`count_points_bsgs` and :func:`trace_of_frobenius` are
-batches of one.
+Every count goes through one dispatcher, :func:`_bsgs_counts`: it sums
+primes up to a bound, refuses bad ones, and counts the rest at once by BSGS,
+their draws and walks running in lock-step as the lanes of numpy columns
+from the draw to the count.  The walks are in Jacobian coordinates with one
+inversion per lane per block of steps (Montgomery's simultaneous inversion)
+over a baby table keyed by x alone, in batches capped at 2 MB of temporaries
+and equal to within one lane, so that no batch is a small remainder.  Each
+prime draws x from its own counter-based stream (splitmix64, Steele, Lea &
+Flood 2014), keyed by its short model, and takes a point of the curve or of
+its twist from x alone, with no square root (:func:`_random_points`); every
+trial is settled on columns (:func:`_short_counts`).  In a batch of 4,096
+primes a count costs about 14-24 us a prime near 3e3-9e5, some 55-78% of it
+the walk and 8-13% the draws (``BENCH_30.json``).  A count alone costs 2-6
+ms, nearly all numpy call overhead, so sweeps pass whole chunks;
+:func:`count_points_bsgs` and :func:`trace_of_frobenius` are batches of one.
 
 Every counter takes ell on trust as a prime: checking is the caller's job.
 :func:`arith.is_prime` costs about 9 us a prime (0.72 s over the 78,498
@@ -252,41 +251,38 @@ def _candidates(keys, skips, bits, count, dtype):
     return z.astype(dtype)
 
 
-def _random_points(keys, skips, a, b, p, trial) -> tuple[list, list, list[int]]:
-    """The next point of each lane's stream on this trial's side, with its coefficient A.
+def _random_points(keys, used, a, b, p, bits, trial):
+    """The next point (x, y) of each lane's stream on this trial's side, with its A, as columns.
 
     Lane i draws x from the stream of key ``keys[i]`` (:func:`_candidates`)
-    from its candidate ``skips[i]`` on, until d = x^3 + ax + b is 0 or, on
+    from its candidate ``used[i]`` on, until d = x^3 + ax + b is 0 or, on
     a curve trial (even), a square, on a twist trial (odd), a non-square
     (Euler's criterion): the x the scalar loop ``while True: x =
     randrange(p); ...`` would take.  The point is (dx, d^2), on
     y^2 = x^3 + ad^2 x + bd^3 with A = ad^2: the curve scaled by sqrt(d)
     when d is a square, its twist by d when it is not.  At d = 0 it is
     (x, 0) on the curve with A = a, of order 2, which divides the twist's
-    order too, as the twist's cubic has as many roots.  Returns the points,
-    their A and the candidates each stream has used so far.
+    order too, as the twist's cubic has as many roots.  ``bits`` holds each
+    p's bit length.  Returns the columns x, y, A and the candidates used.
 
     A pass tests a lane's first _DRAWS draws in numpy; a lane whose draws
     all fail reads on from where it stopped, for twice as many.
     """
     lanes = len(keys)
-    dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
-    bits = np.array([ell.bit_length() for ell in p], np.uint64)
-    a, b, p = (np.array(v, dtype) for v in (a, b, p))
-    used = np.array(skips, np.int64)
-    x, d = np.zeros(lanes, dtype), np.zeros(lanes, dtype)
+    used = used.copy()
+    x, d = np.zeros(lanes, p.dtype), np.zeros(lanes, p.dtype)
     pending = np.arange(lanes)
     per_lane = _DRAWS
     while len(pending):
         P, A, B = (v[pending, None] for v in (p, a, b))
-        raw = _candidates(keys[pending], used[pending], bits[pending], 2 * per_lane, dtype)
+        raw = _candidates(keys[pending], used[pending], bits[pending], 2 * per_lane, p.dtype)
         # the first per_lane accepted draws, and the candidates read up to each;
         # an empty slot, in a lane with fewer, stands for all of them
         accepted = raw < P
         rank = np.cumsum(accepted, axis=1)
         row, col = np.nonzero(accepted & (rank <= per_lane))
         slot = rank[row, col] - 1
-        X = np.zeros((len(pending), per_lane), dtype)
+        X = np.zeros((len(pending), per_lane), p.dtype)
         X[row, slot] = raw[row, col]
         read = np.full(X.shape, 2 * per_lane)
         read[row, slot] = col + 1
@@ -305,8 +301,7 @@ def _random_points(keys, skips, a, b, p, trial) -> tuple[list, list, list[int]]:
         per_lane *= 2
     root = d == 0
     dd = d * d % p
-    points = zip(np.where(root, x, d * x % p).tolist(), dd.tolist())
-    return list(points), np.where(root, a, a * dd % p).tolist(), used.tolist()
+    return np.where(root, x, d * x % p), dd, np.where(root, a, a * dd % p), used
 
 
 # --- the lane-batched walk ----------------------------------------------------
@@ -417,8 +412,8 @@ def _baby_count(width: int) -> int:
     return isqrt(width // 2) + 1
 
 
-def _window_orders(points, a, p, lo, hi) -> list[int]:
-    """ord(P), or the only multiple of ord(P) in [lo, hi], for each lane (P, a, p, lo, hi).
+def _window_orders(x, y, a, p, lo, hi):
+    """ord(P), or its only multiple in [lo, hi], for each lane of columns x, y, a, p, lo, hi.
 
     Each window, 0 < lo <= hi, must contain the group order, so it holds at
     least one multiple of ord(P).  With m = isqrt(hi - lo) + 1, a lane gets
@@ -435,20 +430,19 @@ def _window_orders(points, a, p, lo, hi) -> list[int]:
     equal to within one lane, so that no batch is a small remainder paying
     a whole walk's fixed cost.
     """
-    width = [h - l for l, h in zip(lo, hi)]
-    babies = _baby_count(max(width))
-    steps = babies + 1 + min(max(width) // (2 * babies + 1) + 1, _GIANT_BLOCK)
+    width = (hi - lo).astype(np.int64)  # below 2^34 for every counted prime
+    widest = int(width.max())
+    babies = _baby_count(widest)
+    steps = babies + 1 + min(widest // (2 * babies + 1) + 1, _GIANT_BLOCK)
     per_batch = max(1, _WALK_BYTES // (8 * _WORDS_PER_STEP * steps))
-    batches = -(-len(points) // per_batch)
-    out: list[int] = []
-    for i in range(batches):
-        batch = slice(i * len(points) // batches, (i + 1) * len(points) // batches)
-        out += _walk(points[batch], a[batch], p[batch], lo[batch], width[batch])
-    return out
+    batches = -(-len(x) // per_batch)
+    cuts = [i * len(x) // batches for i in range(batches + 1)]
+    return np.concatenate([_walk(*(v[i:j] for v in (x, y, a, p, lo, width)))
+                           for i, j in zip(cuts, cuts[1:])])
 
 
-def _walk(points, a, p, lo, width) -> list[int]:
-    """:func:`_window_orders` for one batch.
+def _walk(x, y, a, p, lo, width):
+    """:func:`_window_orders` for one batch of columns, ``width`` = hi - lo as int64.
 
     The baby rows hold jP for j = 1 .. M and (2M + 1)P, with M from the
     widest window of the batch.  They show ord(P) when it is at most 2M + 1:
@@ -456,11 +450,7 @@ def _walk(points, a, p, lo, width) -> list[int]:
     ord(P) = j + k and y(jP) = 0 gives 2j; else (2M + 1)P = O.  Such lanes
     get their result from ord(P) directly, the others take the giant walk.
     """
-    dtype = np.int64 if max(p) < _INT64_PRIME_LIMIT else object
-    x = np.array([P[0] for P in points], dtype)
-    y = np.array([P[1] for P in points], dtype)
-    a, p, lo = (np.array(v, dtype) for v in (a, p, lo))
-    width = np.array(width)
+    dtype = x.dtype
     babies = _baby_count(int(width.max()))
     lanes = len(x)
 
@@ -500,7 +490,7 @@ def _walk(points, a, p, lo, width) -> list[int]:
     if len(known):
         n, l, w = ords[known].astype(dtype), lo[known], width[known]
         first = l + (-l) % n
-        small = n <= np.array([isqrt(v) + 1 for v in w.tolist()])
+        small = (n - 1) ** 2 <= w  # n <= isqrt(w) + 1, as n >= 1
         out[known] = np.where(small | (first + n <= l + w), n, np.where(first <= l + w, first, 0))
     walk = np.flatnonzero(ords == 0)
     if len(walk):
@@ -509,7 +499,7 @@ def _walk(points, a, p, lo, width) -> list[int]:
             tuple(v[walk] for v in T), step, keys, by[:-1].ravel(), walk, babies,
             base[walk], a[walk], p[walk], lo[walk], width[walk],
         )
-    return out.tolist()
+    return out
 
 
 def _multiple(k, bx, by, a, p):
@@ -595,19 +585,20 @@ def _hasse_window(ell: int) -> tuple[int, int]:
 
 
 def _bsgs_counts(
-    curve: CurveModel, ells: Sequence[int], max_points: int
+    curve: CurveModel, ells: Sequence[int], max_points: int, summed_to: int = MESTRE_BOUND
 ) -> list[int | Exception]:
-    """#E(F_ell) or the exception counting raises at ell, for each ell.
+    """#E(F_ell) or the exception counting raises at ell, for each ell: the one dispatcher.
 
-    An ell up to :data:`MESTRE_BOUND` is counted by summation, a bad or
-    too large one refused, and the rest by BSGS on their short models
+    An ell up to ``summed_to`` (at least :data:`MESTRE_BOUND`, below which
+    BSGS does not settle) is counted by summation, a bad or too large one
+    refused, and the rest by BSGS on their short models
     (:func:`_short_counts`).
     """
     c4, c6 = curve.c_invariants()
     entries: list = []
     for ell in ells:
         try:
-            if ell <= MESTRE_BOUND:
+            if ell <= summed_to:
                 entries.append(count_points_naive(curve, ell, limit=ell))
                 continue
             _require_countable(curve, ell)
@@ -626,15 +617,16 @@ def _bsgs_counts(
 def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
     """#E(F_ell) of each y^2 = x^3 + ax + b in ``models`` at its ell > :data:`MESTRE_BOUND`, by BSGS.
 
-    Trial t draws (:func:`_random_points`) and walks (:func:`_window_orders`)
-    the t-th point of every lane still open, all in one call each: even
-    trials on the curve, odd ones on its twist.  Each side keeps the lcm L
-    of its walk results, which divides that side's group order, a number in
-    the Hasse window [lo, hi]; once L has a single multiple there, that
-    multiple is the side's order, N on the curve and 2 ell + 2 - N on the
-    twist.  Above :data:`MESTRE_BOUND` the exponent of the curve or of its
-    twist has a single multiple in the window, so one side settles once its
-    points reach that exponent.  A lane still open after ``max_points``
+    The lane columns (one dtype, p, a, b, the Hasse windows [lo, hi], stream
+    keys, bit lengths) are made once; trial t draws (:func:`_random_points`)
+    and walks (:func:`_window_orders`) the t-th point of every lane still
+    open, passing slices: even trials on the curve, odd ones on its twist.
+    Each side keeps the lcm L of its walk results, which divides that side's
+    group order, a number in [lo, hi]; once L has a single multiple there,
+    that multiple is the side's order, N on the curve and 2 ell + 2 - N on
+    the twist.  Above :data:`MESTRE_BOUND` the exponent of the curve or of
+    its twist has a single multiple in the window, so one side settles once
+    its points reach that exponent.  A lane still open after ``max_points``
     trials is refused, never guessed.  Each lane's points come from its own
     stream, keyed by its model, so an entry never depends on the other lanes.
     """
@@ -642,23 +634,24 @@ def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
     p = np.array(ells, dtype)
     a, b = np.array(models, dtype).reshape(-1, 2).T
     lo, hi = np.array([_hasse_window(ell) for ell in ells], dtype).reshape(-1, 2).T
-    keys, used = _stream_keys(ells, a.tolist(), b.tolist()), np.zeros(len(ells), np.int64)
+    bits = np.array([ell.bit_length() for ell in ells], np.uint64)
+    keys, used = _stream_keys(p, a, b), np.zeros(len(ells), np.int64)
     lcms = np.ones((2, len(ells)), dtype)  # per side: the curve's, the twist's
     entries: list = [None] * len(ells)
     live = np.arange(len(ells))
     for trial in range(max_points):
         if not len(live):
             break
-        P, LO, HI = (v[live].tolist() for v in (p, lo, hi))
-        points, A, used[live] = _random_points(
-            keys[live], used[live], a[live].tolist(), b[live].tolist(), P, trial
+        P, LO, HI = p[live], lo[live], hi[live]
+        x, y, A, used[live] = _random_points(
+            keys[live], used[live], a[live], b[live], P, bits[live], trial
         )
-        n = np.array(_window_orders(points, A, P, LO, HI), dtype)
+        n = _window_orders(x, y, A, P, LO, HI)
         side = lcms[trial % 2]
         side[live] = L = np.lcm(side[live], np.where(n > 0, n, 1))
-        first = lo[live] + (-lo[live]) % L
-        counts = (first if trial % 2 == 0 else 2 * p[live] + 2 - first).tolist()
-        settled = (first <= hi[live]) & (first + L > hi[live])
+        first = LO + (-LO) % L
+        counts = (first if trial % 2 == 0 else 2 * P + 2 - first).tolist()
+        settled = (first <= HI) & (first + L > HI)
         for j in np.flatnonzero(settled | (n == 0)).tolist():
             entries[live[j]] = counts[j] if n[j] else PointCountError(
                 f"no annihilator of a point in [{LO[j]}, {HI[j]}] mod {P[j]}; bug"
@@ -697,27 +690,15 @@ def count_points_bsgs(curve: CurveModel, ell: int) -> int:
 def traces_of_frobenius(curve: CurveModel, ells: Sequence[int]) -> list[int | Exception]:
     """a_ell = ell + 1 - #E(F_ell) for each ell, each checked against the Hasse bound.
 
-    Primes up to :data:`NAIVE_COUNT_LIMIT` are counted naively, the others
-    by BSGS in shared walks.  Each entry is a_ell or the exception the
-    count raised at that ell: a :class:`PointCountError`, a ValueError at
-    a prime of bad reduction, or a :class:`ResourceLimitError` past
-    :data:`MAX_COUNTED_ELL`.  No entry depends on the other ells.
+    :func:`_bsgs_counts` sums primes up to :data:`NAIVE_COUNT_LIMIT` and
+    counts the others by BSGS in shared walks.  Each entry is a_ell or the
+    exception the count raised at that ell: a :class:`PointCountError`, a
+    ValueError at a prime of bad reduction, or a :class:`ResourceLimitError`
+    past :data:`MAX_COUNTED_ELL`.  No entry depends on the other ells.
     Every ell must be a prime; the caller checks that (see the module notes).
     """
-    limit = NAIVE_COUNT_LIMIT
-    counts: list = [None] * len(ells)
-    walked = []
-    for i, ell in enumerate(ells):
-        if ell > limit:
-            walked.append(i)
-            continue
-        try:
-            counts[i] = count_points_naive(curve, ell, limit=limit)
-        except ValueError as exc:
-            counts[i] = exc
-    for i, n in zip(walked, _bsgs_counts(curve, [ells[i] for i in walked], BSGS_MAX_POINTS)):
-        counts[i] = n
     traces: list[int | Exception] = []
+    counts = _bsgs_counts(curve, ells, BSGS_MAX_POINTS, summed_to=NAIVE_COUNT_LIMIT)
     for ell, n in zip(ells, counts):
         if not isinstance(n, Exception):
             a = ell + 1 - n

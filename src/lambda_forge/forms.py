@@ -202,8 +202,9 @@ def _scanned_rows(path: Path) -> tuple[list[int], list[int], list[int], Exceptio
     """The rows of any table, read with ``csv`` and ``int()``, with their line numbers.
 
     The scan stops at the first line that is not two integer fields, or at
-    anything else that stops the read (undecodable bytes, say); that error
-    is returned, for the caller to raise unless a row above it is at fault.
+    anything else that stops the read (bytes that are not UTF-8, a
+    :class:`TableFormatError` naming the file); that error is returned, for
+    the caller to raise unless a row above it is at fault.
     """
     ells: list[int] = []
     a_ells: list[int] = []
@@ -220,6 +221,8 @@ def _scanned_rows(path: Path) -> tuple[list[int], list[int], list[int], Exceptio
                 ells.append(ell)
                 a_ells.append(a)
                 lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        return ells, a_ells, lines, TableFormatError(f"{path}: not UTF-8 text: {exc.reason}")
     except Exception as exc:
         return ells, a_ells, lines, exc
     return ells, a_ells, lines, None

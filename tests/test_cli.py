@@ -520,6 +520,60 @@ class TestVerifyDensity:
         assert code == EXIT_CONFIG  # hypothesis violation is a config-level refusal
 
 
+class TestOutputNamesAnInput:
+    """An --out or --csv naming the config, its table or the other output exits 2, inputs whole."""
+
+    def test_out_naming_the_config_refused(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_bytes((ROOT / "configs" / "default.cfg").read_bytes())
+        before = config.read_bytes()
+        assert main(["screen-p", "--p", "7", "--config", str(config),
+                     "--out", str(config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --out names {config}, which this run reads\n"
+        assert config.read_bytes() == before
+
+    def test_out_naming_the_table_refused_before_it_is_read(self, table_config, tmp_path, capsys):
+        table = tmp_path / "coeffs.csv"
+        before = table.read_bytes(), Path(table_config).read_bytes()
+        assert main(["a-ell", "--ell", "2", "--config", table_config,
+                     "--out", str(table)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --out names {table}, which this run reads\n"
+        assert (table.read_bytes(), Path(table_config).read_bytes()) == before
+
+    def test_config_that_does_not_load_keeps_its_table(self, table_config, tmp_path, capsys):
+        # the config is refused before its table is known to the run: the
+        # table it names is still not emptied
+        config = Path(table_config)
+        config.write_text(TABLE_CFG.replace("p = 5", "p = seven"), encoding="utf-8")
+        table = tmp_path / "coeffs.csv"
+        before = table.read_bytes(), config.read_bytes()
+        assert main(["a-ell", "--ell", "2", "--config", str(config),
+                     "--out", str(table)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {config}: key `p` must be an integer, got 'seven'\n"
+        assert (table.read_bytes(), config.read_bytes()) == before
+
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
+        assert main(["screen-p", "--p", "7", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {config}: not UTF-8 text: invalid continuation byte at byte 3\n"
+        )
+
+    def test_table_that_is_not_utf8_is_named(self, table_config, tmp_path, capsys):
+        table = tmp_path / "coeffs.csv"
+        table.write_bytes(TABLE_CSV.encode() + b"\xff,1\n")
+        assert main(["a-ell", "--ell", "2", "--config", table_config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {table}: not UTF-8 text: invalid start byte\n"
+
+
 class TestFailedSweep:
     """A sweep that fails at a fetched prime exits 3 and leaves every output empty."""
 
@@ -1022,3 +1076,5 @@ def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
         assert captured.out == ""
         assert captured.err
         assert [path.read_bytes() for path in stale] == [b"" if parsed else b"stale\n"] * len(stale)
+    if parsed and "--config={tmp}/latin1.cfg" in drawn:  # a config that is not UTF-8 is named
+        assert captured.err.startswith(f"config error: {tmp / 'latin1.cfg'}: not UTF-8 text: ")

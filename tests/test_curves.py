@@ -168,9 +168,17 @@ def _window_order(P, a, p, lo, hi):
     return lo + first
 
 
+def walk(lanes) -> list[int]:
+    """The batched walk on lanes (P, a, p, lo, hi), passed as columns of one dtype."""
+    points, a, p, lo, hi = zip(*lanes)
+    dtype = np.int64 if max(p) < curves._INT64_PRIME_LIMIT else object
+    x, y = np.array(points, dtype).reshape(-1, 2).T
+    return _window_orders(x, y, *(np.array(v, dtype) for v in (a, p, lo, hi))).tolist()
+
+
 def window_order(P, a, p, lo, hi) -> int:
     """The batched walk on one lane."""
-    (order,) = _window_orders([P], [a], [p], [lo], [hi])
+    (order,) = walk([(P, a, p, lo, hi)])
     return order
 
 
@@ -525,7 +533,13 @@ class TestRandomPoints:
             b_s.append(b)
             ps.append(ell)
             expected.append((point, A, rng.used))
-        points, A_s, used = _random_points(np.array(keys, np.uint64), skips, a_s, b_s, ps, trial)
+        dtype = np.int64 if max(ps) < curves._INT64_PRIME_LIMIT else object
+        bits = np.array([ell.bit_length() for ell in ps], np.uint64)
+        x, y, A_s, used = _random_points(
+            np.array(keys, np.uint64), np.array(skips, np.int64),
+            *(np.array(v, dtype) for v in (a_s, b_s, ps)), bits, trial,
+        )
+        points, A_s, used = list(zip(x.tolist(), y.tolist())), A_s.tolist(), used.tolist()
         assert list(zip(points, A_s, used)) == expected
         # (dx, d^2) lies on y^2 = x^3 + ad^2 x + bd^3, d of the trial's character;
         # at d = 0, (x, 0) lies on the curve
@@ -552,14 +566,15 @@ class TestRandomPoints:
         seen = set()
         for ell in (5, 7):
             models = [(a, b) for a in range(ell) for b in range(ell) if (4 * a**3 + 27 * b * b) % ell]
-            a_s, b_s = zip(*models)
-            lanes = [ell] * len(models)
-            lo, hi = _hasse_window(ell)
+            a_s, b_s = np.array(models).T
+            lanes = np.full(len(models), ell)
+            bits = np.full(len(models), ell.bit_length(), np.uint64)
+            lo, hi = (np.full(len(models), end) for end in _hasse_window(ell))
             counts = [count_points_naive(short_curve(a, b), ell) for a, b in models]
-            keys, used = _stream_keys(lanes, a_s, b_s), [0] * len(models)
+            keys, used = _stream_keys(lanes, a_s, b_s), np.zeros(len(models), np.int64)
             for trial in range(4):
-                points, A, used = _random_points(keys, used, a_s, b_s, lanes, trial)
-                orders = _window_orders(points, A, lanes, [lo] * len(lanes), [hi] * len(lanes))
+                x, y, A, used = _random_points(keys, used, a_s, b_s, lanes, bits, trial)
+                orders = _window_orders(x, y, A, lanes, lo, hi).tolist()
                 for n, order in zip(counts, orders):
                     side = 2 * ell + 2 - n if trial % 2 else n
                     assert order > 0 and side % order == 0, (ell, n, trial, order)
@@ -657,7 +672,7 @@ class TestWindowOrder:
                 continue
             lanes.append((*_random_point(a, b, ell, rng), ell, *self.window(ell), a, b))
         # one batch of mixed primes
-        walked = _window_orders(*zip(*(lane[:5] for lane in lanes)))
+        walked = walk([lane[:5] for lane in lanes])
         for (P, A, ell, lo, hi, a, b), got in zip(lanes, walked):
             order = order_by_addition(P, A, ell)
             multiples = [n for n in range(lo, hi + 1) if n % order == 0]
@@ -708,7 +723,7 @@ class TestWindowOrder:
                 expected.append(_window_order(*lane))
             except PointCountError:
                 expected.append(0)
-        assert _window_orders(*zip(*batch)) == expected
+        assert walk(batch) == expected
 
     def test_orders_the_baby_rows_show(self):
         # with M babies, ord(P) <= M recurs as O; beyond M an odd order shows
@@ -725,7 +740,7 @@ class TestWindowOrder:
                 if (4 * a**3 + 27 * b * b) % ell:
                     lanes.append((*_random_point(a, b, ell, rng), ell, lo, hi))
             expected = [_window_order(*lane) for lane in lanes]
-            assert _window_orders(*zip(*lanes)) == expected
+            assert walk(lanes) == expected
             for P, A, *_ in lanes:
                 n = order_by_addition(P, A, ell)
                 if n <= babies:
@@ -756,7 +771,7 @@ class TestWindowOrder:
         for ell in (big, 101, huge):
             a, b = rng.randrange(ell), rng.randrange(ell)
             batch.append((*_random_point(a, b, ell, rng), ell, *self.window(ell)))
-        assert _window_orders(*zip(*batch)) == [_window_order(*lane) for lane in batch]
+        assert walk(batch) == [_window_order(*lane) for lane in batch]
 
     @pytest.mark.parametrize("lanes", [1, 4, 9, 13])
     def test_batches_are_equal(self, lanes, monkeypatch):
@@ -768,20 +783,20 @@ class TestWindowOrder:
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell:
                 batch.append((*_random_point(a, b, ell, rng), ell, *self.window(ell)))
-        whole = _window_orders(*zip(*batch))  # one batch at the default budget
+        whole = walk(batch)  # one batch at the default budget
         width = max(hi - lo for *_, lo, hi in batch)
         babies = _baby_count(width)
         steps = babies + 1 + min(width // (2 * babies + 1) + 1, curves._GIANT_BLOCK)
         monkeypatch.setattr(curves, "_WALK_BYTES", 4 * 8 * curves._WORDS_PER_STEP * steps)
         sizes = []
-        walk = curves._walk
+        one_batch = curves._walk
 
-        def spy(points, *rest):
-            sizes.append(len(points))
-            return walk(points, *rest)
+        def spy(x, *rest):
+            sizes.append(len(x))
+            return one_batch(x, *rest)
 
         monkeypatch.setattr(curves, "_walk", spy)
-        assert _window_orders(*zip(*batch)) == whole
+        assert walk(batch) == whole
         assert len(sizes) == -(-lanes // 4)
         assert sum(sizes) == lanes and max(sizes) - min(sizes) <= 1
 
@@ -830,26 +845,33 @@ class TestTrace:
             curve_11a1, 99_991
         )
 
-    def test_engine_follows_the_limit_at_call_time(self, curve_11a1, monkeypatch):
-        calls = {"naive": [], "bsgs": []}
-        naive, bsgs = curves.count_points_naive, curves._bsgs_counts
+    def test_one_dispatcher_sums_to_its_bound_and_walks_the_rest(self, curve_11a1, monkeypatch):
+        # traces_of_frobenius sums every ell up to NAIVE_COUNT_LIMIT, read at call
+        # time, and count_points_bsgs every ell up to MESTRE_BOUND = 229; both
+        # walk the rest
+        calls = {"summed": [], "walked": []}
+        naive, short = curves.count_points_naive, curves._short_counts
 
         def spy_naive(curve, ell, *, limit):
-            calls["naive"].append(ell)
+            calls["summed"].append(ell)
             return naive(curve, ell, limit=limit)
 
-        def spy_bsgs(curve, ells, max_points):
-            calls["bsgs"].extend(ells)
-            return bsgs(curve, ells, max_points)
+        def spy_short(ells, models, max_points):
+            calls["walked"].extend(ells)
+            return short(ells, models, max_points)
 
         monkeypatch.setattr(curves, "count_points_naive", spy_naive)
-        monkeypatch.setattr(curves, "_bsgs_counts", spy_bsgs)
-        # above MESTRE_BOUND, so that BSGS does not sum them itself
+        monkeypatch.setattr(curves, "_short_counts", spy_short)
         monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 307)
-        ells = [293, 307, 311, 5003]
+        ells = [227, 229, 233, 293, 307, 311, 5003]
         traces = traces_of_frobenius(curve_11a1, ells)
-        assert calls == {"naive": [293, 307], "bsgs": [311, 5003]}
+        assert calls == {"summed": [227, 229, 233, 293, 307], "walked": [311, 5003]}
         assert traces == [ell + 1 - naive(curve_11a1, ell, limit=ell) for ell in ells]
+        for seen in calls.values():
+            seen.clear()
+        counts = [count_points_bsgs(curve_11a1, ell) for ell in ells]
+        assert calls == {"summed": [227, 229], "walked": [233, 293, 307, 311, 5003]}
+        assert counts == [ell + 1 - a for ell, a in zip(ells, traces)]
 
 
 class TestIsOrdinary:

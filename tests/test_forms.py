@@ -158,6 +158,13 @@ class TestLoadCoefficients:
         table = load_coefficients(path, level=11)
         assert as_dict(table)[11] == 9
 
+    def test_bytes_that_are_not_utf8_are_named(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(b"ell,a_ell\n2,1\n\xff,1\n")
+        with pytest.raises(TableFormatError) as info:
+            load_coefficients(path, level=11)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte"
+
     def test_direct_table_refused_at_hasse_violation(self):
         with pytest.raises(TableFormatError) as info:
             CoefficientTable([2, 11, 7], [-2, 9, 12], level=11)
