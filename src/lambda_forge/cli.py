@@ -12,11 +12,10 @@ columns, one string a chunk, with the text ``json.dumps`` would print
 Every output, stdout, ``--out`` or ``verify-density --csv``, is empty when
 its command fails.  A file is opened, and emptied, before the work it
 receives starts, so an unwritable path is refused at once; it is written
-as the command runs, so a sweep's memory stays flat, and emptied again on
-failure (:func:`_output`).  A file the command line names but the command
-never opened is emptied on a nonzero exit too (:func:`main`), unless the
-run reads it: the config, or a table the config names, is never emptied,
-also when the config does not load.  Once the config has loaded, and
+as the command runs, so a sweep's memory stays flat.  On a nonzero exit,
+:func:`main` empties every file the command line names, opened or not,
+unless the run reads it: the config, or a table the config names, is never
+emptied, also when the config does not load.  Once the config has loaded, and
 before any output is opened, an ``--out`` or ``--csv`` that names one of
 those files, or the other output, is refused.  Text for stdout is held and
 written only on success.  A command line argparse refuses runs no command
@@ -84,10 +83,10 @@ class _Held(list):
 def _output(path: str | None) -> Iterator[IO[str]]:
     """Where a command writes: the file at ``path``, else stdout.
 
-    A file is opened, and so emptied, at once; it is written as the command
-    runs and emptied again if the command fails.  Text for stdout is held,
-    and written to the ``sys.stdout`` of that moment once the command has
-    succeeded.
+    A file is opened, and so emptied, at once, and written as the command
+    runs; :func:`main` empties it again if the command fails.  Text for
+    stdout is held, and written to the ``sys.stdout`` of that moment once
+    the command has succeeded.
     """
     if not path:
         held = _Held()
@@ -96,11 +95,7 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as out:
-        try:
-            yield out
-        except BaseException:
-            out.truncate(0)
-            raise
+        yield out
 
 
 def _refuse_clobbering(outputs: dict[str, str], inputs: list[Path]) -> None:
@@ -402,10 +397,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     named = {"--out": args.out, "--csv": getattr(args, "csv_path", None)}
     outputs = {flag: path for flag, path in named.items() if path}
+    inputs = input_paths(args.config)
     failed = True
     try:
         cfg = load_config(args.config)
-        _refuse_clobbering(outputs, input_paths(args.config))
+        _refuse_clobbering(outputs, inputs)
         with _output(args.out) as out:
             _COMMANDS[args.command](cfg, args, out)
         failed = False
@@ -420,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
     finally:
         if failed:
-            _empty(list(outputs.values()), inputs=input_paths(args.config))
+            _empty(list(outputs.values()), inputs=inputs)
     return EXIT_OK
 
 

@@ -12,8 +12,10 @@ Example (curve backend)::
     optimal_level_asserted = true
 
 Table backend replaces the curve keys with ``table_path`` (relative paths
-resolve against the config file) and a ``level`` key.  ``#`` starts a
-comment.  Thresholds are module constants, not config keys.
+resolve against the config file) and a ``level`` key.  A key of the other
+backend is refused; ``level`` is read by both, and a curve's must equal its
+conductor.  ``#`` starts a comment.  Thresholds are module constants, not
+config keys.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from .curves import CurveModel
 from .errors import ConfigError
 from .forms import CoefficientTable, FormContext, load_coefficients
 
-_REQUIRED_COMMON = ("backend", "p", "lambda_g", "mu_zero", "surjective_mod_p")
-_FORM_KEYS = (
-    "level", "curve_a_invariants", "conductor", "discriminant", "table_path",
-    "optimal_level_asserted",
+_REQUIRED_COMMON = (
+    "backend", "p", "lambda_g", "mu_zero", "surjective_mod_p", "optimal_level_asserted",
 )
-_KNOWN_KEYS = frozenset(_REQUIRED_COMMON + _FORM_KEYS)
+_BACKEND_KEYS = {  # the keys only one backend reads
+    "curve": ("curve_a_invariants", "conductor", "discriminant"),
+    "table": ("table_path",),
+}
+_KNOWN_KEYS = frozenset(_REQUIRED_COMMON + ("level",) + sum(_BACKEND_KEYS.values(), ()))
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -42,7 +46,7 @@ class RunConfig:
     mu_zero: bool
     surjective_mod_p: bool
     level: int
-    optimal_level_asserted: bool = True
+    optimal_level_asserted: bool
     curve: CurveModel | None = None
     table_path: Path | None = None
 
@@ -106,8 +110,12 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: missing config key `{key}`")
 
     backend = entries["backend"]
-    if backend not in ("curve", "table"):
+    if backend not in _BACKEND_KEYS:
         raise ConfigError(f"{path}: backend must be 'curve' or 'table', got {backend!r}")
+    for other, keys in _BACKEND_KEYS.items():
+        for key in keys:
+            if other != backend and key in entries:
+                raise ConfigError(f"{path}: key `{key}` is for the {other} backend, not {backend}")
 
     curve = None
     table_path = None
@@ -142,9 +150,6 @@ def load_config(path: str | Path) -> RunConfig:
         table_path = path.parent / entries["table_path"]  # an absolute path stands alone
         level = _get_int(entries, "level", path)
 
-    optimal = "optimal_level_asserted" not in entries or _get_bool(
-        entries, "optimal_level_asserted", path
-    )
     return RunConfig(
         backend=backend,
         p=_get_int(entries, "p", path),
@@ -154,7 +159,7 @@ def load_config(path: str | Path) -> RunConfig:
         level=level,
         curve=curve,
         table_path=table_path,
-        optimal_level_asserted=optimal,
+        optimal_level_asserted=_get_bool(entries, "optimal_level_asserted", path),
     )
 
 

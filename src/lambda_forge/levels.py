@@ -7,7 +7,8 @@ independent of which specific primes were chosen.  Existence of the form at
 each admissible level is the Diamond-Taylor level-raising theorem and is
 attached as an asserted certificate, never recomputed.  A level set is
 built from each family's (ell, a_ell) columns, and a plan picks its primes
-from the sweep's classified chunks, so no object is built a prime.
+from the sweep's classified chunks, so no object is built a prime.  A level's
+Carayol admissibility is read off one table of cases, :data:`CARAYOL_CASES`.
 """
 
 from __future__ import annotations
@@ -165,13 +166,21 @@ def plan_target_lambda(
 
 # --- Carayol admissibility -------------------------------------------------
 
-CASE_DESCRIPTIONS = {
-    "1": "alpha=1, ell coprime to base level, ell*t^2 = (1+ell)^2*det",
-    "2a": "ell = -1 mod p, ell coprime to base level, trace 0, alpha=2",
-    "2b": "ell = -1 mod p, ell exactly divides base level, det unramified, alpha=1",
-    "3a": "ell = +1 mod p, ell coprime to base level, alpha=2",
-    "3b": "ell = +1 mod p, alpha=1",
-}
+# Carayol's cases in report order: (name, ell mod p or None for any, the
+# (ord_base, alpha) pairs it covers, a test of (ell, a_ell mod p, p) or None,
+# description).  A case with a test is undecided at a prime with no trace.
+CARAYOL_CASES = (
+    ("1", None, ((0, 1),), _case1_identity_holds,
+     "alpha=1, ell coprime to base level, ell*t^2 = (1+ell)^2*det"),
+    ("2a", -1, ((0, 2),), lambda ell, trace, p: trace == 0,
+     "ell = -1 mod p, ell coprime to base level, trace 0, alpha=2"),
+    # det of the residual representation is the mod-p cyclotomic character
+    # (weight 2, trivial nebentype), unramified away from p
+    ("2b", -1, ((1, 1),), None,
+     "ell = -1 mod p, ell exactly divides base level, det unramified, alpha=1"),
+    ("3a", 1, ((0, 2),), None, "ell = +1 mod p, ell coprime to base level, alpha=2"),
+    ("3b", 1, ((0, 1), (1, 1)), None, "ell = +1 mod p, alpha=1"),
+)
 
 
 @dataclass(frozen=True)
@@ -201,11 +210,13 @@ def carayol_check(
     """Check a proposed level against the per-prime admissibility conditions.
 
     The optimal level always divides an admissible one, so a level that is
-    not a multiple of N_g is rejected structurally.  For each extra prime
-    power the satisfied cases are all reported; more than one satisfied case
-    is flagged ambiguous rather than silently resolved.  A prime whose trace
-    the backend cannot supply (a gap in a table, or a prime past what the
-    point counter accepts) is marked unknown, never guessed.
+    not a multiple of N_g is rejected structurally.  Each extra prime power
+    is held against the rows of :data:`CARAYOL_CASES`, and is admissible if
+    a case holds (more than one is flagged ambiguous, never resolved), else
+    unknown if a case needs the trace the backend cannot supply (a gap in a
+    table, or a prime past what the point counter accepts), else a
+    violation.  The level is inadmissible if a prime is a violation, else
+    unknown if a prime is unknown, else admissible.
 
     The level is factored by trial division up to
     :data:`CARAYOL_TRIAL_BOUND` unless ``factors``, its (prime, exponent)
@@ -216,12 +227,8 @@ def carayol_check(
     if proposed_level % ctx.p == 0:
         raise ValueError(f"proposed level {int_text(proposed_level)} is divisible by p = {ctx.p}")
     if proposed_level % ctx.level != 0:
-        return CarayolReport(
-            level=proposed_level,
-            base_level=ctx.level,
-            verdict="inadmissible_structural",
-            primes=(),
-        )
+        return CarayolReport(level=proposed_level, base_level=ctx.level,
+                             verdict="inadmissible_structural", primes=())
 
     base_factors = dict(factorize(ctx.level, trial_bound=CARAYOL_TRIAL_BOUND))
     if factors is None:
@@ -253,31 +260,19 @@ def carayol_check(
         ord_base = base_factors.get(ell, 0)
         alpha = level_factors[ell] - ord_base
         trace = traces.get(ell)
-
         satisfied: list[str] = []
         undecided: list[str] = []
-        residue = ell % p
-
-        if ord_base == 0 and alpha == 1:
-            if trace is None:
-                undecided.append("1")
-            elif _case1_identity_holds(ell, trace, p):
-                satisfied.append("1")
-        if residue == p - 1:
-            if ord_base == 0 and alpha == 2:
-                if trace is None:
-                    undecided.append("2a")
-                elif trace == 0:
-                    satisfied.append("2a")
-            if ord_base == 1 and alpha == 1:
-                # det of the residual representation is the mod-p cyclotomic
-                # character (weight 2, trivial nebentype), unramified away from p
-                satisfied.append("2b")
-        if residue == 1:
-            if ord_base == 0 and alpha == 2:
-                satisfied.append("3a")
-            if alpha == 1 and ord_base in (0, 1):
-                satisfied.append("3b")
+        detail_bits: list[str] = []
+        for name, residue, shapes, trace_test, description in CARAYOL_CASES:
+            if (ord_base, alpha) not in shapes:
+                continue
+            if residue is not None and (ell - residue) % p != 0:
+                continue
+            if trace_test is not None and trace is None:
+                undecided.append(name)
+            elif trace_test is None or trace_test(ell, trace, p):
+                satisfied.append(name)
+                detail_bits.append(description)
 
         if satisfied:
             status = "admissible"
@@ -285,23 +280,13 @@ def carayol_check(
             status = "unknown"
         else:
             status = "violation"
-        detail_bits = [CASE_DESCRIPTIONS[c] for c in satisfied]
-        if undecided:
-            detail_bits.append(
-                f"cases {','.join(undecided)} undecidable: no coefficient for {ell}"
-            )
-        if not satisfied and not undecided:
             detail_bits.append("no admissibility case applies")
-        reports.append(
-            CarayolPrimeReport(
-                ell=ell,
-                alpha=alpha,
-                satisfied_cases=tuple(satisfied),
-                status=status,
-                ambiguous=len(satisfied) > 1,
-                detail="; ".join(detail_bits),
-            )
-        )
+        if undecided:
+            detail_bits.append(f"cases {','.join(undecided)} undecidable: no coefficient for {ell}")
+        reports.append(CarayolPrimeReport(
+            ell=ell, alpha=alpha, satisfied_cases=tuple(satisfied), status=status,
+            ambiguous=len(satisfied) > 1, detail="; ".join(detail_bits),
+        ))
 
     if any(r.status == "violation" for r in reports):
         verdict = "inadmissible"

@@ -60,6 +60,7 @@ p = 5
 lambda_g = 0
 mu_zero = true
 surjective_mod_p = false
+optimal_level_asserted = true
 """
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -974,9 +975,17 @@ FORMATS = st.sampled_from(["json", "csv", "xml"])
 UNWRITABLE_PATHS = ["{tmp}/missing/report", "{tmp}"]
 # an output path holding an earlier run's text, which a failed command empties
 STALE_PATHS = ["{tmp}/stale-out", "{tmp}/stale-csv"]
-# a config no command can load: missing, a directory, or not UTF-8 (a config
-# the process cannot read is not drawn: root reads every file)
-BAD_CONFIGS = st.sampled_from(["{tmp}/missing.cfg", "{tmp}", "{tmp}/latin1.cfg"])
+# a config no command can load: missing, a directory, not UTF-8, with a key of
+# the other backend, or without optimal_level_asserted (a config the process
+# cannot read is not drawn: root reads every file)
+BAD_CONFIGS = st.sampled_from(["{tmp}/missing.cfg", "{tmp}", "{tmp}/latin1.cfg",
+                               "{tmp}/foreign.cfg", "{tmp}/unasserted.cfg"])
+# the fault a config that is a file is refused for, after its name
+CONFIG_FAULTS = {
+    "latin1.cfg": "not UTF-8 text: ",
+    "foreign.cfg": "key `table_path` is for the table backend, not curve",
+    "unasserted.cfg": "missing config key `optimal_level_asserted`",
+}
 
 
 def is_integer(text: str) -> bool:
@@ -1044,6 +1053,9 @@ def cli_argv(draw) -> list[str]:
 @example(argv=["verify-density", "--enumerate-gl2=5", "--workers=1", "--csv={tmp}/stale-csv",
                "--out={tmp}/stale-out"])
 @example(argv=["screen-p", "--p=7", "--out={tmp}/stale-out", "--config={tmp}/latin1.cfg"])
+@example(argv=["screen-p", "--p=7", "--out={tmp}/stale-out", "--config={tmp}/foreign.cfg"])
+@example(argv=["verify-density", "--bound=300", "--workers=1", "--csv={tmp}/stale-csv",
+               "--config={tmp}/unasserted.cfg"])
 def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     # every draw exits 0, 2 or 3 without a traceback, and writes nothing to
     # stdout unless it succeeds; a flag that is not an integer, an unknown
@@ -1054,6 +1066,9 @@ def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
     tmp = Path(curve_config).parent
     flags = [flag.replace("{tmp}", str(tmp)) for flag in drawn]
     (tmp / "latin1.cfg").write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
+    (tmp / "foreign.cfg").write_text(CURVE_CFG + "table_path = nowhere.csv\n", encoding="utf-8")
+    (tmp / "unasserted.cfg").write_text(
+        CURVE_CFG.replace("optimal_level_asserted = true\n", ""), encoding="utf-8")
     stale = [Path(flag.split("=", 1)[1].format(tmp=tmp)) for flag in drawn
              if flag.split("=", 1)[1] in STALE_PATHS]
     for path in stale:
@@ -1076,5 +1091,6 @@ def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
         assert captured.out == ""
         assert captured.err
         assert [path.read_bytes() for path in stale] == [b"" if parsed else b"stale\n"] * len(stale)
-    if parsed and "--config={tmp}/latin1.cfg" in drawn:  # a config that is not UTF-8 is named
-        assert captured.err.startswith(f"config error: {tmp / 'latin1.cfg'}: not UTF-8 text: ")
+    for name, fault in CONFIG_FAULTS.items():  # a config that does not load is named
+        if parsed and f"--config={{tmp}}/{name}" in drawn:
+            assert captured.err.startswith(f"config error: {tmp / name}: {fault}")

@@ -19,6 +19,18 @@ p = 7
 lambda_g = 0
 mu_zero = true
 surjective_mod_p = true
+optimal_level_asserted = true
+"""
+
+TABLE_CFG = """\
+backend = table
+table_path = coeffs.csv
+level = 11
+p = 5
+lambda_g = 0
+mu_zero = true
+surjective_mod_p = false
+optimal_level_asserted = true
 """
 
 
@@ -73,10 +85,46 @@ def test_shipped_configs_load(path):
 
 
 def test_optimal_level_is_echoed_from_the_config(tmp_path):
-    cfg = load_config(write_config(tmp_path, "optimal_level_asserted = false\n"))
+    path = tmp_path / "run.cfg"
+    path.write_text(CURVE_CFG.replace("asserted = true", "asserted = false"), encoding="utf-8")
+    cfg = load_config(path)
     assert cfg.assertions()["optimal_level"] is False
     # the form itself carries no copy: reports echo the config's attestation
     assert "optimal_level_asserted" not in {f.name for f in dataclasses.fields(build_context(cfg))}
+
+
+@pytest.mark.parametrize("config, line, backend, other", [
+    (CURVE_CFG, "table_path = nowhere.csv", "curve", "table"),
+    (TABLE_CFG, "curve_a_invariants = banana", "table", "curve"),
+    (TABLE_CFG, "conductor = 999", "table", "curve"),
+    (TABLE_CFG, "discriminant = -11", "table", "curve"),
+], ids=["table_path", "curve_a_invariants", "conductor", "discriminant"])
+def test_a_key_of_the_other_backend_is_refused(tmp_path, capsys, config, line, backend, other):
+    # such a key was ignored: the table configs ran on their table, and the
+    # --out below was refused as a file the curve run reads
+    (tmp_path / "coeffs.csv").write_text("ell,a_ell\n5,1\n", encoding="utf-8")
+    path = tmp_path / "run.cfg"
+    path.write_text(config + line + "\n", encoding="utf-8")
+    out = tmp_path / "nowhere.csv"
+    argv = ["carayol", "--level", "11", "--config", str(path), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == (
+        f"config error: {path}: key `{key}` is for the {other} backend, not {backend}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [CURVE_CFG, TABLE_CFG], ids=["curve", "table"])
+def test_optimal_level_asserted_is_required(tmp_path, capsys, config):
+    # a config that leaves it out was read as asserting it
+    (tmp_path / "coeffs.csv").write_text("ell,a_ell\n5,1\n", encoding="utf-8")
+    path = tmp_path / "run.cfg"
+    path.write_text(config.replace("optimal_level_asserted = true\n", ""), encoding="utf-8")
+    assert main(["carayol", "--level", "11", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {path}: missing config key `optimal_level_asserted`\n"
+    )
 
 
 def readme_configuration():

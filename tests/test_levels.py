@@ -424,3 +424,103 @@ class TestCarayol:
         for prime in report.primes:
             assert "1" in prime.satisfied_cases
             assert prime.alpha == 1
+
+
+def carayol_ladder(ell: int, ord_base: int, alpha: int, trace: int | None, p: int) -> tuple:
+    """The per-prime if-ladder carayol_check ran before its case table, as a
+    scalar reference: (satisfied cases, status, ambiguous, detail)."""
+    descriptions = {
+        "1": "alpha=1, ell coprime to base level, ell*t^2 = (1+ell)^2*det",
+        "2a": "ell = -1 mod p, ell coprime to base level, trace 0, alpha=2",
+        "2b": "ell = -1 mod p, ell exactly divides base level, det unramified, alpha=1",
+        "3a": "ell = +1 mod p, ell coprime to base level, alpha=2",
+        "3b": "ell = +1 mod p, alpha=1",
+    }
+    satisfied: list[str] = []
+    undecided: list[str] = []
+    residue = ell % p
+    if ord_base == 0 and alpha == 1:
+        if trace is None:
+            undecided.append("1")
+        elif (ell * trace * trace - (1 + ell) ** 2 * ell) % p == 0:
+            satisfied.append("1")
+    if residue == p - 1:
+        if ord_base == 0 and alpha == 2:
+            if trace is None:
+                undecided.append("2a")
+            elif trace == 0:
+                satisfied.append("2a")
+        if ord_base == 1 and alpha == 1:
+            satisfied.append("2b")
+    if residue == 1:
+        if ord_base == 0 and alpha == 2:
+            satisfied.append("3a")
+        if alpha == 1 and ord_base in (0, 1):
+            satisfied.append("3b")
+
+    if satisfied:
+        status = "admissible"
+    elif undecided:
+        status = "unknown"
+    else:
+        status = "violation"
+    detail_bits = [descriptions[c] for c in satisfied]
+    if undecided:
+        detail_bits.append(f"cases {','.join(undecided)} undecidable: no coefficient for {ell}")
+    if not satisfied and not undecided:
+        detail_bits.append("no admissibility case applies")
+    return tuple(satisfied), status, len(satisfied) > 1, "; ".join(detail_bits)
+
+
+def ladder_verdict(statuses: list[str]) -> str:
+    """The level's verdict from its primes' statuses, as the ladder's rule had it."""
+    if any(status == "violation" for status in statuses):
+        return "inadmissible"
+    if any(status == "unknown" for status in statuses):
+        return "unknown"
+    return "admissible"
+
+
+SMALL_PRIMES = list(sieve_primes(PrimeRange(2, 200)))
+
+
+@st.composite
+def carayol_primes(draw) -> tuple[int, list[tuple[int, int, int, int | None]]]:
+    """p and one or two extra primes as (ell, ord_base, alpha, a_ell or None):
+    each ell is neither p nor the base level's other prime, is drawn from the
+    primes that are +-1 mod p about half the time, and has a Hasse-bounded
+    coefficient (so its trace covers [0, p) once ell > p^2 / 16) or none."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    ells = [q for q in SMALL_PRIMES if q not in (p, 11, 13)]
+    signed = [q for q in ells if q % p in (1, p - 1)]
+    ells = draw(st.lists(st.sampled_from(ells) | st.sampled_from(signed),
+                         min_size=1, max_size=2, unique=True))
+    return p, [(ell, draw(st.integers(0, 2)), draw(st.integers(1, 3)),
+                draw(st.none() | st.integers(-math.isqrt(4 * ell), math.isqrt(4 * ell))))
+               for ell in ells]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=carayol_primes())
+@example(case=(5, [(31, 0, 1, 2)]))  # cases 1 and 3b: ambiguous
+@example(case=(5, [(19, 1, 1, None)]))  # case 2b needs no trace
+@example(case=(5, [(19, 0, 2, 5)]))  # case 2a: trace 0
+@example(case=(5, [(19, 0, 2, 1)]))  # case 2a fails: trace 1
+@example(case=(7, [(41, 0, 2, None), (2, 0, 3, 1)]))  # 2a undecided, then a violation
+def test_case_table_matches_the_ladder(case):
+    # every row of CARAYOL_CASES decides as the if-ladder it replaced: each
+    # prime's satisfied cases, status, ambiguity and detail, and the verdict
+    p, primes = case
+    base = 13 if p == 11 else 11
+    level = base * math.prod(ell**ord_base for ell, ord_base, _, _ in primes)
+    rows = {p: 1} | {ell: a for ell, _, _, a in primes if a is not None}
+    rows = dict(sorted(rows.items()))
+    table = CoefficientTable(list(rows), list(rows.values()), level=level)
+    ctx = FormContext(level=level, p=p, lambda_g=0, mu_zero=True,
+                      surjective_mod_p=False, backend=table)
+    report = carayol_check(ctx, level * math.prod(ell**alpha for ell, _, alpha, _ in primes))
+    want = {ell: carayol_ladder(ell, ord_base, alpha, None if a is None else a % p, p)
+            for ell, ord_base, alpha, a in sorted(primes)}
+    assert [(prime.ell, prime.satisfied_cases, prime.status, prime.ambiguous, prime.detail)
+            for prime in report.primes] == [(ell, *want[ell]) for ell in want]
+    assert report.verdict == ladder_verdict([status for _, status, _, _ in want.values()])
