@@ -206,23 +206,16 @@ def are_prime(values: Collection[int] | np.ndarray) -> np.ndarray:
     sieve segments (2**18-wide windows) that hold at least
     ``_MIN_SIEVED_VALUES`` of them; the values of a sparser window, and
     values above the cap, go to :func:`is_prime` one at a time, which
-    refuses one it cannot decide.  An int64 array is split into those parts
-    without a loop over its values.
+    refuses one it cannot decide.  The values are taken as one array: int64,
+    or exact Python ints (dtype=object) when one lies outside int64.
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        above = values > MAX_SIEVE_BOUND
-        beyond = list(zip(np.flatnonzero(above).tolist(), values[above].tolist()))
-        ns = np.where((values >= 2) & ~above, values, 0)
-    else:
-        beyond = []
-
-        def sievable() -> Iterator[int]:
-            for i, n in enumerate(values):
-                if n > MAX_SIEVE_BOUND:
-                    beyond.append((i, n))
-                yield n if 2 <= n <= MAX_SIEVE_BOUND else 0
-
-        ns = np.fromiter(sievable(), dtype=np.int64, count=len(values))
+    try:
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        values = np.array(values, dtype=object)
+    above = values > MAX_SIEVE_BOUND
+    beyond = list(zip(np.flatnonzero(above).tolist(), values[above].tolist()))
+    ns = np.where((values >= 2) & ~above, values, 0).astype(np.int64, copy=False)
     prime = np.zeros(len(ns), dtype=bool)
     order = np.argsort(ns, kind="stable")
     sorted_ns = ns[order]

@@ -36,7 +36,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .arith import PrimeRange, factorize
 from .config import RunConfig, build_context, input_paths, load_config
@@ -192,7 +192,8 @@ def level_int(text: str) -> int:
             raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, run: Callable) -> None:
+    parser.set_defaults(run=run)
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--timestamps", action="store_true", help="add a generation timestamp")
@@ -209,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify primes in a range")
-    _add_common(p_classify)
+    _add_common(p_classify, _cmd_classify)
     p_classify.add_argument("--from", dest="lo", type=int, required=True)
     p_classify.add_argument("--to", dest="hi", type=int, required=True)
     p_classify.add_argument("--format", choices=("json", "csv"), default="json")
@@ -218,13 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_plan = sub.add_parser("plan", help="plan a level set hitting a target lambda")
-    _add_common(p_plan)
+    _add_common(p_plan, _cmd_plan)
     p_plan.add_argument("--target-lambda", dest="target", type=int, required=True)
     p_plan.add_argument("--omega-count", dest="omega_count", type=nonnegative_int, default=0)
     p_plan.add_argument("--scan-bound", dest="scan_bound", type=int, default=100_000)
 
     p_density = sub.add_parser("verify-density", help="verify the density claims")
-    _add_common(p_density)
+    _add_common(p_density, _cmd_verify_density)
     p_density.add_argument("--bound", type=int, default=2_000_000)
     p_density.add_argument(
         "--enumerate-gl2",
@@ -239,21 +240,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_carayol = sub.add_parser("carayol", help="check a proposed level for admissibility")
-    _add_common(p_carayol)
+    _add_common(p_carayol, _cmd_carayol)
     p_carayol.add_argument("--level", type=level_int, required=True)
 
     p_sigma = sub.add_parser("sigma", help="local transfer invariants over a prime range")
-    _add_common(p_sigma)
+    _add_common(p_sigma, _cmd_sigma)
     p_sigma.add_argument("--from", dest="lo", type=int, required=True)
     p_sigma.add_argument("--to", dest="hi", type=int, required=True)
     p_sigma.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_screen = sub.add_parser("screen-p", help="screen a candidate working prime")
-    _add_common(p_screen)
+    _add_common(p_screen, _cmd_screen_p)
     p_screen.add_argument("--p", dest="candidate", type=int, required=True)
 
     p_aell = sub.add_parser("a-ell", help="Fourier coefficients from the backend")
-    _add_common(p_aell)
+    _add_common(p_aell, _cmd_a_ell)
     p_aell.add_argument("--ell", type=int, action="append", default=None)
     p_aell.add_argument("--from", dest="lo", type=int)
     p_aell.add_argument("--to", dest="hi", type=int)
@@ -381,17 +382,6 @@ def _cmd_a_ell(cfg: RunConfig, args: argparse.Namespace, out: IO[str]) -> None:
     _emit_report({"coefficients": rows}, cfg, args, out)
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "plan": _cmd_plan,
-    "verify-density": _cmd_verify_density,
-    "carayol": _cmd_carayol,
-    "sigma": _cmd_sigma,
-    "screen-p": _cmd_screen_p,
-    "a-ell": _cmd_a_ell,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -403,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         _refuse_clobbering(outputs, inputs)
         with _output(args.out) as out:
-            _COMMANDS[args.command](cfg, args, out)
+            args.run(cfg, args, out)
         failed = False
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -132,7 +132,7 @@ def load_config(path: str | Path) -> RunConfig:
                 f"{path}: curve_a_invariants needs 5 entries a1,a2,a3,a4,a6, got {len(coeffs)}"
             )
         conductor = _get_int(entries, "conductor", path)
-        disc = _get_int(entries, "discriminant", path) if "discriminant" in entries else 0
+        disc = _get_int(entries, "discriminant", path) if "discriminant" in entries else None
         try:
             curve = CurveModel(*coeffs, conductor=conductor, discriminant=disc)
         except ValueError as exc:

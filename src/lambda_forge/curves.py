@@ -41,7 +41,7 @@ composite ell gives a meaningless number, not an error:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd as math_gcd, isqrt
 from typing import Sequence
 
@@ -70,7 +70,8 @@ class CurveModel:
     and must have exactly the discriminant's primes: one missing from the
     discriminant is inconsistent, and a discriminant prime missing from the
     conductor makes the model singular, so not minimal, there.  The
-    discriminant is always recomputed and, when passed in, checked against it.
+    discriminant is always recomputed and, when passed in (0 included),
+    checked against it; after construction the field holds the computed value.
     """
 
     a1: int
@@ -79,13 +80,13 @@ class CurveModel:
     a4: int
     a6: int
     conductor: int
-    discriminant: int = field(default=0)
+    discriminant: int | None = None
 
     def __post_init__(self) -> None:
         disc = self._compute_discriminant()
         if disc == 0:
             raise ValueError("singular model: discriminant is zero")
-        if self.discriminant not in (0, disc):
+        if self.discriminant not in (None, disc):
             raise ValueError(
                 f"stated discriminant {self.discriminant} != computed {disc}"
             )

@@ -6,9 +6,10 @@ backend, which is either an elliptic curve (a_ell by point counting) or a
 table loaded from CSV (:func:`load_coefficients`: ``np.loadtxt``, with a
 ``csv`` row scan that names the bad line).  A table is two columns, ell
 ascending and a_ell, and answers a batch of ells with one ``searchsorted``
-gather (:meth:`FormContext.coefficient_column`).  The certified fields are
-*attestations* carried in configuration; nothing in this package verifies
-them.
+gather.  :meth:`FormContext.coefficient_column` is the one code that reads
+a backend: a_p, :func:`a_ells` and the sweeps all fetch through it, and
+:func:`a_ell` is a batch of one.  The certified fields are *attestations*
+carried in configuration; nothing in this package verifies them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .arith import are_prime, is_prime
-from .curves import CurveModel, trace_of_frobenius, traces_of_frobenius
+from .curves import CurveModel, traces_of_frobenius
+# the traced benchmark (bench/run.py) wraps forms.trace_of_frobenius by name
+from .curves import trace_of_frobenius  # noqa: F401
 from .errors import CoverageError, HypothesisViolation, TableFormatError
 
 # A table column is int64 while all its values lie strictly between -2^60 and
@@ -73,9 +76,10 @@ class CoefficientTable:
     weight-2 Hasse bound |a_ell| <= 2*sqrt(ell) is checked once, over the
     whole columns, at every ell not dividing the level; the first violating
     row, in the order given, raises :class:`TableFormatError`.  The columns
-    are then sorted by ell and made read-only, and are int64 unless a value
-    lies outside (-2^60, 2^60): then that column holds exact Python ints
-    (dtype=object).
+    are then sorted by ell, and an ell given twice raises
+    :class:`TableFormatError` naming it.  The columns are made read-only,
+    and are int64 unless a value lies outside (-2^60, 2^60): then that
+    column holds exact Python ints (dtype=object).
     """
 
     ells: np.ndarray
@@ -93,20 +97,13 @@ class CoefficientTable:
         if (ells[1:] < ells[:-1]).any():
             order = np.argsort(ells, kind="stable")
             ells, a_ells = ells[order], a_ells[order]
+        repeated = ells[1:] == ells[:-1]
+        if repeated.any():
+            raise TableFormatError(f"ell = {ells[1:][repeated][0]} has more than one row")
         for name, column in (("ells", ells), ("a_ells", a_ells)):
             column = column.view()  # read-only here, whoever else holds the data
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-
-    def rows(self, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each of ``ells``, the index of its row and whether the table has that row.
-
-        An index is meaningful only where the table has the row.
-        """
-        if not len(self.ells):
-            return np.zeros(len(ells), np.intp), np.zeros(len(ells), bool)
-        at = np.minimum(np.searchsorted(self.ells, ells), len(self.ells) - 1)
-        return at, self.ells[at] == ells
 
 
 def load_coefficients(path: str | Path, level: int) -> CoefficientTable:
@@ -250,7 +247,8 @@ class FormContext:
     they come from the literature or prior computation, are asserted in the
     configuration, and are echoed (never claimed as verified) in reports.
     The backend must be at ``level``: a curve's conductor or a table's level.
-    ``a_p`` is read from the backend on construction, never passed in.
+    ``a_p`` is read from the backend on construction, never passed in.  Every
+    coefficient, a_p included, is read through :meth:`coefficient_column`.
     """
 
     level: int
@@ -276,7 +274,10 @@ class FormContext:
             kind, level = "table level", self.backend.level
         if level != self.level:
             raise ValueError(f"{kind} {level} != stated level {self.level}")
-        a_p = self.coefficient(self.p)
+        column, error = self.coefficient_column([self.p])
+        if error is not None:
+            raise error
+        a_p = int(column[0])
         if a_p % self.p == 0:
             raise HypothesisViolation(
                 f"a_p = {a_p} is divisible by p = {self.p}: the form is not p-ordinary"
@@ -292,30 +293,18 @@ class FormContext:
             return _divides(self.level, ell) | (ell == self.p)
         return self.level % ell == 0 or ell == self.p
 
-    def coefficient(self, ell: int) -> int:
-        """a_ell straight from the backend, for an ell the caller knows is prime.
-
-        Nothing is checked here: :func:`a_ell` is the entry point that
-        refuses composite ell and primes dividing N_g * p.
-        """
-        if isinstance(self.backend, CurveModel):
-            return trace_of_frobenius(self.backend, ell)
-        column, error = self.coefficient_column([ell])
-        if error is not None:
-            raise error
-        return int(column[0])
-
     def coefficient_column(
         self, ells: Sequence[int] | np.ndarray
     ) -> tuple[np.ndarray, Exception | None]:
         """a_ell at the primes ``ells``, in order, up to the first one the backend fails at.
 
         Returns the column of the coefficients before that prime and the
-        error :meth:`coefficient` would raise there (a :class:`CoverageError`
-        at a gap in a table), or None when there is none.  No coefficient
-        depends on the other ells.  A table answers with one gather through
-        :meth:`CoefficientTable.rows`; a curve counts the points of all the
-        primes in shared walks (:func:`curves.traces_of_frobenius`).
+        error the backend gives there (a :class:`CoverageError` at a gap in a
+        table), or None when there is none.  No coefficient depends on the
+        other ells.  Nothing is checked here: :func:`a_ells` refuses composite
+        ell and primes dividing N_g * p.  A table answers with one
+        ``searchsorted`` gather; a curve counts the points of all the primes
+        in shared walks (:func:`curves.traces_of_frobenius`).
         """
         ells = _column(ells)
         if isinstance(self.backend, CurveModel):
@@ -324,41 +313,40 @@ class FormContext:
                 if isinstance(value, Exception):
                     return _column(values[:i]), value
             return _column(values), None
-        at, found = self.backend.rows(ells)
+        table = self.backend
+        at = np.minimum(np.searchsorted(table.ells, ells), max(len(table.ells) - 1, 0))
+        found = table.ells[at] == ells if len(table.ells) else np.zeros(len(ells), bool)
         if found.all():
-            return self.backend.a_ells[at], None
+            return table.a_ells[at], None
         gap = int(np.argmin(found))
-        return self.backend.a_ells[at[:gap]], CoverageError(int(ells[gap]))
+        return table.a_ells[at[:gap]], CoverageError(int(ells[gap]))
 
 
 def a_ell(ctx: FormContext, ell: int) -> int:
     """The ell-th Fourier coefficient of g, for ell coprime to N_g * p.
 
     Mod p this is the trace of the Frobenius class at ell in the residual
-    representation; the reduction itself is done by callers.
+    representation; the reduction itself is done by callers.  A batch of
+    one: :func:`a_ells` at ``[ell]``.
     """
-    _require_exposed(ctx, ell, is_prime(ell))
-    return ctx.coefficient(ell)
+    return a_ells(ctx, [ell])[0]
 
 
 def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
     """:func:`a_ell` at each ell, the coefficients fetched in one batch.
 
-    Every ell is checked before any coefficient is computed, so the first
-    ell that :func:`a_ell` refuses is refused with its message; after that
-    the first error of the batch is raised.  Primality of the whole list is
-    decided in one sieve pass (:func:`arith.are_prime`).
+    Every ell is checked before any coefficient is computed: the first one
+    that is not prime, or that divides N_g * p, is refused with a ValueError
+    naming it; after that the first error of the batch is raised.
+    Primality of the whole list is decided in one sieve pass
+    (:func:`arith.are_prime`), which refuses an ell it cannot decide.
     """
     for ell, prime in zip(ells, are_prime(ells)):
-        _require_exposed(ctx, ell, prime)
+        if not prime:
+            raise ValueError(f"ell = {ell} is not prime")
+        if ctx.divides_ngp(ell):
+            raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")
     column, error = ctx.coefficient_column(ells)
     if error is not None:
         raise error
     return column.tolist()
-
-
-def _require_exposed(ctx: FormContext, ell: int, prime: bool) -> None:
-    if not prime:
-        raise ValueError(f"ell = {ell} is not prime")
-    if ctx.divides_ngp(ell):
-        raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")

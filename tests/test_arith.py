@@ -200,6 +200,14 @@ class TestArePrime:
         assert not are_prime([3_215_031_751, 41041, 2047]).any()
         assert are_prime([2**31 - 1]).all()
 
+    @pytest.mark.parametrize("values", [
+        (9, 7, 2**61 - 1, 1),
+        np.array([4, 2**61 - 1, MAX_SIEVE_BOUND + 7, 2**64 - 59], dtype=object),
+        [5, 2**63 + 1, 2**64 - 59, -(2**64), 1_000_003],
+    ], ids=["tuple", "object_array", "past_int64"])
+    def test_any_collection_of_ints(self, values):
+        assert are_prime(values).tolist() == [is_prime(n) for n in values]
+
     def test_empty_and_unsorted(self):
         assert are_prime([]).tolist() == []
         assert are_prime([9, 7, -7, 5, 4, 3, 2, 1, 0]).tolist() == [

@@ -431,12 +431,13 @@ class TestVerifyDensity:
         fetch = FormContext.coefficient_column
 
         def spy(self, ells):
-            fetched.update(ells.tolist())
+            fetched.update(int(ell) for ell in ells)
             return fetch(self, ells)
 
         monkeypatch.setattr(FormContext, "coefficient_column", spy)
         argv = ["verify-density", "--config", curve_config, "--bound", "20000", "--workers", "1"]
         assert main(argv) == EXIT_OK
+        assert fetched.pop(7) == 1  # a_p, read once as the context is built
         assert set(fetched.values()) == {1}
         # N_g * p = 77, and a class with det = ell = +-1 mod 7 is neither Pi nor Omega
         assert list(fetched) == [ell for ell in PrimeRange(2, 20000)

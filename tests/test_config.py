@@ -115,6 +115,19 @@ def test_a_key_of_the_other_backend_is_refused(tmp_path, capsys, config, line, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stated", [0, 5])
+def test_a_stated_discriminant_is_checked(tmp_path, capsys, stated):
+    # 0 was read as "not stated", so a config stating it ran
+    shipped = (ROOT / "configs" / "default.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "run.cfg"
+    path.write_text(shipped.replace("discriminant = -161051\n", f"discriminant = {stated}\n"),
+                    encoding="utf-8")
+    assert main(["screen-p", "--p", "7", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {path}: bad curve: stated discriminant {stated} != computed -161051\n"
+    )
+
+
 @pytest.mark.parametrize("config", [CURVE_CFG, TABLE_CFG], ids=["curve", "table"])
 def test_optimal_level_asserted_is_required(tmp_path, capsys, config):
     # a config that leaves it out was read as asserting it

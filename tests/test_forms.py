@@ -170,6 +170,11 @@ class TestLoadCoefficients:
             CoefficientTable([2, 11, 7], [-2, 9, 12], level=11)
         assert str(info.value) == "a_7 = 12 violates the Hasse bound |a| <= 2*sqrt(7)"
 
+    def test_direct_table_refuses_a_repeated_ell(self):
+        with pytest.raises(TableFormatError) as info:
+            CoefficientTable([2, 2, 3, 7], [1, -1, 0, 1], level=11)
+        assert str(info.value) == "ell = 2 has more than one row"
+
 
 @pytest.fixture(scope="module")
 def parity_path(tmp_path_factory):
@@ -429,6 +434,34 @@ class TestAEll:
     def test_non_prime_rejected(self, ctx_default):
         with pytest.raises(ValueError):
             a_ell(ctx_default, 15)
+
+
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+@pytest.fixture(scope="module", params=["curve", "table"])
+def ctx_11a_p7(request, curve_11a1):
+    """11a at p = 7, on the curve or on a table holding the rows the parity test reads."""
+    if request.param == "curve":
+        backend = curve_11a1
+    else:
+        ells = [7, 13, 1009]
+        backend = CoefficientTable(ells, [trace_of_frobenius(curve_11a1, ell) for ell in ells],
+                                   level=11)
+    return FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
+                       backend=backend)
+
+
+@pytest.mark.parametrize("ell", [9, 1, 0, -7, 7, 11, PSI_13, 13, 1009])
+def test_a_ell_is_a_batch_of_one(ctx_11a_p7, ell):
+    outcomes = []
+    for fetch in (lambda: a_ell(ctx_11a_p7, ell), lambda: forms.a_ells(ctx_11a_p7, [ell])[0]):
+        try:
+            outcomes.append(fetch())
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], int) == (ell in (13, 1009))
 
 
 def test_curve_and_table_backends_agree(ctx_p5, curve_11a1):
