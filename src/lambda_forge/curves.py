@@ -22,13 +22,13 @@ from the draw to the count.  The walks are in Jacobian coordinates with one
 inversion per lane per block of steps (Montgomery's simultaneous inversion)
 over a baby table keyed by x alone, in batches capped at 2 MB of temporaries
 and equal to within one lane, so that no batch is a small remainder.  Each
-prime draws x from its own counter-based stream (splitmix64, Steele, Lea &
-Flood 2014), keyed by its short model, and takes a point of the curve or of
-its twist from x alone, with no square root (:func:`_random_points`); every
-trial is settled on columns (:func:`_short_counts`).  In a batch of 4,096
-primes a count costs about 14-24 us a prime near 3e3-9e5, some 55-78% of it
-the walk and 8-13% the draws (``BENCH_30.json``).  A count alone costs 2-6
-ms, nearly all numpy call overhead, so sweeps pass whole chunks;
+prime reads one word a trial from its own counter-based stream (splitmix64,
+Steele, Lea & Flood 2014), keyed by its short model, maps it to x with no
+rejection, and takes the point that x gives, on the curve or on its twist,
+with no square root (:func:`_random_points`); every trial is settled on
+columns (:func:`_short_counts`).  In a batch of 4,096 primes a count costs
+about 12-20 us a prime near 3e3-9e5, most of it the walk.  A count alone
+costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole chunks;
 :func:`count_points_bsgs` and :func:`trace_of_frobenius` are batches of one.
 
 Every counter takes ell on trust as a prime: checking is the caller's job.
@@ -192,15 +192,10 @@ def count_points_naive(curve: CurveModel, ell: int, *, limit: int = NAIVE_COUNT_
 
 # --- lane-batched arithmetic mod per-lane primes (short model, char >= 5) -----
 #
-# Arrays hold one lane per column (per row in the draws), and every operation
-# reduces modulo the per-lane array p.  Below this bound a sum of two products
-# of residues fits in int64; lanes of a larger prime run the same code on
-# dtype=object arrays.
+# Arrays hold one lane per column, and every operation reduces modulo the
+# per-lane array p.  Below this bound a sum of two products of residues fits
+# in int64; lanes of a larger prime run the same code on dtype=object arrays.
 _INT64_PRIME_LIMIT = 1 << 31
-# x values a lane keeps from its stream per pass of :func:`_random_points`:
-# about half of all x give a point, so one pass in 2^_DRAWS needs another.
-# A pass reads twice as many candidates, since fewer than half are rejected.
-_DRAWS = 4
 # splitmix64's counter stride, the odd 64-bit fraction of the golden ratio
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -233,76 +228,31 @@ def _stream_keys(ells, a, b):
     return _mix(key)
 
 
-def _candidates(keys, skips, bits, count, dtype):
-    """``count`` candidates of each lane i's stream from its candidate ``skips[i]`` on, as rows.
+def _random_points(keys, a, b, p, trial):
+    """Trial ``trial``'s point (x, y) of each lane's stream, its A and its side, as columns.
 
-    Candidate k (from 0) of a lane is the top ``bits`` bits of splitmix64's
-    output at the counter ``key + (k + 1) * _GAMMA``, bits the bit length
-    of the lane's prime p; a draw of x is the first candidate below p, as
-    randrange takes one, so x is uniform on [0, p).  Each candidate is
-    computed from its position alone, so a lane reads on from any offset.
-    Every p <= :data:`MAX_COUNTED_ELL` fits one word; the values become
-    ``dtype`` only after the shift.
+    Lane i reads one word of the stream of key ``keys[i]``: w, splitmix64's
+    output at the counter ``key + (trial + 1) * _GAMMA``, and x = w p / 2^64
+    rounded down (Lemire's multiply-shift, no rejection).  Every x gives a
+    point: with d = x^3 + ax + b, (dx, d^2) lies on y^2 = x^3 + ad^2 x + bd^3,
+    A = ad^2, which is the curve scaled by sqrt(d) when d is a square and
+    its twist by d when it is not (Euler's criterion; the column ``twist``).
+    At d = 0 the point is (x, 0) on the curve with A = a, of order 2, which
+    divides the twist's order too, as the twist's cubic has as many roots.
+    Returns the columns x, y, A and twist.
     """
-    counter = np.add.outer(skips.astype(np.uint64) + 1, np.arange(count, dtype=np.uint64))
-    counter *= _GAMMA
-    counter += keys[:, None]
-    z = _mix(counter)
-    z >>= 64 - bits[:, None]
-    return z.astype(dtype)
-
-
-def _random_points(keys, used, a, b, p, bits, trial):
-    """The next point (x, y) of each lane's stream on this trial's side, with its A, as columns.
-
-    Lane i draws x from the stream of key ``keys[i]`` (:func:`_candidates`)
-    from its candidate ``used[i]`` on, until d = x^3 + ax + b is 0 or, on
-    a curve trial (even), a square, on a twist trial (odd), a non-square
-    (Euler's criterion): the x the scalar loop ``while True: x =
-    randrange(p); ...`` would take.  The point is (dx, d^2), on
-    y^2 = x^3 + ad^2 x + bd^3 with A = ad^2: the curve scaled by sqrt(d)
-    when d is a square, its twist by d when it is not.  At d = 0 it is
-    (x, 0) on the curve with A = a, of order 2, which divides the twist's
-    order too, as the twist's cubic has as many roots.  ``bits`` holds each
-    p's bit length.  Returns the columns x, y, A and the candidates used.
-
-    A pass tests a lane's first _DRAWS draws in numpy; a lane whose draws
-    all fail reads on from where it stopped, for twice as many.
-    """
-    lanes = len(keys)
-    used = used.copy()
-    x, d = np.zeros(lanes, p.dtype), np.zeros(lanes, p.dtype)
-    pending = np.arange(lanes)
-    per_lane = _DRAWS
-    while len(pending):
-        P, A, B = (v[pending, None] for v in (p, a, b))
-        raw = _candidates(keys[pending], used[pending], bits[pending], 2 * per_lane, p.dtype)
-        # the first per_lane accepted draws, and the candidates read up to each;
-        # an empty slot, in a lane with fewer, stands for all of them
-        accepted = raw < P
-        rank = np.cumsum(accepted, axis=1)
-        row, col = np.nonzero(accepted & (rank <= per_lane))
-        slot = rank[row, col] - 1
-        X = np.zeros((len(pending), per_lane), p.dtype)
-        X[row, slot] = raw[row, col]
-        read = np.full(X.shape, 2 * per_lane)
-        read[row, slot] = col + 1
-        valid = np.zeros(X.shape, bool)
-        valid[row, slot] = True
-        D = (X * X % P * X + A * X + B) % P
-        euler = _pow(D, (P - 1) >> 1, P)
-        ok = valid & ((D == 0) | (euler == (P - 1 if trial % 2 else 1)))
-        col = ok.argmax(axis=1)
-        done = ok.any(axis=1)
-        at = (np.flatnonzero(done), col[done])
-        lane = pending[done]
-        x[lane], d[lane] = X[at], D[at]
-        used[pending] += read[np.arange(len(pending)), np.where(done, col, per_lane - 1)]
-        pending = pending[~done]
-        per_lane *= 2
+    w = _mix(keys + np.uint64((trial + 1) * _GAMMA % 2**64))
+    if p.dtype == object:
+        x = w.astype(object) * p >> 64
+    else:
+        # w p / 2^64 from w's 32-bit halves, every product below 2^63
+        q = p.astype(np.uint64)
+        x = (((w >> 32) * q + ((w & 0xFFFFFFFF) * q >> 32)) >> 32).astype(np.int64)
+    d = (x * x % p * x + a * x + b) % p
+    twist = _pow(d, (p - 1) >> 1, p) == p - 1
     root = d == 0
     dd = d * d % p
-    return np.where(root, x, d * x % p), dd, np.where(root, a, a * dd % p), used
+    return np.where(root, x, d * x % p), dd, np.where(root, a, a * dd % p), twist
 
 
 # --- the lane-batched walk ----------------------------------------------------
@@ -619,9 +569,9 @@ def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
     """#E(F_ell) of each y^2 = x^3 + ax + b in ``models`` at its ell > :data:`MESTRE_BOUND`, by BSGS.
 
     The lane columns (one dtype, p, a, b, the Hasse windows [lo, hi], stream
-    keys, bit lengths) are made once; trial t draws (:func:`_random_points`)
-    and walks (:func:`_window_orders`) the t-th point of every lane still
-    open, passing slices: even trials on the curve, odd ones on its twist.
+    keys) are made once; trial t draws (:func:`_random_points`) and walks
+    (:func:`_window_orders`) the t-th point of every lane still open, passing
+    slices, each point on the side its x gives, the curve or its twist.
     Each side keeps the lcm L of its walk results, which divides that side's
     group order, a number in [lo, hi]; once L has a single multiple there,
     that multiple is the side's order, N on the curve and 2 ell + 2 - N on
@@ -635,8 +585,7 @@ def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
     p = np.array(ells, dtype)
     a, b = np.array(models, dtype).reshape(-1, 2).T
     lo, hi = np.array([_hasse_window(ell) for ell in ells], dtype).reshape(-1, 2).T
-    bits = np.array([ell.bit_length() for ell in ells], np.uint64)
-    keys, used = _stream_keys(p, a, b), np.zeros(len(ells), np.int64)
+    keys = _stream_keys(p, a, b)
     lcms = np.ones((2, len(ells)), dtype)  # per side: the curve's, the twist's
     entries: list = [None] * len(ells)
     live = np.arange(len(ells))
@@ -644,14 +593,12 @@ def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
         if not len(live):
             break
         P, LO, HI = p[live], lo[live], hi[live]
-        x, y, A, used[live] = _random_points(
-            keys[live], used[live], a[live], b[live], P, bits[live], trial
-        )
+        x, y, A, twist = _random_points(keys[live], a[live], b[live], P, trial)
         n = _window_orders(x, y, A, P, LO, HI)
-        side = lcms[trial % 2]
-        side[live] = L = np.lcm(side[live], np.where(n > 0, n, 1))
+        side = twist.astype(np.intp)
+        lcms[side, live] = L = np.lcm(lcms[side, live], np.where(n > 0, n, 1))
         first = LO + (-LO) % L
-        counts = (first if trial % 2 == 0 else 2 * P + 2 - first).tolist()
+        counts = np.where(twist, 2 * P + 2 - first, first).tolist()
         settled = (first <= HI) & (first + L > HI)
         for j in np.flatnonzero(settled | (n == 0)).tolist():
             entries[live[j]] = counts[j] if n[j] else PointCountError(

@@ -18,7 +18,6 @@ from lambda_forge.curves import (
     CurveModel,
     _baby_count,
     _bsgs_counts,
-    _candidates,
     _hasse_window,
     _random_points,
     _short_counts,
@@ -67,41 +66,23 @@ def stream_key(ell: int, a: int, b: int) -> int:
     return splitmix(splitmix(splitmix(ell) ^ a) ^ b)
 
 
-class SplitMixStream:
-    """A point stream one candidate at a time: candidate k is splitmix64 at key + (k + 1) * gamma.
+def stream_x(p: int, key: int, trial: int) -> int:
+    """The x of trial ``trial`` in the stream of this key: splitmix64's word there, times p, over 2^64."""
+    return splitmix((key + (trial + 1) * GAMMA) & MASK) * p >> 64
 
-    ``used`` counts the candidates taken; randrange(p) takes the top
-    p.bit_length() bits of each in turn until one is below p.
+
+def stream_point(a, b, p, key, trial):
+    """Trial ``trial``'s point of the stream of this key, its A, and whether it lies on the twist.
+
+    With d = x^3 + ax + b, the point is (dx, d^2) on y^2 = x^3 + ad^2 x + bd^3,
+    A = ad^2, on the twist exactly when d is a non-square; at d = 0 it is
+    (x, 0) on the curve, with A = a.
     """
-
-    def __init__(self, key: int, used: int = 0):
-        self.key, self.used = key, used
-
-    def candidate(self, p: int) -> int:
-        self.used += 1
-        return splitmix((self.key + self.used * GAMMA) & MASK) >> (64 - p.bit_length())
-
-    def randrange(self, p: int) -> int:
-        while (x := self.candidate(p)) >= p:
-            pass
-        return x
-
-
-def _random_point(a, b, p, rng, trial=0):
-    """The next point of rng's stream on this trial's side, one x at a time, and its A.
-
-    x is taken when d = x^3 + ax + b is 0, or a square on a curve trial
-    (even), a non-square on a twist trial (odd); the point is (dx, d^2) on
-    y^2 = x^3 + ad^2 x + bd^3, with A = ad^2, or (x, 0) with A = a at d = 0.
-    """
-    side = p - 1 if trial % 2 else 1
-    while True:
-        x = rng.randrange(p)
-        d = (x * x % p * x + a * x + b) % p
-        if d == 0:
-            return (x, 0), a
-        if pow(d, (p - 1) // 2, p) == side:
-            return (d * x % p, d * d % p), a * d * d % p
+    x = stream_x(p, key, trial)
+    d = (x * x % p * x + a * x + b) % p
+    if d == 0:
+        return (x, 0), a, False
+    return (d * x % p, d * d % p), a * d * d % p, pow(d, (p - 1) // 2, p) == p - 1
 
 
 # Affine points are (x, y) tuples; None is the point at infinity.
@@ -200,13 +181,11 @@ WALK_PRIMES = (
 GROUPING_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 300))
 # the differential check's primes: refusals are common below 3000 at few points
 DIFFERENTIAL_PRIMES = list(PrimeRange(5, 3000))[::3] + list(PrimeRange(10**6, 10**6 + 1000))
-# the draws' primes: 3 mod 4 and 1 mod 4, small and near 1e6, one above 2^31
-# and one of two words
+# the draws' primes: 3 mod 4 and 1 mod 4, small and near 1e6, one above 2^31,
+# one of two words and the largest counted
 BIG_PRIME = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
-DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME, 2**40 + 15]
-# the stream's primes: each just above a power of two, where randrange rejects
-# nearly half its candidates, up to the largest counted prime below 2^62
-STREAM_PRIMES = [5, 17, 257, 65537, BIG_PRIME, 2**32 + 15, 2**40 + 15, 2**62 - 57]
+DRAW_PRIMES = [5, 7, 11, 13, 17, 97, 10007, 65537, 999983, 1000003, 7340033, BIG_PRIME, 2**40 + 15,
+               2**62 - 57]
 # the first round's primes: the refusal-prone small ones and a run near 1e6
 FIRST_ROUND_PRIMES = list(PrimeRange(5, 5000)) + list(PrimeRange(10**6, 10**6 + 3000))
 
@@ -343,16 +322,24 @@ class TestBsgs:
 
     def test_ambiguity_is_an_error_not_a_guess(self, curve_389a1):
         # one point's order can have several multiples in the Hasse window:
-        # 251 is the least prime where one point leaves 389a ambiguous
-        (entry,) = _bsgs_counts(curve_389a1, [251], 1)
+        # 241 is the least prime where one point leaves 389a ambiguous
+        *settled, entry = _bsgs_counts(curve_389a1, list(PrimeRange(MESTRE_BOUND + 1, 241)), 1)
+        assert not any(isinstance(n, Exception) for n in settled)
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
-        assert count_points_bsgs(curve_389a1, 251) == count_points_naive(curve_389a1, 251)
+        assert count_points_bsgs(curve_389a1, 241) == count_points_naive(curve_389a1, 241)
 
     def test_ambiguity_above_the_naive_limit(self):
-        # two points leave 3011 ambiguous on y^2 = x^3 + 3x + 14, the least
+        # two points leave 3011 ambiguous on y^2 = x^3 + 4x + 8, the least
         # prime above the naive limit where two points leave any
-        # y^2 = x^3 + ax + b with 0 <= a, b < 16 ambiguous; more points settle it
-        curve = short_curve(3, 14)
+        # y^2 = x^3 + ax + b with 0 <= a, b < 16 ambiguous, and the only such
+        # curve there; more points settle it
+        family = {(a, b): short_curve(a, b) for a in range(16) for b in range(16) if a or b}
+        lanes = [(ell, a, b) for ell in PrimeRange(NAIVE_COUNT_LIMIT + 1, 3011)
+                 for (a, b), curve in family.items() if curve.conductor % ell]
+        models = [_short_model(*family[a, b].c_invariants(), ell) for ell, a, b in lanes]
+        entries = _short_counts([ell for ell, *_ in lanes], models, 2)
+        assert [lane for lane, n in zip(lanes, entries) if isinstance(n, Exception)] == [(3011, 4, 8)]
+        curve = short_curve(4, 8)
         (entry,) = _bsgs_counts(curve, [3011], 2)
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
         assert count_points_bsgs(curve, 3011) == count_points_naive(curve, 3011, limit=3011)
@@ -447,10 +434,10 @@ class TestBsgs:
 
 
 def scalar_counts(curve, ells, max_points):
-    """_bsgs_counts one ell at a time, each point drawn by _random_point and walked by _window_order.
+    """_bsgs_counts one ell at a time, each point drawn by stream_point and walked by _window_order.
 
-    Up to 229 ell is counted by summation.  Above it the even trials fold
-    their walk results into the curve's lcm, the odd ones into the twist's;
+    Up to 229 ell is counted by summation.  Above it each trial folds its
+    walk result into the lcm of its point's side, the curve or the twist;
     a trial whose lcm has one multiple in the Hasse window settles ell at
     it, or at 2 ell + 2 minus it on the twist.
     """
@@ -462,149 +449,100 @@ def scalar_counts(curve, ells, max_points):
         a, b = _short_model(*curve.c_invariants(), ell)
         s = isqrt(4 * ell)
         lo, hi = ell + 1 - s, ell + 1 + s
-        rng = SplitMixStream(stream_key(ell, a, b))
+        key = stream_key(ell, a, b)
         lcms = [1, 1]
         entry = PointCountError(
             f"group order ambiguous at ell={ell} after {max_points} points: refusing to guess"
         )
         for trial in range(max_points):
-            P, A = _random_point(a, b, ell, rng, trial)
+            P, A, twist = stream_point(a, b, ell, key, trial)
             try:
                 order = _window_order(P, A, ell, lo, hi)
             except PointCountError as exc:
                 entry = exc
                 break
-            side = trial % 2
-            lcms[side] = math.lcm(lcms[side], order)
-            multiples = range(lo + (-lo) % lcms[side], hi + 1, lcms[side])
+            lcms[twist] = math.lcm(lcms[twist], order)
+            multiples = range(lo + (-lo) % lcms[twist], hi + 1, lcms[twist])
             if len(multiples) == 1:
-                entry = multiples[0] if side == 0 else 2 * ell + 2 - multiples[0]
+                entry = 2 * ell + 2 - multiples[0] if twist else multiples[0]
                 break
         entries.append(entry)
     return entries
 
 
-def last_draw(key, skip, used, ell):
-    """The last x a stream of this key took, reading from its candidate skip up to used."""
-    rng = SplitMixStream(key, skip)
-    while rng.used < used:
-        x = rng.randrange(ell)
-    return x
-
-
 class TestRandomPoints:
-    """The batched draws take the scalar loop's x and its point on the trial's side."""
+    """The batched draws take the scalar reference's x and its point on the side x gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        trial=st.integers(0, 3),
+        trial=st.integers(0, 40),
         lanes=st.lists(
             st.tuples(
                 st.sampled_from(DRAW_PRIMES),
                 st.integers(0, 2**64),
                 st.integers(0, 2**64),
                 st.integers(0, MASK),
-                st.integers(0, 6),
                 st.booleans(),
             ),
             min_size=1,
             max_size=12,
         ),
     )
-    # on a twist trial: a lane whose first draw is a root of its cubic, and
-    # one above 2^31, on object arrays
-    @example(trial=1, lanes=[(10007, 3, 0, 0, 0, True), (BIG_PRIME, 3, 5, 1, 0, False)])
+    # a lane whose x is a root of its cubic, and one above 2^31, on object arrays
+    @example(trial=1, lanes=[(10007, 3, 0, 0, True), (BIG_PRIME, 3, 5, 1, False)])
     def test_batched_draws_equal_scalar_reference(self, trial, lanes):
-        keys, skips, a_s, b_s, ps, expected = [], [], [], [], [], []
-        for ell, a, b, key, skip, root_first in lanes:
+        keys, a_s, b_s, ps, expected = [], [], [], [], []
+        for ell, a, b, key, root in lanes:
             a, b = a % ell, b % ell
-            rng = SplitMixStream(key)
-            for _ in range(skip):
-                rng.randrange(ell)
-            position = rng.used
-            if root_first:
-                # make the next draw a root of the cubic: d = 0, so (x, 0)
-                x = SplitMixStream(key, position).randrange(ell)
+            if root:
+                # make this trial's x a root of the cubic: d = 0, so (x, 0)
+                x = stream_x(ell, key, trial)
                 b = -(x * x * x + a * x) % ell
-            point, A = _random_point(a, b, ell, rng, trial)
             keys.append(key)
-            skips.append(position)
             a_s.append(a)
             b_s.append(b)
             ps.append(ell)
-            expected.append((point, A, rng.used))
+            expected.append(stream_point(a, b, ell, key, trial))
         dtype = np.int64 if max(ps) < curves._INT64_PRIME_LIMIT else object
-        bits = np.array([ell.bit_length() for ell in ps], np.uint64)
-        x, y, A_s, used = _random_points(
-            np.array(keys, np.uint64), np.array(skips, np.int64),
-            *(np.array(v, dtype) for v in (a_s, b_s, ps)), bits, trial,
+        x, y, A_s, twist = _random_points(
+            np.array(keys, np.uint64), *(np.array(v, dtype) for v in (a_s, b_s, ps)), trial,
         )
-        points, A_s, used = list(zip(x.tolist(), y.tolist())), A_s.tolist(), used.tolist()
-        assert list(zip(points, A_s, used)) == expected
-        # (dx, d^2) lies on y^2 = x^3 + ad^2 x + bd^3, d of the trial's character;
-        # at d = 0, (x, 0) lies on the curve
-        for (X, Y), A, key, skip, n, a, b, ell in zip(points, A_s, keys, skips, used, a_s, b_s, ps):
-            x = last_draw(key, skip, n, ell)
+        points, A_s, twist = list(zip(x.tolist(), y.tolist())), A_s.tolist(), twist.tolist()
+        assert list(zip(points, A_s, twist)) == expected
+        # (dx, d^2) lies on y^2 = x^3 + ad^2 x + bd^3, d a non-square exactly
+        # on the twist; at d = 0, (x, 0) lies on the curve
+        for (X, Y), A, side, key, a, b, ell in zip(points, A_s, twist, keys, a_s, b_s, ps):
+            x = stream_x(ell, key, trial)
             d = (x**3 + a * x + b) % ell
-            assert d == 0 or pow(d, (ell - 1) // 2, ell) == (ell - 1 if trial % 2 else 1)
+            assert side == (pow(d, (ell - 1) // 2, ell) == ell - 1)
             assert A == (a * d * d % ell if d else a)
             assert (Y * Y - (X**3 + A * X + (b * d**3 if d else b))) % ell == 0
 
-    def test_every_short_curve_at_5_and_7(self, monkeypatch):
+    def test_every_short_curve_at_5_and_7(self):
         # one side can have no x of its character but the roots of its cubic:
-        # #E = 2 at 5, and #E = 4 with three roots at 7; a draw that refused
-        # d = 0 would read on forever there.  Counts there are sums, so the
-        # draws and walks of trials 0-3 are called directly, all curves at once
-        candidates = curves._candidates
-
-        def bounded(keys, skips, bits, count, dtype):
-            assert count <= 1 << 12, "a lane read thousands of candidates for one point"
-            return candidates(keys, skips, bits, count, dtype)
-
-        monkeypatch.setattr(curves, "_candidates", bounded)
+        # #E = 2 at 5, and #E = 4 with three roots at 7.  Counts there are
+        # sums, so the draws and walks of trials 0-3 are called directly, all
+        # curves at once, each point's order dividing its side's group order
         start = time.perf_counter()
         seen = set()
         for ell in (5, 7):
             models = [(a, b) for a in range(ell) for b in range(ell) if (4 * a**3 + 27 * b * b) % ell]
             a_s, b_s = np.array(models).T
             lanes = np.full(len(models), ell)
-            bits = np.full(len(models), ell.bit_length(), np.uint64)
             lo, hi = (np.full(len(models), end) for end in _hasse_window(ell))
             counts = [count_points_naive(short_curve(a, b), ell) for a, b in models]
-            keys, used = _stream_keys(lanes, a_s, b_s), np.zeros(len(models), np.int64)
+            keys = _stream_keys(lanes, a_s, b_s)
             for trial in range(4):
-                x, y, A, used = _random_points(keys, used, a_s, b_s, lanes, bits, trial)
+                x, y, A, twist = _random_points(keys, a_s, b_s, lanes, trial)
                 orders = _window_orders(x, y, A, lanes, lo, hi).tolist()
-                for n, order in zip(counts, orders):
-                    side = 2 * ell + 2 - n if trial % 2 else n
-                    assert order > 0 and side % order == 0, (ell, n, trial, order)
+                for n, order, side in zip(counts, orders, twist.tolist()):
+                    group = 2 * ell + 2 - n if side else n
+                    assert order > 0 and group % order == 0, (ell, n, trial, order)
             for (a, b), n in zip(models, counts):
                 roots = sum((x**3 + a * x + b) % ell == 0 for x in range(ell))
                 seen.add((ell, min(n, 2 * ell + 2 - n), roots))
         assert {(5, 2, 1), (7, 4, 3)} <= seen
         assert time.perf_counter() - start < 10
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        ell=st.sampled_from(STREAM_PRIMES),
-        key=st.integers(0, MASK),
-        taken=st.integers(0, 40),
-        count=st.integers(1, 8),
-    )
-    def test_bulk_candidates_are_the_randrange_stream(self, ell, key, taken, count):
-        # read from any offset, the candidates are the tail of those read from
-        # 0, and those below ell are the scalar stream's randrange draws
-        dtype = np.int64 if ell < 2**31 else object
-        keys, bits = np.array([key], np.uint64), np.array([ell.bit_length()], np.uint64)
-        whole = _candidates(keys, np.array([0]), bits, taken + count, dtype)
-        tail = _candidates(keys, np.array([taken]), bits, count, dtype)
-        assert tail.tolist() == whole[:, taken:].tolist()
-        rng = SplitMixStream(key)
-        assert whole[0].tolist() == [rng.candidate(ell) for _ in range(taken + count)]
-        rng = SplitMixStream(key, taken)
-        below = [v for v in tail[0].tolist() if v < ell]
-        assert below == [rng.randrange(ell) for _ in below]
-        assert all(type(v) is int for v in tail[0].tolist())
 
     def test_every_short_model_below_1e6_has_its_own_key(self):
         models = set()
@@ -618,16 +556,16 @@ class TestRandomPoints:
         for model, key in list(zip(models, keys.tolist()))[::5000]:
             assert key == stream_key(*model)
 
-    @pytest.mark.parametrize("ell", [5, 17, 10007, 65537, BIG_PRIME, 2**40 + 15, 2**62 - 57])
+    @pytest.mark.parametrize("ell", [5, 17, 10007, 65537, BIG_PRIME, 2**40 + 15, 2**62 - 57,
+                                     3 * 2**60 + 5])
     def test_candidates_below_ell_are_uniform(self, ell):
-        # chi-squared over 16 bins (5 at ell = 5) of the draws of 64 streams;
-        # at 15 degrees of freedom P(chi^2 > 50) < 1e-5
-        dtype = np.int64 if ell < 2**31 else object
-        keys = _stream_keys([ell] * 64, range(64), [1] * 64)
-        raw = _candidates(keys, np.zeros(64, np.int64), np.full(64, ell.bit_length(), np.uint64),
-                          512, dtype)
-        draws = [v for v in raw.ravel().tolist() if v < ell]
-        assert len(draws) > 64 * 512 // 2
+        # chi-squared over 16 bins (5 at ell = 5) of the x of 512 trials of 64
+        # streams, by the reference the batched draws equal; at 15 degrees of
+        # freedom P(chi^2 > 50) < 1e-5.  At 3 * 2^60 + 5, w mod ell would take
+        # the lowest third of the range from 6 words each, the rest from 5
+        # (chi^2 near 250); w ell / 2^64 does not
+        keys = _stream_keys([ell] * 64, range(64), [1] * 64).tolist()
+        draws = [stream_x(ell, key, trial) for key in keys for trial in range(512)]
         bins = min(ell, 16)
         seen = np.bincount([v * bins // ell for v in draws], minlength=bins)
         # bin j holds the v with j <= v * bins / ell < j + 1
@@ -654,9 +592,10 @@ class TestWindowOrder:
     def test_sole_multiple_is_the_group_order(self, curve_11a1):
         ell = 1_000_003
         a, b = _short_model(*curve_11a1.c_invariants(), ell)
-        P, A = _random_point(a, b, ell, random.Random(0))
+        P, A, twist = stream_point(a, b, ell, stream_key(ell, a, b), 0)
         lo, hi = self.window(ell)
         n = count_points_naive(curve_11a1, ell, limit=ell)
+        n = 2 * ell + 2 - n if twist else n  # the order of P's side
         assert order_by_addition(P, A, ell) > hi - lo  # so n is the only multiple
         assert window_order(P, A, ell, lo, hi) == n
 
@@ -670,15 +609,16 @@ class TestWindowOrder:
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell == 0:
                 continue
-            lanes.append((*_random_point(a, b, ell, rng), ell, *self.window(ell), a, b))
+            P, A, twist = stream_point(a, b, ell, rng.getrandbits(64), 0)
+            lanes.append((P, A, ell, *self.window(ell), a, b, twist))
         # one batch of mixed primes
         walked = walk([lane[:5] for lane in lanes])
-        for (P, A, ell, lo, hi, a, b), got in zip(lanes, walked):
+        for (P, A, ell, lo, hi, a, b, twist), got in zip(lanes, walked):
             order = order_by_addition(P, A, ell)
             multiples = [n for n in range(lo, hi + 1) if n % order == 0]
             if len(multiples) == 1:
                 n = count_points_naive(short_curve(a, b), ell)
-                assert got == multiples[0] == n
+                assert got == multiples[0] == (2 * ell + 2 - n if twist else n)
                 seen.add("sole multiple")
             else:
                 assert got == order
@@ -706,12 +646,13 @@ class TestWindowOrder:
             a, b = a % ell, b % ell
             if (4 * a**3 + 27 * b * b) % ell == 0:
                 continue
-            P, A = _random_point(a, b, ell, random.Random(seed))
+            P, A, twist = stream_point(a, b, ell, seed, 0)
             lo, hi = self.window(ell)
             if hit_o and ell < 10**5:
                 # shift the window so that the group order is lo + t*m: the
                 # giant walk meets O at step t, then steps from O and doubles
                 n = count_points_naive(short_curve(a, b), ell, limit=ell)
+                n = 2 * ell + 2 - n if twist else n
                 shifted = n - (isqrt(hi - lo) + 1) * (1 + seed % 2)
                 if shifted > 0:
                     lo, hi = shifted, shifted + hi - lo
@@ -738,7 +679,7 @@ class TestWindowOrder:
             for _ in range(12):
                 a, b = rng.randrange(ell), rng.randrange(ell)
                 if (4 * a**3 + 27 * b * b) % ell:
-                    lanes.append((*_random_point(a, b, ell, rng), ell, lo, hi))
+                    lanes.append((*stream_point(a, b, ell, rng.getrandbits(64), 0)[:2], ell, lo, hi))
             expected = [_window_order(*lane) for lane in lanes]
             assert walk(lanes) == expected
             for P, A, *_ in lanes:
@@ -754,8 +695,9 @@ class TestWindowOrder:
     def test_giant_step_hits_o(self, curve_11a1):
         ell = 10007
         a, b = _short_model(*curve_11a1.c_invariants(), ell)
+        P, A, twist = stream_point(a, b, ell, stream_key(ell, a, b), 0)
         n = count_points_naive(curve_11a1, ell, limit=ell)
-        P, A = _random_point(a, b, ell, random.Random(0))
+        n = 2 * ell + 2 - n if twist else n  # the order of P's side
         assert order_by_addition(P, A, ell) == n
         m = isqrt(2 * isqrt(4 * ell)) + 1
         # T_1 = -(lo + m)P = O, then T_2 = O + step and T_3 = step + step
@@ -770,7 +712,7 @@ class TestWindowOrder:
         batch = []
         for ell in (big, 101, huge):
             a, b = rng.randrange(ell), rng.randrange(ell)
-            batch.append((*_random_point(a, b, ell, rng), ell, *self.window(ell)))
+            batch.append((*stream_point(a, b, ell, rng.getrandbits(64), 0)[:2], ell, *self.window(ell)))
         assert walk(batch) == [_window_order(*lane) for lane in batch]
 
     @pytest.mark.parametrize("lanes", [1, 4, 9, 13])
@@ -782,7 +724,8 @@ class TestWindowOrder:
             ell = rng.choice((1009, 10007))
             a, b = rng.randrange(ell), rng.randrange(ell)
             if (4 * a**3 + 27 * b * b) % ell:
-                batch.append((*_random_point(a, b, ell, rng), ell, *self.window(ell)))
+                batch.append((*stream_point(a, b, ell, rng.getrandbits(64), 0)[:2], ell,
+                              *self.window(ell)))
         whole = walk(batch)  # one batch at the default budget
         width = max(hi - lo for *_, lo, hi in batch)
         babies = _baby_count(width)
@@ -825,11 +768,15 @@ class TestTrace:
             assert ell + 1 - trace_of_frobenius(curve_11a1, ell) >= 1
 
     def test_batch_entries_match_single_calls(self, monkeypatch):
-        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 3x + 14
-        # has bad reduction at 5, and two points leave 3011 ambiguous
+        # both engines, a bad prime and a refusal in one batch: y^2 = x^3 + 8x + 11
+        # has bad reduction at 5, and two points leave 3049 ambiguous, the
+        # least prime above the naive limit where they leave it ambiguous
+        curve = short_curve(8, 11)
+        *settled, entry = _bsgs_counts(curve, list(PrimeRange(NAIVE_COUNT_LIMIT + 1, 3049)), 2)
+        assert not any(isinstance(n, Exception) for n in settled)
+        assert isinstance(entry, PointCountError)
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 2)
-        curve = short_curve(3, 14)
-        ells = [2, 7, 11, 5, 2999, 3001, 3011, 100_003]
+        ells = [2, 7, 11, 5, 2999, 3001, 3049, 100_003]
         batch = traces_of_frobenius(curve, ells)
         for ell, entry in zip(ells, batch):
             try:

@@ -34,7 +34,7 @@ from lambda_forge import (
     screen_p,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
-from lambda_forge.curves import _short_model, count_points_naive
+from lambda_forge.curves import NAIVE_COUNT_LIMIT, _bsgs_counts, _short_model, count_points_naive
 from lambda_forge.errors import CoverageError, PointCountError
 from lambda_forge.forms import _column, a_ells
 from lambda_forge.residual import (
@@ -473,14 +473,14 @@ class TestSweepPipeline:
 
         ``gaps`` are primes missing from a coefficient table (a CoverageError;
         at 101 it falls in the first chunk); None is 11a1 counted with one BSGS
-        point a prime, which leaves the group order ambiguous at 3001 first (a
+        point a prime, which leaves the group order ambiguous at 3041 first (a
         PointCountError, raised in a pool worker at 2 workers).
         """
         to = 4000
         if gaps is None:
             monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
             backend = CurveModel(0, -1, 1, -10, -20, conductor=11)
-            first, error, to = 3001, PointCountError, 20000
+            first, error, to = 3041, PointCountError, 20000
         else:
             rng = random.Random(7)
             coeffs = {}
@@ -501,14 +501,14 @@ class TestSweepPipeline:
 
     def test_curve_error_in_the_first_chunk_starts_no_pool(self, monkeypatch, pools_started):
         # counted by BSGS with one point above 229, where summation stops, 11a1
-        # is ambiguous at 241 first
+        # is ambiguous at 239 first
         monkeypatch.setattr(curves, "NAIVE_COUNT_LIMIT", 229)
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
         ctx = FormContext(level=11, p=7, lambda_g=0, mu_zero=True, surjective_mod_p=True,
                           backend=CurveModel(0, -1, 1, -10, -20, conductor=11))
-        serial = stream_until(PointCountError, 241, ctx, 20000, 1)
-        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, 240)))
-        assert stream_until(PointCountError, 241, ctx, 20000, 2) == serial
+        serial = stream_until(PointCountError, 239, ctx, 20000, 1)
+        assert [fc.ell for fc in serial[1]] == list(sieve_primes(PrimeRange(2, 238)))
+        assert stream_until(PointCountError, 239, ctx, 20000, 2) == serial
         assert pools_started == []
 
     @pytest.mark.parametrize("past_first, workers, pools", [
@@ -811,13 +811,16 @@ class TestScreenP:
             f"not evaluated (point counting is capped at ell <= 2^62, got {10**21 + 117})")
 
     def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
-        # one point a prime leaves the group order at 3001 ambiguous, the least
+        # one point a prime leaves the group order at 3041 ambiguous, the least
         # such prime above the naive limit: a PointCountError
+        *settled, entry = _bsgs_counts(curve_11a1, list(PrimeRange(NAIVE_COUNT_LIMIT + 1, 3041)), 1)
+        assert not any(isinstance(n, Exception) for n in settled)
+        assert isinstance(entry, PointCountError)
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
-        report = screen_p(curve_11a1, 3001)
+        report = screen_p(curve_11a1, 3041)
         ordinary = report.checks[-1]
         assert (ordinary.name, ordinary.passed) == ("ordinary-at-p", False)
-        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3001")
+        assert ordinary.detail.startswith("not evaluated (group order ambiguous at ell=3041")
         assert [c.passed for c in report.checks[:2]] == [True, True]
 
 
