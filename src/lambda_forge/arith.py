@@ -239,6 +239,13 @@ def are_prime(values: Collection[int] | np.ndarray) -> np.ndarray:
     return prime
 
 
+def residues(n: int, moduli):
+    """n mod each of ``moduli``, for any int n (on Python ints where it is past int64)."""
+    if isinstance(moduli, np.ndarray) and moduli.dtype != object and not -(2**63) <= n < 2**63:
+        moduli = moduli.astype(object)
+    return n % moduli
+
+
 def factorize(n: int, *, trial_bound: int) -> list[tuple[int, int]]:
     """Factor n >= 1 by trial division, as sorted (prime, exponent) pairs.
 

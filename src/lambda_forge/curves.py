@@ -16,27 +16,20 @@ strategies are provided and cross-validated against each other:
   there; primes up to 229 are counted by summation.
 
 Every count goes through one dispatcher, :func:`_bsgs_counts`: it sums
-primes up to a bound, refuses bad ones, and counts the rest at once by BSGS,
-their draws and walks running in lock-step as the lanes of numpy columns
-from the draw to the count.  The walks are in Jacobian coordinates with one
-inversion per lane per block of steps (Montgomery's simultaneous inversion)
-over a baby table keyed by x alone, in batches capped at 2 MB of temporaries
-and equal to within one lane, so that no batch is a small remainder.  Each
-prime reads one word a trial from its own counter-based stream (splitmix64,
-Steele, Lea & Flood 2014), keyed by its short model, maps it to x with no
-rejection, and takes the point that x gives, on the curve or on its twist,
-with no square root (:func:`_random_points`); every trial is settled on
-columns (:func:`_short_counts`).  In a batch of 4,096 primes a count costs
-about 12-20 us a prime near 3e3-9e5, most of it the walk.  A count alone
-costs 2-6 ms, nearly all numpy call overhead, so sweeps pass whole chunks;
-:func:`count_points_bsgs` and :func:`trace_of_frobenius` are batches of one.
+primes up to a bound, refuses bad ones, and counts the rest at once by BSGS
+on numpy columns, one lane a prime.  Each lane draws its points from its own
+counter-based stream (splitmix64, Steele, Lea & Flood 2014) with no square
+root (:func:`_random_points`), and walks them in Jacobian coordinates with
+one inversion per block of steps (Montgomery's simultaneous inversion) over
+a sorted baby table keyed by x alone (:func:`_window_orders`).  In a batch
+of 4,096 primes of 11a a count costs 5-7 us a prime near 3e4-9e5 (2-core
+x86-64 host, Python 3.11, numpy 2.4), and one alone 2-6 ms of numpy call
+overhead, so sweeps pass whole chunks.
 
 Every counter takes ell on trust as a prime: checking is the caller's job.
-:func:`arith.is_prime` costs about 9 us a prime (0.72 s over the 78,498
-primes below 1e6 on a 2-core host, Python 3.11), some 13% of a sweep's CPU
-to 1e6, and sweeps pass sieved primes; so no counter tests it.  A
-composite ell gives a meaningless number, not an error:
-``trace_of_frobenius(E, 9)`` returns 0 for 11a1.
+:func:`arith.is_prime` costs about 9 us a prime, more than a count in a
+sweep, and sweeps pass sieved primes.  A composite ell gives a meaningless
+number, not an error: ``trace_of_frobenius(E, 9)`` returns 0 for 11a1.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, residues
 from .errors import PointCountError, ResourceLimitError
 
 NAIVE_COUNT_LIMIT = 3000  # at or above the measured naive/BSGS crossover (BENCH_28.json)
@@ -132,23 +125,17 @@ def _coprime_part(n: int, m: int) -> int:
     return n
 
 
-def _short_model(c4: int, c6: int, ell: int) -> tuple[int, int]:
+def _short_model(c4: int, c6: int, ell):
     """(A, B) of y^2 = x^3 + Ax + B over F_ell, isomorphic to the curve with these c-invariants.
 
     Valid for ell >= 5: the change of variables uses u = 6, invertible away
-    from 2 and 3, so point counts transfer unchanged.
+    from 2 and 3, so point counts transfer unchanged.  ell may be a column.
     """
-    return (-27 * c4) % ell, (-54 * c6) % ell
+    return residues(-27 * c4, ell), residues(-54 * c6, ell)
 
 
 def _require_countable(curve: CurveModel, ell: int) -> None:
-    """Refuse a prime ell of bad reduction: the one curve-level rule.
-
-    :class:`CurveModel` has already refused a model singular at a prime
-    outside its conductor, so ell may divide the discriminant only if it
-    divides the conductor.  Every counter applies it; ell itself is trusted
-    to be prime.
-    """
+    """Refuse a prime ell dividing the conductor (:class:`CurveModel` refused any other bad one)."""
     if curve.conductor % ell == 0:
         raise ValueError(f"bad reduction at {ell}: cannot count points")
 
@@ -261,12 +248,14 @@ def _random_points(keys, a, b, p, trial):
 # window [lo, hi]; the walk runs down the rows.  Points are Jacobian
 # (X : Y : Z), standing for (X / Z^2, Y / Z^3); Z = 0 is O.
 
-# Bytes of walk temporaries one batch of lanes may hold; the lanes per batch
-# follow from the walk length.  Measured with tracemalloc, a batch holds about
-# _WORDS_PER_STEP int64 words per lane and step of its baby walk and giant block.
-_WALK_BYTES = 2 << 20
-_WORDS_PER_STEP = 5
-# Giant steps between two normalisations, each costing one inversion per lane.
+# Bytes of temporaries a walk batch may hold: under tracemalloc 3.5-3.9 int64
+# words a lane and step of its baby walk and giant block (4,096 primes of 11a
+# near 3e4-9e5; near 9e5 they walk in 32.9 ms at 2 MB, 28.8 at 4 MB).  So
+# lanes * M < 2^17, and a giant key stays below lanes * M * 2^31 * 32 = 2^53.
+_WALK_BYTES = 4 << 20
+_WORDS_PER_STEP = 4
+# Giant steps between two normalisations, each costing one inversion per lane;
+# at most 32, as a giant key holds its row in 5 bits.
 _GIANT_BLOCK = 32
 _NONE = np.iinfo(np.int64).max  # no annihilator found
 
@@ -377,9 +366,7 @@ def _window_orders(x, y, a, p, lo, hi):
     The walk is Shanks' baby-step giant-step with a baby table keyed by x
     alone, so that one entry stands for both jP and -jP (see :func:`_walk`).
     Lanes may mix primes and window sizes; they are walked in the fewest
-    batches that each hold at most about ``_WALK_BYTES`` of temporaries,
-    equal to within one lane, so that no batch is a small remainder paying
-    a whole walk's fixed cost.
+    batches within ``_WALK_BYTES``, equal to within one lane.
     """
     width = (hi - lo).astype(np.int64)  # below 2^34 for every counted prime
     widest = int(width.max())
@@ -477,10 +464,14 @@ def _giant_walk(T, step, keys, baby_y, walk, babies, base, a, p, lo, width):
     and y tells the sign of j; T_i = O is j = 0.  As ord(P) > 2M + 1, the
     babies' x differ and a giant step holds at most one annihilator.
     ``keys`` is the batch's sorted baby table, ``base`` these lanes' offsets in it.
+
+    A block's keys (x + base) M, the row in their low bits, are sorted and
+    searched at once (16 ns a key, 28 unsorted); a lexsort merges the hits.
     """
     dtype = keys.dtype
     stride = 2 * babies + 1
     giants = width // stride + 1
+    lanes = len(baby_y) // babies
     first = np.full(len(walk), _NONE)
     second = np.full(len(walk), _NONE)
     for begin in range(0, int(giants.max()), _GIANT_BLOCK):
@@ -491,11 +482,34 @@ def _giant_walk(T, step, keys, baby_y, walk, babies, base, a, p, lo, width):
             T = _madd(*T, *step, a, p)
         gx, gy, g_o = _affine(GX, GY, GZ, p)
         del GX, GY, GZ
-        u, miss = _giant_matches(gx, gy, g_o, keys, baby_y, walk, babies, base)
-        del gx, gy
-        u += (begin + np.arange(rows)[:, None]) * stride + babies
-        u[miss | (u > width)] = _NONE
-        first, second = np.sort(np.vstack([first, second, u]), axis=0)[:2]
+        # a step's key, below 2^53 (see _WALK_BYTES); x = -1 at O matches no baby
+        gx[g_o] = -1
+        gx += base
+        gx *= babies
+        gx <<= 5
+        gx |= np.arange(rows)[:, None]
+        found = gx.ravel()
+        found.sort()
+        needles = found >> 5
+        j = keys.take(np.searchsorted(keys, needles), mode="clip")
+        j -= needles  # the baby (j + 1)P, if 0 <= j < M
+        hit = np.flatnonzero((j >= 0) & (j < babies))
+        i = (found[hit] & 31).astype(np.intp)
+        k = np.searchsorted(base, needles[hit] // babies, side="right") - 1
+        j = j[hit].astype(np.intp)
+        del gx, found, needles
+        j = np.where(baby_y[j * lanes + walk[k]] == gy[i, k], j + 1, -1 - j)
+        o_i, o_k = np.nonzero(g_o)
+        u = np.concatenate((i * stride + j, o_i * stride)) + begin * stride + babies
+        k = np.concatenate((k, o_k))
+        order = np.lexsort((u, k))
+        order = order[u[order] <= width[k[order]]]
+        u, k = u[order], k[order]
+        # later blocks hold larger u: a lane's new hits follow the ones it has
+        start = np.searchsorted(k, k) - (first[k] != _NONE) - (second[k] != _NONE)
+        slot = np.arange(len(k)) - start
+        first[k[slot == 0]] = u[slot == 0]
+        second[k[slot == 1]] = u[slot == 1]
         if ((second != _NONE) | (begin + rows >= giants)).all():
             break
     found = first != _NONE
@@ -503,92 +517,69 @@ def _giant_walk(T, step, keys, baby_y, walk, babies, base, a, p, lo, width):
     return np.where(second != _NONE, second - first, sole)
 
 
-def _giant_matches(gx, gy, g_o, keys, baby_y, walk, babies, base):
-    """j with T = jP for each giant step T, and the mask of steps without a match.
-
-    Overwrites gx.  See :func:`_giant_walk` for the arguments.
-    """
-    gx += base
-    gx *= babies
-    at = np.searchsorted(keys, gx)
-    np.minimum(at, len(keys) - 1, out=at)
-    found = keys[at]
-    del at
-    j = found % babies  # the baby (j + 1)P
-    found -= j
-    miss = (found != gx) & ~g_o
-    del found
-    j = j.astype(np.intp, copy=False)
-    at = j * (len(baby_y) // babies)
-    at += walk
-    flip = baby_y[at] != gy
-    del at
-    j += 1
-    np.negative(j, out=j, where=flip)
-    j[g_o] = 0
-    return j, miss
+def _lanes(ells) -> np.ndarray:
+    """``ells`` as lanes: int64 below :data:`_INT64_PRIME_LIMIT`, else Python ints."""
+    p = np.asarray(ells)
+    if not p.size or p.max() < _INT64_PRIME_LIMIT:
+        return p.astype(np.int64, copy=False)
+    return p.astype(object)
 
 
-def _hasse_window(ell: int) -> tuple[int, int]:
-    """[lo, hi], the integers within 2 sqrt(ell) of ell + 1: the Hasse interval of #E(F_ell)."""
-    s = isqrt(4 * ell)
-    return ell + 1 - s, ell + 1 + s
-
-
-def _bsgs_counts(
-    curve: CurveModel, ells: Sequence[int], max_points: int, summed_to: int = MESTRE_BOUND
-) -> list[int | Exception]:
-    """#E(F_ell) or the exception counting raises at ell, for each ell: the one dispatcher.
+def _bsgs_counts(curve: CurveModel, ells, max_points: int, summed_to: int = MESTRE_BOUND):
+    """#E(F_ell) at each ell, an int64 column, and the errors by position (0 there): the dispatcher.
 
     An ell up to ``summed_to`` (at least :data:`MESTRE_BOUND`, below which
     BSGS does not settle) is counted by summation, a bad or too large one
-    refused, and the rest by BSGS on their short models
-    (:func:`_short_counts`).
+    refused, and the rest by BSGS on their short models (:func:`_short_counts`).
     """
-    c4, c6 = curve.c_invariants()
-    entries: list = []
-    for ell in ells:
+    ells = _lanes(ells)
+    counts = np.zeros(len(ells), np.int64)
+    errors = {}
+    walked = (ells > summed_to) & (ells <= MAX_COUNTED_ELL)
+    walked[walked] = residues(curve.conductor, ells[walked]) != 0
+    for i in np.flatnonzero(~walked).tolist():
+        ell = int(ells[i])
         try:
             if ell <= summed_to:
-                entries.append(count_points_naive(curve, ell, limit=ell))
-                continue
-            _require_countable(curve, ell)
-            if ell > MAX_COUNTED_ELL:
+                counts[i] = count_points_naive(curve, ell, limit=ell)
+            else:  # bad, or past the cap
+                _require_countable(curve, ell)
                 raise ResourceLimitError(f"point counting is capped at ell <= 2^62, got {ell}")
-            entries.append(None)
         except (ValueError, ResourceLimitError) as exc:
-            entries.append(exc)
-    at = [i for i, entry in enumerate(entries) if entry is None]
-    models = [_short_model(c4, c6, ells[i]) for i in at]
-    for i, entry in zip(at, _short_counts([ells[i] for i in at], models, max_points)):
-        entries[i] = entry
-    return entries
+            errors[i] = exc
+    at = np.flatnonzero(walked)
+    models = np.stack(_short_model(*curve.c_invariants(), ells[at]), axis=-1)
+    counts[at], refused = _short_counts(ells[at], models, max_points)
+    errors.update((int(at[j]), exc) for j, exc in refused.items())
+    return counts, errors
 
 
-def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
+def _short_counts(ells, models, max_points):
     """#E(F_ell) of each y^2 = x^3 + ax + b in ``models`` at its ell > :data:`MESTRE_BOUND`, by BSGS.
 
-    The lane columns (one dtype, p, a, b, the Hasse windows [lo, hi], stream
-    keys) are made once; trial t draws (:func:`_random_points`) and walks
-    (:func:`_window_orders`) the t-th point of every lane still open, passing
-    slices, each point on the side its x gives, the curve or its twist.
-    Each side keeps the lcm L of its walk results, which divides that side's
-    group order, a number in [lo, hi]; once L has a single multiple there,
-    that multiple is the side's order, N on the curve and 2 ell + 2 - N on
-    the twist.  Above :data:`MESTRE_BOUND` the exponent of the curve or of
-    its twist has a single multiple in the window, so one side settles once
-    its points reach that exponent.  A lane still open after ``max_points``
-    trials is refused, never guessed.  Each lane's points come from its own
-    stream, keyed by its model, so an entry never depends on the other lanes.
+    Returns an int64 column and the refusals by lane (0 there).  Trial t
+    draws and walks the t-th point of every lane still open, on the side
+    its x gives.  Each side keeps the lcm L of its walk results, which
+    divides its group order, in [lo, hi]; once L has one multiple there, that
+    is the order, N on the curve and 2 ell + 2 - N on the twist.  Above
+    :data:`MESTRE_BOUND` one side settles once its points reach its
+    exponent.  A lane open after ``max_points`` trials is refused, never
+    guessed.  Each lane's stream is keyed by its model, so an entry never
+    depends on the other lanes.
     """
-    dtype = np.int64 if max(ells, default=0) < _INT64_PRIME_LIMIT else object
-    p = np.array(ells, dtype)
+    p = _lanes(ells)
+    dtype = p.dtype
     a, b = np.array(models, dtype).reshape(-1, 2).T
-    lo, hi = np.array([_hasse_window(ell) for ell in ells], dtype).reshape(-1, 2).T
+    if dtype == object:
+        s = np.frompyfunc(isqrt, 1, 1)(4 * p)
+    else:  # exact: float64's root of 4p < 2^33 errs by < 2^-36, a non-square's is > 2^-18 off
+        s = np.sqrt(4 * p).astype(np.int64)
+    lo, hi = p + 1 - s, p + 1 + s  # the Hasse interval
     keys = _stream_keys(p, a, b)
-    lcms = np.ones((2, len(ells)), dtype)  # per side: the curve's, the twist's
-    entries: list = [None] * len(ells)
-    live = np.arange(len(ells))
+    lcms = np.ones((2, len(p)), dtype)  # per side: the curve's, the twist's
+    counts = np.zeros(len(p), dtype)
+    errors = {}
+    live = np.arange(len(p))
     for trial in range(max_points):
         if not len(live):
             break
@@ -598,26 +589,33 @@ def _short_counts(ells, models, max_points) -> list[int | PointCountError]:
         side = twist.astype(np.intp)
         lcms[side, live] = L = np.lcm(lcms[side, live], np.where(n > 0, n, 1))
         first = LO + (-LO) % L
-        counts = np.where(twist, 2 * P + 2 - first, first).tolist()
         settled = (first <= HI) & (first + L > HI)
-        for j in np.flatnonzero(settled | (n == 0)).tolist():
-            entries[live[j]] = counts[j] if n[j] else PointCountError(
+        counts[live[settled]] = np.where(twist, 2 * P + 2 - first, first)[settled]
+        for j in np.flatnonzero(n == 0).tolist():
+            errors[int(live[j])] = PointCountError(
                 f"no annihilator of a point in [{LO[j]}, {HI[j]}] mod {P[j]}; bug"
             )
         live = live[~settled & (n > 0)]
-    return [
-        PointCountError(
-            f"group order ambiguous at ell={ell} after {max_points} points: refusing to guess"
-        ) if entry is None else entry
-        for ell, entry in zip(ells, entries)
-    ]
+    for i in live.tolist():
+        errors[i] = PointCountError(
+            f"group order ambiguous at ell={p[i]} after {max_points} points: refusing to guess"
+        )
+    return counts.astype(np.int64), errors
 
 
-def _unwrap(entries: list) -> int:
-    (entry,) = entries
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
+def _listed(values: np.ndarray, errors: dict[int, Exception]) -> list[int | Exception]:
+    """``values`` as a list, each error in place of its entry."""
+    entries = values.tolist()
+    for i, error in errors.items():
+        entries[i] = error
+    return entries
+
+
+def _unwrap(values: np.ndarray, errors: dict[int, Exception]) -> int:
+    """The entry of a batch of one, or its error raised."""
+    if errors:
+        raise errors[0]
+    return int(values[0])
 
 
 def count_points_bsgs(curve: CurveModel, ell: int) -> int:
@@ -626,35 +624,35 @@ def count_points_bsgs(curve: CurveModel, ell: int) -> int:
     Sampling is deterministic per (curve, ell) (see :func:`_short_counts`),
     and ambiguity after :data:`BSGS_MAX_POINTS` points raises instead of
     guessing, as does an ell past :data:`MAX_COUNTED_ELL`.  An ell up to
-    :data:`MESTRE_BOUND` is counted by summation.
-    A batch of one: sweeps count many primes at once through
-    :func:`traces_of_frobenius`, since one count alone costs 2-6 ms of
-    numpy overhead.  ell must be a prime; the caller checks that (see the
-    module notes).
+    :data:`MESTRE_BOUND` is counted by summation.  A batch of one; ell must
+    be a prime, which the caller checks (see the module notes).
     """
-    return _unwrap(_bsgs_counts(curve, [ell], BSGS_MAX_POINTS))
+    return _unwrap(*_bsgs_counts(curve, [ell], BSGS_MAX_POINTS))
+
+
+def _traces(curve: CurveModel, ells) -> tuple[np.ndarray, dict[int, Exception]]:
+    """:func:`traces_of_frobenius` as an int64 column, and the errors by position (0 there)."""
+    p = _lanes(ells)
+    counts, errors = _bsgs_counts(curve, p, BSGS_MAX_POINTS, summed_to=NAIVE_COUNT_LIMIT)
+    traces = p + 1 - counts
+    for i in np.flatnonzero(traces * traces > 4 * p).tolist():
+        errors.setdefault(i, PointCountError(
+            f"a_{p[i]} = {traces[i]} violates the Hasse bound; count is wrong"
+        ))
+    traces[list(errors)] = 0
+    return traces.astype(np.int64), errors
 
 
 def traces_of_frobenius(curve: CurveModel, ells: Sequence[int]) -> list[int | Exception]:
     """a_ell = ell + 1 - #E(F_ell) for each ell, each checked against the Hasse bound.
 
-    :func:`_bsgs_counts` sums primes up to :data:`NAIVE_COUNT_LIMIT` and
-    counts the others by BSGS in shared walks.  Each entry is a_ell or the
-    exception the count raised at that ell: a :class:`PointCountError`, a
-    ValueError at a prime of bad reduction, or a :class:`ResourceLimitError`
-    past :data:`MAX_COUNTED_ELL`.  No entry depends on the other ells.
-    Every ell must be a prime; the caller checks that (see the module notes).
+    Primes up to :data:`NAIVE_COUNT_LIMIT` are summed, the others counted by
+    BSGS in shared walks.  Each entry is a_ell or the exception the count
+    raised at that ell: a :class:`PointCountError`, a ValueError at a prime
+    of bad reduction, or a :class:`ResourceLimitError` past
+    :data:`MAX_COUNTED_ELL`.  No entry depends on the other ells.
     """
-    traces: list[int | Exception] = []
-    counts = _bsgs_counts(curve, ells, BSGS_MAX_POINTS, summed_to=NAIVE_COUNT_LIMIT)
-    for ell, n in zip(ells, counts):
-        if not isinstance(n, Exception):
-            a = ell + 1 - n
-            n = a if a * a <= 4 * ell else PointCountError(
-                f"a_{ell} = {a} violates the Hasse bound; count is wrong"
-            )
-        traces.append(n)
-    return traces
+    return _listed(*_traces(curve, ells))
 
 
 def trace_of_frobenius(curve: CurveModel, ell: int) -> int:
@@ -663,7 +661,7 @@ def trace_of_frobenius(curve: CurveModel, ell: int) -> int:
     ell must be a prime; the caller checks that (see the module notes):
     at ell = 9 this returns 0 for 11a1.
     """
-    return _unwrap(traces_of_frobenius(curve, [ell]))
+    return _unwrap(*_traces(curve, [ell]))
 
 
 def is_ordinary(curve: CurveModel, p: int) -> bool:

@@ -23,8 +23,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .arith import are_prime, is_prime
-from .curves import CurveModel, traces_of_frobenius
+from .arith import are_prime, is_prime, residues
+from .curves import CurveModel, _traces
 # the traced benchmark (bench/run.py) wraps forms.trace_of_frobenius by name
 from .curves import trace_of_frobenius  # noqa: F401
 from .errors import CoverageError, HypothesisViolation, TableFormatError
@@ -49,13 +49,6 @@ def _column(values: Sequence[int] | np.ndarray) -> np.ndarray:
     return values
 
 
-def _divides(n: int, ells: np.ndarray) -> np.ndarray:
-    """Whether each of ``ells`` divides n, for any int n."""
-    if ells.dtype != object and n >= 2**63:
-        ells = ells.astype(object)
-    return n % ells == 0
-
-
 def _hasse_violations(ells: np.ndarray, a_ells: np.ndarray, level: int) -> np.ndarray:
     """The rows where ell does not divide ``level`` and a_ell**2 > 4*ell."""
     if ells.dtype == object or a_ells.dtype == object:
@@ -64,7 +57,7 @@ def _hasse_violations(ells: np.ndarray, a_ells: np.ndarray, level: int) -> np.nd
     else:
         clipped = np.minimum(np.abs(a_ells), _HASSE_CLIP)
         over = clipped * clipped > 4 * ells
-    return over & ~_divides(level, ells)
+    return over & (residues(level, ells) != 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,9 +282,7 @@ class FormContext:
 
         An array of primes gives a bool array.
         """
-        if isinstance(ell, np.ndarray):
-            return _divides(self.level, ell) | (ell == self.p)
-        return self.level % ell == 0 or ell == self.p
+        return (residues(self.level, ell) == 0) | (ell == self.p)
 
     def coefficient_column(
         self, ells: Sequence[int] | np.ndarray
@@ -304,15 +295,13 @@ class FormContext:
         other ells.  Nothing is checked here: :func:`a_ells` refuses composite
         ell and primes dividing N_g * p.  A table answers with one
         ``searchsorted`` gather; a curve counts the points of all the primes
-        in shared walks (:func:`curves.traces_of_frobenius`).
+        in shared walks (:func:`curves.traces_of_frobenius`), as one int64 column.
         """
         ells = _column(ells)
         if isinstance(self.backend, CurveModel):
-            values = traces_of_frobenius(self.backend, ells.tolist())
-            for i, value in enumerate(values):
-                if isinstance(value, Exception):
-                    return _column(values[:i]), value
-            return _column(values), None
+            values, errors = _traces(self.backend, ells)
+            first = min(errors, default=len(values))
+            return values[:first], errors.get(first)
         table = self.backend
         at = np.minimum(np.searchsorted(table.ells, ells), max(len(table.ells) - 1, 0))
         found = table.ells[at] == ells if len(table.ells) else np.zeros(len(ells), bool)

@@ -387,7 +387,7 @@ def coefficient_chunks(
     coefficients are point counts, is swept on a pool.  Only primes go out
     to a worker, as an int64 column, and the column and error it fetched
     come back as they are: 33 KB pickled each way for a chunk of 4,096
-    primes, whose point counts take 160-190 ms near 1e5-1e6 (one core of a
+    primes, whose point counts take 20-30 ms near 3e4-9e5 (one core of a
     2-core host, Python 3.11).
     At most 2 * workers chunks are in flight and they are merged in
     ascending order, so the stream is identical at every worker count.

@@ -1047,6 +1047,17 @@ def cli_argv(draw) -> list[str]:
     return [command, *flags]
 
 
+@pytest.fixture()
+def fuzz_config(curve_config):
+    """The curve config, beside the configs of BAD_CONFIGS that are files, written once a test."""
+    tmp = Path(curve_config).parent
+    (tmp / "latin1.cfg").write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
+    (tmp / "foreign.cfg").write_text(CURVE_CFG + "table_path = nowhere.csv\n", encoding="utf-8")
+    (tmp / "unasserted.cfg").write_text(
+        CURVE_CFG.replace("optimal_level_asserted = true\n", ""), encoding="utf-8")
+    return curve_config
+
+
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
@@ -1057,27 +1068,24 @@ def cli_argv(draw) -> list[str]:
 @example(argv=["screen-p", "--p=7", "--out={tmp}/stale-out", "--config={tmp}/foreign.cfg"])
 @example(argv=["verify-density", "--bound=300", "--workers=1", "--csv={tmp}/stale-csv",
                "--config={tmp}/unasserted.cfg"])
-def test_big_integer_flags_exit_cleanly(curve_config, capsys, argv):
+def test_big_integer_flags_exit_cleanly(fuzz_config, capsys, argv):
     # every draw exits 0, 2 or 3 without a traceback, and writes nothing to
     # stdout unless it succeeds; a flag that is not an integer, an unknown
     # format, an unwritable output path, a config that cannot be loaded, or
     # --enumerate-gl2 with --csv exits 2.  A pre-filled output is empty after
     # every nonzero exit of main; a command line argparse refuses leaves it be
     command, *drawn = argv
-    tmp = Path(curve_config).parent
+    tmp = Path(fuzz_config).parent
     flags = [flag.replace("{tmp}", str(tmp)) for flag in drawn]
-    (tmp / "latin1.cfg").write_bytes(("# r\xe9sum\xe9\n" + CURVE_CFG).encode("latin-1"))
-    (tmp / "foreign.cfg").write_text(CURVE_CFG + "table_path = nowhere.csv\n", encoding="utf-8")
-    (tmp / "unasserted.cfg").write_text(
-        CURVE_CFG.replace("optimal_level_asserted = true\n", ""), encoding="utf-8")
     stale = [Path(flag.split("=", 1)[1].format(tmp=tmp)) for flag in drawn
              if flag.split("=", 1)[1] in STALE_PATHS]
     for path in stale:
+        path.unlink(missing_ok=True)  # a new file: rewriting one in place can cost a flush to disk
         path.write_text("stale\n")
     start = time.perf_counter()
     parsed = True
     try:
-        code = main([command, "--config", curve_config, *flags])
+        code = main([command, "--config", fuzz_config, *flags])
     except SystemExit as exc:  # argparse refuses a value its type or choices reject
         code, parsed = exc.code, False
     assert time.perf_counter() - start < 10

@@ -18,7 +18,7 @@ from lambda_forge.curves import (
     CurveModel,
     _baby_count,
     _bsgs_counts,
-    _hasse_window,
+    _listed,
     _random_points,
     _short_counts,
     _short_model,
@@ -147,6 +147,12 @@ def _window_order(P, a, p, lo, hi):
     if first is None:
         raise PointCountError(f"no annihilator of a point in [{lo}, {hi}] mod {p}; bug")
     return lo + first
+
+
+def hasse_window(ell):
+    """[lo, hi], the integers within 2 sqrt(ell) of ell + 1."""
+    s = isqrt(4 * ell)
+    return ell + 1 - s, ell + 1 + s
 
 
 def walk(lanes) -> list[int]:
@@ -316,14 +322,14 @@ class TestBsgs:
         # with no points to draw, an accepted ell is left ambiguous, not refused
         below, above = 2**62 - 57, 2**62 + 169  # the primes next to 2^62
         assert MAX_COUNTED_ELL == 2**62
-        accepted, refused = _bsgs_counts(curve_11a1, [below, above], 0)
+        accepted, refused = _listed(*_bsgs_counts(curve_11a1, [below, above], 0))
         assert isinstance(accepted, PointCountError)
         assert isinstance(refused, ResourceLimitError)
 
     def test_ambiguity_is_an_error_not_a_guess(self, curve_389a1):
         # one point's order can have several multiples in the Hasse window:
         # 241 is the least prime where one point leaves 389a ambiguous
-        *settled, entry = _bsgs_counts(curve_389a1, list(PrimeRange(MESTRE_BOUND + 1, 241)), 1)
+        *settled, entry = _listed(*_bsgs_counts(curve_389a1, list(PrimeRange(MESTRE_BOUND + 1, 241)), 1))
         assert not any(isinstance(n, Exception) for n in settled)
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
         assert count_points_bsgs(curve_389a1, 241) == count_points_naive(curve_389a1, 241)
@@ -337,10 +343,10 @@ class TestBsgs:
         lanes = [(ell, a, b) for ell in PrimeRange(NAIVE_COUNT_LIMIT + 1, 3011)
                  for (a, b), curve in family.items() if curve.conductor % ell]
         models = [_short_model(*family[a, b].c_invariants(), ell) for ell, a, b in lanes]
-        entries = _short_counts([ell for ell, *_ in lanes], models, 2)
+        entries = _listed(*_short_counts([ell for ell, *_ in lanes], models, 2))
         assert [lane for lane, n in zip(lanes, entries) if isinstance(n, Exception)] == [(3011, 4, 8)]
         curve = short_curve(4, 8)
-        (entry,) = _bsgs_counts(curve, [3011], 2)
+        (entry,) = _listed(*_bsgs_counts(curve, [3011], 2))
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
         assert count_points_bsgs(curve, 3011) == count_points_naive(curve, 3011, limit=3011)
 
@@ -351,16 +357,16 @@ class TestBsgs:
         ell, a, b = 229, 0, 1
         assert MESTRE_BOUND == ell
         c = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) == ell - 1)
-        lo, hi = _hasse_window(ell)
+        lo, hi = hasse_window(ell)
         for A, B in ((a, b), (a * c * c % ell, b * c**3 % ell)):  # the curve, its twist by c
             points = [(x, y) for x in range(ell) for y in range(ell)
                       if (y * y - x**3 - A * x - B) % ell == 0]
             exponent = math.lcm(*(order_by_addition(P, A, ell) for P in points))
             assert len(range(lo + (-lo) % exponent, hi + 1, exponent)) >= 2
-        (entry,) = _short_counts([ell], [(a, b)], BSGS_MAX_POINTS)
+        (entry,) = _listed(*_short_counts([ell], [(a, b)], BSGS_MAX_POINTS))
         assert isinstance(entry, PointCountError) and "ambiguous" in str(entry)
         curve = short_curve(a, b)
-        assert _bsgs_counts(curve, [ell], BSGS_MAX_POINTS) == [count_points_naive(curve, ell)]
+        assert _listed(*_bsgs_counts(curve, [ell], BSGS_MAX_POINTS)) == [count_points_naive(curve, ell)]
 
     def test_every_short_curve_at_233(self):
         # 233, the least prime above MESTRE_BOUND: BSGS_MAX_POINTS points
@@ -378,10 +384,10 @@ class TestBsgs:
                 if (4 * a**3 + 27 * b * b) % ell:
                     models.append((a, b))
                     expected.append(ell + 1 + int(chi[b].sum()))
-        assert _short_counts([ell] * len(models), models, BSGS_MAX_POINTS) == expected
+        assert _listed(*_short_counts([ell] * len(models), models, BSGS_MAX_POINTS)) == expected
         for a, b in models[::997]:
             curve = short_curve(a, b)
-            assert _bsgs_counts(curve, [ell], BSGS_MAX_POINTS) == [count_points_naive(curve, ell)]
+            assert _listed(*_bsgs_counts(curve, [ell], BSGS_MAX_POINTS)) == [count_points_naive(curve, ell)]
 
     @settings(max_examples=150, deadline=None)
     @given(ell=st.sampled_from(list(PrimeRange(5, 20000))), a=st.integers(0), b=st.integers(0))
@@ -400,8 +406,8 @@ class TestBsgs:
         cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(ells) - 1)))))
         parts = []
         for lo, hi in zip([0] + cuts, cuts + [len(ells)]):
-            parts += _bsgs_counts(curve, ells[lo:hi], max_points)
-        whole = _bsgs_counts(curve, ells, max_points)
+            parts += _listed(*_bsgs_counts(curve, ells[lo:hi], max_points))
+        whole = _listed(*_bsgs_counts(curve, ells, max_points))
         assert list(map(describe, parts)) == list(map(describe, whole))
 
     @pytest.mark.parametrize("max_points", [1, 2, 3])
@@ -409,7 +415,7 @@ class TestBsgs:
     def test_batched_equals_scalar_draws_and_walks(self, name, max_points, request):
         curve = request.getfixturevalue(name)
         ells = [ell for ell in DIFFERENTIAL_PRIMES if curve.discriminant % ell]
-        batched = _bsgs_counts(curve, ells, max_points)
+        batched = _listed(*_bsgs_counts(curve, ells, max_points))
         assert list(map(describe, batched)) == list(map(describe, scalar_counts(curve, ells, max_points)))
 
     @pytest.mark.parametrize("max_points", [0, 1, 2, 40])
@@ -418,7 +424,7 @@ class TestBsgs:
         # trial 0 settles most primes on columns, the later trials the rest
         curve = request.getfixturevalue(name)
         ells = [ell for ell in FIRST_ROUND_PRIMES if curve.discriminant % ell]
-        batched = _bsgs_counts(curve, ells, max_points)
+        batched = _listed(*_bsgs_counts(curve, ells, max_points))
         assert list(map(describe, batched)) == list(map(describe, scalar_counts(curve, ells, max_points)))
 
     @pytest.mark.parametrize("name", ["curve_11a1", "curve_37a1", "curve_389a1"])
@@ -427,7 +433,7 @@ class TestBsgs:
         primes = PrimeRange(NAIVE_COUNT_LIMIT + 1, 10**5)
         ells = [ell for ell in primes if curve.discriminant % ell]
         sample = set(random.Random(curve.conductor).sample(ells, 30))
-        for ell, n in zip(ells, _bsgs_counts(curve, ells, BSGS_MAX_POINTS)):
+        for ell, n in zip(ells, _listed(*_bsgs_counts(curve, ells, BSGS_MAX_POINTS))):
             assert not isinstance(n, Exception), n  # a refusal is a PointCountError entry
             if ell in sample:
                 assert n == count_points_naive(curve, ell, limit=ell)
@@ -529,7 +535,7 @@ class TestRandomPoints:
             models = [(a, b) for a in range(ell) for b in range(ell) if (4 * a**3 + 27 * b * b) % ell]
             a_s, b_s = np.array(models).T
             lanes = np.full(len(models), ell)
-            lo, hi = (np.full(len(models), end) for end in _hasse_window(ell))
+            lo, hi = (np.full(len(models), end) for end in hasse_window(ell))
             counts = [count_points_naive(short_curve(a, b), ell) for a, b in models]
             keys = _stream_keys(lanes, a_s, b_s)
             for trial in range(4):
@@ -578,10 +584,7 @@ class TestRandomPoints:
 class TestWindowOrder:
     """The walk returns ord(P), or the group order when the Hasse window holds one multiple."""
 
-    @staticmethod
-    def window(ell):
-        s = isqrt(4 * ell)
-        return ell + 1 - s, ell + 1 + s
+    window = staticmethod(hasse_window)
 
     def test_order_below_baby_step_count(self):
         # y^2 = x^3 - x: (0, 0) has order 2, found in the baby steps
@@ -638,9 +641,11 @@ class TestWindowOrder:
             ),
             min_size=1,
             max_size=8,
-        )
+        ),
+        block=st.sampled_from([1, 2, 3, 32]),
     )
-    def test_batched_walk_equals_scalar_reference(self, lanes):
+    def test_batched_walk_equals_scalar_reference(self, lanes, block):
+        # any giant block size: hits in one block or in several are merged alike
         batch = []
         for ell, a, b, seed, hit_o in lanes:
             a, b = a % ell, b % ell
@@ -664,7 +669,71 @@ class TestWindowOrder:
                 expected.append(_window_order(*lane))
             except PointCountError:
                 expected.append(0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curves, "_GIANT_BLOCK", block)
+            assert walk(batch) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 32])
+    def test_giant_hits_in_one_block_in_several_and_past_the_window(self, block, monkeypatch):
+        # points of order d > 2M + 1 on y^2 = x^3 + ax + 1 at 10007, each in
+        # windows of the Hasse width that put a multiple of d at every offset
+        # u < d; giant step i covers u in [i(2M + 1), (i + 1)(2M + 1)), so the
+        # first two hits fall in one block or in several, and a sole hit in
+        # the window can have a second past its end, in the last giant step
+        ell = 10007  # 3 mod 4: y = rhs^((ell + 1) / 4)
+        lo, hi = hasse_window(ell)
+        stride = 2 * _baby_count(hi - lo) + 1
+        end = ((hi - lo) // stride + 1) * stride  # past the last giant step
+        batch, seen = [], set()
+        for a in range(1, 8):
+            n = count_points_naive(short_curve(a, 1), ell, limit=ell)
+            x = next(x for x in range(ell) if pow(x**3 + a * x + 1, (ell - 1) // 2, ell) == 1)
+            Q = (x, pow(x**3 + a * x + 1, (ell + 1) // 4, ell))
+            orders = [d for d in range(stride + 1, hi - lo) if n % d == 0]
+            for d in orders[:1] + orders[-1:]:  # two hits in the window, or one
+                P = _ec_mul(n // d, Q, a, ell)
+                if order_by_addition(P, a, ell) != d:
+                    continue
+                for u in range(d):
+                    start = -(-ell // d) * d - u
+                    batch.append((P, a, ell, start, start + hi - lo))
+                    first, *rest = range(u, end, d)
+                    if rest and rest[0] > hi - lo:
+                        seen.add("past the window")
+                    elif rest:
+                        same = first // stride // block == rest[0] // stride // block
+                        seen.add("one block" if same else "several blocks")
+        expected = [_window_order(*lane) for lane in batch]
+        monkeypatch.setattr(curves, "_GIANT_BLOCK", block)
         assert walk(batch) == expected
+        assert "past the window" in seen
+        assert ("one block" in seen) == (block > 1) and ("several blocks" in seen) == (block < 32)
+
+    def test_giant_keys_fit_int64_at_the_cap(self, monkeypatch):
+        # the largest keys a batch builds: as many lanes as the cap allows at
+        # the largest int64 prime, 2^31 - 1, whose keys stay below 2^53
+        ell = 2**31 - 1
+        lo, hi = hasse_window(ell)
+        babies = _baby_count(hi - lo)
+        steps = babies + 1 + min((hi - lo) // (2 * babies + 1) + 1, curves._GIANT_BLOCK)
+        lanes = curves._WALK_BYTES // (8 * curves._WORDS_PER_STEP * steps)
+        assert curves._GIANT_BLOCK <= 32  # a key holds its row in 5 bits
+        assert ((lanes * (ell + 1) - 2) * babies << 5 | 31) < 2**53
+        rng = random.Random(31)
+        batch = [(*stream_point(a, rng.randrange(ell), ell, rng.getrandbits(64), 0)[:2], ell, lo, hi)
+                 for a in (rng.randrange(ell) for _ in range(lanes))]
+        sizes = []
+        one_batch = curves._walk
+
+        def spy(x, *rest):
+            sizes.append(len(x))
+            return one_batch(x, *rest)
+
+        monkeypatch.setattr(curves, "_walk", spy)
+        walked = walk(batch)
+        assert sizes == [lanes]
+        for i in range(lanes - 1, 0, -lanes // 8):
+            assert walked[i] == _window_order(*batch[i])
 
     def test_orders_the_baby_rows_show(self):
         # with M babies, ord(P) <= M recurs as O; beyond M an odd order shows
@@ -772,7 +841,7 @@ class TestTrace:
         # has bad reduction at 5, and two points leave 3049 ambiguous, the
         # least prime above the naive limit where they leave it ambiguous
         curve = short_curve(8, 11)
-        *settled, entry = _bsgs_counts(curve, list(PrimeRange(NAIVE_COUNT_LIMIT + 1, 3049)), 2)
+        *settled, entry = _listed(*_bsgs_counts(curve, list(PrimeRange(NAIVE_COUNT_LIMIT + 1, 3049)), 2))
         assert not any(isinstance(n, Exception) for n in settled)
         assert isinstance(entry, PointCountError)
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 2)

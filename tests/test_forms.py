@@ -181,6 +181,12 @@ def parity_path(tmp_path_factory):
     return tmp_path_factory.mktemp("parity") / "coeffs.csv"
 
 
+def rewrite(path, data: bytes) -> None:
+    """Write ``data`` to a new file at ``path``: rewriting a file in place can cost a flush to disk."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
 class TestLoaderParity:
     """The batched loader reports what the per-row loader reports, byte for byte."""
 
@@ -189,7 +195,7 @@ class TestLoaderParity:
     @example(text="ell,a_ell\n7,1\n4,1\n", level=11)
     @example(text="ell,a_ell\n2,1\n9,1\n11,x\n", level=11)
     def test_same_error_or_same_table(self, parity_path, text, level):
-        parity_path.write_text(text, encoding="utf-8")
+        rewrite(parity_path, text.encode("utf-8"))
         assert outcome(load_coefficients, parity_path, level) == outcome(
             scalar_load_coefficients, parity_path, level)
 
@@ -294,7 +300,7 @@ class TestLoaderParity:
             text = text.replace("\n7,", '\n"7",')
         else:
             text = text.replace("\n11,", "\n1_1,")
-        parity_path.write_bytes(text.encode())
+        rewrite(parity_path, text.encode())
         assert outcome(load_coefficients, parity_path, level) == outcome(
             scalar_load_coefficients, parity_path, level)
 

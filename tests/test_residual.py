@@ -34,7 +34,13 @@ from lambda_forge import (
     screen_p,
 )
 from lambda_forge.arith import PrimeRange, sieve_primes
-from lambda_forge.curves import NAIVE_COUNT_LIMIT, _bsgs_counts, _short_model, count_points_naive
+from lambda_forge.curves import (
+    NAIVE_COUNT_LIMIT,
+    _bsgs_counts,
+    _listed,
+    _short_model,
+    count_points_naive,
+)
 from lambda_forge.errors import CoverageError, PointCountError
 from lambda_forge.forms import _column, a_ells
 from lambda_forge.residual import (
@@ -813,7 +819,7 @@ class TestScreenP:
     def test_ambiguous_point_count_is_not_evaluated(self, curve_11a1, monkeypatch):
         # one point a prime leaves the group order at 3041 ambiguous, the least
         # such prime above the naive limit: a PointCountError
-        *settled, entry = _bsgs_counts(curve_11a1, list(PrimeRange(NAIVE_COUNT_LIMIT + 1, 3041)), 1)
+        *settled, entry = _listed(*_bsgs_counts(curve_11a1, list(PrimeRange(NAIVE_COUNT_LIMIT + 1, 3041)), 1))
         assert not any(isinstance(n, Exception) for n in settled)
         assert isinstance(entry, PointCountError)
         monkeypatch.setattr(curves, "BSGS_MAX_POINTS", 1)
