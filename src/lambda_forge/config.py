@@ -15,21 +15,21 @@ Table backend replaces the curve keys with ``table_path`` (relative paths
 resolve against the config file) and a ``level`` key.  A key of the other
 backend is refused; ``level`` is read by both, and a curve's must equal its
 conductor.  ``#`` starts a comment.  Thresholds are module constants, not
-config keys.
+config keys.  The certified inputs (``lambda_g`` to ``optimal_level_asserted``
+above) are the rows of :data:`forms.HYPOTHESES`: each is required, parsed by
+its row's type and echoed under its report key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .curves import CurveModel
 from .errors import ConfigError
-from .forms import CoefficientTable, FormContext, load_coefficients
+from .forms import HYPOTHESES, CoefficientTable, FormContext, load_coefficients
 
-_REQUIRED_COMMON = (
-    "backend", "p", "lambda_g", "mu_zero", "surjective_mod_p", "optimal_level_asserted",
-)
+_REQUIRED_COMMON = ("backend", "p", *(key for key, _, _, _ in HYPOTHESES))
 _BACKEND_KEYS = {  # the keys only one backend reads
     "curve": ("curve_a_invariants", "conductor", "discriminant"),
     "table": ("table_path",),
@@ -42,23 +42,15 @@ _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True
 class RunConfig:
     backend: str
     p: int
-    lambda_g: int
-    mu_zero: bool
-    surjective_mod_p: bool
+    hypotheses: dict[str, int | bool]  # by config key, a row of forms.HYPOTHESES each
     level: int
-    optimal_level_asserted: bool
     curve: CurveModel | None = None
     table_path: Path | None = None
 
     def assertions(self) -> dict:
         """The attested hypotheses, echoed verbatim into every report."""
-        return {
-            "lambda_g_certified": self.lambda_g,
-            "mu_zero": self.mu_zero,
-            "surjective_mod_p": self.surjective_mod_p,
-            "optimal_level": self.optimal_level_asserted,
-            "status": "asserted by configuration, not verified by this tool",
-        }
+        echoed = {report_key: self.hypotheses[key] for key, report_key, _, _ in HYPOTHESES}
+        return {**echoed, "status": "asserted by configuration, not verified by this tool"}
 
 
 def _parse_entries(path: Path) -> dict[str, str]:
@@ -153,13 +145,11 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(
         backend=backend,
         p=_get_int(entries, "p", path),
-        lambda_g=_get_int(entries, "lambda_g", path),
-        mu_zero=_get_bool(entries, "mu_zero", path),
-        surjective_mod_p=_get_bool(entries, "surjective_mod_p", path),
+        hypotheses={key: (_get_int if kind is int else _get_bool)(entries, key, path)
+                    for key, _, kind, _ in HYPOTHESES},
         level=level,
         curve=curve,
         table_path=table_path,
-        optimal_level_asserted=_get_bool(entries, "optimal_level_asserted", path),
     )
 
 
@@ -190,11 +180,6 @@ def build_context(cfg: RunConfig) -> FormContext:
         if not cfg.table_path.is_file():
             raise ConfigError(f"coefficient table not found: {cfg.table_path}")
         backend = load_coefficients(cfg.table_path, cfg.level)
-    return FormContext(
-        level=cfg.level,
-        p=cfg.p,
-        lambda_g=cfg.lambda_g,
-        mu_zero=cfg.mu_zero,
-        surjective_mod_p=cfg.surjective_mod_p,
-        backend=backend,
-    )
+    carried = {f.name for f in fields(FormContext)} & cfg.hypotheses.keys()
+    return FormContext(level=cfg.level, p=cfg.p, backend=backend,
+                       **{key: cfg.hypotheses[key] for key in carried})

@@ -135,9 +135,12 @@ def _short_model(c4: int, c6: int, ell):
 
 
 def _require_countable(curve: CurveModel, ell: int) -> None:
-    """Refuse a prime ell dividing the conductor (:class:`CurveModel` refused any other bad one)."""
+    """Refuse ell dividing the conductor (ValueError; :class:`CurveModel` refused any other
+    bad prime) or past :data:`MAX_COUNTED_ELL` (:class:`ResourceLimitError`), before a count."""
     if curve.conductor % ell == 0:
         raise ValueError(f"bad reduction at {ell}: cannot count points")
+    if ell > MAX_COUNTED_ELL:
+        raise ResourceLimitError(f"point counting is capped at ell <= 2^62, got {ell}")
 
 
 def _count_tiny_char(curve: CurveModel, ell: int) -> int:
@@ -542,9 +545,8 @@ def _bsgs_counts(curve: CurveModel, ells, max_points: int, summed_to: int = MEST
         try:
             if ell <= summed_to:
                 counts[i] = count_points_naive(curve, ell, limit=ell)
-            else:  # bad, or past the cap
+            else:  # bad, or past the cap: refused
                 _require_countable(curve, ell)
-                raise ResourceLimitError(f"point counting is capped at ell <= 2^62, got {ell}")
         except (ValueError, ResourceLimitError) as exc:
             errors[i] = exc
     at = np.flatnonzero(walked)

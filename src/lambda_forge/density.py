@@ -16,7 +16,7 @@ from math import sqrt
 from typing import Iterable
 
 from .arith import PrimeRange, is_prime
-from .errors import HypothesisViolation, ResourceLimitError
+from .errors import ResourceLimitError
 from .forms import FormContext
 from .residual import ClassifiedChunk, Verdict, verdict_counts
 # the traced benchmark (bench/run.py) wraps density.classify_range by name
@@ -158,11 +158,7 @@ def empirical_density(
     and a backend failure at one of them does not stop the sweep.  Either
     way the verdicts are counted a chunk at a time, from its code column.
     """
-    if not ctx.surjective_mod_p:
-        raise HypothesisViolation(
-            "density verification needs the asserted surjectivity of the mod-p image; "
-            "config asserts surjective_mod_p = false"
-        )
+    ctx.require("surjective_mod_p")
     pi_density, omega_density = exact_densities(ctx.p)
     if chunks is None:
         tallies = verdict_counts(ctx, prime_range, workers=workers)

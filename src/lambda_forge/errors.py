@@ -23,7 +23,8 @@ class HypothesisViolation(ConfigError):
 
     Example: predicting lambda-invariants requires the asserted vanishing
     of the mu-invariant; running the density experiment requires the
-    asserted surjectivity of the residual image.
+    asserted surjectivity of the residual image.  ``FormContext.require`` raises
+    both, each with its row's text in ``forms.HYPOTHESES``, the certified inputs.
     """
 
 

@@ -8,8 +8,9 @@ table loaded from CSV (:func:`load_coefficients`: ``np.loadtxt``, with a
 ascending and a_ell, and answers a batch of ells with one ``searchsorted``
 gather.  :meth:`FormContext.coefficient_column` is the one code that reads
 a backend: a_p, :func:`a_ells` and the sweeps all fetch through it, and
-:func:`a_ell` is a batch of one.  The certified fields are *attestations*
-carried in configuration; nothing in this package verifies them.
+:func:`a_ell` is a batch of one.  The certified inputs, listed once in
+:data:`HYPOTHESES`, are *attestations* carried in configuration; nothing in
+this package verifies them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .arith import are_prime, is_prime, residues
-from .curves import CurveModel, _traces
+from .curves import CurveModel, _require_countable, _traces
 # the traced benchmark (bench/run.py) wraps forms.trace_of_frobenius by name
 from .curves import trace_of_frobenius  # noqa: F401
 from .errors import CoverageError, HypothesisViolation, TableFormatError
@@ -232,13 +233,25 @@ def _data_rows(fh: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
             yield lineno, row
 
 
+# The certified inputs, asserted in the configuration and echoed, never verified,
+# in the order reports list them: (config key, report key, type, the refusal of
+# an operation that needs it true, or None).
+HYPOTHESES = (
+    ("surjective_mod_p", "surjective_mod_p", bool,
+     "density verification needs the asserted surjectivity of the mod-p image"),
+    ("mu_zero", "mu_zero", bool, "lambda transfer requires the certified vanishing of mu_p(g)"),
+    ("lambda_g", "lambda_g_certified", int, None),
+    ("optimal_level_asserted", "optimal_level", bool, None),
+)
+
+
 @dataclass(frozen=True)
 class FormContext:
     """The fixed p-ordinary weight-2 newform g with its certified invariants.
 
-    ``lambda_g``, ``mu_zero`` and ``surjective_mod_p`` are certified inputs:
-    they come from the literature or prior computation, are asserted in the
-    configuration, and are echoed (never claimed as verified) in reports.
+    ``lambda_g``, ``mu_zero`` and ``surjective_mod_p`` are the rows of
+    :data:`HYPOTHESES` a form carries; an operation that needs one true
+    refuses through :meth:`require`.
     The backend must be at ``level``: a curve's conductor or a table's level.
     ``a_p`` is read from the backend on construction, never passed in.  Every
     coefficient, a_p included, is read through :meth:`coefficient_column`.
@@ -276,6 +289,12 @@ class FormContext:
                 f"a_p = {a_p} is divisible by p = {self.p}: the form is not p-ordinary"
             )
         object.__setattr__(self, "a_p", a_p)
+
+    def require(self, key: str) -> None:
+        """Refuse an operation that needs ``key`` true, with its row's text in :data:`HYPOTHESES`."""
+        if not getattr(self, key):
+            text = next(text for name, _, _, text in HYPOTHESES if name == key)
+            raise HypothesisViolation(f"{text}; config asserts {key} = false")
 
     def divides_ngp(self, ell: int | np.ndarray) -> bool | np.ndarray:
         """Whether the prime ell divides N_g * p, where no Frobenius class is defined.
@@ -326,7 +345,8 @@ def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
 
     Every ell is checked before any coefficient is computed: the first one
     that is not prime, or that divides N_g * p, is refused with a ValueError
-    naming it; after that the first error of the batch is raised.
+    naming it, or, on a curve, past :data:`curves.MAX_COUNTED_ELL` with a
+    :class:`ResourceLimitError`; after that the first error of the batch is raised.
     Primality of the whole list is decided in one sieve pass
     (:func:`arith.are_prime`), which refuses an ell it cannot decide.
     """
@@ -335,6 +355,8 @@ def a_ells(ctx: FormContext, ells: Sequence[int]) -> list[int]:
             raise ValueError(f"ell = {ell} is not prime")
         if ctx.divides_ngp(ell):
             raise ValueError(f"ell = {ell} divides N_g * p; coefficient not exposed here")
+        if isinstance(ctx.backend, CurveModel):
+            _require_countable(ctx.backend, ell)
     column, error = ctx.coefficient_column(ells)
     if error is not None:
         raise error

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import _pow
-from .errors import HypothesisViolation, ResourceLimitError
+from .errors import ResourceLimitError
 from .forms import FormContext
 from .residual import ClassifiedChunk
 
@@ -103,11 +103,7 @@ def lambda_transfer(ctx: FormContext, sigma_g: np.ndarray, sigma_f: np.ndarray) 
     transfer of Selmer coranks is only valid when the mu-invariant of g
     vanishes.
     """
-    if not ctx.mu_zero:
-        raise HypothesisViolation(
-            "lambda transfer requires the certified vanishing of mu_p(g); "
-            "config asserts mu_zero = false"
-        )
+    ctx.require("mu_zero")
     return ctx.lambda_g + int((sigma_g - sigma_f).sum())
 
 

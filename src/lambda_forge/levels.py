@@ -127,7 +127,8 @@ def plan_target_lambda(
 
     Picks the n = target - lambda_g smallest Pi primes and the r smallest
     Omega primes below ``scan_bound``, reading each classified chunk's
-    columns.  The scan stops as soon as enough primes are found.
+    columns.  The scan stops as soon as enough primes are found.  A false
+    ``mu_zero``, which :func:`lambda_transfer` refuses, is refused before it.
     """
     if r < 0:
         raise ValueError(f"omega count must be >= 0, got {r}")
@@ -142,6 +143,7 @@ def plan_target_lambda(
             "target = lambda_g and omega count 0 would leave the level unchanged; "
             "request at least one Omega prime for a stability set"
         )
+    ctx.require("mu_zero")
     need = {Verdict.PI: n, Verdict.OMEGA: r}
     found = {verdict: ([], []) for verdict in need}  # each family's (ells, traces)
     with closing(classify_chunks(ctx, PrimeRange(2, scan_bound), workers=workers)) as chunks:

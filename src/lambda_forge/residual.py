@@ -50,7 +50,7 @@ from .arith import PrimeRange, PrimeStream, is_prime
 from .arith import sieve_primes  # noqa: F401
 from .curves import CurveModel, _pow, trace_of_frobenius
 from .errors import PointCountError, ResourceLimitError
-from .forms import FormContext, a_ell
+from .forms import HYPOTHESES, FormContext, a_ell
 
 
 class Verdict(Enum):
@@ -545,12 +545,7 @@ class ScreenReport:
         object.__setattr__(self, "eligible_mechanically", all(c.passed for c in self.checks))
 
 
-ASSERTED_ONLY_ITEMS = (
-    "surjective_mod_p",
-    "mu_zero",
-    "lambda_g_certified",
-    "optimal_level",
-)
+ASSERTED_ONLY_ITEMS = tuple(report_key for _, report_key, _, _ in HYPOTHESES)
 
 
 def screen_p(curve: CurveModel, p: int) -> ScreenReport:

@@ -24,6 +24,7 @@ from lambda_forge import (
     classify_chunks,
     classify_range,
     cli,
+    forms,
     levels,
     load_coefficients,
     residual,
@@ -336,6 +337,22 @@ class TestPointCountBound:
         assert (code, out) == (EXIT_COMPUTE, "")
         assert err == ("computation error: point counting is capped at ell <= 2^62, "
                        f"got {self.BIG}\n")
+
+    def test_a_ell_refuses_the_cap_before_counting_an_earlier_ell(self, curve_config, capsys,
+                                                                  monkeypatch):
+        # 2^62 - 57 is the largest prime the counter takes, about 3 s to count;
+        # the next prime is past the cap, and the batch was counted before it
+        # was refused
+        batches = []
+        real = forms._traces
+        monkeypatch.setattr(forms, "_traces",
+                            lambda curve, ells: batches.append(list(ells)) or real(curve, ells))
+        top, past = 2**62 - 57, 2**62 + 135
+        code, out, err = self.run_quickly(capsys, ["a-ell", "--config", curve_config,
+                                                   "--ell", str(top), "--ell", str(past)])
+        assert (code, out) == (EXIT_COMPUTE, "")
+        assert err == f"computation error: point counting is capped at ell <= 2^62, got {past}\n"
+        assert batches == [[7]]  # a_p, as the form is built
 
     def test_config_p_exit_3(self, tmp_path, capsys):
         path = tmp_path / "big_p.cfg"

@@ -110,7 +110,9 @@ class TestExactDensities:
 
 class TestEmpirical:
     def test_requires_surjectivity(self, ctx_p5):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match=(
+                "^density verification needs the asserted surjectivity of the mod-p image; "
+                "config asserts surjective_mod_p = false$")):
             empirical_density(ctx_p5, PrimeRange(2, 1000))
 
     def test_tiny_sample_is_underpowered(self, ctx_default):
